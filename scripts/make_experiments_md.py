@@ -212,68 +212,36 @@ def main() -> None:
                 "allocation-free (tracemalloc-verified with floor "
                 "calibration) at every k swept.\n")
 
-    nbase = Path("BENCH_native.json")
-    if nbase.exists():
-        native = json.loads(nbase.read_text())
-        nspeed = native.get("speedups", {})
-        a("\n## Native engine benchmarks (`python -m repro bench native`)\n")
-        a("Host wall-clock again, for `NativeBGPQ` — the sequential engine "
-          "behind the knapsack/A*/SSSP drivers and the P-Sync baseline — "
-          "comparing its arena backend (payload-aware `NodeArena`, fused "
-          "in-place SORT_SPLIT, docs/ARCHITECTURE.md §6) against the legacy "
-          "allocate-per-merge `storage=\"list\"` path. `BENCH_native.json` "
-          "is the committed baseline; refresh it deliberately with "
-          "`python -m repro bench native --update-baseline` (the suite runs "
-          "twice and keeps the conservative minimum). CI gates `--quick` "
-          "runs on the same >20% geomean-ratio rule and uploads a "
-          "current-vs-baseline delta table when the gate fails.\n")
-        gm = native.get("geomean_core")
-        if gm:
-            a(f"Baseline core-queue-op geomean (insert/delete/mixed/bulk/"
-              f"build over k ∈ {{{', '.join(str(k) for k in native.get('meta', {}).get('ks', []))}}}): "
-              f"**{gm:.2f}x arena over list** (acceptance bar: ≥1.5x).\n")
-        for bench in ("insert", "delete", "mixed", "bulk", "build",
-                      "knapsack", "astar"):
-            cells = sorted(
-                ((k, v) for k, v in nspeed.items() if k.startswith(f"{bench}/")),
-                key=lambda kv: int(kv[0].split("=")[1]),
-            )
-            if cells:
-                a(f"* {bench}: "
-                  + ", ".join(f"{k.split('/')[1]}: {v:.2f}x" for k, v in cells))
-        za = native.get("zero_alloc", {})
-        if za and all(za.values()):
-            a("\nThe steady-state mixed loop (full-batch insert + deletemin, "
-              "both heapifying) retains zero data arrays on the arena "
-              "backend at every k swept (tracemalloc-verified after garbage "
-              "collection; the list backend retains 47-378 KB scaling with "
-              "k). The end-to-end knapsack/A* cells are dominated by driver "
-              "kernels, so their ratios hover near 1x by design — they "
-              "guard engine integration, not speedup.\n")
-
     wbase = Path("BENCH_wall.json")
     if wbase.exists():
         wallb = json.loads(wbase.read_text())
         wmeta = wallb.get("meta", {})
         wsp = wallb.get("speedups", {})
         floor = wallb.get("floor", {})
-        a("\n## Wall-clock fast path (`python -m repro bench native --wall`)\n")
-        a("Host wall-clock one more time, now comparing *kernel backends*: "
-          "the NumPy reference vs the compiled C core "
-          "(`repro/device/ckern.c`, built on first use; AVX-512 merge "
-          "network where the host supports it) vs the compiled backend "
-          "with the thread-pool presort, all against the legacy "
-          "`storage=\"list\"` reference. Every backend is bit-identical by "
-          "contract (`tests/primitives/test_kernel_parity.py`); only the "
-          "clock differs. `BENCH_wall.json` commits the speedup *ratios* "
-          "(machine-portable); hosts without a C compiler gate only the "
-          "numpy lanes.\n")
-        a(f"Recorded on a {wmeta.get('cpu_count')}-core host, backends "
-          f"{', '.join(wmeta.get('compiled_available', [])) or 'numpy only'}; "
-          "ratios over the list reference:\n")
+        a("\n## NativeBGPQ wall-clock benchmarks (`python -m repro bench native`)\n")
+        a("Host wall-clock again, for `NativeBGPQ` — the sequential engine "
+          "behind the knapsack/A*/SSSP drivers and the P-Sync baseline — "
+          "comparing its arena backend (payload-aware `NodeArena`, fused "
+          "in-place SORT_SPLIT, docs/ARCHITECTURE.md §6) on the NumPy "
+          "reference kernels (`numpy`) and on the compiled C core "
+          "(`cext`: `repro/device/ckern.c`, built on first use; AVX-512 "
+          "merge network where the host supports it) against the legacy "
+          "allocate-per-merge `storage=\"list\"` reference. Every backend is "
+          "bit-identical by contract (`tests/primitives/test_kernel_parity.py`); "
+          "only the clock differs. `BENCH_wall.json` commits the speedup "
+          "*ratios* (machine-portable); hosts without a C compiler gate only "
+          "the numpy lanes. Refresh it deliberately with `python -m repro "
+          "bench native --update-baseline` (the suite runs twice and keeps "
+          "the conservative minimum).\n")
+        a(f"Baseline metadata: {wmeta.get('cpu_count')}-core host "
+          f"({wmeta.get('cpu_model', 'unknown CPU')}), compiler "
+          f"`{wmeta.get('compiler') or 'none'}`; cells not re-recorded on "
+          "that host are listed under `meta.carried_over`. Ratios over the "
+          "list reference:\n")
         variants = [v for v in wmeta.get("variants", []) if v != "list"]
         wrows = []
-        for bench in ("insert", "delete", "mixed", "bulk", "build"):
+        for bench in ("insert", "delete", "mixed", "bulk", "build",
+                      "knapsack", "astar"):
             row = {"bench": bench}
             for variant in variants:
                 cells = {
@@ -288,11 +256,22 @@ def main() -> None:
             wrows.append(row)
         a(md_table(wrows, ["bench"] + variants))
         a(f"\nCells are speedups at k ∈ {{{', '.join(str(k) for k in wmeta.get('ks', []))}}}. "
-          "**Gate:** CI re-runs `--quick` on both backends against the "
-          "committed ratios (>20% geomean tolerance per lane), and the "
-          "full run enforces the acceptance floor — compiled-parallel "
-          f"`{floor.get('bench')}` at k={floor.get('k')} must clear "
-          f"**≥{floor.get('min_speedup', 0):.0f}x** over the list "
+          "`bulk` pushes 32768 records with a width-1 payload; the knapsack/A* "
+          "cells are miniature solves dominated by driver kernels, so their "
+          "ratios hover near 1x by design — they guard engine integration, "
+          "not speedup.\n")
+        za = wallb.get("zero_alloc", {})
+        if za and all(za.values()):
+            a("The steady-state mixed loop (full-batch insert + deletemin, "
+              "both heapifying) retains zero data arrays on the numpy arena "
+              "at every k swept (tracemalloc-verified after garbage "
+              "collection).\n")
+        a("**Gate:** CI re-runs `--quick` with the reference backend forced "
+          "and with the auto-resolved backend against the committed ratios "
+          "(>20% geomean tolerance per lane) and zero-allocation flags, and "
+          "the full run enforces the acceptance floor — "
+          f"`{floor.get('bench')}:{floor.get('variant')}` at k={floor.get('k')} "
+          f"must clear **≥{floor.get('min_speedup', 0):.0f}x** over the list "
           "reference.\n")
 
     sbase = Path("BENCH_shard.json")

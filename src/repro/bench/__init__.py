@@ -18,7 +18,6 @@ from .experiments import (
     table2_util,
 )
 from .micro import MICRO_KS, baseline_path, compare_to_baseline, run_micro
-from .native import NATIVE_KS, native_baseline_path, render_native_delta, run_native
 from .reporting import ascii_chart, render_rows, save_results, speedup_summary
 from .runner import PhaseTimes, drain, run_insert_then_delete, run_utilization
 from .table1 import render_table1, table1_features
@@ -40,7 +39,6 @@ __all__ = [
     "KEY_BITS",
     "KNAPSACK_SIZES",
     "MICRO_KS",
-    "NATIVE_KS",
     "ORDERS",
     "PAPER_SIZES",
     "PhaseTimes",
@@ -53,13 +51,10 @@ __all__ = [
     "gpu_batch",
     "make_keys",
     "make_queue",
-    "native_baseline_path",
-    "render_native_delta",
     "render_rows",
     "render_table1",
     "run_insert_then_delete",
     "run_micro",
-    "run_native",
     "run_utilization",
     "save_results",
     "scale",

@@ -1,11 +1,14 @@
-"""Wall-clock fast-path bench: compiled kernels vs the NumPy reference.
+"""Wall-clock bench of NativeBGPQ: `repro bench native`.
 
 Everything else in :mod:`repro.bench` gates *simulated* device time,
 which is a pure function of the workload and therefore byte-stable
 across hosts and kernel backends.  This lane is the complement: it
 times **real host throughput** of :class:`repro.core.native.NativeBGPQ`
-under each kernel backend the host can resolve, against the
-``storage="list"`` reference implementation.
+— the engine behind every application benchmark — per variant, against
+the ``storage="list"`` allocate-per-merge reference.  Variants are
+``list`` (the reference), ``numpy`` (arena storage on the NumPy
+reference kernels) and ``cext`` (arena storage on the compiled C core,
+when the host can build it).
 
 Lanes (per node capacity in :data:`WALL_KS`):
 
@@ -17,40 +20,57 @@ Lanes (per node capacity in :data:`WALL_KS`):
     last node and runs one top-down heapify.
 ``mixed``
     The steady-state pair — one full-batch insert + one ``deletemin(k)``
-    per op — and the headline: the ISSUE's acceptance floor requires
-    the compiled-parallel variant to clear :data:`FLOOR_SPEEDUP` x the
-    list reference on ``mixed`` at k=512.
-``bulk`` / ``build``
-    One :meth:`insert_bulk` / :meth:`build` of :data:`BULK_RECORDS`
-    records into a cleared queue — the lanes where the parallel
-    record presort engages.
+    per op.  Two gates sit on it: the compiled variant must clear
+    :data:`FLOOR_SPEEDUP` x the list reference at k=512, and the numpy
+    arena variant's loop must be allocation-free (see below).
+``bulk``
+    One :meth:`insert_bulk` of :data:`BULK_RECORDS` records carrying a
+    width-1 payload into a cleared queue — the post-expansion push every
+    app driver performs, with the payload column riding the presort.
+``build``
+    One Floyd-style :meth:`build` of :data:`BULK_RECORDS` keys.
+``knapsack`` / ``astar``
+    Miniature end-to-end application solves, with every kernel pinned
+    to the NumPy reference (``list`` and ``numpy`` variants only).  They
+    are dominated by driver work, so their ratios hover near 1x; they
+    catch engine-integration regressions, not speedup.
 
 Queues are constructed without a ``GpuContext``: device-charge
-accounting is bit-identical across backends (tested), so simulating it
+accounting is bit-identical across variants (tested), so simulating it
 here would only tax every variant equally and blur the ratios.
 
-Gating is two-layered, both machine-portable ratios:
+Gating is two-layered, both machine-portable:
 
 * a committed drift baseline (``BENCH_wall.json``, env override
   ``REPRO_BENCH_WALL_BASELINE``) checked through
   :func:`repro.bench.micro.compare_to_baseline` — speedup keys are
   shaped ``"{bench}:{variant}/k={k}"`` so the shared geomean grouping
-  gates each (bench, variant) lane separately; hosts that cannot build
-  a compiled backend simply skip those keys and still gate the numpy
-  lanes;
-* the hard floor of :func:`wall_gate_problems` on the compiled-parallel
-  mixed lane at k=512.
+  gates each (bench, variant) lane separately, and the zero-allocation
+  flags ``"mixed:numpy/k={k}"`` must stay set; hosts that cannot build
+  the C core simply skip the cext keys and still gate the rest;
+* the hard floor of :func:`wall_gate_problems` on the compiled mixed
+  lane at k=512.
+
+Allocation methodology: timing runs untraced and allocations are
+measured in a separate tracemalloc pass, which collects garbage before
+each reading — full queue operations leave behind collectable cycle
+debris from numpy's ufunc machinery, k-independent noise that says
+nothing about the data path.  After collection the arena backend's
+steady-state mixed loop retains well under one k-key buffer.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 from ..core.native import NativeBGPQ
+from ..device import cbuild
 from ..primitives import kernels as kernel_registry
 from .micro import _time_loop
 from .reporting import geomean as _geomean
@@ -68,9 +88,11 @@ __all__ = [
 
 WALL_KS = (32, 128, 512)
 WALL_BENCHES = ("insert", "delete", "mixed", "bulk", "build")
+APP_BENCHES = ("knapsack", "astar")
 BULK_RECORDS = 32768
 FLOOR_SPEEDUP = 10.0
 FLOOR_KEY_BENCH = "mixed"
+FLOOR_VARIANT = "cext"
 FLOOR_K = 512
 
 
@@ -80,30 +102,67 @@ def wall_baseline_path() -> Path:
 
 
 def _variants() -> list[str]:
-    """Backend variants this host can actually run, reference first."""
-    available = kernel_registry.available_backends()
-    compiled = [b for b in ("cext", "numba") if b in available]
-    out = ["list", "numpy"] + compiled
-    if compiled:
-        out.append(f"{compiled[0]}-parallel")
-    return out
+    """Variants this host can actually run, reference first."""
+    return ["list"] + kernel_registry.available_backends()
 
 
-def _make_queue(variant: str, k: int, workers: int | None) -> NativeBGPQ:
+def _make_queue(variant: str, k: int, payload_width: int = 0) -> NativeBGPQ:
     if variant == "list":
-        return NativeBGPQ(k, storage="list", kernels="numpy")
-    name, _, par = variant.partition("-")
+        return NativeBGPQ(
+            k, storage="list", kernels="numpy", payload_width=payload_width
+        )
     return NativeBGPQ(
-        k,
-        storage="arena",
-        kernels=name,
-        parallel="threads" if par else "off",
-        workers=workers,
+        k, storage="arena", kernels=variant, payload_width=payload_width
     )
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
 
 
 def _batches(rng, n: int, k: int) -> list[np.ndarray]:
     return [rng.integers(0, 1 << 30, size=k).astype(np.int64) for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# allocation tracing
+# ---------------------------------------------------------------------------
+def _traced_window_gc(op, iters: int) -> tuple[int, int]:
+    """(retained, peak) bytes with garbage collected before each reading.
+
+    Collecting first distinguishes genuinely retained memory (the
+    allocate-per-merge backend's fresh node arrays) from cycle debris
+    the op merely hasn't had collected yet.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        op(0)  # warm caches outside the window
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for i in range(iters):
+            op(i)
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return current - base, max(0, peak - base)
+
+
+def _alloc_loop(op, iters: int) -> tuple[int, int]:
+    """(retained, peak) bytes of ``iters`` calls, net of the tracer's own
+    bookkeeping (an empty loop's residue)."""
+    floor = _traced_window_gc(lambda i: None, iters)[0]
+    retained, peak = _traced_window_gc(op, iters)
+    return retained - floor, peak
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +206,11 @@ def _lane_mixed(q: NativeBGPQ, k: int, rng, total_ops: int):
 
 def _lane_bulk(q: NativeBGPQ, k: int, rng, total_ops: int):
     records = rng.integers(0, 1 << 30, size=BULK_RECORDS).astype(np.int64)
+    pay = records.reshape(-1, 1)
 
-    def op(i, q=q, records=records):
+    def op(i, q=q, records=records, pay=pay):
         q.clear()
-        q.insert_bulk(records)
+        q.insert_bulk(records, payload=pay)
 
     return op
 
@@ -174,24 +234,70 @@ _LANES = {
 }
 
 
+def _app_op(bench: str, k: int, variant: str):
+    """One miniature solve per call; asserts the answer never changes."""
+    storage = "list" if variant == "list" else "arena"
+    if bench == "knapsack":
+        from ..apps.knapsack.branch_bound import solve_batched
+        from ..apps.knapsack.instance import generate
+
+        inst = generate(36, family="weakly_correlated", seed=5)
+
+        def solve(storage):
+            return solve_batched(inst, batch=k, storage=storage).best_profit
+    else:
+        from ..apps.astar.grid import generate_grid
+        from ..apps.astar.search import astar_batched
+
+        grid = generate_grid(48, 0.15, seed=3)
+
+        def solve(storage):
+            return astar_batched(grid, batch=k, storage=storage).cost
+
+    expect = solve("arena")
+
+    def op(i):
+        got = solve(storage)
+        assert got == expect, f"{bench} answer changed: {got} != {expect}"
+
+    return op
+
+
 # ---------------------------------------------------------------------------
 def run_wall(
     ks=WALL_KS,
     quick: bool = False,
     op_iters: int | None = None,
-    workers: int | None = None,
+    e2e_iters: int | None = None,
 ) -> dict:
     """Run the wall-clock lanes; returns the BENCH_wall payload.
 
     Speedup keys are ``"{bench}:{variant}/k={k}"`` — the variant's
     ops/sec over the ``list`` reference's for the same (bench, k).
+    ``op_iters``/``e2e_iters`` override the iteration counts (tests use
+    tiny loops; the quick/full presets serve CI and the baseline).
     """
     op_iters = op_iters if op_iters is not None else (12 if quick else 40)
+    e2e_iters = e2e_iters if e2e_iters is not None else (2 if quick else 4)
     bulk_iters = max(2, op_iters // 8)
     variants = _variants()
 
     provenance: dict[str, dict] = {}
     rows: list[dict] = []
+    zero_alloc: dict[str, bool] = {}
+
+    def record(bench, k, variant, iters, ops_per_sec, retained=-1):
+        rows.append(
+            {
+                "bench": bench,
+                "k": k,
+                "variant": variant,
+                "ops": iters,
+                "ops_per_sec": round(ops_per_sec, 1),
+                "retained_bytes": int(retained),
+            }
+        )
+
     for k in ks:
         for bench in WALL_BENCHES:
             iters = bulk_iters if bench in ("bulk", "build") else op_iters
@@ -199,21 +305,26 @@ def run_wall(
             total_ops = max(1, iters // 4) + repeats * iters
             for variant in variants:
                 rng = np.random.default_rng(20260808 + k)
-                q = _make_queue(variant, k, workers)
+                q = _make_queue(variant, k, payload_width=int(bench == "bulk"))
                 if variant not in provenance:
                     provenance[variant] = q.kernel_provenance()
                 op = _LANES[bench](q, k, rng, total_ops)
                 ops_per_sec = _time_loop(op, iters, repeats=repeats)
-                q.close()
-                rows.append(
-                    {
-                        "bench": bench,
-                        "k": k,
-                        "variant": variant,
-                        "ops": iters,
-                        "ops_per_sec": round(ops_per_sec, 1),
-                    }
-                )
+                retained = -1
+                if bench == "mixed" and variant == "numpy":
+                    # the zero-allocation bar: a residue above one k-key
+                    # buffer plus ~256 B of k-independent interpreter
+                    # bookkeeping means the heapify path allocates
+                    retained = _alloc_loop(op, iters)[0]
+                    zero_alloc[f"mixed:numpy/k={k}"] = retained < k * 8 + 256
+                record(bench, k, variant, iters, ops_per_sec, retained)
+        # the solves' queues take the process-wide backend, so pin it
+        with kernel_registry.use("numpy"):
+            for bench in APP_BENCHES:
+                for variant in ("list", "numpy"):
+                    op = _app_op(bench, k, variant)
+                    ops_per_sec = _time_loop(op, e2e_iters, repeats=2)
+                    record(bench, k, variant, e2e_iters, ops_per_sec)
 
     speedups: dict[str, float] = {}
     by_cell = {(r["bench"], r["k"], r["variant"]): r for r in rows}
@@ -233,17 +344,22 @@ def run_wall(
             "quick": quick,
             "ks": list(ks),
             "op_iters": op_iters,
+            "e2e_iters": e2e_iters,
             "bulk_records": BULK_RECORDS,
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
+            "cpu_model": _cpu_model(),
+            "compiler": cbuild.build_command(),
             "variants": variants,
             "compiled_available": compiled,
             "kernels": provenance,
         },
         "rows": rows,
         "speedups": speedups,
+        "zero_alloc": zero_alloc,
         "floor": {
             "bench": FLOOR_KEY_BENCH,
+            "variant": FLOOR_VARIANT,
             "k": FLOOR_K,
             "min_speedup": FLOOR_SPEEDUP,
         },
@@ -253,15 +369,19 @@ def run_wall(
 def wall_gate_problems(results: dict, quick: bool = False) -> list[str]:
     """The hard acceptance floor, separate from baseline drift.
 
-    The compiled-parallel variant must clear :data:`FLOOR_SPEEDUP` x
-    the list reference on the steady-state mixed lane at k=512.  Quick
-    runs, hosts with no compiled backend, and sweeps that skip k=512
+    The compiled variant must clear :data:`FLOOR_SPEEDUP` x the list
+    reference on the steady-state mixed lane at k=512.  Quick runs,
+    hosts without the compiled backend, and sweeps that skip k=512
     report nothing — the drift baseline still covers them.
     """
     compiled = results["meta"].get("compiled_available") or []
-    if quick or not compiled or FLOOR_K not in results["meta"].get("ks", []):
+    if (
+        quick
+        or FLOOR_VARIANT not in compiled
+        or FLOOR_K not in results["meta"].get("ks", [])
+    ):
         return []
-    key = f"{FLOOR_KEY_BENCH}:{compiled[0]}-parallel/k={FLOOR_K}"
+    key = f"{FLOOR_KEY_BENCH}:{FLOOR_VARIANT}/k={FLOOR_K}"
     got = results.get("speedups", {}).get(key)
     if got is None:
         return [f"floor lane missing: no speedup recorded for {key}"]
@@ -290,6 +410,12 @@ def render_wall_delta(current: dict, baseline: dict) -> str:
         base = _geomean(b for _, b in pairs)
         lines.append(
             f"{lane:<23} {cur:>12.3f} {base:>18.3f} {cur / base:>6.2f}"
+        )
+    for key, flag in sorted(baseline.get("zero_alloc", {}).items()):
+        now = current.get("zero_alloc", {}).get(key)
+        lines.append(
+            f"zero-alloc {key}: baseline={'yes' if flag else 'no'} "
+            f"now={'yes' if now else 'NO' if now is False else '?'}"
         )
     for problem in wall_gate_problems(current, quick=current["meta"].get("quick")):
         lines.append(f"floor: {problem}")

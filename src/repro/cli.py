@@ -10,7 +10,7 @@ Usage::
     python -m repro fig6                   # Figure 6 sweeps
     python -m repro faults                 # fault-injection campaigns
     python -m repro bench micro            # perf-regression microbench
-    python -m repro bench native           # NativeBGPQ arena-vs-list gate
+    python -m repro bench native           # NativeBGPQ wall-clock gate
     python -m repro bench shard            # sharded-fleet throughput gate
     python -m repro bench frontier         # quality-vs-throughput sweep gate
     python -m repro trace                  # traced run + chrome trace JSON
@@ -34,9 +34,10 @@ the (queue, plan, seed) triple that reproduces it.
 a >20% speedup regression against the committed ``BENCH_micro.json``
 baseline (refresh it with ``--update-baseline``).  ``bench native``
 does the same for the host-speed :class:`~repro.core.native.NativeBGPQ`
-application engine (see :mod:`repro.bench.native`) against
-``BENCH_native.json``, including the steady-state zero-allocation gate
-and miniature knapsack/A* end-to-end runs; on failure it saves a
+application engine (see :mod:`repro.bench.wall`) against
+``BENCH_wall.json``: list vs numpy-arena vs compiled-arena ratios, the
+steady-state zero-allocation gate, miniature knapsack/A* end-to-end
+runs and a >=10x compiled mixed floor; on failure it saves a
 current-vs-baseline delta table next to the archived results.
 ``bench shard`` gates the sharded fleet (see :mod:`repro.bench.shard`
 and :mod:`repro.fleet`): simulated throughput at 1/2/4/8 shards vs the
@@ -873,110 +874,13 @@ def _print_phase_diff() -> int:
 
 
 def _run_bench_native(args) -> int:
-    """`repro bench native`: the NativeBGPQ arena-vs-list perf gate."""
-    if args.wall:
-        return _run_bench_wall(args)
-    import json
-
-    from .bench.micro import compare_to_baseline
-    from .bench.native import (
-        NATIVE_KS,
-        native_baseline_path,
-        render_native_delta,
-        run_native,
-    )
-    from .bench.reporting import results_dir
-
-    ks = (
-        tuple(int(k) for k in args.bench_ks.split(","))
-        if args.bench_ks
-        else NATIVE_KS
-    )
-    base_file = native_baseline_path()
-    rebaseline = args.update_baseline or not base_file.exists()
-    t0 = time.perf_counter()
-    results = run_native(ks=ks, quick=args.quick)
-    if rebaseline:
-        # conservative elementwise minimum of two runs (see bench micro)
-        second = run_native(ks=ks, quick=args.quick)
-        for key, val in second["speedups"].items():
-            prev = results["speedups"].get(key)
-            results["speedups"][key] = val if prev is None else min(prev, val)
-        for key, flag in second["zero_alloc"].items():
-            results["zero_alloc"][key] = bool(
-                flag and results["zero_alloc"].get(key, True)
-            )
-        import math
-
-        from .bench.native import CORE_BENCHES
-
-        core = [v for key, v in results["speedups"].items()
-                if key.split("/")[0] in CORE_BENCHES]
-        results["geomean_core"] = round(
-            math.prod(core) ** (1.0 / len(core)), 3
-        )
-    wall = time.perf_counter() - t0
-    print(render_rows(results["rows"], "bench native (arena vs list storage)"))
-    print()
-    for key, val in sorted(results["speedups"].items()):
-        print(f"  speedup {key}: {val:.2f}x")
-    for key, flag in sorted(results["zero_alloc"].items()):
-        print(f"  zero-alloc {key}: {'yes' if flag else 'NO'}")
-    print(f"  geomean (core queue ops): {results['geomean_core']:.2f}x")
-    path = save_results("bench_native", results["rows"], meta={
-        **results["meta"],
-        "speedups": results["speedups"],
-        "zero_alloc": results["zero_alloc"],
-        "geomean_core": results["geomean_core"],
-        "wall_s": round(wall, 1),
-    })
-    print(f"[{wall:.1f}s host; saved {path}]\n")
-
-    rc = 0
-    if rebaseline:
-        base_file.write_text(json.dumps(results, indent=2, default=str) + "\n")
-        print(f"baseline written to {base_file}")
-    else:
-        baseline = json.loads(base_file.read_text())
-        problems = compare_to_baseline(results, baseline)
-        if problems:
-            print(f"PERF REGRESSION vs {base_file}:")
-            for p in problems:
-                print(f"  {p}")
-            delta = render_native_delta(results, baseline)
-            delta_path = results_dir() / "bench_native_delta.txt"
-            delta_path.write_text(delta + "\n")
-            print("\n" + delta)
-            print(f"\n(delta table saved to {delta_path}; re-baseline "
-                  "intentionally with: python -m repro bench native "
-                  "--update-baseline)")
-            rc = 1
-        else:
-            print(f"no regression vs {base_file} (tolerance 20%)")
-    from .bench.reporting import gate_meta
-
-    _record_registry(
-        "bench-native",
-        config={"ks": list(ks), "quick": args.quick, "rebaseline": rebaseline},
-        status="completed" if rc == 0 else "failed",
-        summary={
-            "speedups": results["speedups"],
-            "geomean_core": results["geomean_core"],
-            "gate": gate_meta(rc == 0, base_file, rebaseline,
-                              ratios={"core": results["geomean_core"]}),
-            "wall_s": round(wall, 1),
-        },
-    )
-    return rc
-
-
-def _run_bench_wall(args) -> int:
-    """`repro bench native --wall`: the real-host-throughput gate.
+    """`repro bench native`: the NativeBGPQ wall-clock gate.
 
     Unlike the simulated lanes this one times wall-clock ops/sec per
-    kernel backend, so the committed baseline stores *ratios over the
-    list reference* (machine-portable) and a hard ``>= 10x`` floor
-    guards the compiled-parallel mixed lane at k=512.
+    variant (list reference, numpy arena, compiled arena), so the
+    committed baseline stores *ratios over the list reference*
+    (machine-portable) plus the zero-allocation flags, and a hard
+    ``>= 10x`` floor guards the compiled mixed lane at k=512.
     """
     import json
 
@@ -1000,20 +904,26 @@ def _run_bench_wall(args) -> int:
     base_file = wall_baseline_path()
     rebaseline = args.update_baseline or not base_file.exists()
     t0 = time.perf_counter()
-    results = run_wall(ks=ks, quick=args.quick, workers=args.workers)
+    results = run_wall(ks=ks, quick=args.quick)
     if rebaseline:
         # conservative elementwise minimum of two runs (see bench micro)
-        second = run_wall(ks=ks, quick=args.quick, workers=args.workers)
+        second = run_wall(ks=ks, quick=args.quick)
         for key, val in second["speedups"].items():
             prev = results["speedups"].get(key)
             results["speedups"][key] = val if prev is None else min(prev, val)
+        for key, flag in second["zero_alloc"].items():
+            results["zero_alloc"][key] = bool(
+                flag and results["zero_alloc"].get(key, True)
+            )
     wall_s = time.perf_counter() - t0
     print(render_rows(
-        results["rows"], "bench wall (host ops/sec per kernel backend)"
+        results["rows"], "bench native (host ops/sec per NativeBGPQ variant)"
     ))
     print()
     for key, val in sorted(results["speedups"].items()):
         print(f"  speedup vs list {key}: {val:.2f}x")
+    for key, flag in sorted(results["zero_alloc"].items()):
+        print(f"  zero-alloc {key}: {'yes' if flag else 'NO'}")
     for variant, info in results["meta"]["kernels"].items():
         print(f"  kernels[{variant}]: {info}")
 
@@ -1030,6 +940,7 @@ def _run_bench_wall(args) -> int:
     path = save_results("bench_wall", results["rows"], meta={
         **results["meta"],
         "speedups": results["speedups"],
+        "zero_alloc": results["zero_alloc"],
         "floor": results["floor"],
         "wall_s": round(wall_s, 1),
     })
@@ -1059,13 +970,13 @@ def _run_bench_wall(args) -> int:
         delta_path.write_text(delta + "\n")
         print("\n" + delta)
         print(f"\n(delta table saved to {delta_path}; re-baseline "
-              "intentionally with: python -m repro bench native --wall "
+              "intentionally with: python -m repro bench native "
               "--update-baseline)")
         rc = 1
 
     floor_key = (
-        f"mixed:{results['meta']['compiled_available'][0]}-parallel/k=512"
-        if results["meta"]["compiled_available"] else None
+        "mixed:cext/k=512"
+        if "cext" in results["meta"]["compiled_available"] else None
     )
     _record_registry(
         "bench-wall",
@@ -1073,7 +984,6 @@ def _run_bench_wall(args) -> int:
             "ks": list(ks),
             "quick": args.quick,
             "rebaseline": rebaseline,
-            "workers": args.workers,
         },
         status="completed" if rc == 0 else "failed",
         summary={
@@ -1445,7 +1355,7 @@ class _VersionAction(argparse.Action):
         backends = ",".join(kernel_registry.available_backends())
         print(f"{parser.prog} {self.version}")
         print(f"kernel backend: {info['backend']} "
-              f"(fused={info['fused']}, gil_free={info['releases_gil']}; "
+              f"(fused={info['fused']}; "
               f"available: {backends})")
         parser.exit()
 
@@ -1548,7 +1458,7 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument(
         "--update-baseline",
         action="store_true",
-        help="rewrite the bench baseline (BENCH_micro.json / BENCH_native.json"
+        help="rewrite the bench baseline (BENCH_micro.json / BENCH_wall.json"
              " / BENCH_shard.json / BENCH_frontier.json)",
     )
     bench.add_argument(
@@ -1557,24 +1467,11 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated node capacities (default: 32,128,512)",
     )
     bench.add_argument(
-        "--wall",
-        action="store_true",
-        help="bench native: time real host throughput per kernel backend "
-             "instead of simulated device ns (gated vs BENCH_wall.json)",
-    )
-    bench.add_argument(
         "--kernels",
-        choices=("auto", "numpy", "numba", "cext"),
+        choices=("auto", "numpy", "cext"),
         default=None,
         help="force the process-wide kernel backend "
              "(default: auto; env REPRO_KERNELS)",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="bench native --wall: thread-pool width for the "
-             "compiled-parallel variant (default: min(4, cpu_count))",
     )
     bench.add_argument(
         "--shard-counts",

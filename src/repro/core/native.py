@@ -42,8 +42,6 @@ reference for the concurrent implementation.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
@@ -111,19 +109,12 @@ class NativeBGPQ:
         payload_dtype=np.int64,
         storage: str = "arena",
         kernels=None,
-        parallel: str = "off",
-        workers: int | None = None,
-        parallel_threshold: int = 4096,
     ):
         if node_capacity < 2:
             raise ConfigurationError("node capacity must be >= 2")
         if storage not in ("arena", "list"):
             raise ConfigurationError(
                 f"unknown storage {storage!r}; choose 'arena' or 'list'"
-            )
-        if parallel not in ("off", "threads"):
-            raise ConfigurationError(
-                f"unknown parallel mode {parallel!r}; choose 'off' or 'threads'"
             )
         self.k = node_capacity
         self.key_dtype = np.dtype(key_dtype)
@@ -136,7 +127,7 @@ class NativeBGPQ:
         self._sim_ns = Fraction(0)
         self.stats = {"insert_heapify": 0, "deletemin_heapify": 0, "ops": 0}
         # kernel backend: None -> process-wide active selection; a name
-        # ("numpy"/"cext"/"numba"/"auto") -> explicit; or a KernelSet.
+        # ("numpy"/"cext"/"auto") -> explicit; or a KernelSet.
         # Every backend is bit-identical, so this only moves wall-clock.
         if isinstance(kernels, str):
             self._kern = kernel_registry.select(kernels)
@@ -144,16 +135,6 @@ class NativeBGPQ:
             self._kern = kernels
         else:
             self._kern = kernel_registry.active()
-        self.parallel = parallel
-        self.workers = int(workers) if workers else min(4, os.cpu_count() or 1)
-        self.parallel_threshold = int(parallel_threshold)
-        self._pool: ThreadPoolExecutor | None = None
-        # true parallelism needs kernels that drop the GIL; otherwise the
-        # request degrades to serial (documented, observable via the
-        # effective_parallel property)
-        self._parallel_ok = parallel == "threads" and bool(
-            getattr(self._kern, "releases_gil", False)
-        )
         # fused C heapify needs the arena layout and int64 keys (payload
         # rows move as raw bytes, so any payload dtype is fine)
         self._row_bytes = self.payload_width * self.payload_dtype.itemsize
@@ -265,152 +246,17 @@ class NativeBGPQ:
             raise ValueError("keys must be 1-D")
         return keys, self._payload_for(keys, payload)
 
-    # -- kernel backend & parallel execution -------------------------------
+    # -- kernel backend ----------------------------------------------------
     @property
     def kernel_backend(self) -> str:
         """Name of the kernel backend this queue dispatches to."""
         return getattr(self._kern, "name", "numpy")
 
-    @property
-    def effective_parallel(self) -> str:
-        """``"threads"`` when parallelism is actually in effect.
-
-        A ``parallel="threads"`` request over interpreter-bound kernels
-        (numpy backend holds the GIL) degrades to ``"off"``: spinning a
-        pool that serializes on the GIL would only add overhead.
-        """
-        return "threads" if self._parallel_ok else "off"
-
     def kernel_provenance(self) -> dict:
-        """Provenance record (backend, capabilities, parallel shape)."""
+        """Provenance record (backend, capabilities, fused dispatch)."""
         info = kernel_registry.provenance(self._kern)
-        info["parallel"] = self.effective_parallel
-        info["workers"] = self.workers if self._parallel_ok else 1
         info["fused_active"] = self._fused
         return info
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-kern"
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Release the worker pool (idempotent; queue stays usable)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "NativeBGPQ":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _sort_records(self, keys: np.ndarray, pay: np.ndarray):
-        """Stable presort of a record batch (the insert_bulk/build sort).
-
-        Serial path: the backend's ``sort_records`` (bit-identical to
-        ``np.argsort(kind="stable")``).  With ``parallel="threads"`` over
-        GIL-free fused kernels and a large enough batch, the sort runs
-        as worker-chunk stable sorts followed by a Merge-Path-partitioned
-        merge tree — same permutation, because chunks are merged left-
-        to-right with ties favouring the earlier chunk.
-        """
-        if (
-            self._parallel_ok
-            and getattr(self._kern, "fused", False)
-            and keys.dtype == _I64
-            and keys.size >= max(2 * self.parallel_threshold, 2 * self.k)
-        ):
-            return self._sort_records_parallel(keys, pay)
-        return self._kern.sort_records(keys, pay)
-
-    def _sort_records_parallel(self, keys: np.ndarray, pay: np.ndarray):
-        mod = self._kern.mod
-        n = keys.size
-        rb = self._row_bytes
-        workers = max(1, min(self.workers, n // self.parallel_threshold))
-        if workers == 1:
-            return self._kern.sort_records(keys, pay)
-        pool = self._ensure_pool()
-        src_k = np.ascontiguousarray(keys).copy()
-        if rb:
-            src_p = np.ascontiguousarray(pay).copy()
-        else:
-            src_p = np.empty((n, self.payload_width), dtype=self.payload_dtype)
-        empty = np.empty(0, dtype=np.uint8)
-        bounds = [round(w * n / workers) for w in range(workers + 1)]
-        list(
-            pool.map(
-                lambda w: mod.sort_records(
-                    src_k[bounds[w] : bounds[w + 1]],
-                    src_p[bounds[w] : bounds[w + 1]] if rb else empty,
-                    rb,
-                ),
-                range(workers),
-            )
-        )
-        # merge tree over the sorted chunks; each round ping-pongs
-        # between the two buffer pairs, each merge fans out across the
-        # pool via disjoint Merge Path spans
-        dst_k = np.empty_like(src_k)
-        dst_p = np.empty_like(src_p)
-        runs = [(bounds[w], bounds[w + 1]) for w in range(workers)]
-        while len(runs) > 1:
-            next_runs = []
-            for t in range(0, len(runs), 2):
-                if t + 1 == len(runs):
-                    lo, hi = runs[t]
-                    dst_k[lo:hi] = src_k[lo:hi]
-                    if rb:
-                        dst_p[lo:hi] = src_p[lo:hi]
-                    next_runs.append((lo, hi))
-                    continue
-                (alo, ahi), (_, bhi) = runs[t], runs[t + 1]
-                self._parallel_merge_run(
-                    pool, mod, src_k, src_p, dst_k, dst_p, alo, ahi, bhi, rb
-                )
-                next_runs.append((alo, bhi))
-            src_k, dst_k = dst_k, src_k
-            src_p, dst_p = dst_p, src_p
-            runs = next_runs
-        return src_k, src_p
-
-    def _parallel_merge_run(
-        self, pool, mod, sk, sp, dk, dp, alo, ahi, bhi, rb
-    ) -> None:
-        """Merge adjacent sorted runs ``[alo:ahi)`` + ``[ahi:bhi)``.
-
-        Memory safety: span ``t`` writes exactly ``dk[d_t:d_{t+1})`` —
-        the co-rank decomposition makes worker output ranges disjoint
-        by construction, so no two threads ever touch the same bytes.
-        """
-        a = sk[alo:ahi]
-        b = sk[ahi:bhi]
-        total = bhi - alo
-        out_k = dk[alo:bhi]
-        pa = sp[alo:ahi] if rb else None
-        pb = sp[ahi:bhi] if rb else None
-        out_p = dp[alo:bhi] if rb else None
-        spans = max(1, min(self.workers, total // self.parallel_threshold))
-        if spans == 1:
-            mod.merge_into(a, b, out_k, pa, pb, out_p, rb)
-            return
-        diag = [round(t * total / spans) for t in range(spans + 1)]
-        ranks = [mod.corank(d, a, b) for d in diag]
-        futures = [
-            pool.submit(
-                mod.merge_span, a, b, out_k, pa, pb, out_p, rb,
-                ranks[t], ranks[t + 1],
-                diag[t] - ranks[t], diag[t + 1] - ranks[t + 1],
-                diag[t],
-            )
-            for t in range(spans)
-        ]
-        for f in futures:
-            f.result()
 
     # -- public API --------------------------------------------------------
     def insert(self, keys, payload=None) -> None:
@@ -436,7 +282,7 @@ class NativeBGPQ:
         keys, pay = self._normalize(keys, payload)
         if keys.size == 0:
             return
-        skeys, spay = self._sort_records(keys, pay)
+        skeys, spay = self._kern.sort_records(keys, pay)
         for i in range(0, skeys.size, self.k):
             self._insert_sorted(skeys[i : i + self.k], spay[i : i + self.k])
 
@@ -461,7 +307,7 @@ class NativeBGPQ:
         n = keys.size
         if n == 0:
             return
-        skeys, spay = self._sort_records(keys, pay)
+        skeys, spay = self._kern.sort_records(keys, pay)
         k = self.k
         chunks = -(-n // k)
         if self.model is not None:
@@ -655,8 +501,8 @@ class NativeBGPQ:
             ip[:n] = spay
         if self._fused:
             # one C call runs the whole insert (root split, buffer
-            # fold/detach, heapify) with the GIL released; the charge
-            # log replays the exact per-step device costs afterwards
+            # fold/detach, heapify); the charge log replays the exact
+            # per-step device costs afterwards
             self._ensure_rows(self._heap_size + 1)
             a = self._arena
             new_hs, nlog = self._kern.mod.insert_sorted(
@@ -770,8 +616,8 @@ class NativeBGPQ:
 
         if self._fused:
             # one C call runs the whole general path (root copy-out,
-            # last-node promotion, buffer fold, heapify + extraction)
-            # with the GIL released; charges replay from the log
+            # last-node promotion, buffer fold, heapify + extraction);
+            # charges replay from the log
             self.stats["deletemin_heapify"] += 1
             out_k = np.empty(count, dtype=self.key_dtype)
             out_p = np.empty((count, self.payload_width), dtype=self.payload_dtype)
@@ -1058,8 +904,10 @@ class NativeBGPQ:
         """Overwrite this queue with an :meth:`export_state` snapshot.
 
         The snapshot is layout-checked (k, dtypes, payload width must
-        match this queue's construction parameters) and then written
-        straight into whichever storage backend this queue uses — a
+        match this queue's construction parameters, and its rows must
+        form a valid batched heap — else :class:`ConfigurationError`
+        before anything is written) and then written straight into
+        whichever storage backend this queue uses — a
         restore never replays inserts, so the resulting node layout,
         clock, and stats are exactly the exported ones regardless of
         which backend produced the snapshot.
@@ -1087,33 +935,42 @@ class NativeBGPQ:
             )
 
         def _row(rec) -> tuple[np.ndarray, np.ndarray]:
-            keys = np.asarray(rec["keys"], dtype=self.key_dtype).reshape(-1)
-            pay = np.asarray(rec["pay"], dtype=self.payload_dtype).reshape(
-                keys.size, self.payload_width
-            )
+            try:
+                keys = np.asarray(rec["keys"], dtype=self.key_dtype).reshape(-1)
+                pay = np.asarray(rec["pay"], dtype=self.payload_dtype).reshape(
+                    keys.size, self.payload_width
+                )
+            except (KeyError, TypeError, ValueError) as err:
+                raise ConfigurationError(f"malformed snapshot row: {err}") from err
             return keys, pay
+
+        # validate the whole layout before writing a single row: the
+        # fused kernels trust row counts and sortedness unchecked
+        bk, bp = _row(state["buffer"])
+        rows = [_row(rec) for rec in nodes]
+        problems = self._layout_problems([nk for nk, _ in rows], bk)
+        if problems:
+            raise ConfigurationError(
+                "snapshot breaks the heap layout: " + "; ".join(problems)
+            )
 
         self.clear()
         if self.storage == "arena":
             self._ensure_rows(max(1, heap_size))
             a = self._arena
-            bk, bp = _row(state["buffer"])
             a.keys[0, : bk.size] = bk
             if self.payload_width:
                 a.pay[0, : bk.size] = bp
             a.counts[0] = bk.size
-            for i, rec in enumerate(nodes, start=1):
-                nk, npay = _row(rec)
+            for i, (nk, npay) in enumerate(rows, start=1):
                 a.keys[i, : nk.size] = nk
                 if self.payload_width:
                     a.pay[i, : nk.size] = npay
                 a.counts[i] = nk.size
         else:
             self._ensure_capacity(max(1, heap_size))
-            bk, bp = _row(state["buffer"])
             self._buf = _Slot(bk, bp)
-            for i, rec in enumerate(nodes, start=1):
-                nk, npay = _row(rec)
+            for i, (nk, npay) in enumerate(rows, start=1):
                 self._nodes[i] = _Slot(nk, npay)
         self._heap_size = heap_size
         self._sim_ns = Fraction(state["sim_ns"])
@@ -1193,25 +1050,35 @@ class NativeBGPQ:
             return a.keys[0, : int(a.counts[0])]
         return self._buf.keys
 
-    def check_invariants(self) -> list[str]:
-        """Batched-heap invariants (tests only)."""
+    def _layout_problems(self, node_keys: list, buf: np.ndarray) -> list[str]:
+        """Batched-heap layout violations; ``node_keys[i - 1]`` holds node
+        ``i``'s keys (``None`` for a dead slot), ``buf`` the partial buffer."""
+        k = self.k
         problems = []
-        for i in range(2, self._heap_size + 1):
-            n, p = self._node_keys(i), self._node_keys(parent(i))
-            if n is None or p is None or not n.size or not p.size:
+        for i, n in enumerate(node_keys, start=1):
+            if n is None:
                 continue
-            if n[0] < p[-1]:
-                problems.append(f"node {i} min < parent max")
-        for i in range(1, self._heap_size + 1):
-            n = self._node_keys(i)
-            if n is not None and n.size > 1 and np.any(n[:-1] > n[1:]):
+            if n.size > k:
+                problems.append(f"node {i} over capacity ({n.size}/{k})")
+            elif i > 1 and n.size != k:
+                problems.append(f"interior node {i} not full ({n.size}/{k})")
+            if n.size > 1 and (n[:-1] > n[1:]).any():
                 problems.append(f"node {i} unsorted")
-            if i > 1 and n is not None and n.size != self.k:
-                problems.append(f"interior node {i} not full ({n.size}/{self.k})")
-        buf = self._buffer_keys()
-        if buf.size >= self.k:
+            p = node_keys[parent(i) - 1] if i > 1 else None
+            if p is not None and n.size and p.size and n[0] < p[-1]:
+                problems.append(f"node {i} min < parent max")
+        if buf.size >= k:
             problems.append("buffer overflow")
-        root = self._node_keys(1) if self._heap_size else None
+        if buf.size > 1 and (buf[:-1] > buf[1:]).any():
+            problems.append("buffer unsorted")
+        root = node_keys[0] if node_keys else None
         if root is not None and root.size and buf.size and buf[0] < root[-1]:
             problems.append("buffer min < root max")
         return problems
+
+    def check_invariants(self) -> list[str]:
+        """Batched-heap invariants (tests only)."""
+        return self._layout_problems(
+            [self._node_keys(i) for i in range(1, self._heap_size + 1)],
+            self._buffer_keys(),
+        )

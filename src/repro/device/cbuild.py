@@ -12,7 +12,9 @@ fast path can never take correctness down with it.
 Artifacts are cached under ``~/.cache/repro-ckern/<digest>/`` keyed by
 the SHA-256 of the C source plus the interpreter version, so editing
 ``ckern.c`` or switching Pythons rebuilds automatically and repeat
-imports cost one ``stat``.
+imports cost one ``stat``.  The compiler command that produced a
+build is stored next to it (``build_cmd.txt``) and reported by
+:func:`build_command`, so benchmark baselines can record it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import sysconfig
 from pathlib import Path
 from types import ModuleType
 
-__all__ = ["build_error", "cache_dir", "load_ckern", "source_path"]
+__all__ = ["build_command", "build_error", "cache_dir", "load_ckern", "source_path"]
 
 _CACHE_ENV = "REPRO_CKERN_CACHE"
 _BUILD_TIMEOUT_S = 120.0
@@ -36,6 +38,7 @@ _BUILD_TIMEOUT_S = 120.0
 _module: ModuleType | None = None
 _attempted = False
 _build_error: str | None = None
+_build_cmd: str | None = None
 
 
 def source_path() -> Path:
@@ -54,6 +57,11 @@ def cache_dir() -> Path:
 def build_error() -> str | None:
     """Why the last in-process build attempt failed, if it did."""
     return _build_error
+
+
+def build_command() -> str | None:
+    """Compiler and flags of the loaded build (``None`` when not built)."""
+    return _build_cmd
 
 
 def _digest(source: Path) -> str:
@@ -75,35 +83,26 @@ def _ext_suffix() -> str:
     return sysconfig.get_config_var("EXT_SUFFIX") or ".so"
 
 
-def _compile(source: Path, out: Path) -> None:
+def _compile(source: Path, out: Path) -> str:
+    """Compile ``source`` to ``out``; returns the compiler and flags used."""
     cc = _compiler()
     if cc is None:
         raise RuntimeError("no C compiler on PATH (tried $CC, cc, gcc, clang)")
     include = sysconfig.get_paths()["include"]
-    base = [
-        cc,
-        "-O3",
-        "-shared",
-        "-fPIC",
-        "-fwrapv",
-        f"-I{include}",
-        str(source),
-        "-o",
-        str(out),
-    ]
+    flags = ["-O3", "-shared", "-fPIC", "-fwrapv"]
     if sys.platform == "darwin":
-        base.insert(2, "-undefined")
-        base.insert(3, "dynamic_lookup")
+        flags += ["-undefined", "dynamic_lookup"]
     # the extension is compiled on the machine that runs it, so
     # -march=native is safe and unlocks the AVX-512 merge network;
     # compilers/targets that reject the flag get a plain build
     last = ""
-    for cmd in (base[:1] + ["-march=native"] + base[1:], base):
+    for used in (["-march=native"] + flags, flags):
+        cmd = [cc, *used, f"-I{include}", str(source), "-o", str(out)]
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=_BUILD_TIMEOUT_S
         )
         if proc.returncode == 0:
-            return
+            return " ".join([cc, *used])
         last = (proc.stderr or proc.stdout or "").strip()[-500:]
     raise RuntimeError(f"{cc} failed: {last}")
 
@@ -114,7 +113,7 @@ def load_ckern() -> ModuleType | None:
     Idempotent per process; a failed attempt is remembered (see
     :func:`build_error`) and not retried until the interpreter restarts.
     """
-    global _module, _attempted, _build_error
+    global _module, _attempted, _build_error, _build_cmd
     if _module is not None or _attempted:
         return _module
     _attempted = True
@@ -124,10 +123,11 @@ def load_ckern() -> ModuleType | None:
             raise RuntimeError(f"kernel source missing: {source}")
         build = cache_dir() / _digest(source)
         target = build / f"_repro_ckern{_ext_suffix()}"
+        cmd_file = build / "build_cmd.txt"
         if not target.is_file():
             build.mkdir(parents=True, exist_ok=True)
             tmp = target.with_suffix(target.suffix + f".tmp{os.getpid()}")
-            _compile(source, tmp)
+            cmd_file.write_text(_compile(source, tmp) + "\n")
             os.replace(tmp, target)  # atomic: concurrent builders race safely
         loader = importlib.machinery.ExtensionFileLoader(
             "_repro_ckern", str(target)
@@ -140,6 +140,8 @@ def load_ckern() -> ModuleType | None:
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
         _module = mod
+        if cmd_file.is_file():
+            _build_cmd = cmd_file.read_text().strip()
     except Exception as exc:  # noqa: BLE001 - any failure means "no fast path"
         _build_error = f"{type(exc).__name__}: {exc}"
         _module = None
@@ -148,7 +150,8 @@ def load_ckern() -> ModuleType | None:
 
 def reset_for_tests() -> None:
     """Forget the cached module/attempt so tests can exercise rebuilds."""
-    global _module, _attempted, _build_error
+    global _module, _attempted, _build_error, _build_cmd
     _module = None
     _attempted = False
     _build_error = None
+    _build_cmd = None

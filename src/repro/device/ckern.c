@@ -12,13 +12,8 @@
  * C-heap temp, invisible to tracemalloc by design).
  *
  * Every compute loop runs with the GIL released
- * (Py_BEGIN_ALLOW_THREADS), which is what lets NativeBGPQ's
- * parallel="threads" mode genuinely overlap kernel work on multiple
- * cores.  The merge-span/co-rank pair implements the Merge Path
- * decomposition (Green et al.) used to partition one large merge
- * across workers: each worker writes a disjoint output range computed
- * from its diagonal intersection, so concurrent spans never touch the
- * same bytes.
+ * (Py_BEGIN_ALLOW_THREADS), so other Python threads of the process
+ * (a service's I/O, say) keep running while a kernel computes.
  *
  * Built on demand by repro/device/cbuild.py (gcc/cc -O3 -shared) and
  * loaded as a real CPython extension; absent a compiler the wrapper
@@ -251,29 +246,6 @@ sort_split_core(const int64_t *a, Py_ssize_t na, const int64_t *b,
 }
 
 /* ------------------------------------------------------------------ */
-/* Merge Path co-rank: #a-elements among the first d outputs of the    */
-/* a-priority merge.  Binary search of the diagonal intersection.      */
-/* ------------------------------------------------------------------ */
-
-static Py_ssize_t
-corank_core(Py_ssize_t d, const int64_t *a, Py_ssize_t na, const int64_t *b,
-            Py_ssize_t nb)
-{
-    Py_ssize_t lo = d > nb ? d - nb : 0;
-    Py_ssize_t hi = d < na ? d : na;
-    while (lo < hi) {
-        Py_ssize_t mid = lo + ((hi - lo) >> 1);
-        /* a[mid] is among the first d outputs iff a[mid] <= b[d-1-mid]
-         * (ties take a first) */
-        if (a[mid] <= b[d - 1 - mid])
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo;
-}
-
-/* ------------------------------------------------------------------ */
 /* stable bottom-up mergesort of (key, payload-row) records            */
 /* ------------------------------------------------------------------ */
 
@@ -391,66 +363,6 @@ py_sort_split_into(PyObject *self, PyObject *args)
     Py_END_ALLOW_THREADS
     release_bufs(bufs, 10);
     Py_RETURN_NONE;
-}
-
-/* merge_span(a, b, out_k, pa, pb, out_p, rb, i0, i1, j0, j1, o0)
- * One Merge Path partition: merge a[i0:i1] with b[j0:j1] into
- * out[o0:...].  Disjoint spans write disjoint ranges. */
-static PyObject *
-py_merge_span(PyObject *self, PyObject *args)
-{
-    PyObject *oa, *ob, *oout, *opa, *opb, *oop;
-    Py_ssize_t rb, i0, i1, j0, j1, o0;
-    if (!PyArg_ParseTuple(args, "OOOOOOnnnnnn", &oa, &ob, &oout, &opa, &opb,
-                          &oop, &rb, &i0, &i1, &j0, &j1, &o0))
-        return NULL;
-    Buf bufs[6];
-    if (get_buf(oa, &bufs[0], 0) || get_buf(ob, &bufs[1], 0) ||
-        get_buf(oout, &bufs[2], 1) || get_buf(opa, &bufs[3], 0) ||
-        get_buf(opb, &bufs[4], 0) || get_buf(oop, &bufs[5], 1)) {
-        release_bufs(bufs, 6);
-        return NULL;
-    }
-    Py_ssize_t na = bufs[0].view.len / 8, nb = bufs[1].view.len / 8;
-    if (i0 < 0 || i1 > na || j0 < 0 || j1 > nb || i0 > i1 || j0 > j1 ||
-        bufs[2].view.len / 8 < o0 + (i1 - i0) + (j1 - j0)) {
-        release_bufs(bufs, 6);
-        PyErr_SetString(PyExc_ValueError, "merge_span: bad span");
-        return NULL;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    merge_core(KEYS(bufs[0]) + i0, i1 - i0, KEYS(bufs[1]) + j0, j1 - j0,
-               KEYS(bufs[2]) + o0,
-               rb ? BYTES(bufs[3]) + i0 * rb : NULL,
-               rb ? BYTES(bufs[4]) + j0 * rb : NULL,
-               rb ? BYTES(bufs[5]) + o0 * rb : NULL, rb);
-    Py_END_ALLOW_THREADS
-    release_bufs(bufs, 6);
-    Py_RETURN_NONE;
-}
-
-/* corank(d, a, b) -> i */
-static PyObject *
-py_corank(PyObject *self, PyObject *args)
-{
-    PyObject *oa, *ob;
-    Py_ssize_t d;
-    if (!PyArg_ParseTuple(args, "nOO", &d, &oa, &ob))
-        return NULL;
-    Buf bufs[2];
-    if (get_buf(oa, &bufs[0], 0) || get_buf(ob, &bufs[1], 0)) {
-        release_bufs(bufs, 2);
-        return NULL;
-    }
-    Py_ssize_t na = bufs[0].view.len / 8, nb = bufs[1].view.len / 8;
-    if (d < 0 || d > na + nb) {
-        release_bufs(bufs, 2);
-        PyErr_SetString(PyExc_ValueError, "corank: diagonal out of range");
-        return NULL;
-    }
-    Py_ssize_t i = corank_core(d, KEYS(bufs[0]), na, KEYS(bufs[1]), nb);
-    release_bufs(bufs, 2);
-    return PyLong_FromSsize_t(i);
 }
 
 /* sort_records(keys, pay, rb) — in-place stable sort */
@@ -904,8 +816,6 @@ static PyMethodDef CkernMethods[] = {
     {"merge_into", py_merge_into, METH_VARARGS, "stable a-priority merge"},
     {"sort_split_into", py_sort_split_into, METH_VARARGS,
      "fused SORT_SPLIT through caller scratch"},
-    {"merge_span", py_merge_span, METH_VARARGS, "one Merge Path partition"},
-    {"corank", py_corank, METH_VARARGS, "Merge Path co-rank search"},
     {"sort_records", py_sort_records, METH_VARARGS,
      "in-place stable record sort"},
     {"exclusive_scan_i64", py_exclusive_scan, METH_VARARGS,

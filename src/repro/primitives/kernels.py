@@ -1,8 +1,8 @@
-"""Kernel dispatch: NumPy reference vs optional compiled backends.
+"""Kernel dispatch: NumPy reference vs the compiled C backend.
 
 Every batch primitive the queues execute per operation — ``merge_into``,
 ``sort_split_into``, the bitonic network, scan and compaction — exists
-in (up to) three implementations:
+in two implementations:
 
 ``numpy``
     The reference implementations in this package.  Always present and
@@ -10,25 +10,21 @@ in (up to) three implementations:
 ``cext``
     A small C core (``repro/device/ckern.c``) compiled on first use
     with whatever C compiler the host has, exposing the same kernels
-    plus *fused* whole-heapify entry points.  All of its loops run with
-    the GIL released.
-``numba``
-    ``@njit(nogil=True, cache=True)`` variants, available when the
-    optional ``fast`` extra (``pip install .[fast]``) is installed.
+    plus *fused* whole-heapify entry points.
 
 The contract for every compiled kernel is **bit-identical output** to
 the reference — same values, same tie resolution, same payload
 permutation — enforced by the hypothesis differential suite in
-``tests/primitives/test_kernel_parity.py``.  Compiled backends restrict
-themselves to the shapes they compile for (int64 keys, C-contiguous
-rows) and transparently fall back to the reference per call otherwise,
+``tests/primitives/test_kernel_parity.py``.  The compiled backend
+restricts itself to the shapes it compiles for (int64 keys, C-contiguous
+rows) and transparently falls back to the reference per call otherwise,
 so a caller can never observe a behaviour difference, only a wall-clock
 one.
 
 Selection is lazy: the first :func:`active` call resolves the backend
-from ``REPRO_KERNELS`` (``auto`` | ``numpy`` | ``cext`` | ``numba``)
-and caches it.  ``auto`` prefers the fastest available backend — cext
-(fused heapify) over numba over numpy.  The CLI ``--kernels`` flag and
+from ``REPRO_KERNELS`` (``auto`` | ``numpy`` | ``cext``) and caches
+it.  ``auto`` prefers cext (fused heapify) and falls back to numpy when
+the C core cannot be built.  The CLI ``--kernels`` flag and
 tests use :func:`set_active` / :func:`use` to override explicitly.
 Simulated-time accounting never depends on the backend: charges are
 derived from batch *sizes*, which every backend reports identically.
@@ -63,7 +59,7 @@ __all__ = [
 log = logging.getLogger("repro.kernels")
 
 _ENV = "REPRO_KERNELS"
-_CHOICES = ("auto", "numpy", "cext", "numba")
+_CHOICES = ("auto", "numpy", "cext")
 BACKENDS = _CHOICES[1:]
 _I64 = np.dtype(np.int64)
 
@@ -99,12 +95,10 @@ def _c_contig(*arrs) -> bool:
 
 
 class KernelSet:
-    """The NumPy reference backend; compiled backends subclass this and
-    override what they accelerate, falling back per call otherwise."""
+    """The NumPy reference backend; the compiled backend subclasses this
+    and overrides what it accelerates, falling back per call otherwise."""
 
     name = "numpy"
-    #: kernels drop the GIL while computing (enables parallel="threads")
-    releases_gil = False
     #: offers fused whole-heapify entry points over a NodeArena
     fused = False
 
@@ -144,18 +138,14 @@ class KernelSet:
     # -- introspection -------------------------------------------------
     def provenance(self) -> dict:
         """Where results produced under this backend came from."""
-        return {
-            "backend": self.name,
-            "releases_gil": self.releases_gil,
-            "fused": self.fused,
-        }
+        return {"backend": self.name, "fused": self.fused}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KernelSet {self.name}>"
 
 
 class CExtKernels(KernelSet):
-    """C-extension backend: int64 keys, raw-byte payload rows, GIL-free.
+    """C-extension backend: int64 keys, raw-byte payload rows.
 
     Shapes outside the compiled contract (non-int64 keys, non-contiguous
     views) take the reference path for that call — bit-identical either
@@ -163,7 +153,6 @@ class CExtKernels(KernelSet):
     """
 
     name = "cext"
-    releases_gil = True
     fused = True
 
     def __init__(self, mod):
@@ -275,60 +264,6 @@ class CExtKernels(KernelSet):
         return out_k, out_p
 
 
-class NumbaKernels(KernelSet):
-    """numba ``@njit(nogil=True, cache=True)`` backend (``fast`` extra).
-
-    Accelerates the two-finger merge family for int64 keys with int64
-    payload matrices; everything else takes the reference path.  No
-    fused heapify — that is the C core's territory.
-    """
-
-    name = "numba"
-    releases_gil = True
-    fused = False
-
-    def __init__(self, impl):
-        self.impl = impl
-
-    def merge_into(self, a, b, out_k, pa=None, pb=None, out_p=None, iota=None):
-        rb = _row_bytes(out_p)
-        if not _c_i64(a, b, out_k):
-            return _inplace.merge_into(a, b, out_k, pa, pb, out_p, iota)
-        if rb == 0:
-            self.impl.merge_i64(a, b, out_k)
-            return a.shape[0] + b.shape[0]
-        if _c_i64(pa, pb, out_p):
-            self.impl.merge_i64_pay(a, pa, b, pb, out_k, out_p)
-            return a.shape[0] + b.shape[0]
-        return _inplace.merge_into(a, b, out_k, pa, pb, out_p, iota)
-
-    def sort_split_into(self, a, b, ma, x_k, y_k, scratch,
-                        pa=None, pb=None, x_p=None, y_p=None):
-        with_pay = x_p is not None and scratch.pay.shape[1] > 0
-        eligible = _c_i64(a, b, x_k, y_k, scratch.keys) and (
-            not with_pay or _c_i64(pa, pb, x_p, y_p, scratch.pay)
-        )
-        if not eligible:
-            return _inplace.sort_split_into(
-                a, b, ma, x_k, y_k, scratch, pa, pb, x_p, y_p
-            )
-        total = a.shape[0] + b.shape[0]
-        if not 0 <= ma <= total:
-            raise ValueError(f"split point {ma} outside [0, {total}]")
-        if total > scratch.keys.shape[0]:
-            raise ValueError(
-                f"{total} keys exceed scratch capacity {scratch.keys.shape[0]}"
-            )
-        if with_pay:
-            self.impl.sort_split_i64_pay(
-                a, b, ma, x_k, y_k, scratch.keys, pa, pb, x_p, y_p,
-                scratch.pay,
-            )
-        else:
-            self.impl.sort_split_i64(a, b, ma, x_k, y_k, scratch.keys)
-        return ma, total - ma
-
-
 # ---------------------------------------------------------------------
 # backend construction & selection
 # ---------------------------------------------------------------------
@@ -351,41 +286,22 @@ def _make_cext() -> KernelSet | None:
     return CExtKernels(mod)
 
 
-def _make_numba() -> KernelSet | None:
-    try:
-        from . import _numba_kernels as impl
-    except Exception as exc:  # numba missing or jit failure
-        _notice_once(
-            "numba kernels unavailable "
-            f"({type(exc).__name__}: {exc}); install the 'fast' extra "
-            "(pip install .[fast]) to enable them"
-        )
-        return None
-    return NumbaKernels(impl)
-
-
-_FACTORIES = {"numpy": _make_numpy, "cext": _make_cext, "numba": _make_numba}
+_FACTORIES = {"numpy": _make_numpy, "cext": _make_cext}
 
 
 def select(name: str) -> KernelSet:
     """Build the named backend, falling back to numpy when unavailable.
 
-    ``auto`` picks the fastest available: cext (fused, GIL-free) over
-    numba over the reference.
+    ``auto`` picks cext when the C core builds, else the reference.
     """
     if name not in _CHOICES:
         raise ValueError(
             f"unknown kernel backend {name!r}; choose one of {_CHOICES}"
         )
-    if name == "auto":
-        for candidate in ("cext", "numba"):
-            kern = _FACTORIES[candidate]()
-            if kern is not None:
-                return kern
-        return _make_numpy()
-    kern = _FACTORIES[name]()
+    kern = _FACTORIES["cext" if name == "auto" else name]()
     if kern is None:
-        _notice_once(f"kernel backend {name!r} unavailable; using numpy")
+        if name != "auto":
+            _notice_once(f"kernel backend {name!r} unavailable; using numpy")
         return _make_numpy()
     return kern
 
@@ -419,12 +335,7 @@ def use(name: str):
 
 def available_backends() -> list[str]:
     """Backends that would actually resolve on this host (probes each)."""
-    out = ["numpy"]
-    for name in ("cext", "numba"):
-        kern = _FACTORIES[name]()
-        if kern is not None:
-            out.append(name)
-    return out
+    return ["numpy"] + (["cext"] if _FACTORIES["cext"]() is not None else [])
 
 
 def provenance(kern: KernelSet | None = None) -> dict:
@@ -450,7 +361,7 @@ class InstrumentedKernels:
     """Wrap a backend so each kernel call lands in a wall-ns histogram.
 
     One histogram per kernel, labelled with the backend — the metrics
-    feed of the ``--wall`` bench lane.  Wall timing is real time, so
+    feed of the ``bench native`` wall-clock lane.  Wall timing is real time, so
     this wrapper is only used in explicitly-instrumented passes, never
     in the deterministic DES paths.
     """
@@ -458,7 +369,6 @@ class InstrumentedKernels:
     def __init__(self, base: KernelSet, registry):
         self._base = base
         self.name = base.name
-        self.releases_gil = base.releases_gil
         # instrumentation needs per-kernel call boundaries, so the
         # whole-op fused path (one opaque C call per queue op) is
         # disabled here; results are bit-identical either way

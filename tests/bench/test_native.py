@@ -1,118 +1,160 @@
-"""Native-engine perf harness: structure, zero-alloc gate, CLI exits."""
+"""``repro bench native``: the wall lane's NativeBGPQ-specific gates.
 
+The command runs the wall lane (see ``test_wall.py``); these tests pin
+the three gates it carries for the native engine — the zero-alloc
+``mixed`` flag, the knapsack/A* app cells and the width-1-payload bulk
+shape — through the payload, the delta table, the shared comparator
+and the CLI (baseline path, default k sweep, exit codes).
+"""
+
+import copy
 import json
 
+import numpy as np
 import pytest
 
+from repro.bench import wall
 from repro.bench.micro import compare_to_baseline
-from repro.bench.native import (
-    NATIVE_KS,
-    _alloc_loop,
-    native_baseline_path,
-    render_native_delta,
-    run_native,
-)
 
-BENCHES = {"insert", "delete", "mixed", "bulk", "build", "knapsack", "astar"}
+#: bulk/build size for tests: the full 32768 records make the list
+#: reference's per-batch Python loop dominate every run at small k
+TINY_BULK = 256
 
 
 @pytest.fixture(scope="module")
 def quick_results():
-    """One tiny real run shared by the structural tests."""
-    return run_native(ks=(8,), quick=True, op_iters=12, e2e_iters=1)
+    """One tiny real run shared by the tests below."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wall, "BULK_RECORDS", TINY_BULK)
+        return wall.run_wall(ks=(8,), quick=True, op_iters=4, e2e_iters=1)
 
 
 def test_payload_structure(quick_results):
     r = quick_results
-    assert r["benchmark"] == "native"
     assert r["meta"]["quick"] is True
-    assert {row["bench"] for row in r["rows"]} == BENCHES
-    # one row per (bench, storage)
-    assert len(r["rows"]) == 2 * len(BENCHES)
+    assert r["meta"]["bulk_records"] == TINY_BULK
+    variants = r["meta"]["variants"]
+    # one row per (lane bench, variant); app cells run list vs numpy
+    for bench in wall.WALL_BENCHES:
+        got = sorted(row["variant"] for row in r["rows"] if row["bench"] == bench)
+        assert got == sorted(variants)
+    for bench in wall.APP_BENCHES:
+        got = sorted(row["variant"] for row in r["rows"] if row["bench"] == bench)
+        assert got == ["list", "numpy"]
+        assert f"{bench}:numpy/k=8" in r["speedups"]
+        assert not any(k.startswith(f"{bench}:cext") for k in r["speedups"])
     for row in r["rows"]:
-        assert row["storage"] in ("arena", "list")
         assert row["ops_per_sec"] > 0
-    assert set(r["speedups"]) == {f"{b}/k=8" for b in BENCHES}
-    assert list(r["zero_alloc"]) == ["mixed/k=8"]
-    assert r["geomean_core"] > 0
+        # only the numpy mixed lane pays for allocation tracing
+        if not (row["bench"] == "mixed" and row["variant"] == "numpy"):
+            assert row["retained_bytes"] == -1
+    assert r["zero_alloc"] == {"mixed:numpy/k=8": True}
 
 
 def test_arena_steady_state_is_allocation_free(quick_results):
-    """The acceptance bar, at a small k so CI stays fast: the arena
-    backend's steady-state insert+deletemin loop retains less than one
+    """The acceptance bar, at a small k so CI stays fast: the numpy
+    arena's steady-state insert+deletemin loop retains less than one
     key-buffer across the loop."""
-    assert quick_results["zero_alloc"]["mixed/k=8"] is True
+    assert quick_results["zero_alloc"]["mixed:numpy/k=8"] is True
 
 
 def test_e2e_rows_skip_alloc_tracing(quick_results):
     for row in quick_results["rows"]:
-        if row["bench"] in ("knapsack", "astar"):
+        if row["bench"] in wall.APP_BENCHES:
             assert row["retained_bytes"] == -1
 
 
 def test_gating_reuses_micro_comparator(quick_results):
-    """BENCH_native.json gates through the same ratio comparator as
-    micro; a doctored 10x baseline must flag every bench."""
-    doctored = json.loads(json.dumps(quick_results))
-    doctored["speedups"] = {k: v * 10 for k, v in doctored["speedups"].items()}
-    problems = compare_to_baseline(quick_results, doctored)
-    assert len(problems) == len(BENCHES)
-    assert compare_to_baseline(quick_results, quick_results) == []
+    """App-cell ratio drift and a lost zero-alloc flag each fail the
+    shared comparator, one problem per lane."""
+    baseline = json.loads(json.dumps(quick_results))
+    for key in baseline["speedups"]:
+        if key.split(":")[0] in wall.APP_BENCHES:
+            baseline["speedups"][key] *= 10
+    current = json.loads(json.dumps(quick_results))
+    current["zero_alloc"]["mixed:numpy/k=8"] = False
+    problems = compare_to_baseline(current, baseline)
+    assert len(problems) == 3
+    assert any("on knapsack:numpy" in p for p in problems)
+    assert any("on astar:numpy" in p for p in problems)
+    assert any("allocation regression on mixed:numpy/k=8" in p for p in problems)
+
+
+def test_bulk_lane_carries_width_one_payload(monkeypatch):
+    """The bulk lane drives ``insert_bulk`` with a width-1 payload that
+    mirrors the keys, so every drained row must match its key."""
+    monkeypatch.setattr(wall, "BULK_RECORDS", TINY_BULK)
+    q = wall._make_queue("numpy", 8, payload_width=1)
+    op = wall._lane_bulk(q, 8, np.random.default_rng(0), total_ops=2)
+    op(0)
+    assert len(q) == TINY_BULK
+    keys, payload = q.deletemin(8)
+    assert payload.shape == (8, 1)
+    assert np.array_equal(payload[:, 0], keys)
 
 
 def test_render_native_delta(quick_results):
-    doctored = json.loads(json.dumps(quick_results))
-    doctored["speedups"] = {k: v * 2 for k, v in doctored["speedups"].items()}
-    doctored["zero_alloc"] = {"mixed/k=8": True}
-    table = render_native_delta(quick_results, doctored)
-    for bench in BENCHES:
-        assert bench in table
+    baseline = json.loads(json.dumps(quick_results))
+    baseline["speedups"] = {k: v * 2 for k, v in baseline["speedups"].items()}
+    current = json.loads(json.dumps(quick_results))
+    current["zero_alloc"]["mixed:numpy/k=8"] = False
+    table = wall.render_wall_delta(current, baseline)
+    for bench in wall.WALL_BENCHES:
+        assert f"{bench}:numpy" in table
+    for bench in wall.APP_BENCHES:
+        assert f"{bench}:numpy" in table
     assert "0.50" in table  # current/baseline ratio column
-    assert "zero-alloc mixed/k=8" in table
+    assert "zero-alloc mixed:numpy/k=8: baseline=yes now=NO" in table
+
+
+def test_cli_bench_native_exit_codes(quick_results, tmp_path, monkeypatch,
+                                     capsys):
+    """Exit 0 on a fresh or matching baseline; exit 1 with the delta
+    table when an app cell drifts or the zero-alloc flag is lost."""
+    from repro.cli import main
+
+    current = copy.deepcopy(quick_results)
+    monkeypatch.setattr(
+        wall, "run_wall", lambda ks, quick: copy.deepcopy(current)
+    )
+    base_path = tmp_path / "BENCH_wall.json"
+    delta_path = tmp_path / "results" / "bench_wall_delta.txt"
+    monkeypatch.setenv("REPRO_BENCH_WALL_BASELINE", str(base_path))
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
+    monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path / "runs"))
+    argv = ["bench", "native", "--quick", "--bench-ks", "8"]
+
+    # first run: no baseline yet -> writes it, exits 0
+    assert main(argv) == 0
+    assert base_path.is_file()
+    assert main(argv) == 0
+    assert "no regression" in capsys.readouterr().out
+    assert not delta_path.exists()
+
+    # the knapsack app cell drops 10x below its baseline ratio
+    current["speedups"]["knapsack:numpy/k=8"] /= 10
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "WALL-CLOCK GATE FAILED" in out and "on knapsack:numpy" in out
+    assert delta_path.is_file()
+
+    # --update-baseline accepts the new ratio and exits 0 again
+    assert main(argv + ["--update-baseline"]) == 0
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    # a lost zero-alloc flag fails the gate on its own
+    current["zero_alloc"]["mixed:numpy/k=8"] = False
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "allocation regression on mixed:numpy/k=8" in out
+    assert "now=NO" in delta_path.read_text()
 
 
 def test_baseline_path_env_override(monkeypatch, tmp_path):
     target = tmp_path / "other.json"
-    monkeypatch.setenv("REPRO_BENCH_NATIVE_BASELINE", str(target))
-    assert native_baseline_path() == target
-
-
-def test_alloc_loop_detects_retention():
-    kept = []
-    retained, peak = _alloc_loop(lambda i: kept.append(bytearray(1024)), 50)
-    assert retained > 50 * 1000
-    assert peak >= retained
-
-
-def test_cli_bench_native_exit_codes(tmp_path, monkeypatch, capsys):
-    import functools
-
-    import repro.bench.native as native
-    from repro.cli import main
-
-    monkeypatch.setenv(
-        "REPRO_BENCH_NATIVE_BASELINE", str(tmp_path / "BENCH_native.json")
-    )
-    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
-    monkeypatch.setattr(
-        native, "run_native",
-        functools.partial(native.run_native, op_iters=12, e2e_iters=1),
-    )
-    # first run: no baseline yet -> writes it, exits 0
-    assert main(["bench", "native", "--quick", "--bench-ks", "8"]) == 0
-    assert (tmp_path / "BENCH_native.json").exists()
-    capsys.readouterr()
-    # a doctored baseline makes the gate fail and saves the delta table
-    doctored = json.loads((tmp_path / "BENCH_native.json").read_text())
-    doctored["speedups"] = {k: v * 10 for k, v in doctored["speedups"].items()}
-    (tmp_path / "BENCH_native.json").write_text(json.dumps(doctored))
-    assert main(["bench", "native", "--quick", "--bench-ks", "8"]) == 1
-    out = capsys.readouterr().out
-    assert "PERF REGRESSION" in out
-    assert (tmp_path / "results" / "bench_native_delta.txt").exists()
-    # --update-baseline rewrites and exits 0 again
-    assert main(["bench", "native", "--quick", "--bench-ks", "8",
-                 "--update-baseline"]) == 0
+    monkeypatch.setenv("REPRO_BENCH_WALL_BASELINE", str(target))
+    assert wall.wall_baseline_path() == target
 
 
 def test_unknown_bench_target_exits_2():
@@ -122,4 +164,4 @@ def test_unknown_bench_target_exits_2():
 
 
 def test_default_ks_constant():
-    assert NATIVE_KS == (32, 128, 512)
+    assert wall.WALL_KS == (32, 128, 512)

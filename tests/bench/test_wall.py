@@ -1,5 +1,6 @@
 """Wall-clock bench lane: payload shape, gates, delta, CLI round trip."""
 
+import functools
 import json
 
 import pytest
@@ -8,21 +9,50 @@ from repro.bench import wall
 from repro.bench.micro import compare_to_baseline
 from repro.obs.metrics import MetricsRegistry, validate_prometheus_text
 
+#: bulk/build size for tests: the full 32768 records make the list
+#: reference's per-batch Python loop dominate every run at small k
+TINY_BULK = 256
+
 
 @pytest.fixture(scope="module")
 def results():
     """One tiny-iteration run shared by the shape/gate tests."""
-    return wall.run_wall(ks=(4,), quick=True, op_iters=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wall, "BULK_RECORDS", TINY_BULK)
+        return wall.run_wall(ks=(4,), quick=True, op_iters=4, e2e_iters=1)
+
+
+@pytest.fixture
+def tiny_lane(tmp_path, monkeypatch):
+    """Point the CLI at a shrunk lane and throwaway baseline/results dirs."""
+    monkeypatch.setattr(wall, "BULK_RECORDS", TINY_BULK)
+    monkeypatch.setattr(
+        wall, "run_wall",
+        functools.partial(wall.run_wall, op_iters=2, e2e_iters=1),
+    )
+    monkeypatch.setenv("REPRO_BENCH_WALL_BASELINE",
+                       str(tmp_path / "BENCH_wall.json"))
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
+    monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path / "runs"))
+    return tmp_path
 
 
 def test_payload_shape(results):
     assert results["benchmark"] == "wall"
+    assert results["meta"]["quick"] is True
+    assert {"cpu_count", "cpu_model", "compiler"} <= set(results["meta"])
     variants = results["meta"]["variants"]
     assert variants[0] == "list" and variants[1] == "numpy"
-    assert len(results["rows"]) == len(wall.WALL_BENCHES) * len(variants)
+    assert "cext" not in variants or results["meta"]["compiler"]
+    assert len(results["rows"]) == (
+        len(wall.WALL_BENCHES) * len(variants) + len(wall.APP_BENCHES) * 2
+    )
+    for row in results["rows"]:
+        assert row["ops_per_sec"] > 0
     for variant in variants:
         assert variant in results["meta"]["kernels"]
         assert "backend" in results["meta"]["kernels"][variant]
+    assert list(results["zero_alloc"]) == ["mixed:numpy/k=4"]
 
 
 def test_speedup_keys_group_by_lane(results):
@@ -31,9 +61,19 @@ def test_speedup_keys_group_by_lane(results):
     for key in results["speedups"]:
         lane, _, kpart = key.partition("/")
         bench, _, variant = lane.partition(":")
-        assert bench in wall.WALL_BENCHES
         assert variant in results["meta"]["variants"] and variant != "list"
+        if bench in wall.APP_BENCHES:
+            assert variant == "numpy"
+        else:
+            assert bench in wall.WALL_BENCHES
         assert kpart == "k=4"
+
+
+def test_alloc_loop_detects_retention():
+    kept = []
+    retained, peak = wall._alloc_loop(lambda i: kept.append(bytearray(1024)), 50)
+    assert retained > 50 * 1000
+    assert peak >= retained
 
 
 def test_baseline_comparison_round_trip(results):
@@ -51,11 +91,11 @@ def test_floor_gate_logic(results):
 
     fake = {
         "meta": {"compiled_available": ["cext"], "ks": [512]},
-        "speedups": {"mixed:cext-parallel/k=512": 3.0},
+        "speedups": {"mixed:cext/k=512": 3.0},
     }
     problems = wall.wall_gate_problems(fake, quick=False)
     assert len(problems) == 1 and "floor missed" in problems[0]
-    fake["speedups"]["mixed:cext-parallel/k=512"] = 12.5
+    fake["speedups"]["mixed:cext/k=512"] = 12.5
     assert wall.wall_gate_problems(fake, quick=False) == []
     fake["speedups"] = {}
     assert "missing" in wall.wall_gate_problems(fake, quick=False)[0]
@@ -64,10 +104,16 @@ def test_floor_gate_logic(results):
 
 
 def test_render_wall_delta(results):
-    text = wall.render_wall_delta(results, results)
+    baseline = json.loads(json.dumps(results))
+    baseline["speedups"] = {k: v * 2 for k, v in baseline["speedups"].items()}
+    text = wall.render_wall_delta(results, baseline)
     assert "geomean(now)" in text
     for variant in results["meta"]["variants"][1:]:
         assert f"insert:{variant}" in text
+    for bench in wall.APP_BENCHES:
+        assert f"{bench}:numpy" in text
+    assert "0.50" in text  # current/baseline ratio column
+    assert "zero-alloc mixed:numpy/k=4: baseline=yes now=yes" in text
 
 
 def test_delta_skips_lanes_missing_from_current(results):
@@ -95,20 +141,18 @@ def test_instrumented_pass_feeds_histograms():
     assert 'backend="numpy"' in text
 
 
-def test_cli_wall_lane(tmp_path, monkeypatch, capsys):
+def test_cli_wall_lane(tiny_lane, capsys):
     from repro.cli import main
 
-    monkeypatch.setenv("REPRO_BENCH_WALL_BASELINE",
-                       str(tmp_path / "BENCH_wall.json"))
-    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
-    monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path / "runs"))
-    rc = main(["bench", "native", "--wall", "--quick", "--bench-ks", "4"])
+    argv = ["bench", "native", "--quick", "--bench-ks", "4"]
+    # first run: no baseline yet -> writes it, exits 0
+    rc = main(argv)
     out = capsys.readouterr().out
     assert rc == 0
     assert "baseline written" in out
-    base_path = tmp_path / "BENCH_wall.json"
+    base_path = tiny_lane / "BENCH_wall.json"
     assert base_path.is_file()
-    assert (tmp_path / "results" / "bench_wall.prom").is_file()
+    assert (tiny_lane / "results" / "bench_wall.prom").is_file()
 
     # gate vs an easy baseline must pass; timing noise can't flip these
     # (the re-run is compared against deliberately skewed ratios, not
@@ -118,7 +162,7 @@ def test_cli_wall_lane(tmp_path, monkeypatch, capsys):
     for key in easy["speedups"]:
         easy["speedups"][key] = 0.01
     base_path.write_text(json.dumps(easy))
-    rc = main(["bench", "native", "--wall", "--quick", "--bench-ks", "4"])
+    rc = main(argv)
     out = capsys.readouterr().out
     assert rc == 0
     assert "no regression" in out
@@ -128,24 +172,26 @@ def test_cli_wall_lane(tmp_path, monkeypatch, capsys):
     for key in hard["speedups"]:
         hard["speedups"][key] = 1e9
     base_path.write_text(json.dumps(hard))
-    rc = main(["bench", "native", "--wall", "--quick", "--bench-ks", "4"])
+    rc = main(argv)
     out = capsys.readouterr().out
     assert rc == 1
     assert "WALL-CLOCK GATE FAILED" in out
-    assert (tmp_path / "results" / "bench_wall_delta.txt").is_file()
+    assert (tiny_lane / "results" / "bench_wall_delta.txt").is_file()
+
+    # --update-baseline rewrites it and exits 0 again
+    assert main(argv + ["--update-baseline"]) == 0
+    rewritten = json.loads(base_path.read_text())
+    assert rewritten["speedups"].keys() == baseline["speedups"].keys()
+    assert all(v < 1e9 for v in rewritten["speedups"].values())
 
 
-def test_cli_kernels_flag(tmp_path, monkeypatch, capsys):
+def test_cli_kernels_flag(tiny_lane):
     from repro.cli import main
     from repro.primitives import kernels as kr
 
-    monkeypatch.setenv("REPRO_BENCH_WALL_BASELINE",
-                       str(tmp_path / "BENCH_wall.json"))
-    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
-    monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path / "runs"))
     prev = kr._active
     try:
-        rc = main(["bench", "native", "--wall", "--quick", "--bench-ks", "4",
+        rc = main(["bench", "native", "--quick", "--bench-ks", "4",
                    "--kernels", "numpy"])
         assert rc == 0
         assert kr.active().name == "numpy"

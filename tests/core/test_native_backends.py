@@ -1,14 +1,13 @@
-"""Backend differential: every (kernels, parallel) mode is one queue.
+"""Backend differential: every kernel backend is one queue.
 
-The fast paths — the fused C heapify and the thread-pool presort — must
-be *observationally invisible*: byte-identical outputs, identical
+The fast path — the fused C heapify and the compiled record presort —
+must be *observationally invisible*: byte-identical outputs, identical
 exported heap state, identical simulated-time accounting (the fused
 kernels replay their charge log through the same Fraction arithmetic
 the reference path uses), identical stats counters.  These tests drive
-random workloads through every backend/parallel combination the host
-offers and compare against both the numpy-serial queue and the
-SequentialPQ oracle, with HeapAuditor checking structural invariants
-along the way.
+random workloads through every backend the host offers and compare
+against both the numpy-reference queue and the SequentialPQ oracle,
+with HeapAuditor checking structural invariants along the way.
 """
 
 import numpy as np
@@ -19,9 +18,8 @@ from repro.core.native import NativeBGPQ
 from repro.device.kernels import GpuContext
 from repro.primitives import kernels
 
-MODES = [("numpy", "off")]
-MODES += [(n, "off") for n in kernels.available_backends() if n != "numpy"]
-MODES += [(n, "threads") for n in kernels.available_backends() if n != "numpy"]
+# ids name the execution mode too: serial ("off"), the only one there is
+MODES = [pytest.param(n, id=f"{n}-off") for n in kernels.available_backends()]
 
 
 def _workload(rng, k, ops):
@@ -48,9 +46,9 @@ def _drive(pq, script, k):
     return outs
 
 
-@pytest.mark.parametrize("kern,par", MODES)
+@pytest.mark.parametrize("kern", MODES)
 @pytest.mark.parametrize("k", [4, 16, 64])
-def test_backend_matches_numpy_serial_and_oracle(kern, par, k):
+def test_backend_matches_numpy_serial_and_oracle(kern, k):
     rng = np.random.default_rng(k * 1001)
     script = _workload(rng, k, 60)
 
@@ -64,31 +62,29 @@ def test_backend_matches_numpy_serial_and_oracle(kern, par, k):
         else:
             oracle.deletemin(arg)
 
-    with NativeBGPQ(
-        k, storage="arena", kernels=kern, parallel=par, workers=2
-    ) as pq:
-        outs = _drive(pq, script, k)
-        assert outs == ref_outs
-        assert len(pq) == len(ref) == len(oracle)
-        assert pq.stats == ref.stats
-        state, ref_state = pq.export_state(), ref.export_state()
-        assert state.keys() == ref_state.keys()
-        for key in state:
-            assert np.array_equal(state[key], ref_state[key]), key
-        report = HeapAuditor(pq).audit(context=f"{kern}/{par}")
-        assert report.ok, report.problems
-        # drain: the remaining multiset must match the oracle's exactly
-        drained = []
-        while len(pq):
-            got = pq.deletemin(k)
-            keys = got[0] if isinstance(got, tuple) else got
-            drained.extend(np.asarray(keys).tolist())
-        assert drained == sorted(drained)
-        assert drained == oracle.deletemin(len(oracle)).tolist()
+    pq = NativeBGPQ(k, storage="arena", kernels=kern)
+    outs = _drive(pq, script, k)
+    assert outs == ref_outs
+    assert len(pq) == len(ref) == len(oracle)
+    assert pq.stats == ref.stats
+    state, ref_state = pq.export_state(), ref.export_state()
+    assert state.keys() == ref_state.keys()
+    for key in state:
+        assert np.array_equal(state[key], ref_state[key]), key
+    report = HeapAuditor(pq).audit(context=kern)
+    assert report.ok, report.problems
+    # drain: the remaining multiset must match the oracle's exactly
+    drained = []
+    while len(pq):
+        got = pq.deletemin(k)
+        keys = got[0] if isinstance(got, tuple) else got
+        drained.extend(np.asarray(keys).tolist())
+    assert drained == sorted(drained)
+    assert drained == oracle.deletemin(len(oracle)).tolist()
 
 
-@pytest.mark.parametrize("kern,par", MODES)
-def test_sim_time_identical_across_backends(kern, par):
+@pytest.mark.parametrize("kern", MODES)
+def test_sim_time_identical_across_backends(kern):
     """Charge-log replay must reproduce the reference Fractions exactly."""
     k = 8
     ctx = GpuContext.default(blocks=8, threads_per_block=64)
@@ -97,66 +93,47 @@ def test_sim_time_identical_across_backends(kern, par):
 
     ref = NativeBGPQ(k, ctx=ctx, storage="arena", kernels="numpy")
     _drive(ref, script, k)
-    with NativeBGPQ(
-        k, ctx=ctx, storage="arena", kernels=kern, parallel=par, workers=2
-    ) as pq:
-        _drive(pq, script, k)
-        assert pq.sim_time_ns_exact == ref.sim_time_ns_exact
+    pq = NativeBGPQ(k, ctx=ctx, storage="arena", kernels=kern)
+    _drive(pq, script, k)
+    assert pq.sim_time_ns_exact == ref.sim_time_ns_exact
 
 
-@pytest.mark.parametrize("kern,par", MODES)
-def test_payload_rides_identically(kern, par):
+@pytest.mark.parametrize("kern", MODES)
+def test_payload_rides_identically(kern):
     k = 8
     rng = np.random.default_rng(7)
     ref = NativeBGPQ(k, storage="arena", payload_width=2, kernels="numpy")
-    with NativeBGPQ(
-        k, storage="arena", payload_width=2, kernels=kern, parallel=par,
-        workers=2,
-    ) as pq:
-        for _ in range(25):
-            n = int(rng.integers(1, k + 1))
-            keys = rng.integers(-50, 50, size=n).astype(np.int64)
-            pay = rng.integers(0, 1 << 20, size=(n, 2)).astype(np.int64)
-            ref.insert(keys, pay)
-            pq.insert(keys, pay)
-        while len(ref):
-            rk, rp = ref.deletemin(k)
-            gk, gp = pq.deletemin(k)
-            assert np.array_equal(rk, gk)
-            assert np.array_equal(rp, gp)
+    pq = NativeBGPQ(k, storage="arena", payload_width=2, kernels=kern)
+    for _ in range(25):
+        n = int(rng.integers(1, k + 1))
+        keys = rng.integers(-50, 50, size=n).astype(np.int64)
+        pay = rng.integers(0, 1 << 20, size=(n, 2)).astype(np.int64)
+        ref.insert(keys, pay)
+        pq.insert(keys, pay)
+    while len(ref):
+        rk, rp = ref.deletemin(k)
+        gk, gp = pq.deletemin(k)
+        assert np.array_equal(rk, gk)
+        assert np.array_equal(rp, gp)
 
 
-@pytest.mark.parametrize("kern,par", MODES)
-def test_bulk_and_build_identical(kern, par):
+@pytest.mark.parametrize("kern", MODES)
+def test_bulk_and_build_identical(kern):
     k = 16
     rng = np.random.default_rng(3)
     records = rng.integers(-10_000, 10_000, size=5000).astype(np.int64)
     for method in ("insert_bulk", "build"):
         ref = NativeBGPQ(k, storage="arena", kernels="numpy")
         getattr(ref, method)(records)
-        with NativeBGPQ(
-            k, storage="arena", kernels=kern, parallel=par, workers=2,
-            parallel_threshold=512,  # force the pool path on small input
-        ) as pq:
-            getattr(pq, method)(records)
-            assert len(pq) == len(ref)
-            state, ref_state = pq.export_state(), ref.export_state()
-            for key in state:
-                assert np.array_equal(state[key], ref_state[key]), (method, key)
-
-
-def test_parallel_request_degrades_gracefully():
-    """parallel="threads" over interpreter-bound kernels runs serial."""
-    with NativeBGPQ(8, kernels="numpy", parallel="threads") as pq:
-        assert pq.effective_parallel == "off"
-        pq.insert(np.arange(8, dtype=np.int64))
-        got = pq.deletemin(8)
-        keys = got[0] if isinstance(got, tuple) else got
-        assert np.asarray(keys).tolist() == list(range(8))
+        pq = NativeBGPQ(k, storage="arena", kernels=kern)
+        getattr(pq, method)(records)
+        assert len(pq) == len(ref)
+        state, ref_state = pq.export_state(), ref.export_state()
+        for key in state:
+            assert np.array_equal(state[key], ref_state[key]), (method, key)
 
 
 def test_kernel_provenance_reported():
-    with NativeBGPQ(8, kernels="numpy") as pq:
-        info = pq.kernel_provenance()
-        assert info["backend"] == "numpy"
-        assert info["parallel"] == "off"
+    info = NativeBGPQ(8, kernels="numpy").kernel_provenance()
+    assert info["backend"] == "numpy"
+    assert info["fused_active"] is False

@@ -19,7 +19,7 @@ def _isolate_active(monkeypatch):
 def test_numpy_always_available():
     kern = kernels.select("numpy")
     assert kern.name == "numpy"
-    assert not kern.releases_gil and not kern.fused
+    assert not kern.fused
 
 
 def test_select_unknown_backend_raises():
@@ -37,14 +37,12 @@ def test_auto_prefers_compiled_when_available():
 def test_available_backends_starts_with_reference():
     avail = kernels.available_backends()
     assert avail[0] == "numpy"
-    assert set(avail) <= {"numpy", "cext", "numba"}
+    assert set(avail) <= {"numpy", "cext"}
 
 
 def test_unavailable_backend_falls_back_to_numpy(monkeypatch):
     monkeypatch.setitem(kernels._FACTORIES, "cext", lambda: None)
-    monkeypatch.setitem(kernels._FACTORIES, "numba", lambda: None)
     assert kernels.select("cext").name == "numpy"
-    assert kernels.select("numba").name == "numpy"
     assert kernels.select("auto").name == "numpy"
     assert kernels.available_backends() == ["numpy"]
 
@@ -64,7 +62,7 @@ def test_set_active_and_use_restore():
 
 def test_provenance_shape():
     info = kernels.provenance(kernels.select("numpy"))
-    assert info == {"backend": "numpy", "releases_gil": False, "fused": False}
+    assert info == {"backend": "numpy", "fused": False}
 
 
 def test_cext_build_failure_is_graceful(monkeypatch, tmp_path):
@@ -103,10 +101,11 @@ def test_instrumented_kernels_record_and_match(monkeypatch):
     assert 'backend="numpy"' in text
 
 
-@pytest.mark.parametrize("name", ["cext", "numba"])
+@pytest.mark.parametrize("name", ["cext"])
 def test_compiled_backend_provenance_if_present(name):
     if name not in kernels.available_backends():
         pytest.skip(f"{name} not available on this host")
     kern = kernels.select(name)
     assert kern.name == name
-    assert kern.releases_gil is True
+    assert kern.fused is True
+    assert "-O3" in cbuild.build_command().split()

@@ -108,6 +108,42 @@ def test_restore_rejects_wrong_payload_width():
         _mk(payload_width=2).restore_state(state)
 
 
+def _full_buffer(state):
+    state["buffer"] = {"keys": [8, 9, 10, 11], "pay": [[]] * 4}
+
+
+def _unsorted_root(state):
+    state["nodes"][0]["keys"] = [3, 2, 1, 0]
+
+
+def _oversized_row(state):
+    state["nodes"][0] = {"keys": [0, 1, 2, 3, 3], "pay": [[]] * 5}
+
+
+def _malformed_row(state):
+    state["nodes"][1]["keys"] = [4, 5, 6, "x"]
+
+
+@pytest.mark.parametrize(
+    "doctor", [_full_buffer, _unsorted_root, _oversized_row, _malformed_row],
+    ids=["buffer-holds-k", "unsorted-root", "row-of-k-plus-1", "malformed-row"],
+)
+def test_restore_rejects_broken_heap_layout(doctor):
+    """The fused kernels trust restored counts and order unchecked, so
+    a snapshot that breaks the layout must fail closed, untouched."""
+    src = _mk()
+    src.insert_bulk(np.arange(10, dtype=np.int64))
+    state = src.export_state()
+    doctor(state)
+    for storage in ("arena", "list"):
+        dst = _mk(storage=storage)
+        dst.insert_bulk(np.array([7, 5], dtype=np.int64))
+        before = dst.export_state()
+        with pytest.raises(ConfigurationError, match="snapshot"):
+            dst.restore_state(state)
+        assert dst.export_state() == before
+
+
 def test_restore_crosses_storage_backends():
     src = _mk(storage="arena")
     src.insert_bulk(np.arange(17, dtype=np.int64)[::-1].copy())
