@@ -9,6 +9,15 @@ insert/delete heapify — as plain sequential NumPy code, and charges
 what the operations would cost on the device through the GPU cost
 model, accumulated exactly in :attr:`sim_time_ns`.
 
+The clock is one Python ``int`` counting ticks of 2**-1074 ns
+(:data:`TICKS_PER_NS` ticks per nanosecond).  Every charge is a binary64
+float, and every finite float is an integer multiple of 2**-1074 — the
+smallest subnormal — so each charge converts to a whole number of ticks
+without rounding and the running sum is exact integer addition.  The
+float and ``Fraction`` views of the clock are derived on read: Python's
+int true division is correctly rounded, so ``ticks / TICKS_PER_NS``
+equals ``float(Fraction(ticks, TICKS_PER_NS))`` bit for bit.
+
 It supports (key, payload) records: payloads are fixed-width NumPy
 rows that travel with their keys through every merge and split, which
 is how the applications store search-tree nodes.
@@ -42,8 +51,8 @@ reference for the concurrent implementation.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,21 +65,111 @@ from ..primitives.inplace import ScratchLedger
 from .arena import NodeArena
 from .heap import left, level, parent, path_next, right
 
-__all__ = ["NativeBGPQ"]
+__all__ = ["NativeBGPQ", "TICKS_PER_NS"]
 
 _I64 = np.dtype(np.int64)
 
+#: Sim-clock ticks per nanosecond: one tick is 2**-1074 ns, the
+#: granularity of every finite binary64 float.
+TICKS_PER_NS = 1 << 1074
 
-@lru_cache(maxsize=4096)
-def _exact_ns(ns: float) -> Fraction:
-    """Exact rational value of one device charge.
+# the str(Fraction) form export_state writes; no exponents, so parsing
+# a hostile snapshot cannot build a giant power of ten
+_SIM_NS_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-    Charges repeat heavily (the cost model memoizes per (n, m) shape),
-    so the float→Fraction conversion is memoized too; accumulating
-    Fractions keeps long runs free of float-summation drift, matching
-    the analysis layer's exact-attribution discipline.
+# bound on each queue's charge memo (distinct (tag, p1, p2) shapes)
+_CHARGE_MEMO_MAX = 4096
+# _ChargeTicks tags beyond the charge log's 0-3
+_BATCH_ENTRY = 4
+_ROOT_LOCK = 5
+
+
+def _ticks(ns: float) -> int:
+    """Exact tick count of one device charge.
+
+    ``as_integer_ratio`` gives a power-of-two denominator of at most
+    2**1074, so the shift below never rounds.
     """
-    return Fraction(ns)
+    num, den = ns.as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
+class _ChargeTicks(dict):
+    """One queue's memo of repeating charges: (tag, p1, p2) -> ticks.
+
+    Tags 0-3 are the fused kernels' charge-log entries, valued exactly
+    as the NumPy path charges the same step in place: 0 a node
+    SORT_SPLIT of p1 and p2 keys, 1 a root-extraction read of p1 keys,
+    2 a partial-buffer fold (host sort_split rate), 3 the last-node
+    move.  Tag 4 (:data:`_BATCH_ENTRY`) is the entry cost of a p1-key
+    batch: coalesced read, in-block sort, root lock; tag 5
+    (:data:`_ROOT_LOCK`) a deletemin's root lock pair.
+
+    The memo lives and dies with its queue: a process-wide cache would
+    keep its big-int entries, allocated all through a run, pinning
+    allocator arenas and raising peak RSS.
+    """
+
+    __slots__ = ("model", "k")
+
+    def __init__(self, model: GpuCostModel | None, k: int):
+        super().__init__()
+        self.model = model
+        self.k = k
+
+    def charge_ns(self, entry: tuple[int, int, int]) -> float:
+        """The float device charge ``entry`` stands for."""
+        tag, p1, p2 = entry
+        m = self.model
+        if tag == 0:
+            return m.node_sort_split_ns(p1, p2)
+        if tag == 1:
+            return m.global_read_ns(p1)
+        if tag == 2:
+            return m.sort_split_ns(p1, p2)
+        if tag == 3:
+            return m.global_read_ns(self.k) + m.global_write_ns(self.k)
+        if tag == _ROOT_LOCK:
+            return m.lock_acquire_ns() + m.lock_release_ns()
+        return (
+            m.global_read_ns(p1)
+            + m.bitonic_sort_ns(p1)
+            + m.lock_acquire_ns()
+            + m.lock_release_ns()
+        )
+
+    def __missing__(self, entry: tuple[int, int, int]) -> int:
+        if len(self) >= _CHARGE_MEMO_MAX:
+            self.clear()
+        t = self[entry] = _ticks(self.charge_ns(entry))
+        return t
+
+
+def _snapshot_ticks(sim_ns) -> int:
+    """Tick count of a snapshot's ``sim_ns`` string.
+
+    An export writes the clock as ``str(Fraction)`` of a tick count, so
+    anything but a non-negative rational whose denominator is a power
+    of two no larger than :data:`TICKS_PER_NS` cannot have come from
+    one and fails closed with :class:`ConfigurationError`.
+    """
+    if not isinstance(sim_ns, str):
+        raise ConfigurationError(
+            f"snapshot sim_ns must be a string, got {type(sim_ns).__name__}"
+        )
+    if not _SIM_NS_RE.fullmatch(sim_ns):
+        raise ConfigurationError(f"malformed snapshot sim_ns {sim_ns!r}")
+    try:
+        exact = Fraction(sim_ns)
+    except (ValueError, ZeroDivisionError) as err:
+        raise ConfigurationError(f"malformed snapshot sim_ns: {err}") from err
+    den = exact.denominator
+    if exact < 0 or den & (den - 1) or den > TICKS_PER_NS:
+        raise ConfigurationError(
+            f"snapshot sim_ns {sim_ns!r} is not a non-negative multiple "
+            "of 2**-1074 ns"
+        )
+    return exact.numerator * (TICKS_PER_NS // den)
 
 
 class _Slot:
@@ -124,7 +223,8 @@ class NativeBGPQ:
         self.ctx = ctx
         self.model: GpuCostModel | None = ctx.model if ctx is not None else None
         self._heap_size = 0
-        self._sim_ns = Fraction(0)
+        self._ticks = 0
+        self._charges = _ChargeTicks(self.model, node_capacity)
         self.stats = {"insert_heapify": 0, "deletemin_heapify": 0, "ops": 0}
         # kernel backend: None -> process-wide active selection; a name
         # ("numpy"/"cext"/"auto") -> explicit; or a KernelSet.
@@ -204,41 +304,22 @@ class NativeBGPQ:
 
     def _charge(self, ns: float) -> None:
         if self.model is not None:
-            self._sim_ns += _exact_ns(ns)
+            self._ticks += _ticks(ns)
 
     def _charge_split(self, na: int, nb: int) -> None:
         """One node-level SORT_SPLIT charge (both backends, either path)."""
         if self.model is not None:
-            self._sim_ns += _exact_ns(self.model.node_sort_split_ns(na, nb))
+            self._ticks += self._charges[0, na, nb]
 
     def _replay_log(self, log: np.ndarray, nlog: int) -> None:
-        """Replay a fused kernel's charge log, exactly as the NumPy path
-        would have charged in place: (tag, p1, p2) triples where tag 0
-        is a node SORT_SPLIT, 1 a root-extraction read, 2 a partial-
-        buffer fold (host sort_split rate), 3 the last-node move."""
-        m = self.model
-        for t in range(nlog):
-            tag = log[3 * t]
-            if tag == 0:
-                self._charge_split(int(log[3 * t + 1]), int(log[3 * t + 2]))
-            elif tag == 1:
-                self._charge(m.global_read_ns(int(log[3 * t + 1])))
-            elif tag == 2:
-                self._charge(
-                    m.sort_split_ns(int(log[3 * t + 1]), int(log[3 * t + 2]))
-                )
-            else:
-                self._charge(m.global_read_ns(self.k) + m.global_write_ns(self.k))
+        """Replay a fused kernel's charge log of (tag, p1, p2) triples."""
+        it = iter(log[: 3 * nlog].tolist())
+        self._ticks += sum(map(self._charges.__getitem__, zip(it, it, it)))
 
     def _charge_batch_entry(self, n: int) -> None:
         """Per-batch entry cost: coalesced read, in-block sort, root lock."""
         if self.model is not None:
-            self._charge(
-                self.model.global_read_ns(n)
-                + self.model.bitonic_sort_ns(n)
-                + self.model.lock_acquire_ns()
-                + self.model.lock_release_ns()
-            )
+            self._ticks += self._charges[_BATCH_ENTRY, n, 0]
 
     def _normalize(self, keys, payload) -> tuple[np.ndarray, np.ndarray]:
         keys = np.asarray(keys, dtype=self.key_dtype)
@@ -365,7 +446,7 @@ class NativeBGPQ:
         if not 1 <= count <= self.k:
             raise ValueError(f"deletemin count must be in [1, {self.k}], got {count}")
         if self.model is not None:
-            self._charge(self.model.lock_acquire_ns() + self.model.lock_release_ns())
+            self._ticks += self._charges[_ROOT_LOCK, 0, 0]
         self.stats["ops"] += 1
         if self.storage == "arena":
             return self._deletemin_arena(count)
@@ -852,9 +933,9 @@ class NativeBGPQ:
 
         Everything an identical replay needs — layout, heap shape, the
         live records of every node and the partial buffer, the exact
-        simulated clock (as a ``Fraction`` string, so no float rounding
-        sneaks in), and the op counters — as plain JSON-serializable
-        types.  Arena capacity, scratch contents, and dead rows are
+        simulated clock (as an exact ``Fraction`` string, so no float
+        rounding sneaks in), and the op counters — as plain
+        JSON-serializable types.  Arena capacity, scratch contents, and dead rows are
         deliberately *not* part of the state: two queues that played the
         same op sequence export identical dicts even if one grew its
         arena in different steps, which is what lets the durable service
@@ -896,7 +977,7 @@ class NativeBGPQ:
             "heap_size": self._heap_size,
             "buffer": buffer,
             "nodes": nodes,
-            "sim_ns": str(self._sim_ns),
+            "sim_ns": str(self.sim_time_ns_exact),
             "stats": dict(self.stats),
         }
 
@@ -904,13 +985,14 @@ class NativeBGPQ:
         """Overwrite this queue with an :meth:`export_state` snapshot.
 
         The snapshot is layout-checked (k, dtypes, payload width must
-        match this queue's construction parameters, and its rows must
-        form a valid batched heap — else :class:`ConfigurationError`
-        before anything is written) and then written straight into
-        whichever storage backend this queue uses — a
-        restore never replays inserts, so the resulting node layout,
-        clock, and stats are exactly the exported ones regardless of
-        which backend produced the snapshot.
+        match this queue's construction parameters, its rows must form
+        a valid batched heap, ``sim_ns`` must be a clock an export could
+        have written and ``stats`` a dict — else
+        :class:`ConfigurationError` before anything is written) and then
+        written straight into whichever storage backend this queue
+        uses — a restore never replays inserts, so the resulting node
+        layout, clock, and stats are exactly the exported ones
+        regardless of which backend produced the snapshot.
         """
         if state["k"] != self.k:
             raise ConfigurationError(
@@ -954,6 +1036,13 @@ class NativeBGPQ:
                 "snapshot breaks the heap layout: " + "; ".join(problems)
             )
 
+        ticks = _snapshot_ticks(state.get("sim_ns"))
+        stats = state.get("stats")
+        if not isinstance(stats, dict):
+            raise ConfigurationError(
+                f"snapshot stats must be a dict, got {type(stats).__name__}"
+            )
+
         self.clear()
         if self.storage == "arena":
             self._ensure_rows(max(1, heap_size))
@@ -973,8 +1062,8 @@ class NativeBGPQ:
             for i, (nk, npay) in enumerate(rows, start=1):
                 self._nodes[i] = _Slot(nk, npay)
         self._heap_size = heap_size
-        self._sim_ns = Fraction(state["sim_ns"])
-        self.stats = dict(state["stats"])
+        self._ticks = ticks
+        self.stats = dict(stats)
 
     # -- introspection ------------------------------------------------------
     def __len__(self) -> int:
@@ -992,13 +1081,29 @@ class NativeBGPQ:
         return len(self) > 0
 
     @property
+    def sim_ticks(self) -> int:
+        """Accumulated device time in ticks of 1/:data:`TICKS_PER_NS` ns.
+
+        Exact; per-op costs are ``(after - before) / TICKS_PER_NS``,
+        which rounds once, exactly like the float of a Fraction delta.
+        """
+        return self._ticks
+
+    @property
     def sim_time_ns(self) -> float:
         """Accumulated device time; exact internally, float at the API."""
-        return float(self._sim_ns)
+        return self._ticks / TICKS_PER_NS
 
     @property
     def sim_time_ns_exact(self) -> Fraction:
-        return self._sim_ns
+        """Accumulated device time as an exact rational.
+
+        Built on read from the integer tick clock: every charge is a
+        float, hence a whole number of 2**-1074 ns ticks, so the tick
+        sum *is* the exact sum of the charges and this Fraction equals
+        the one a charge-by-charge ``Fraction`` accumulation would give.
+        """
+        return Fraction(self._ticks, TICKS_PER_NS)
 
     @property
     def sim_time_ms(self) -> float:

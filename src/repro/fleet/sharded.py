@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.bgpq import BGPQ
-from ..core.native import NativeBGPQ
+from ..core.native import TICKS_PER_NS, NativeBGPQ
 from ..device.kernels import GpuContext
 from ..errors import ConfigurationError
 from ..obs.events import (
@@ -85,11 +85,11 @@ class _NativeShard:
 
     def __init__(self, node_capacity: int, storage: str, ctx: GpuContext):
         self.pq = NativeBGPQ(node_capacity=node_capacity, ctx=ctx, storage=storage)
-        self._mark = self.pq.sim_time_ns_exact
+        self._mark = self.pq.sim_ticks
 
     def _delta_ns(self) -> float:
-        now = self.pq.sim_time_ns_exact
-        d = float(now - self._mark)
+        now = self.pq.sim_ticks
+        d = (now - self._mark) / TICKS_PER_NS
         self._mark = now
         return d
 

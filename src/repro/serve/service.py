@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.audit import AuditReport, HeapAuditor
+from ..core.native import TICKS_PER_NS
 from ..errors import DurabilityError
 from ..obs.events import SERVE_APPLY, SERVE_RECOVER
 from .checkpoint import CheckpointStore, state_digest
@@ -186,10 +187,10 @@ class DurableService:
                 keys_arr.size, q.payload_width
             )
             pay_l = pay_arr.tolist()
-        before = q.sim_time_ns_exact
+        before = q.sim_ticks
         rec = self.wal.append(sid, op_id, "insert", keys=keys_l, pay=pay_l)
         q.insert_bulk(keys_arr, pay_arr)
-        resp = self._response_for(rec, cost_ns=float(q.sim_time_ns_exact - before))
+        resp = self._response_for(rec, cost_ns=(q.sim_ticks - before) / TICKS_PER_NS)
         self._applied[dedupe] = resp
         if self._obs is not None:
             self._obs.emit_here(SERVE_APPLY, kind="insert", session=sid,
@@ -210,7 +211,7 @@ class DurableService:
         if cached is not None:
             return cached
         q = self.queue
-        before = q.sim_time_ns_exact
+        before = q.sim_ticks
         got_k, got_p = q.deletemin(count)
         result = {
             "keys": got_k.tolist(),
@@ -218,7 +219,7 @@ class DurableService:
         }
         rec = self.wal.append(sid, op_id, "deletemin", count=count,
                               result=result)
-        resp = self._response_for(rec, cost_ns=float(q.sim_time_ns_exact - before))
+        resp = self._response_for(rec, cost_ns=(q.sim_ticks - before) / TICKS_PER_NS)
         self._applied[dedupe] = resp
         if self._obs is not None:
             self._obs.emit_here(SERVE_APPLY, kind="deletemin", session=sid,

@@ -3,8 +3,8 @@
 The fast path — the fused C heapify and the compiled record presort —
 must be *observationally invisible*: byte-identical outputs, identical
 exported heap state, identical simulated-time accounting (the fused
-kernels replay their charge log through the same Fraction arithmetic
-the reference path uses), identical stats counters.  These tests drive
+kernels replay their charge log into the same exact tick clock the
+reference path charges), identical stats counters.  These tests drive
 random workloads through every backend the host offers and compare
 against both the numpy-reference queue and the SequentialPQ oracle,
 with HeapAuditor checking structural invariants along the way.
@@ -85,7 +85,7 @@ def test_backend_matches_numpy_serial_and_oracle(kern, k):
 
 @pytest.mark.parametrize("kern", MODES)
 def test_sim_time_identical_across_backends(kern):
-    """Charge-log replay must reproduce the reference Fractions exactly."""
+    """Charge-log replay must reproduce the reference clock exactly."""
     k = 8
     ctx = GpuContext.default(blocks=8, threads_per_block=64)
     rng = np.random.default_rng(42)

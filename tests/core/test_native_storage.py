@@ -78,7 +78,7 @@ def test_arena_list_bit_identical(script):
             getattr(legacy, method)(keys, payload=pay)
             oracle.insert(keys)
         # exact-time parity: both backends charge identical formulas in
-        # identical order, and Fraction accumulation makes that testable
+        # identical order, and the exact tick clock makes that testable
         # as equality rather than approximation
         assert arena.sim_time_ns_exact == legacy.sim_time_ns_exact
         assert len(arena) == len(legacy) == len(oracle)
@@ -149,7 +149,7 @@ def test_clear_resets_both_backends():
 
 def test_sim_time_accumulates_exactly():
     """Satellite: no float drift.  n identical charges must sum to
-    exactly n times one charge — true for Fraction accumulation, false
+    exactly n times one charge — true for the integer tick clock, false
     in general for repeated float addition."""
     from fractions import Fraction
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.native import NativeBGPQ
+from repro.device import GpuContext
 from repro.errors import ConfigurationError, DurabilityError
 from repro.serve.checkpoint import CheckpointStore, state_digest
 
@@ -142,6 +143,62 @@ def test_restore_rejects_broken_heap_layout(doctor):
         with pytest.raises(ConfigurationError, match="snapshot"):
             dst.restore_state(state)
         assert dst.export_state() == before
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("sim_ns", "garbage"),
+        ("sim_ns", None),
+        ("sim_ns", 12.5),
+        ("sim_ns", _MISSING),
+        ("sim_ns", "-3/2"),
+        ("sim_ns", "1/3"),
+        ("sim_ns", "1/" + str(2 ** 1075)),
+        ("sim_ns", "1e400"),
+        ("sim_ns", "1/0"),
+        ("stats", _MISSING),
+        ("stats", None),
+        ("stats", [["ops", 3]]),
+    ],
+    ids=[
+        "clock-garbage", "clock-none", "clock-float", "clock-missing",
+        "clock-negative", "clock-not-dyadic", "clock-below-tick",
+        "clock-exponent", "clock-zero-denominator",
+        "stats-missing", "stats-none", "stats-list",
+    ],
+)
+def test_restore_rejects_bad_clock_or_stats(field, value):
+    """The clock and stats are parsed before any row is written: a
+    value no export could have produced fails closed, untouched."""
+    ctx = GpuContext.default()
+    src = NativeBGPQ(node_capacity=4, ctx=ctx)
+    src.insert_bulk(np.arange(10, dtype=np.int64))
+    state = src.export_state()
+    if value is _MISSING:
+        del state[field]
+    else:
+        state[field] = value
+    for storage in ("arena", "list"):
+        dst = NativeBGPQ(node_capacity=4, ctx=ctx, storage=storage)
+        dst.insert_bulk(np.array([7, 5], dtype=np.int64))
+        before = dst.export_state()
+        with pytest.raises(ConfigurationError, match="snapshot"):
+            dst.restore_state(state)
+        assert dst.export_state() == before
+
+
+def test_restore_accepts_any_exported_clock():
+    ctx = GpuContext.default()
+    src = NativeBGPQ(node_capacity=4, ctx=ctx)
+    src.insert_bulk(np.arange(10, dtype=np.int64))
+    dst = NativeBGPQ(node_capacity=4, ctx=ctx)
+    dst.restore_state(json.loads(json.dumps(src.export_state())))
+    assert dst.sim_time_ns_exact == src.sim_time_ns_exact > 0
+    assert dst.sim_ticks == src.sim_ticks
 
 
 def test_restore_crosses_storage_backends():
