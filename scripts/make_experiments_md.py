@@ -189,29 +189,6 @@ def main() -> None:
     except SystemExit:
         pass
 
-    base = Path("BENCH_micro.json")
-    if base.exists():
-        micro = json.loads(base.read_text())
-        speed = micro.get("speedups", {})
-        mixed = {k: v for k, v in speed.items() if k.startswith("mixed/")}
-        a("\n## Host-side microbenchmarks (`python -m repro bench micro`)\n")
-        a("Unlike everything above, these numbers are *host* wall-clock, not "
-          "simulated device time: they compare the arena storage backend "
-          "(structure-of-arrays `NodeArena` + fused in-place SORT_SPLIT, "
-          "docs/ARCHITECTURE.md §6) against the legacy per-node-ndarray "
-          "backend (`storage=\"list\"`) on the simulator's own hot paths. "
-          "`BENCH_micro.json` is the committed baseline; CI re-runs the "
-          "suite with `--quick` and fails on a >20% geometric-mean speedup "
-          "regression or a lost zero-allocation flag. Only speedup *ratios* "
-          "are gated — absolute ops/sec are machine-dependent.\n")
-        if mixed:
-            cells = sorted(mixed.items(), key=lambda kv: int(kv[0].split("=")[1]))
-            a("Baseline mixed-workload speedups (arena over list): "
-              + ", ".join(f"{k.split('/')[1]}: {v:.2f}x" for k, v in cells)
-              + "; steady-state heapify on the arena backend is "
-                "allocation-free (tracemalloc-verified with floor "
-                "calibration) at every k swept.\n")
-
     wbase = Path("BENCH_wall.json")
     if wbase.exists():
         wallb = json.loads(wbase.read_text())
@@ -219,26 +196,29 @@ def main() -> None:
         wsp = wallb.get("speedups", {})
         floor = wallb.get("floor", {})
         a("\n## NativeBGPQ wall-clock benchmarks (`python -m repro bench native`)\n")
-        a("Host wall-clock again, for `NativeBGPQ` — the sequential engine "
+        a("Unlike everything above, these numbers are *host* wall-clock, not "
+          "simulated device time, for `NativeBGPQ` — the sequential engine "
           "behind the knapsack/A*/SSSP drivers and the P-Sync baseline — "
-          "comparing its arena backend (payload-aware `NodeArena`, fused "
-          "in-place SORT_SPLIT, docs/ARCHITECTURE.md §6) on the NumPy "
-          "reference kernels (`numpy`) and on the compiled C core "
-          "(`cext`: `repro/device/ckern.c`, built on first use; AVX-512 "
-          "merge network where the host supports it) against the legacy "
-          "allocate-per-merge `storage=\"list\"` reference. Every backend is "
+          "on its arena storage (payload-aware `NodeArena`, fused in-place "
+          "SORT_SPLIT, docs/ARCHITECTURE.md §6), comparing the compiled C "
+          "core (`cext`: `repro/device/ckern.c`, built on first use; "
+          "AVX-512 merge network where the host supports it) against the "
+          "NumPy reference kernels (`numpy`). Every backend is "
           "bit-identical by contract (`tests/primitives/test_kernel_parity.py`); "
           "only the clock differs. `BENCH_wall.json` commits the speedup "
           "*ratios* (machine-portable); hosts without a C compiler gate only "
-          "the numpy lanes. Refresh it deliberately with `python -m repro "
-          "bench native --update-baseline` (the suite runs twice and keeps "
-          "the conservative minimum).\n")
+          "the zero-allocation flags. Refresh it deliberately with `python -m "
+          "repro bench native --update-baseline` (the suite runs twice and "
+          "keeps the conservative minimum).\n")
+        carried = (
+            "; cells not re-recorded on that host are listed under "
+            "`meta.carried_over`" if wmeta.get("carried_over") else ""
+        )
         a(f"Baseline metadata: {wmeta.get('cpu_count')}-core host "
           f"({wmeta.get('cpu_model', 'unknown CPU')}), compiler "
-          f"`{wmeta.get('compiler') or 'none'}`; cells not re-recorded on "
-          "that host are listed under `meta.carried_over`. Ratios over the "
-          "list reference:\n")
-        variants = [v for v in wmeta.get("variants", []) if v != "list"]
+          f"`{wmeta.get('compiler') or 'none'}`{carried}. Ratios over the "
+          "numpy reference:\n")
+        variants = [v for v in wmeta.get("variants", []) if v != "numpy"]
         wrows = []
         for bench in ("insert", "delete", "mixed", "bulk", "build",
                       "knapsack", "astar"):
@@ -257,13 +237,13 @@ def main() -> None:
         a(md_table(wrows, ["bench"] + variants))
         a(f"\nCells are speedups at k ∈ {{{', '.join(str(k) for k in wmeta.get('ks', []))}}}. "
           "`bulk` pushes 32768 records with a width-1 payload; the knapsack/A* "
-          "cells are miniature solves dominated by driver kernels, so their "
-          "ratios hover near 1x by design — they guard engine integration, "
-          "not speedup.\n")
+          "cells are miniature solves dominated by driver work outside the "
+          "queue, so their ratios stay within ~0.8-1.7x — they guard engine "
+          "integration, not speedup.\n")
         za = wallb.get("zero_alloc", {})
         if za and all(za.values()):
             a("The steady-state mixed loop (full-batch insert + deletemin, "
-              "both heapifying) retains zero data arrays on the numpy arena "
+              "both heapifying) retains zero data arrays on the numpy variant "
               "at every k swept (tracemalloc-verified after garbage "
               "collection).\n")
         a("**Gate:** CI re-runs `--quick` with the reference backend forced "
@@ -271,7 +251,7 @@ def main() -> None:
           "(>20% geomean tolerance per lane) and zero-allocation flags, and "
           "the full run enforces the acceptance floor — "
           f"`{floor.get('bench')}:{floor.get('variant')}` at k={floor.get('k')} "
-          f"must clear **≥{floor.get('min_speedup', 0):.0f}x** over the list "
+          f"must clear **≥{floor.get('min_speedup', 0):g}x** over the numpy "
           "reference.\n")
 
     sbase = Path("BENCH_shard.json")
@@ -352,10 +332,10 @@ def main() -> None:
           f"k={wl.get('k', '?')}, seed={wl.get('seed', '?')}) goes, phase "
           "by phase, on the Coz-style critical path "
           "(docs/OBSERVABILITY.md § Analysis layer). These are *simulated* "
-          "nanoseconds — deterministic and machine-independent — so when "
-          "the host-timed micro gate fails, `repro bench micro` diffs the "
-          "current composition against this baseline and names the phase "
-          "that regressed.\n")
+          "nanoseconds — deterministic and machine-independent — so a "
+          "golden test (`tests/bench/test_reporting.py`) holds the code to "
+          "this baseline exactly and, on a mismatch, prints the per-phase "
+          "diff naming the phase that moved.\n")
         order = sorted(attr.items(), key=lambda kv: -kv[1])
         a("Baseline attribution: "
           + ", ".join(f"{p} {v / mk:.1%}" for p, v in order if v > 0)

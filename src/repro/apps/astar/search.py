@@ -98,7 +98,6 @@ def astar_batched(
     heuristic="manhattan",
     ctx: GpuContext | None = None,
     batch: int = 1024,
-    storage: str = "arena",
     pq_factory=None,
 ) -> PathResult:
     """Batched GPU-style A* on NativeBGPQ.
@@ -110,7 +109,7 @@ def astar_batched(
     ``pq_factory(node_capacity, ctx, payload_width, storage)``, when
     given, supplies the queue instead of NativeBGPQ — the shard bench
     injects a recording subclass here to capture the app's exact PQ
-    op trace for fleet replay.
+    op trace for fleet replay.  ``storage`` is always ``"arena"``.
     """
     h = _heuristic_fn(heuristic)
     ctx = ctx if ctx is not None else GpuContext.default()
@@ -122,10 +121,9 @@ def astar_batched(
     best = np.full(grid.n_cells, UNREACHED, dtype=np.int64)
     best[start_id] = 0
     if pq_factory is None:
-        pq = NativeBGPQ(node_capacity=batch, ctx=ctx, payload_width=2,
-                        storage=storage)
+        pq = NativeBGPQ(node_capacity=batch, ctx=ctx, payload_width=2)
     else:
-        pq = pq_factory(batch, ctx, 2, storage)
+        pq = pq_factory(batch, ctx, 2, "arena")
     f0 = int(h(grid.start[0], grid.start[1], ty, tx))
     pq.insert(np.array([f0]), payload=np.array([[start_id, 0]]))
     expanded = pushed = 0

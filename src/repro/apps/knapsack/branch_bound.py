@@ -26,7 +26,7 @@ the paper's 30/32-bit experiments do).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,7 +135,6 @@ def solve_batched(
     inst: KnapsackInstance,
     ctx: GpuContext | None = None,
     batch: int = 1024,
-    storage: str = "arena",
     pq_factory=None,
 ) -> KnapsackResult:
     """GPU-style batched best-first B&B on NativeBGPQ.
@@ -147,14 +146,13 @@ def solve_batched(
     ``pq_factory(node_capacity, ctx, payload_width, storage)``, when
     given, supplies the queue instead of NativeBGPQ — the shard bench
     injects a recording subclass here to capture the app's exact PQ
-    op trace for fleet replay.
+    op trace for fleet replay.  ``storage`` is always ``"arena"``.
     """
     ctx = ctx if ctx is not None else GpuContext.default()
     if pq_factory is None:
-        pq = NativeBGPQ(node_capacity=batch, ctx=ctx, payload_width=3,
-                        storage=storage)
+        pq = NativeBGPQ(node_capacity=batch, ctx=ctx, payload_width=3)
     else:
-        pq = pq_factory(batch, ctx, 3, storage)
+        pq = pq_factory(batch, ctx, 3, "arena")
     model = ctx.model
     expansion_ns = 0.0
 

@@ -107,7 +107,6 @@ def sssp_batched(
     source: int = 0,
     ctx: GpuContext | None = None,
     batch: int = 1024,
-    storage: str = "arena",
 ) -> tuple[np.ndarray, float]:
     """Batched Dijkstra on NativeBGPQ; returns (distances, sim_time_ns).
 
@@ -119,7 +118,7 @@ def sssp_batched(
     model = ctx.model
     dist = np.full(graph.n_vertices, UNREACHED, dtype=np.int64)
     dist[source] = 0
-    pq = NativeBGPQ(node_capacity=batch, ctx=ctx, payload_width=1, storage=storage)
+    pq = NativeBGPQ(node_capacity=batch, ctx=ctx, payload_width=1)
     pq.insert(np.array([0]), payload=np.array([[source]]))
     kernel_ns = 0.0
     while pq:

@@ -21,8 +21,6 @@ pipeline.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..core.native import NativeBGPQ
@@ -44,12 +42,11 @@ class PSyncHeapPQ(ConcurrentPQ):
         node_capacity: int = 1024,
         dtype=np.int64,
         pipeline_overlap: float = 1.0,
-        storage: str = "arena",
     ):
         self.ctx = ctx if ctx is not None else GpuContext.default()
         self.model = self.ctx.model
         self.k = node_capacity
-        self.heap = NativeBGPQ(node_capacity=node_capacity, key_dtype=dtype, storage=storage)
+        self.heap = NativeBGPQ(node_capacity=node_capacity, key_dtype=dtype)
         self.dtype = np.dtype(dtype)
         self.pipeline_lock = SimLock("psync.pipeline")
         self.pipeline_overlap = pipeline_overlap

@@ -1,7 +1,9 @@
 """Benchmark harness regenerating the paper's Table 1, Table 2, Fig. 6.
 
-:mod:`~repro.bench.micro` adds the perf-regression microbenchmarks
-(``repro bench micro``) gating the arena-vs-list storage speedups.
+The gated lanes live alongside: :mod:`~repro.bench.wall` (``repro
+bench native``, NativeBGPQ wall clock), :mod:`~repro.bench.shard` and
+:mod:`~repro.bench.frontier` (simulated fleet throughput), all judged
+by :func:`~repro.bench.reporting.compare_to_baseline`.
 """
 
 from .experiments import (
@@ -17,8 +19,13 @@ from .experiments import (
     table2_knapsack,
     table2_util,
 )
-from .micro import MICRO_KS, baseline_path, compare_to_baseline, run_micro
-from .reporting import ascii_chart, render_rows, save_results, speedup_summary
+from .reporting import (
+    ascii_chart,
+    compare_to_baseline,
+    render_rows,
+    save_results,
+    speedup_summary,
+)
 from .runner import PhaseTimes, drain, run_insert_then_delete, run_utilization
 from .table1 import render_table1, table1_features
 from .workloads import (
@@ -38,12 +45,10 @@ __all__ = [
     "GPU_BLOCKS",
     "KEY_BITS",
     "KNAPSACK_SIZES",
-    "MICRO_KS",
     "ORDERS",
     "PAPER_SIZES",
     "PhaseTimes",
     "ascii_chart",
-    "baseline_path",
     "compare_to_baseline",
     "drain",
     "fig6_blocks_sweep",
@@ -54,7 +59,6 @@ __all__ = [
     "render_rows",
     "render_table1",
     "run_insert_then_delete",
-    "run_micro",
     "run_utilization",
     "save_results",
     "scale",

@@ -25,7 +25,7 @@ conserve the key multiset while the run is in flight.
 Everything is simulated and seeded, so ``BENCH_frontier.json`` (env
 override ``REPRO_BENCH_FRONTIER_BASELINE``) is machine-portable and
 CI gates exact ratios via
-:func:`repro.bench.micro.compare_to_baseline` plus this module's own
+:func:`repro.bench.reporting.compare_to_baseline` plus this module's own
 hard verification floors (:func:`frontier_gate_problems`).
 """
 

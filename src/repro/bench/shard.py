@@ -51,7 +51,7 @@ Because all time is simulated (deterministic cost model, seeded
 router), the committed baseline ``BENCH_shard.json`` (env override
 ``REPRO_BENCH_SHARD_BASELINE``) is machine-portable and the CI gate
 can demand exact-ish ratios: gating reuses
-:func:`repro.bench.micro.compare_to_baseline` plus two hard floors —
+:func:`repro.bench.reporting.compare_to_baseline` plus two hard floors —
 the 4-shard mixed speedup must stay >= 2x, and the k-relaxed spec must
 pass on every cell.
 """
@@ -141,10 +141,9 @@ def _knapsack_trace(batch: int, quick: bool) -> list[tuple]:
     inst = generate(24 if quick else 36, family="weakly_correlated", seed=5)
     trace: list[tuple] = []
 
-    def factory(node_capacity, ctx, payload_width, storage):
+    def factory(node_capacity, ctx, payload_width, _storage):
         return _TracePQ(node_capacity=node_capacity, ctx=ctx,
-                        payload_width=payload_width, storage=storage,
-                        trace=trace)
+                        payload_width=payload_width, trace=trace)
 
     solve_batched(inst, batch=batch, pq_factory=factory)
     return trace
@@ -157,10 +156,9 @@ def _astar_trace(batch: int, quick: bool) -> list[tuple]:
     grid = generate_grid(24 if quick else 48, 0.15, seed=3)
     trace: list[tuple] = []
 
-    def factory(node_capacity, ctx, payload_width, storage):
+    def factory(node_capacity, ctx, payload_width, _storage):
         return _TracePQ(node_capacity=node_capacity, ctx=ctx,
-                        payload_width=payload_width, storage=storage,
-                        trace=trace)
+                        payload_width=payload_width, trace=trace)
 
     astar_batched(grid, batch=batch, pq_factory=factory)
     return trace

@@ -58,12 +58,6 @@ def _bgpq_unbounded(k: int) -> BGPQ:
     return BGPQ(node_capacity=k, max_keys=1 << 14)
 
 
-def _bgpq_list(k: int) -> BGPQ:
-    """The allocate-per-merge storage backend (differential reference)."""
-    return BGPQ(node_capacity=k, max_keys=1 << 14, root_wait_ns=ROOT_WAIT_NS,
-                storage="list")
-
-
 def _bgpq_bu(k: int) -> BGPQBottomUp:
     return BGPQBottomUp(node_capacity=k, max_keys=1 << 14, root_wait_ns=ROOT_WAIT_NS)
 
@@ -89,7 +83,6 @@ def _ljsl(k: int):
 QUEUE_FACTORIES: dict[str, Callable[[int], object]] = {
     "bgpq": _bgpq,
     "bgpq-unbounded": _bgpq_unbounded,
-    "bgpq-list": _bgpq_list,
     "bgpq-bu": _bgpq_bu,
     "tbb": _tbb,
     "hunt": _hunt,

@@ -9,7 +9,6 @@ Usage::
     python -m repro astar                  # Table 2 'A-star'
     python -m repro fig6                   # Figure 6 sweeps
     python -m repro faults                 # fault-injection campaigns
-    python -m repro bench micro            # perf-regression microbench
     python -m repro bench native           # NativeBGPQ wall-clock gate
     python -m repro bench shard            # sharded-fleet throughput gate
     python -m repro bench frontier         # quality-vs-throughput sweep gate
@@ -29,16 +28,15 @@ Usage::
 livelocks, or fails the post-run heap audit; each failure line carries
 the (queue, plan, seed) triple that reproduces it.
 
-``bench micro`` times the storage hot paths for both backends (see
-:mod:`repro.bench.micro`), archives the results, and exits non-zero on
-a >20% speedup regression against the committed ``BENCH_micro.json``
-baseline (refresh it with ``--update-baseline``).  ``bench native``
-does the same for the host-speed :class:`~repro.core.native.NativeBGPQ`
-application engine (see :mod:`repro.bench.wall`) against
-``BENCH_wall.json``: list vs numpy-arena vs compiled-arena ratios, the
-steady-state zero-allocation gate, miniature knapsack/A* end-to-end
-runs and a >=10x compiled mixed floor; on failure it saves a
-current-vs-baseline delta table next to the archived results.
+``bench native`` (the default bench target) times the host-speed
+:class:`~repro.core.native.NativeBGPQ` application engine (see
+:mod:`repro.bench.wall`), archives the results, and exits non-zero on
+a >20% geomean speedup regression against the committed
+``BENCH_wall.json`` baseline (refresh it with ``--update-baseline``):
+compiled-over-numpy kernel ratios, the steady-state zero-allocation
+gate, miniature knapsack/A* end-to-end runs and a >=3.15x compiled
+mixed floor; on failure it saves a current-vs-baseline delta table
+next to the archived results.
 ``bench shard`` gates the sharded fleet (see :mod:`repro.bench.shard`
 and :mod:`repro.fleet`): simulated throughput at 1/2/4/8 shards vs the
 single-queue baseline on mixed/knapsack/A* workloads against
@@ -58,11 +56,10 @@ budget, gated against ``BENCH_frontier.json``.
 attached (see :mod:`repro.obs`), prints collaboration counters, op
 latencies, and an ASCII utilization timeline, and writes a validated
 Chrome trace-event JSON (open it in ``chrome://tracing`` or
-https://ui.perfetto.dev).  ``faults`` and ``bench micro`` accept
-``--trace``/``--metrics`` to ride the same machinery: ``--metrics``
-prints/archives flat obs counters, ``--trace`` additionally writes a
-Chrome trace of a representative run.  Tracing never changes results
-or timing gates — the bench timing loops always run untraced.
+https://ui.perfetto.dev).  ``faults`` accepts ``--trace``/``--metrics``
+to ride the same machinery: ``--metrics`` prints/archives flat obs
+counters, ``--trace`` additionally writes a Chrome trace of a
+representative run.  Tracing never changes results.
 
 ``trace analyze`` folds the same traced run through the causal
 analysis layer (:mod:`repro.obs.analysis`): critical-path extraction,
@@ -189,7 +186,6 @@ def _traced_run(args):
         ops=args.ops,
         k=args.capacity,
         seed=args.trace_seed,
-        storage=args.storage,
     )
 
 
@@ -287,7 +283,7 @@ def _run_trace(args) -> int:
     print(f"[{wall:.1f}s host]")
     _record_registry(
         "trace",
-        config={"seed": args.trace_seed, "storage": args.storage},
+        config={"seed": args.trace_seed},
         status="completed",
         summary={
             "events": len(run.events),
@@ -612,8 +608,7 @@ def _run_metrics(args) -> int:
                     samples.append((begun[0], ev.ts - begun[1], ev.ts))
         slo = _derive_slo(samples, objective_ns=args.slo_objective_ns)
         config = {"target": "mixed", "threads": args.threads, "ops": args.ops,
-                  "k": args.capacity, "seed": args.trace_seed,
-                  "storage": args.storage}
+                  "k": args.capacity, "seed": args.trace_seed}
         headline = {"makespan_ns": run.makespan_ns, "events": len(run.events)}
     elif target == "fleet":
         # live emission: the fleet carries the registry through the run
@@ -834,7 +829,7 @@ def _refresh_analysis_baseline() -> None:
     """Rewrite BENCH_analysis.json (per-phase critical-path composition)."""
     import json
 
-    from .bench.micro import analysis_baseline_path, capture_analysis
+    from .bench.reporting import analysis_baseline_path, capture_analysis
 
     payload = capture_analysis()
     path = analysis_baseline_path()
@@ -842,49 +837,18 @@ def _refresh_analysis_baseline() -> None:
     print(f"analysis baseline written to {path}")
 
 
-def _print_phase_diff() -> int:
-    """On a bench-gate failure, say *which phase* regressed.
-
-    The micro gate compares host-timed ratios; this recomputes the
-    engine-driven phase attribution (simulated ns, deterministic) and
-    diffs it against the committed ``BENCH_analysis.json`` — so a real
-    regression names the phase that grew, while pure host noise shows
-    an unchanged phase mix.
-    """
-    from .bench.micro import analysis_baseline_path, capture_analysis
-    from .obs import AnalysisFormatError, diff_analyses, load_analysis, render_diff
-
-    apath = analysis_baseline_path()
-    if not apath.exists():
-        print(
-            "\n(no phase-composition baseline to localize the regression; "
-            "record one with --update-baseline)"
-        )
-        return 1
-    try:
-        baseline = load_analysis(apath)
-    except AnalysisFormatError as err:
-        print(f"\n(cannot localize regression per phase: {err})")
-        return 1
-    current = capture_analysis(baseline.get("workload"))
-    diff = diff_analyses(baseline, current, a_name=str(apath), b_name="current")
-    print("\nper-phase critical-path composition (engine-driven, simulated ns):")
-    print(render_diff(diff))
-    return 0
-
-
 def _run_bench_native(args) -> int:
     """`repro bench native`: the NativeBGPQ wall-clock gate.
 
     Unlike the simulated lanes this one times wall-clock ops/sec per
-    variant (list reference, numpy arena, compiled arena), so the
-    committed baseline stores *ratios over the list reference*
-    (machine-portable) plus the zero-allocation flags, and a hard
-    ``>= 10x`` floor guards the compiled mixed lane at k=512.
+    kernel variant (numpy reference, compiled C core), so the committed
+    baseline stores *ratios over the numpy reference* (machine-portable)
+    plus the zero-allocation flags, and a hard ``>= 3.15x`` floor guards
+    the compiled mixed lane at k=512.  ``--update-baseline`` also
+    rewrites ``BENCH_analysis.json`` (simulated ns, so byte-stable).
     """
     import json
 
-    from .bench.micro import compare_to_baseline
     from .bench.wall import (
         WALL_KS,
         instrumented_mixed_pass,
@@ -893,7 +857,7 @@ def _run_bench_native(args) -> int:
         wall_baseline_path,
         wall_gate_problems,
     )
-    from .bench.reporting import gate_meta, results_dir
+    from .bench.reporting import compare_to_baseline, gate_meta, results_dir
     from .obs.metrics import MetricsRegistry, validate_prometheus_text
 
     ks = (
@@ -906,7 +870,9 @@ def _run_bench_native(args) -> int:
     t0 = time.perf_counter()
     results = run_wall(ks=ks, quick=args.quick)
     if rebaseline:
-        # conservative elementwise minimum of two runs (see bench micro)
+        # A baseline records the *floor* the gate defends, so take the
+        # conservative elementwise minimum of two runs — a single
+        # lucky-fast sample would otherwise trip the gate forever after.
         second = run_wall(ks=ks, quick=args.quick)
         for key, val in second["speedups"].items():
             prev = results["speedups"].get(key)
@@ -921,7 +887,7 @@ def _run_bench_native(args) -> int:
     ))
     print()
     for key, val in sorted(results["speedups"].items()):
-        print(f"  speedup vs list {key}: {val:.2f}x")
+        print(f"  speedup vs numpy {key}: {val:.2f}x")
     for key, flag in sorted(results["zero_alloc"].items()):
         print(f"  zero-alloc {key}: {'yes' if flag else 'NO'}")
     for variant, info in results["meta"]["kernels"].items():
@@ -951,6 +917,8 @@ def _run_bench_native(args) -> int:
     if rebaseline:
         base_file.write_text(json.dumps(results, indent=2, default=str) + "\n")
         print(f"baseline written to {base_file}")
+        if args.update_baseline:
+            _refresh_analysis_baseline()
         problems = wall_gate_problems(results, quick=args.quick)
     else:
         baseline = json.loads(base_file.read_text())
@@ -1006,8 +974,7 @@ def _run_bench_shard(args) -> int:
     """`repro bench shard`: the sharded-fleet simulated-throughput gate."""
     import json
 
-    from .bench.micro import compare_to_baseline
-    from .bench.reporting import results_dir
+    from .bench.reporting import compare_to_baseline, results_dir
     from .bench.shard import (
         SHARD_COUNTS,
         render_shard_delta,
@@ -1134,8 +1101,7 @@ def _run_bench_frontier(args) -> int:
         render_frontier_delta,
         run_frontier,
     )
-    from .bench.micro import compare_to_baseline
-    from .bench.reporting import results_dir
+    from .bench.reporting import compare_to_baseline, results_dir
 
     base_file = frontier_baseline_path()
     rebaseline = args.update_baseline or not base_file.exists()
@@ -1225,114 +1191,17 @@ def _run_bench_frontier(args) -> int:
 
 
 def _run_bench(args) -> int:
-    import json
-
-    from .bench.micro import MICRO_KS, baseline_path, compare_to_baseline, run_micro
-
-    target = args.target or "micro"
+    target = args.target or "native"
     if target == "native":
         return _run_bench_native(args)
     if target == "shard":
         return _run_bench_shard(args)
     if target == "frontier":
         return _run_bench_frontier(args)
-    if target != "micro":
-        print(f"error: unknown bench target {args.target!r} "
-              "(try 'micro', 'native', 'shard', or 'frontier')",
-              file=sys.stderr)
-        return 2
-    ks = (
-        tuple(int(k) for k in args.bench_ks.split(","))
-        if args.bench_ks
-        else MICRO_KS
-    )
-    base_file = baseline_path()
-    rebaseline = args.update_baseline or not base_file.exists()
-    t0 = time.perf_counter()
-    results = run_micro(ks=ks, quick=args.quick)
-    if rebaseline:
-        # A baseline records the *floor* the gate defends, so take the
-        # conservative elementwise minimum of two runs — a single
-        # lucky-fast sample would otherwise trip the gate forever after.
-        second = run_micro(ks=ks, quick=args.quick)
-        for key, val in second["speedups"].items():
-            prev = results["speedups"].get(key)
-            results["speedups"][key] = val if prev is None else min(prev, val)
-        for key, flag in second["zero_alloc"].items():
-            results["zero_alloc"][key] = bool(
-                flag and results["zero_alloc"].get(key, True)
-            )
-    wall = time.perf_counter() - t0
-    print(render_rows(results["rows"], "bench micro (arena vs list storage)"))
-    print()
-    for key, val in sorted(results["speedups"].items()):
-        print(f"  speedup {key}: {val:.2f}x")
-    for key, flag in sorted(results["zero_alloc"].items()):
-        print(f"  zero-alloc {key}: {'yes' if flag else 'NO'}")
-    path = save_results("bench_micro", results["rows"], meta={
-        **results["meta"],
-        "speedups": results["speedups"],
-        "zero_alloc": results["zero_alloc"],
-        "wall_s": round(wall, 1),
-    })
-    print(f"[{wall:.1f}s host; saved {path}]\n")
-
-    base_file = baseline_path()
-    rc = 0
-    if args.update_baseline or not base_file.exists():
-        base_file.write_text(json.dumps(results, indent=2, default=str) + "\n")
-        print(f"baseline written to {base_file}")
-        _refresh_analysis_baseline()
-    else:
-        baseline = json.loads(base_file.read_text())
-        problems = compare_to_baseline(results, baseline)
-        if problems:
-            print(f"PERF REGRESSION vs {base_file}:")
-            for p in problems:
-                print(f"  {p}")
-            _print_phase_diff()
-            print("\n(re-baseline intentionally with: python -m repro bench micro "
-                  "--update-baseline)")
-            rc = 1
-        else:
-            print(f"no regression vs {base_file} (tolerance 20%)")
-    if args.trace or args.metrics:
-        # Untimed traced pass — the gate numbers above come from the
-        # untraced timing loops, so this cannot move them.  The micro
-        # driver has no engine, so the bus falls back to sequence
-        # timestamps: counters are exact, latencies/timeline are not
-        # meaningful here (use `repro trace` for those).
-        from .bench.micro import trace_micro
-        from .obs import metrics_dict
-
-        bus = trace_micro(iters=16 if args.quick else 64)
-        if args.metrics:
-            print("\nobs counters (untimed traced pass, k=128):")
-            metrics = metrics_dict(bus.events)
-            for key in sorted(metrics):
-                if metrics[key]:
-                    print(f"  {key:<36} {metrics[key]}")
-        if args.trace:
-            bad = _write_chrome_trace(bus.events, "trace_bench_micro.json", args)
-            rc = rc or bad
-    from .bench.reporting import gate_meta, geomean
-
-    _record_registry(
-        "bench-micro",
-        config={"ks": list(ks), "quick": args.quick, "rebaseline": rebaseline},
-        status="completed" if rc == 0 else "failed",
-        summary={
-            "speedups": results["speedups"],
-            "gate": gate_meta(
-                rc == 0, base_file, rebaseline,
-                ratios={"micro": round(geomean(
-                    results["speedups"].values()), 3)
-                    if results["speedups"] else None},
-            ),
-            "wall_s": round(wall, 1),
-        },
-    )
-    return rc
+    print(f"error: unknown bench target {args.target!r} "
+          "(try 'native', 'shard', or 'frontier')",
+          file=sys.stderr)
+    return 2
 
 
 class _VersionAction(argparse.Action):
@@ -1389,8 +1258,8 @@ def main(argv: list[str] | None = None) -> int:
         nargs="?",
         default=None,
         help=(
-            "subcommand target: bench takes 'micro' (default), 'native', "
-            "'shard', or 'frontier'; trace takes 'analyze', 'flame', or "
+            "subcommand target: bench takes 'native' (default), 'shard', "
+            "or 'frontier'; trace takes 'analyze', 'flame', or "
             "'diff'; runs takes 'list' (default), 'show <id>', 'gc', or "
             "'trend [kinds...]'; metrics takes 'mixed' (default) or "
             "'fleet'; ignored elsewhere"
@@ -1437,7 +1306,7 @@ def main(argv: list[str] | None = None) -> int:
         default="bgpq,bgpq-bu,tbb",
         help=(
             "comma-separated queues "
-            "(bgpq,bgpq-unbounded,bgpq-list,bgpq-bu,tbb,hunt,ljsl)"
+            "(bgpq,bgpq-unbounded,bgpq-bu,tbb,hunt,ljsl)"
         ),
     )
     faults.add_argument(
@@ -1449,17 +1318,17 @@ def main(argv: list[str] | None = None) -> int:
     faults.add_argument(
         "--capacity", type=int, default=8, help="batch node capacity k"
     )
-    bench = parser.add_argument_group("bench micro/native/shard/frontier")
+    bench = parser.add_argument_group("bench native/shard/frontier")
     bench.add_argument(
         "--quick",
         action="store_true",
-        help="reduced iteration counts (CI perf-smoke)",
+        help="reduced iteration counts (CI smoke jobs)",
     )
     bench.add_argument(
         "--update-baseline",
         action="store_true",
-        help="rewrite the bench baseline (BENCH_micro.json / BENCH_wall.json"
-             " / BENCH_shard.json / BENCH_frontier.json)",
+        help="rewrite the bench baseline (BENCH_wall.json + "
+             "BENCH_analysis.json / BENCH_shard.json / BENCH_frontier.json)",
     )
     bench.add_argument(
         "--bench-ks",
@@ -1582,16 +1451,16 @@ def main(argv: list[str] | None = None) -> int:
             "(default: auto-derive 2x the observed p95 per class)"
         ),
     )
-    obs = parser.add_argument_group("observability (trace; faults/bench flags)")
+    obs = parser.add_argument_group("observability (trace; faults/serve flags)")
     obs.add_argument(
         "--trace",
         action="store_true",
-        help="faults/bench: also write a Chrome trace of a representative run",
+        help="faults/serve: also write a Chrome trace of a representative run",
     )
     obs.add_argument(
         "--metrics",
         action="store_true",
-        help="faults/bench: print + archive flat obs counters",
+        help="trace/faults/serve: print + archive flat obs counters",
     )
     obs.add_argument(
         "--trace-out",
@@ -1611,12 +1480,6 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         help="engine/workload seed for `repro trace` (default: 1)",
-    )
-    obs.add_argument(
-        "--storage",
-        choices=("arena", "list"),
-        default="arena",
-        help="BGPQ storage backend for `repro trace` (default: arena)",
     )
     obs.add_argument(
         "--buckets",

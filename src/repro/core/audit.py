@@ -186,8 +186,7 @@ class HeapAuditor:
         moment the heap grows back over it), and writes landing in row
         0, whose meaning differs by queue:
 
-        * :class:`~repro.core.native.NativeBGPQ` (``storage="arena"``)
-          keeps its partial buffer in row 0, so the row must hold a
+        * :class:`~repro.core.native.NativeBGPQ` keeps its partial buffer in row 0, so the row must hold a
           *sorted* run of fewer than k keys;
         * the sim :class:`~repro.core.bgpq.BGPQ`'s ``HeapStorage``
           reserves row 0 (its ping-pong partial buffer lives outside
@@ -199,7 +198,7 @@ class HeapAuditor:
         """
         # NativeBGPQ's private arena (row 0 == partial buffer)
         arena = getattr(self.pq, "_arena", None)
-        if arena is not None and getattr(self.pq, "storage", "") == "arena":
+        if arena is not None:
             report.checks_run.append("arena")
             size = self.pq._heap_size
             for i in range(size + 1, arena.rows):

@@ -60,14 +60,6 @@ class BGPQ(InsertMixin, DeleteMixin, ConcurrentPQ):
         off only by the ablation benchmarks.
     dtype:
         Key dtype (the paper uses 30/32-bit integer keys).
-    storage:
-        ``"arena"`` (default) backs every node with one shared
-        structure-of-arrays :class:`~repro.core.arena.NodeArena` and
-        runs all SORT_SPLITs fused and in place (no per-merge
-        temporaries — the device's allocation-free hot path, §3.3);
-        ``"list"`` keeps the original allocate-per-merge node path as a
-        differential-testing reference.  Both backends produce
-        bit-identical schedules and results for the same seed.
     root_wait_ns:
         When set, INSERT/DELETEMIN take the root lock with *bounded*
         waits of this length (exponentially growing across retries)
@@ -93,7 +85,6 @@ class BGPQ(InsertMixin, DeleteMixin, ConcurrentPQ):
         payload_dtype=np.int64,
         root_wait_ns: float | None = None,
         root_retries: int = 3,
-        storage: str = "arena",
     ):
         if root_wait_ns is not None and root_wait_ns <= 0:
             raise ConfigurationError("root_wait_ns must be positive (or None)")
@@ -114,29 +105,22 @@ class BGPQ(InsertMixin, DeleteMixin, ConcurrentPQ):
             name="bgpq",
             payload_width=payload_width,
             payload_dtype=payload_dtype,
-            storage=storage,
         )
-        self.storage = storage
-        self._fused = storage == "arena"
-        if self._fused:
-            # Ping-pong pair backing the partial buffer: each rebalance
-            # merges the live buffer into the inactive half and flips,
-            # so ``self.pbuffer`` is always a view into preallocated
-            # storage and the hot path never allocates.
-            self._pb_keys = (
-                np.empty(node_capacity, dtype=self.store.dtype),
-                np.empty(node_capacity, dtype=self.store.dtype),
-            )
-            self._pb_pay = (
-                np.empty((node_capacity, payload_width), dtype=payload_dtype),
-                np.empty((node_capacity, payload_width), dtype=payload_dtype),
-            )
-            self._pb_active = 0
-            self.pbuffer = self._pb_keys[0][:0]
-            self.pbuffer_pay = self._pb_pay[0][:0]
-        else:
-            self.pbuffer = np.empty(0, dtype=self.store.dtype)
-            self.pbuffer_pay = np.empty((0, payload_width), dtype=payload_dtype)
+        # Ping-pong pair backing the partial buffer: each rebalance
+        # merges the live buffer into the inactive half and flips, so
+        # ``self.pbuffer`` is always a view into preallocated storage
+        # and the hot path never allocates.
+        self._pb_keys = (
+            np.empty(node_capacity, dtype=self.store.dtype),
+            np.empty(node_capacity, dtype=self.store.dtype),
+        )
+        self._pb_pay = (
+            np.empty((node_capacity, payload_width), dtype=payload_dtype),
+            np.empty((node_capacity, payload_width), dtype=payload_dtype),
+        )
+        self._pb_active = 0
+        self.pbuffer = self._pb_keys[0][:0]
+        self.pbuffer_pay = self._pb_pay[0][:0]
         self.collaboration = collaboration
         #: optional :class:`~repro.obs.events.EventBus`; when set, the
         #: operation paths emit structured mechanism events (SORT_SPLITs,
@@ -250,11 +234,11 @@ class BGPQ(InsertMixin, DeleteMixin, ConcurrentPQ):
             )
         return payload
 
-    # -- fused partial-buffer operations (arena storage) -------------------
+    # -- fused partial-buffer operations ------------------------------------
     # All three run under the root/pBuffer lock.  They stage through the
     # heap's scratch ledger and the ping-pong pair, so steady state does
-    # zero array allocations; ties and merge orders mirror the list
-    # backend exactly (hence bit-identical results).
+    # zero array allocations; ties keep the first operand's keys first,
+    # exactly like merge_with_payload.
     def _buffer_absorb(self, items_k: np.ndarray, items_p: np.ndarray) -> None:
         """Alg.1 lines 21-24: merge ``items`` into the partial buffer."""
         from ..primitives.inplace import merge_into
@@ -332,25 +316,18 @@ class BGPQ(InsertMixin, DeleteMixin, ConcurrentPQ):
 
     # -- rollback snapshots of the partial buffer --------------------------
     def _pbuffer_snapshot(self):
-        """Capture the buffer for OpGuard rollback.  The list backend
-        replaces (never mutates) the buffer arrays, so references
-        suffice; the fused backend rewrites the ping-pong storage in
-        place, so the snapshot must copy."""
-        if self._fused:
-            return self.pbuffer.copy(), self.pbuffer_pay.copy()
-        return self.pbuffer, self.pbuffer_pay
+        """Capture the buffer for OpGuard rollback.  The fused paths
+        rewrite the ping-pong storage in place, so the snapshot copies."""
+        return self.pbuffer.copy(), self.pbuffer_pay.copy()
 
     def _pbuffer_restore(self, buf_k: np.ndarray, buf_p: np.ndarray) -> None:
-        if self._fused:
-            n = buf_k.size
-            keys = self._pb_keys[self._pb_active]
-            pay = self._pb_pay[self._pb_active]
-            keys[:n] = buf_k
-            pay[:n] = buf_p
-            self.pbuffer = keys[:n]
-            self.pbuffer_pay = pay[:n]
-        else:
-            self.pbuffer, self.pbuffer_pay = buf_k, buf_p
+        n = buf_k.size
+        keys = self._pb_keys[self._pb_active]
+        pay = self._pb_pay[self._pb_active]
+        keys[:n] = buf_k
+        pay[:n] = buf_p
+        self.pbuffer = keys[:n]
+        self.pbuffer_pay = pay[:n]
 
     # -- quiescent introspection -----------------------------------------
     def snapshot_keys(self) -> np.ndarray:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..primitives import sort_split_payload
 from ..sim import Acquire, Compute, Release, Signal
 from .bgpq import BGPQ
 from .heap import parent
@@ -120,16 +119,7 @@ class BGPQBottomUp(BGPQ):
                 yield Release(store.lock(p))
                 yield Compute(m.lock_release_ns())
                 break
-            if self._fused:
-                store.sort_split_nodes(p, cur, small=p, large=cur, ma=p_node.count)
-            else:
-                pk, pp, ck, cp = sort_split_payload(
-                    p_node.keys(), p_node.payload(),
-                    c_node.keys(), c_node.payload(),
-                    ma=p_node.count,
-                )
-                p_node.set_keys(pk, pp)
-                c_node.set_keys(ck, cp)
+            store.sort_split_nodes(p, cur, small=p, large=cur, ma=p_node.count)
             self.stats["percolate_levels"] += 1
             yield Compute(m.node_sort_split_ns(p_node.count, c_node.count))
             yield Release(store.lock(cur))

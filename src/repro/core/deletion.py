@@ -28,7 +28,6 @@ from ..obs.events import (
     ROOT_REFILL,
     SORT_SPLIT,
 )
-from ..primitives import sort_split_payload
 from ..sim import Acquire, Compute, Release, Wait, crashpoint
 from .heap import left, right
 from .node import AVAIL, EMPTY, MARKED, TARGET
@@ -160,15 +159,7 @@ class DeleteMixin:
 
         # line 13: ensure root <= buffer
         if self.pbuffer.size:
-            if self._fused:
-                self._balance_root_buffer()
-            else:
-                rk, rp, self.pbuffer, self.pbuffer_pay = sort_split_payload(
-                    root.keys(), root.payload(),
-                    self.pbuffer, self.pbuffer_pay,
-                    ma=root.count,
-                )
-                root.set_keys(rk, rp)
+            self._balance_root_buffer()
             if self.obs is not None:
                 self.obs.emit_here(
                     SORT_SPLIT, site="delete.root_buffer",
@@ -338,15 +329,7 @@ class DeleteMixin:
                 # line 9: x = child with the larger max keeps the large half
                 x, y = (l, r) if nl.max_key() > nr.max_key() else (r, l)
                 ma = min(self.k, nl.count + nr.count)
-                if self._fused:
-                    fast = store.sort_split_nodes(l, r, small=y, large=x, ma=ma)
-                else:
-                    sk, sp, lk, lp = sort_split_payload(
-                        nl.keys(), nl.payload(), nr.keys(), nr.payload(), ma=ma
-                    )
-                    store.node(y).set_keys(sk, sp)
-                    store.node(x).set_keys(lk, lp)
-                    fast = False
+                fast = store.sort_split_nodes(l, r, small=y, large=x, ma=ma)
                 if self.obs is not None:
                     self.obs.emit_here(
                         SORT_SPLIT, site="delete.heapify_pair",
@@ -366,19 +349,9 @@ class DeleteMixin:
 
             # line 12: current node keeps the small half
             y_node = store.node(y)
-            if self._fused:
-                fast = store.sort_split_nodes(
-                    cur, y, small=cur, large=y, ma=cur_node.count
-                )
-            else:
-                sk, sp, lk, lp = sort_split_payload(
-                    cur_node.keys(), cur_node.payload(),
-                    y_node.keys(), y_node.payload(),
-                    ma=cur_node.count,
-                )
-                cur_node.set_keys(sk, sp)
-                y_node.set_keys(lk, lp)
-                fast = False
+            fast = store.sort_split_nodes(
+                cur, y, small=cur, large=y, ma=cur_node.count
+            )
             if self.obs is not None:
                 self.obs.emit_here(
                     SORT_SPLIT, site="delete.heapify_down",

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CapacityError, ConfigurationError
+from ..errors import CapacityError
 from ..primitives.inplace import ScratchLedger, sort_split_into
 from ..sim import SimLock
 from .arena import NodeArena
-from .node import EMPTY, BatchNode
+from .node import BatchNode
 
 __all__ = ["HeapStorage", "parent", "left", "right", "level", "path_next"]
 
@@ -60,15 +60,10 @@ class HeapStorage:
     :class:`~repro.errors.CapacityError`, mirroring the fixed
     pre-allocated device array of the CUDA implementation.
 
-    ``storage`` selects the backing layout:
-
-    * ``"arena"`` (default) — one shared :class:`NodeArena` holds every
-      node row contiguously (the device layout of §3.3); nodes are
-      two-word views and the fused helpers below rebalance node rows in
-      place through a preallocated :class:`ScratchLedger`.
-    * ``"list"`` — each node owns a private single-row arena, and the
-      queue code takes the original allocate-per-merge path.  Kept as a
-      differential-testing reference for the fused path.
+    One shared :class:`NodeArena` holds every node row contiguously
+    (the device layout of §3.3); nodes are two-word views and the fused
+    helpers below rebalance node rows in place through a preallocated
+    :class:`ScratchLedger`.
     """
 
     def __init__(
@@ -79,51 +74,31 @@ class HeapStorage:
         name: str = "bgpq",
         payload_width: int = 0,
         payload_dtype=np.int64,
-        storage: str = "arena",
     ):
         if max_nodes < 1:
             raise CapacityError("need at least the root node")
-        if storage not in ("arena", "list"):
-            raise ConfigurationError(
-                f"unknown storage {storage!r}; choose 'arena' or 'list'"
-            )
         self.max_nodes = max_nodes
         self.node_capacity = node_capacity
         self.dtype = np.dtype(dtype)
         self.payload_width = payload_width
         self.payload_dtype = np.dtype(payload_dtype)
-        self.storage = storage
         # index 0 unused; nodes/rows allocated eagerly like the device array
-        if storage == "arena":
-            self.arena: NodeArena | None = NodeArena(
-                max_nodes + 1,
-                node_capacity,
-                dtype=dtype,
-                payload_width=payload_width,
-                payload_dtype=payload_dtype,
-            )
-            self.scratch: ScratchLedger | None = ScratchLedger(
-                node_capacity,
-                dtype=dtype,
-                payload_width=payload_width,
-                payload_dtype=payload_dtype,
-            )
-            self.nodes: list[BatchNode] = [
-                BatchNode.view(self.arena, i) for i in range(max_nodes + 1)
-            ]
-        else:
-            self.arena = None
-            self.scratch = None
-            self.nodes = [
-                BatchNode(
-                    node_capacity,
-                    dtype=dtype,
-                    state=EMPTY,
-                    payload_width=payload_width,
-                    payload_dtype=payload_dtype,
-                )
-                for _ in range(max_nodes + 1)
-            ]
+        self.arena = NodeArena(
+            max_nodes + 1,
+            node_capacity,
+            dtype=dtype,
+            payload_width=payload_width,
+            payload_dtype=payload_dtype,
+        )
+        self.scratch = ScratchLedger(
+            node_capacity,
+            dtype=dtype,
+            payload_width=payload_width,
+            payload_dtype=payload_dtype,
+        )
+        self.nodes: list[BatchNode] = [
+            BatchNode.view(self.arena, i) for i in range(max_nodes + 1)
+        ]
         #: locks[1] protects both the root and the partial buffer (§4)
         self.locks: list[SimLock] = [SimLock(f"{name}.n{i}") for i in range(max_nodes + 1)]
         self.heap_size = 0  # number of live nodes including the root
@@ -161,7 +136,7 @@ class HeapStorage:
         node ``small`` receives the ``ma`` smallest keys, node ``large``
         the rest.  ``{small, large}`` must equal ``{i, j}``; both rows
         are rewritten through the scratch ledger with no temporaries.
-        Arena storage only; callers hold both node locks.
+        Callers hold both node locks.
 
         Returns True when the presorted fast path fired (the rows were
         already the requested split and nothing was rewritten) — the
@@ -203,7 +178,7 @@ class HeapStorage:
         """SORT_SPLIT node ``i`` against a travelling batch, in place:
         the node keeps the ``|i|`` smallest keys of node ∪ items and the
         batch arrays are rewritten with the rest (same length — this is
-        the heapify step of Alg. 1 line 20/33).  Arena storage only.
+        the heapify step of Alg. 1 line 20/33).
         Returns True when the presorted fast path skipped the rewrite.
         """
         a, s = self.arena, self.scratch

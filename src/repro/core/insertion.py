@@ -29,7 +29,6 @@ from ..obs.events import (
     ROOT_REFILL,
     SORT_SPLIT,
 )
-from ..primitives import merge_with_payload, sort_split_payload
 from ..sim import Acquire, Atomic, Compute, Release, Signal, crashpoint
 from .heap import parent, path_next
 from .node import AVAIL, EMPTY, MARKED, TARGET
@@ -177,9 +176,8 @@ class InsertMixin:
 
         if guard is not None:
             # One snapshot covers every pre-commit mutation below *and*
-            # the caller's grow().  The buffer snapshot is storage-aware:
-            # the list backend replaces its arrays (references suffice),
-            # the arena backend rewrites them in place (copies).
+            # the caller's grow().  The buffer is rewritten in place, so
+            # its snapshot copies.
             root_k = root.keys().copy()
             root_p = root.payload().copy()
             root_count, root_state = root.count, root.state
@@ -212,14 +210,7 @@ class InsertMixin:
         # line 20: SORT_SPLIT(root, |root|, items, size, |root|) — the
         # root keeps the |root| smallest of root ∪ items.
         if root.count:
-            if self._fused:
-                fast = store.sort_split_node_items(1, items_k, items_p)
-            else:
-                rk, rp, items_k, items_p = sort_split_payload(
-                    root.keys(), root.payload(), items_k, items_p, ma=root.count
-                )
-                root.set_keys(rk, rp)
-                fast = False
+            fast = store.sort_split_node_items(1, items_k, items_p)
             if obs is not None:
                 obs.emit_here(
                     SORT_SPLIT, site="insert.root",
@@ -230,12 +221,7 @@ class InsertMixin:
         if self.pbuffer.size + items_k.size < self.k:  # lines 21-24: absorb
             # (kept sorted by merging — equivalent to append+sort-on-use)
             yield Compute(m.sort_split_ns(self.pbuffer.size, items_k.size))
-            if self._fused:
-                self._buffer_absorb(items_k, items_p)
-            else:
-                self.pbuffer, self.pbuffer_pay = merge_with_payload(
-                    self.pbuffer, self.pbuffer_pay, items_k, items_p
-                )
+            self._buffer_absorb(items_k, items_p)
             self.stats["partial_insert"] += 1
             if obs is not None:
                 obs.emit_here(
@@ -250,12 +236,7 @@ class InsertMixin:
 
         # lines 26-29: overflow — detach the k smallest as a full batch
         n_in = items_k.size
-        if self._fused:
-            fk, fp = self._buffer_detach_full(items_k, items_p)
-        else:
-            fk, fp, self.pbuffer, self.pbuffer_pay = sort_split_payload(
-                items_k, items_p, self.pbuffer, self.pbuffer_pay, ma=self.k
-            )
+        fk, fp = self._buffer_detach_full(items_k, items_p)
         if obs is not None:
             obs.emit_here(
                 PBUFFER_OVERFLOW,
@@ -291,14 +272,7 @@ class InsertMixin:
             yield Compute(m.lock_release_ns())
             node = store.node(cur)
             if node.state == AVAIL and node.count:
-                if self._fused:
-                    fast = store.sort_split_node_items(cur, items_k, items_p)
-                else:
-                    nk, np_, items_k, items_p = sort_split_payload(
-                        node.keys(), node.payload(), items_k, items_p, ma=node.count
-                    )
-                    node.set_keys(nk, np_)
-                    fast = False
+                fast = store.sort_split_node_items(cur, items_k, items_p)
                 if self.obs is not None:
                     self.obs.emit_here(
                         SORT_SPLIT, site="insert.heapify",

@@ -22,19 +22,12 @@ It supports (key, payload) records: payloads are fixed-width NumPy
 rows that travel with their keys through every merge and split, which
 is how the applications store search-tree nodes.
 
-Two storage backends share the public API:
-
-* ``storage="arena"`` (default) — the whole heap lives in one
-  :class:`~repro.core.arena.NodeArena` (row 0 is the partial buffer,
-  row ``i`` is node ``i``), every SORT_SPLIT runs through the fused
-  in-place :func:`~repro.primitives.inplace.sort_split_into` path, and
-  the steady-state heapify loop performs zero traced allocations —
-  the application engines' hot path mirrors the paper's preallocated
-  device layout (§3.3).
-* ``storage="list"`` — the original allocate-per-merge path (one
-  ``_Slot`` of fresh ndarrays per split), kept as a differential-
-  testing reference: both backends produce bit-identical keys,
-  payloads, and simulated times on every operation sequence.
+The whole heap lives in one :class:`~repro.core.arena.NodeArena` (row 0
+is the partial buffer, row ``i`` is node ``i``), every SORT_SPLIT runs
+through the fused in-place :func:`~repro.primitives.inplace.sort_split_into`
+path, and the steady-state heapify loop performs zero traced
+allocations — the application engines' hot path mirrors the paper's
+preallocated device layout (§3.3).
 
 Bulk operations amortise per-batch overhead the way the paper's
 batching amortises per-key overhead: :meth:`insert_bulk` accepts
@@ -51,6 +44,7 @@ reference for the concurrent implementation.
 
 from __future__ import annotations
 
+import numbers
 import re
 from fractions import Fraction
 
@@ -59,11 +53,10 @@ import numpy as np
 from ..device.costmodel import GpuCostModel
 from ..device.kernels import GpuContext
 from ..errors import ConfigurationError
-from ..primitives import merge_with_payload
 from ..primitives import kernels as kernel_registry
 from ..primitives.inplace import ScratchLedger
 from .arena import NodeArena
-from .heap import left, level, parent, path_next, right
+from .heap import left, parent, path_next, right
 
 __all__ = ["NativeBGPQ", "TICKS_PER_NS"]
 
@@ -76,6 +69,12 @@ TICKS_PER_NS = 1 << 1074
 # the str(Fraction) form export_state writes; no exponents, so parsing
 # a hostile snapshot cannot build a giant power of ten
 _SIM_NS_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+# every top-level field export_state writes; restore_state needs them all
+_SNAPSHOT_FIELDS = (
+    "k", "key_dtype", "payload_width", "payload_dtype",
+    "heap_size", "buffer", "nodes", "sim_ns", "stats",
+)
 
 # bound on each queue's charge memo (distinct (tag, p1, p2) shapes)
 _CHARGE_MEMO_MAX = 4096
@@ -172,16 +171,6 @@ def _snapshot_ticks(sim_ns) -> int:
     return exact.numerator * (TICKS_PER_NS // den)
 
 
-class _Slot:
-    """One batch node of the list backend: sorted keys + aligned rows."""
-
-    __slots__ = ("keys", "payload")
-
-    def __init__(self, keys: np.ndarray, payload: np.ndarray):
-        self.keys = keys
-        self.payload = payload
-
-
 class NativeBGPQ:
     """Sequential batched heap with device-cost accounting.
 
@@ -195,8 +184,8 @@ class NativeBGPQ:
     key_dtype / payload_width / payload_dtype:
         Record layout.  ``payload_width=0`` stores bare keys.
     storage:
-        ``"arena"`` (default) for the contiguous allocation-free
-        backend, ``"list"`` for the legacy allocate-per-merge path.
+        Always ``"arena"``, the one storage layout; accepted (and kept
+        as an attribute) so callers that pass it through keep working.
     """
 
     def __init__(
@@ -211,9 +200,9 @@ class NativeBGPQ:
     ):
         if node_capacity < 2:
             raise ConfigurationError("node capacity must be >= 2")
-        if storage not in ("arena", "list"):
+        if storage != "arena":
             raise ConfigurationError(
-                f"unknown storage {storage!r}; choose 'arena' or 'list'"
+                f"unknown storage {storage!r}; the only layout is 'arena'"
             )
         self.k = node_capacity
         self.key_dtype = np.dtype(key_dtype)
@@ -235,13 +224,11 @@ class NativeBGPQ:
             self._kern = kernels
         else:
             self._kern = kernel_registry.active()
-        # fused C heapify needs the arena layout and int64 keys (payload
-        # rows move as raw bytes, so any payload dtype is fine)
+        # fused C heapify needs int64 keys (payload rows move as raw
+        # bytes, so any payload dtype is fine)
         self._row_bytes = self.payload_width * self.payload_dtype.itemsize
         self._fused = (
-            storage == "arena"
-            and bool(getattr(self._kern, "fused", False))
-            and self.key_dtype == _I64
+            bool(getattr(self._kern, "fused", False)) and self.key_dtype == _I64
         )
         if self._fused:
             # combined scratch: [2k int64 keys][2k payload rows], int64-
@@ -251,39 +238,26 @@ class NativeBGPQ:
             self._fscratch = np.empty(2 * node_capacity + pad, dtype=np.int64)
             self._ins_log = np.empty(256, dtype=np.int64)
             self._del_log = np.empty(1024, dtype=np.int64)
-        if storage == "arena":
-            # row 0 is the partial buffer, row i is node i; rows double
-            # on demand so steady-state operation never reallocates
-            self._arena = NodeArena(
-                8,
-                node_capacity,
-                dtype=key_dtype,
-                payload_width=payload_width,
-                payload_dtype=payload_dtype,
-            )
-            self._scratch = ScratchLedger(
-                node_capacity,
-                dtype=key_dtype,
-                payload_width=payload_width,
-                payload_dtype=payload_dtype,
-            )
-            # the travelling batch of both heapify loops (Alg. 1's `items`)
-            self._items_k = np.empty(node_capacity, dtype=key_dtype)
-            self._items_p = np.empty(
-                (node_capacity, payload_width), dtype=payload_dtype
-            )
-        else:
-            # nodes[1] is the root; nodes beyond _heap_size are dead slots
-            self._nodes: list[_Slot | None] = [None, self._empty_slot()]
-            self._buf = self._empty_slot()
-
-    # -- shared internals ------------------------------------------------
-    def _empty_slot(self) -> _Slot:
-        return _Slot(
-            np.empty(0, dtype=self.key_dtype),
-            np.empty((0, self.payload_width), dtype=self.payload_dtype),
+        # row 0 is the partial buffer, row i is node i; rows double
+        # on demand so steady-state operation never reallocates
+        self._arena = NodeArena(
+            8,
+            node_capacity,
+            dtype=key_dtype,
+            payload_width=payload_width,
+            payload_dtype=payload_dtype,
         )
+        self._scratch = ScratchLedger(
+            node_capacity,
+            dtype=key_dtype,
+            payload_width=payload_width,
+            payload_dtype=payload_dtype,
+        )
+        # the travelling batch of both heapify loops (Alg. 1's `items`)
+        self._items_k = np.empty(node_capacity, dtype=key_dtype)
+        self._items_p = np.empty((node_capacity, payload_width), dtype=payload_dtype)
 
+    # -- internals ---------------------------------------------------------
     def _empty_out(self) -> tuple[np.ndarray, np.ndarray]:
         return (
             np.empty(0, dtype=self.key_dtype),
@@ -307,7 +281,7 @@ class NativeBGPQ:
             self._ticks += _ticks(ns)
 
     def _charge_split(self, na: int, nb: int) -> None:
-        """One node-level SORT_SPLIT charge (both backends, either path)."""
+        """One node-level SORT_SPLIT charge."""
         if self.model is not None:
             self._ticks += self._charges[0, na, nb]
 
@@ -407,35 +381,24 @@ class NativeBGPQ:
         # fewer than k keys: everything is the root, buffer stays empty
         nodes = max(1, full)
         body = nodes * k if full else n
-        if self.storage == "arena":
-            self._ensure_rows(nodes)
-            a = self._arena
-            if full:
-                a.keys[1 : full + 1] = skeys[:body].reshape(full, k)
-                if self.payload_width:
-                    a.pay[1 : full + 1] = spay[:body].reshape(
-                        full, k, self.payload_width
-                    )
-                a.counts[1 : full + 1] = k
-                a.keys[0, :rest] = skeys[body:]
-                if self.payload_width:
-                    a.pay[0, :rest] = spay[body:]
-                a.counts[0] = rest
-            else:
-                a.keys[1, :n] = skeys
-                if self.payload_width:
-                    a.pay[1, :n] = spay
-                a.counts[1] = n
+        self._ensure_rows(nodes)
+        a = self._arena
+        if full:
+            a.keys[1 : full + 1] = skeys[:body].reshape(full, k)
+            if self.payload_width:
+                a.pay[1 : full + 1] = spay[:body].reshape(
+                    full, k, self.payload_width
+                )
+            a.counts[1 : full + 1] = k
+            a.keys[0, :rest] = skeys[body:]
+            if self.payload_width:
+                a.pay[0, :rest] = spay[body:]
+            a.counts[0] = rest
         else:
-            self._ensure_capacity(nodes)
-            if full:
-                for i in range(full):
-                    self._nodes[i + 1] = _Slot(
-                        skeys[i * k : (i + 1) * k], spay[i * k : (i + 1) * k]
-                    )
-                self._buf = _Slot(skeys[body:], spay[body:])
-            else:
-                self._nodes[1] = _Slot(skeys, spay)
+            a.keys[1, :n] = skeys
+            if self.payload_width:
+                a.pay[1, :n] = spay
+            a.counts[1] = n
         self._heap_size = nodes
 
     def deletemin(self, count: int):
@@ -448,9 +411,7 @@ class NativeBGPQ:
         if self.model is not None:
             self._ticks += self._charges[_ROOT_LOCK, 0, 0]
         self.stats["ops"] += 1
-        if self.storage == "arena":
-            return self._deletemin_arena(count)
-        return self._deletemin_list(count)
+        return self._deletemin(count)
 
     def peek(self):
         """Smallest key without removing it (``None`` when empty).
@@ -461,25 +422,14 @@ class NativeBGPQ:
         traversal happens and no device time is charged here — a
         fleet-level caller models its own probe cost explicitly.
         """
-        if self.storage == "arena":
-            a = self._arena
-            if self._heap_size and a.counts[1]:
-                return a.keys[1, 0].item()
-            nbuf = int(a.counts[0])
-            return a.keys[0, 0].item() if nbuf else None
-        if self._heap_size:
-            root = self._nodes[1]
-            if root is not None and root.keys.size:
-                return root.keys[0].item()
-        return self._buf.keys[0].item() if self._buf.keys.size else None
+        a = self._arena
+        if self._heap_size and a.counts[1]:
+            return a.keys[1, 0].item()
+        return a.keys[0, 0].item() if a.counts[0] else None
 
     def clear(self) -> None:
         """Reset to empty; storage, stats and the sim clock are retained."""
-        if self.storage == "arena":
-            self._arena.counts[:] = 0
-        else:
-            self._nodes = [None, self._empty_slot()]
-            self._buf = self._empty_slot()
+        self._arena.counts[:] = 0
         self._heap_size = 0
 
     # -- dispatch ---------------------------------------------------------
@@ -487,14 +437,9 @@ class NativeBGPQ:
         """Insert one already-sorted batch of at most k records."""
         self._charge_batch_entry(skeys.size)
         self.stats["ops"] += 1
-        if self.storage == "arena":
-            self._insert_sorted_arena(skeys, spay)
-        else:
-            self._insert_sorted_list(skeys, spay)
+        self._insert_sorted_rows(skeys, spay)
 
-    # =====================================================================
-    # arena backend: contiguous rows, fused in-place SORT_SPLIT
-    # =====================================================================
+    # -- arena rows, fused in-place SORT_SPLIT -------------------------------
     def _ensure_rows(self, i: int) -> None:
         a = self._arena
         if i >= a.rows:
@@ -504,7 +449,7 @@ class NativeBGPQ:
         """SORT_SPLIT rows ``i`` and ``j`` (merged in that order) in place:
         row ``small`` receives the ``ma`` smallest records, row ``large``
         the rest.  ``{small, large} == {i, j}``; ties keep ``i``'s keys
-        first, exactly like the list backend's ``merge_with_payload``.
+        first, exactly like :func:`~repro.primitives.merge_with_payload`.
         """
         a, s = self._arena, self._scratch
         ni = int(a.counts[i])
@@ -566,7 +511,7 @@ class NativeBGPQ:
                 a.pay[i, :m] = s.pay[:m]
         a.counts[i] = m
 
-    def _insert_sorted_arena(self, skeys: np.ndarray, spay: np.ndarray) -> None:
+    def _insert_sorted_rows(self, skeys: np.ndarray, spay: np.ndarray) -> None:
         a = self._arena
         n = skeys.size
         if self._heap_size == 0:
@@ -635,9 +580,9 @@ class NativeBGPQ:
                 ik[:n], a.keys[0, :nbuf], self.k, ik, a.keys[0], self._scratch
             )
         a.counts[0] = n + nbuf - self.k
-        self._insert_heapify_arena()
+        self._insert_heapify()
 
-    def _insert_heapify_arena(self) -> None:
+    def _insert_heapify(self) -> None:
         """Heapify the full travelling batch down to a fresh last slot."""
         self.stats["insert_heapify"] += 1
         a = self._arena
@@ -657,7 +602,7 @@ class NativeBGPQ:
             a.pay[tar, :k] = self._items_p
         a.counts[tar] = k
 
-    def _deletemin_arena(self, count: int):
+    def _deletemin(self, count: int):
         a = self._arena
         k = self.k
         if self._heap_size == 0:
@@ -728,12 +673,12 @@ class NativeBGPQ:
         if int(a.counts[0]):
             self._charge_split(nlast, int(a.counts[0]))
             self._split_rows(1, 0, small=1, large=0, ma=nlast)
-        ex_k, ex_p = self._deletemin_heapify_arena(remained)
+        ex_k, ex_p = self._deletemin_heapify(remained)
         out_k = np.concatenate([out_root_k, ex_k])
         out_p = np.concatenate([out_root_p, ex_p])
         return out_k, out_p
 
-    def _deletemin_heapify_arena(self, remained: int):
+    def _deletemin_heapify(self, remained: int):
         self.stats["deletemin_heapify"] += 1
         a = self._arena
         cur = 1
@@ -777,198 +722,29 @@ class NativeBGPQ:
                 out = extract_root()
             cur = y
 
-    # =====================================================================
-    # list backend: the legacy allocate-per-merge path (differential ref)
-    # =====================================================================
-    def _split(self, a: _Slot, b: _Slot, ma: int) -> tuple[_Slot, _Slot]:
-        """SORT_SPLIT with payloads; charges one node-level op."""
-        keys, payload = merge_with_payload(
-            a.keys, a.payload, b.keys, b.payload, dtype=self.key_dtype
-        )
-        self._charge_split(a.keys.size, b.keys.size)
-        return (
-            _Slot(keys[:ma], payload[:ma]),
-            _Slot(keys[ma:], payload[ma:]),
-        )
-
-    def _ensure_capacity(self, i: int) -> None:
-        while len(self._nodes) <= i:
-            self._nodes.append(None)
-
-    def _insert_sorted_list(self, skeys: np.ndarray, spay: np.ndarray) -> None:
-        items = _Slot(skeys, spay)
-        root = self._nodes[1]
-        if self._heap_size == 0:
-            self._nodes[1] = items
-            self._heap_size = 1
-            return
-        # root keeps its |root| smallest
-        if root.keys.size:
-            new_root, items = self._split(root, items, ma=root.keys.size)
-            self._nodes[1] = new_root
-        if self._buf.keys.size + items.keys.size < self.k:
-            merged_k, merged_p = merge_with_payload(
-                self._buf.keys, self._buf.payload, items.keys, items.payload,
-                dtype=self.key_dtype,
-            )
-            if self.model is not None:
-                self._charge(self.model.sort_split_ns(self._buf.keys.size, items.keys.size))
-            self._buf = _Slot(merged_k, merged_p)
-            return
-        # buffer overflow: detach a full batch, heapify it down
-        full, rest = self._split(items, self._buf, ma=self.k)
-        self._buf = rest
-        self._insert_heapify(full)
-
-    def _insert_heapify(self, items: _Slot) -> None:
-        self.stats["insert_heapify"] += 1
-        tar = self._heap_size + 1
-        self._heap_size = tar
-        self._ensure_capacity(tar)
-        cur = path_next(1, tar) if tar != 1 else 1
-        while cur != tar:
-            node = self._nodes[cur]
-            smaller, items = self._split(node, items, ma=node.keys.size)
-            self._nodes[cur] = smaller
-            cur = path_next(cur, tar)
-        self._nodes[tar] = items
-
-    def _deletemin_list(self, count: int):
-        empty = self._empty_slot()
-        if self._heap_size == 0:
-            return empty.keys, empty.payload
-
-        root = self._nodes[1]
-        if count < root.keys.size:
-            out = _Slot(root.keys[:count], root.payload[:count])
-            self._nodes[1] = _Slot(root.keys[count:], root.payload[count:])
-            if self.model is not None:
-                self._charge(self.model.global_read_ns(count))
-            return out.keys, out.payload
-
-        items = root
-        self._nodes[1] = empty
-        if self._heap_size == 1:
-            # refill from the buffer
-            take = min(count - items.keys.size, self._buf.keys.size)
-            got, rest = _Slot(self._buf.keys[:take], self._buf.payload[:take]), _Slot(
-                self._buf.keys[take:], self._buf.payload[take:]
-            )
-            out_k = np.concatenate([items.keys, got.keys])
-            out_p = np.concatenate([items.payload, got.payload])
-            if rest.keys.size:
-                self._nodes[1] = rest
-                self._buf = self._empty_slot()
-            else:
-                self._buf = self._empty_slot()
-                self._heap_size = 0
-            return out_k, out_p
-
-        remained = count - items.keys.size
-        # move the last node into the root, fold the buffer in
-        last = self._nodes[self._heap_size]
-        self._nodes[self._heap_size] = None
-        self._heap_size -= 1
-        if self.model is not None:
-            self._charge(self.model.global_read_ns(self.k) + self.model.global_write_ns(self.k))
-        if self._buf.keys.size:
-            new_root, self._buf = self._split(last, self._buf, ma=last.keys.size)
-        else:
-            new_root = last
-        self._nodes[1] = new_root
-        extracted = self._deletemin_heapify(remained)
-        out_k = np.concatenate([items.keys, extracted.keys])
-        out_p = np.concatenate([items.payload, extracted.payload])
-        return out_k, out_p
-
-    def _deletemin_heapify(self, remained: int) -> _Slot:
-        self.stats["deletemin_heapify"] += 1
-        cur = 1
-        out: _Slot | None = None
-
-        def extract_root() -> _Slot:
-            node = self._nodes[1]
-            take = min(remained, node.keys.size)
-            got = _Slot(node.keys[:take], node.payload[:take])
-            self._nodes[1] = _Slot(node.keys[take:], node.payload[take:])
-            if self.model is not None:
-                self._charge(self.model.global_read_ns(take))
-            return got
-
-        while True:
-            cur_node = self._nodes[cur]
-            children = [
-                c
-                for c in (left(cur), right(cur))
-                if c <= self._heap_size and self._nodes[c] is not None and self._nodes[c].keys.size
-            ]
-            if (
-                not children
-                or cur_node.keys.size == 0
-                or cur_node.keys[-1] <= min(self._nodes[c].keys[0] for c in children)
-            ):
-                if out is None:
-                    out = extract_root()
-                return out
-            if len(children) == 2:
-                l, r = children
-                nl, nr = self._nodes[l], self._nodes[r]
-                x, y = (l, r) if nl.keys[-1] > nr.keys[-1] else (r, l)
-                ma = min(self.k, nl.keys.size + nr.keys.size)
-                small, large = self._split(nl, nr, ma=ma)
-                self._nodes[y] = small
-                self._nodes[x] = large
-            else:
-                y = children[0]
-            small, large = self._split(cur_node, self._nodes[y], ma=cur_node.keys.size)
-            self._nodes[cur] = small
-            self._nodes[y] = large
-            if cur == 1 and out is None:
-                out = extract_root()
-            cur = y
-
     # -- durable state ------------------------------------------------------
     def export_state(self) -> dict:
-        """Canonical, storage-agnostic snapshot of the logical queue state.
+        """Canonical snapshot of the logical queue state.
 
         Everything an identical replay needs — layout, heap shape, the
         live records of every node and the partial buffer, the exact
         simulated clock (as an exact ``Fraction`` string, so no float
         rounding sneaks in), and the op counters — as plain
-        JSON-serializable types.  Arena capacity, scratch contents, and dead rows are
-        deliberately *not* part of the state: two queues that played the
+        JSON-serializable types.  Arena capacity, scratch contents, and
+        dead rows are deliberately *not* part of the state: two queues that played the
         same op sequence export identical dicts even if one grew its
         arena in different steps, which is what lets the durable service
         layer compare a recovered queue to an uninterrupted oracle
         byte-for-byte (via the canonical-JSON digest in
         :mod:`repro.serve.checkpoint`).
         """
+        a = self._arena
+        buf_n = int(a.counts[0])
+        buffer = {"keys": a.keys[0, :buf_n].tolist(), "pay": a.pay[0, :buf_n].tolist()}
         nodes = []
-        if self.storage == "arena":
-            a = self._arena
-            buf_n = int(a.counts[0])
-            buffer = {
-                "keys": a.keys[0, :buf_n].tolist(),
-                "pay": a.pay[0, :buf_n].tolist(),
-            }
-            for i in range(1, self._heap_size + 1):
-                n = int(a.counts[i])
-                nodes.append(
-                    {"keys": a.keys[i, :n].tolist(), "pay": a.pay[i, :n].tolist()}
-                )
-        else:
-            buffer = {
-                "keys": self._buf.keys.tolist(),
-                "pay": self._buf.payload.tolist(),
-            }
-            for i in range(1, self._heap_size + 1):
-                slot = self._nodes[i]
-                if slot is None:
-                    nodes.append({"keys": [], "pay": []})
-                else:
-                    nodes.append(
-                        {"keys": slot.keys.tolist(), "pay": slot.payload.tolist()}
-                    )
+        for i in range(1, self._heap_size + 1):
+            n = int(a.counts[i])
+            nodes.append({"keys": a.keys[i, :n].tolist(), "pay": a.pay[i, :n].tolist()})
         return {
             "k": self.k,
             "key_dtype": self.key_dtype.name,
@@ -984,16 +760,39 @@ class NativeBGPQ:
     def restore_state(self, state: dict) -> None:
         """Overwrite this queue with an :meth:`export_state` snapshot.
 
-        The snapshot is layout-checked (k, dtypes, payload width must
-        match this queue's construction parameters, its rows must form
-        a valid batched heap, ``sim_ns`` must be a clock an export could
-        have written and ``stats`` a dict — else
-        :class:`ConfigurationError` before anything is written) and then
-        written straight into whichever storage backend this queue
-        uses — a restore never replays inserts, so the resulting node
-        layout, clock, and stats are exactly the exported ones
-        regardless of which backend produced the snapshot.
+        The snapshot is checked whole before anything is written: it
+        must be a dict carrying every exported field, ``heap_size`` an
+        int >= 0 and ``nodes`` a list; k, dtypes and payload width must
+        match this queue's construction parameters; its rows must form
+        a valid batched heap; ``sim_ns`` must be a clock an export could
+        have written and ``stats`` a dict.  Anything else raises
+        :class:`ConfigurationError` with the queue untouched.  The rows
+        are then written straight into the arena — a restore never
+        replays inserts, so the resulting node layout, clock, and stats
+        are exactly the exported ones.
         """
+        if not isinstance(state, dict):
+            raise ConfigurationError(
+                f"snapshot must be a dict, got {type(state).__name__}"
+            )
+        missing = [f for f in _SNAPSHOT_FIELDS if f not in state]
+        if missing:
+            raise ConfigurationError(f"snapshot lacks {', '.join(missing)}")
+        heap_size = state["heap_size"]
+        if (
+            not isinstance(heap_size, numbers.Integral)
+            or isinstance(heap_size, bool)
+            or heap_size < 0
+        ):
+            raise ConfigurationError(
+                f"snapshot heap_size must be an int >= 0, got {heap_size!r}"
+            )
+        heap_size = int(heap_size)
+        nodes = state["nodes"]
+        if not isinstance(nodes, list):
+            raise ConfigurationError(
+                f"snapshot nodes must be a list, got {type(nodes).__name__}"
+            )
         if state["k"] != self.k:
             raise ConfigurationError(
                 f"snapshot k={state['k']} != queue k={self.k}"
@@ -1009,8 +808,6 @@ class NativeBGPQ:
                 f"{state['payload_dtype']}) vs queue ({self.key_dtype.name}, "
                 f"w={self.payload_width} {self.payload_dtype.name})"
             )
-        heap_size = int(state["heap_size"])
-        nodes = state["nodes"]
         if len(nodes) != heap_size:
             raise ConfigurationError(
                 f"snapshot lists {len(nodes)} nodes for heap_size={heap_size}"
@@ -1036,46 +833,33 @@ class NativeBGPQ:
                 "snapshot breaks the heap layout: " + "; ".join(problems)
             )
 
-        ticks = _snapshot_ticks(state.get("sim_ns"))
-        stats = state.get("stats")
+        ticks = _snapshot_ticks(state["sim_ns"])
+        stats = state["stats"]
         if not isinstance(stats, dict):
             raise ConfigurationError(
                 f"snapshot stats must be a dict, got {type(stats).__name__}"
             )
 
         self.clear()
-        if self.storage == "arena":
-            self._ensure_rows(max(1, heap_size))
-            a = self._arena
-            a.keys[0, : bk.size] = bk
+        self._ensure_rows(max(1, heap_size))
+        a = self._arena
+        a.keys[0, : bk.size] = bk
+        if self.payload_width:
+            a.pay[0, : bk.size] = bp
+        a.counts[0] = bk.size
+        for i, (nk, npay) in enumerate(rows, start=1):
+            a.keys[i, : nk.size] = nk
             if self.payload_width:
-                a.pay[0, : bk.size] = bp
-            a.counts[0] = bk.size
-            for i, (nk, npay) in enumerate(rows, start=1):
-                a.keys[i, : nk.size] = nk
-                if self.payload_width:
-                    a.pay[i, : nk.size] = npay
-                a.counts[i] = nk.size
-        else:
-            self._ensure_capacity(max(1, heap_size))
-            self._buf = _Slot(bk, bp)
-            for i, (nk, npay) in enumerate(rows, start=1):
-                self._nodes[i] = _Slot(nk, npay)
+                a.pay[i, : nk.size] = npay
+            a.counts[i] = nk.size
         self._heap_size = heap_size
         self._ticks = ticks
         self.stats = dict(stats)
 
     # -- introspection ------------------------------------------------------
     def __len__(self) -> int:
-        if self.storage == "arena":
-            a = self._arena
-            return int(a.counts[0] + a.counts[1 : self._heap_size + 1].sum())
-        total = self._buf.keys.size
-        for i in range(1, self._heap_size + 1):
-            slot = self._nodes[i]
-            if slot is not None:
-                total += slot.keys.size
-        return total
+        a = self._arena
+        return int(a.counts[0] + a.counts[1 : self._heap_size + 1].sum())
 
     def __bool__(self) -> bool:
         return len(self) > 0
@@ -1111,49 +895,30 @@ class NativeBGPQ:
 
     def memory_bytes(self) -> int:
         """Backing storage for nodes + buffer (k + O(1) per record)."""
-        if self.storage == "arena":
-            return int(
-                self._arena.nbytes()
-                + self._scratch.keys.nbytes
-                + self._scratch.pay.nbytes
-                + self._items_k.nbytes
-                + self._items_p.nbytes
-            )
-        item = self.key_dtype.itemsize + self.payload_width * self.payload_dtype.itemsize
-        return (self._heap_size + 1) * self.k * item + 16 * (self._heap_size + 1)
+        return int(
+            self._arena.nbytes()
+            + self._scratch.keys.nbytes
+            + self._scratch.pay.nbytes
+            + self._items_k.nbytes
+            + self._items_p.nbytes
+        )
 
     def snapshot_keys(self) -> np.ndarray:
-        if self.storage == "arena":
-            a = self._arena
-            parts = [a.keys[0, : int(a.counts[0])]]
-            parts += [
-                a.keys[i, : int(a.counts[i])]
-                for i in range(1, self._heap_size + 1)
-            ]
-            return np.concatenate(parts) if parts else np.empty(0, dtype=self.key_dtype)
-        parts = [self._buf.keys]
-        for i in range(1, self._heap_size + 1):
-            slot = self._nodes[i]
-            if slot is not None:
-                parts.append(slot.keys)
-        return np.concatenate(parts) if parts else np.empty(0, dtype=self.key_dtype)
+        a = self._arena
+        parts = [a.keys[i, : int(a.counts[i])] for i in range(self._heap_size + 1)]
+        return np.concatenate(parts)
 
     # -- invariants (tests only) -------------------------------------------
     def _node_keys(self, i: int) -> np.ndarray | None:
         """Keys of node ``i`` (None for a dead slot); quiescent use only."""
-        if self.storage == "arena":
-            a = self._arena
-            if i >= a.rows:
-                return None
-            return a.keys[i, : int(a.counts[i])]
-        slot = self._nodes[i] if i < len(self._nodes) else None
-        return None if slot is None else slot.keys
+        a = self._arena
+        if i >= a.rows:
+            return None
+        return a.keys[i, : int(a.counts[i])]
 
     def _buffer_keys(self) -> np.ndarray:
-        if self.storage == "arena":
-            a = self._arena
-            return a.keys[0, : int(a.counts[0])]
-        return self._buf.keys
+        a = self._arena
+        return a.keys[0, : int(a.counts[0])]
 
     def _layout_problems(self, node_keys: list, buf: np.ndarray) -> list[str]:
         """Batched-heap layout violations; ``node_keys[i - 1]`` holds node

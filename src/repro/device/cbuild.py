@@ -10,9 +10,11 @@ get ``None`` and the NumPy reference kernels remain in charge, so the
 fast path can never take correctness down with it.
 
 Artifacts are cached under ``~/.cache/repro-ckern/<digest>/`` keyed by
-the SHA-256 of the C source plus the interpreter version, so editing
-``ckern.c`` or switching Pythons rebuilds automatically and repeat
-imports cost one ``stat``.  The compiler command that produced a
+the SHA-256 of the C source, the interpreter version, the platform and
+the host CPU's feature flags, so editing ``ckern.c``, switching Pythons
+or sharing the cache with a host that lacks an instruction set the
+``-march=native`` build used rebuilds automatically, and repeat imports
+cost one ``stat``.  The compiler command that produced a
 build is stored next to it (``build_cmd.txt``) and reported by
 :func:`build_command`, so benchmark baselines can record it.
 """
@@ -33,6 +35,7 @@ from types import ModuleType
 __all__ = ["build_command", "build_error", "cache_dir", "load_ckern", "source_path"]
 
 _CACHE_ENV = "REPRO_CKERN_CACHE"
+_CPUINFO = Path("/proc/cpuinfo")
 _BUILD_TIMEOUT_S = 120.0
 
 _module: ModuleType | None = None
@@ -64,11 +67,26 @@ def build_command() -> str | None:
     return _build_cmd
 
 
+def _cpu_flags() -> str:
+    """The CPU feature flags ``-march=native`` compiles against: the
+    first ``flags`` (x86) or ``Features`` (Arm) line of ``/proc/cpuinfo``,
+    or a constant where the file or the line is absent."""
+    try:
+        with _CPUINFO.open() as fh:
+            for line in fh:
+                if line.startswith(("flags", "Features")):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return "unknown"
+
+
 def _digest(source: Path) -> str:
     h = hashlib.sha256()
     h.update(source.read_bytes())
     h.update(sys.version.encode())
     h.update(sysconfig.get_platform().encode())
+    h.update(_cpu_flags().encode())
     return h.hexdigest()[:16]
 
 

@@ -49,7 +49,7 @@ service-style mixed workloads where the key *is* the message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,8 +83,8 @@ class _NativeShard:
 
     backend = "native"
 
-    def __init__(self, node_capacity: int, storage: str, ctx: GpuContext):
-        self.pq = NativeBGPQ(node_capacity=node_capacity, ctx=ctx, storage=storage)
+    def __init__(self, node_capacity: int, ctx: GpuContext):
+        self.pq = NativeBGPQ(node_capacity=node_capacity, ctx=ctx)
         self._mark = self.pq.sim_ticks
 
     def _delta_ns(self) -> float:
@@ -154,15 +154,8 @@ class _SimShard:
 
     backend = "sim"
 
-    def __init__(
-        self, node_capacity: int, storage: str, ctx: GpuContext, max_keys: int
-    ):
-        self.pq = BGPQ(
-            ctx=ctx,
-            node_capacity=node_capacity,
-            max_keys=max_keys,
-            storage=storage,
-        )
+    def __init__(self, node_capacity: int, ctx: GpuContext, max_keys: int):
+        self.pq = BGPQ(ctx=ctx, node_capacity=node_capacity, max_keys=max_keys)
 
     def insert(self, keys: np.ndarray) -> float:
         total = 0.0
@@ -258,10 +251,10 @@ class ShardedBGPQ:
     node_capacity:
         Per-shard batch node capacity (the paper's k); also the upper
         bound on a single delete_min's ``count``.
-    backend / storage:
+    backend:
         ``"native"`` (host-speed NativeBGPQ, default) or ``"sim"`` (the
-        discrete-event BGPQ driven per-op); both use the shared arena
-        or list storage underneath.
+        discrete-event BGPQ driven per-op); both use arena storage
+        underneath.
     policy / spray_width / seed:
         Router configuration (see :class:`~repro.fleet.router.Router`).
     obs:
@@ -276,7 +269,6 @@ class ShardedBGPQ:
         n_shards: int = 4,
         node_capacity: int = 512,
         backend: str = "native",
-        storage: str = "arena",
         policy: str = "hash",
         spray_width: int = 2,
         seed: int = 0,
@@ -291,7 +283,6 @@ class ShardedBGPQ:
             )
         self.k = node_capacity
         self.backend = backend
-        self._storage = storage
         self._max_keys = max_keys
         self.router = Router(
             n_shards, policy=policy, spray_width=spray_width, seed=seed
@@ -324,10 +315,10 @@ class ShardedBGPQ:
         }
 
     def _make_shard(self):
-        """One fresh shard with the fleet's backend/storage config."""
+        """One fresh shard with the fleet's backend config."""
         if self.backend == "native":
-            return _NativeShard(self.k, self._storage, self.ctx)
-        return _SimShard(self.k, self._storage, self.ctx, self._max_keys)
+            return _NativeShard(self.k, self.ctx)
+        return _SimShard(self.k, self.ctx, self._max_keys)
 
     # -- properties ---------------------------------------------------------
     @property

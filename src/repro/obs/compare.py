@@ -14,11 +14,11 @@ at phase granularity:
   or None when no phase grew.
 * :func:`render_diff` — the terminal delta table.
 
-The same engine backs the perf harness: when the ``repro bench micro``
-geomean gate fails, the CLI re-captures the mixed traced workload and
-diffs it against the committed ``BENCH_analysis.json``, so a red gate
-names *which phase* of the run's composition moved, not just that a
-host-timing ratio did.
+The same engine backs the golden test of the committed
+``BENCH_analysis.json``: it re-captures the mixed traced workload
+(:func:`repro.bench.reporting.capture_analysis`) and, on any mismatch,
+prints this diff, so a failure names *which phase* of the run's
+composition moved.
 """
 
 from __future__ import annotations

@@ -16,9 +16,7 @@ Tracing must not perturb what it observes.  Every emit site in the hot
 paths is guarded by a plain ``is not None`` test on an attribute that
 defaults to ``None`` (``Engine._obs``, ``BGPQ.obs``,
 ``FaultInjector._obs``), so a run without a bus pays one attribute load
-and one branch per *instrumented* point and allocates nothing — the
-PR 2 perf gate (``repro bench micro`` vs ``BENCH_micro.json``) runs
-untraced and therefore verifies the disabled cost stays in the noise.
+and one branch per *instrumented* point and allocates nothing.
 Emission itself only reads state and appends to a Python list: no
 effects are yielded, no simulated time is charged, and no RNG is
 consulted, so enabling tracing changes neither schedules, nor results,
@@ -252,7 +250,7 @@ class EventBus:
     ``FaultInjector(plan, seed, obs=bus)`` for crash deliveries.  One
     bus per run; :meth:`clear` resets it for reuse.
 
-    Outside an engine (e.g. the single-threaded micro-bench driver)
+    Outside an engine (e.g. a queue driven by a bare effect loop)
     :meth:`emit_here` falls back to a monotone sequence number as the
     timestamp and ``"host"`` as the thread, so traces of quiescent
     setup code still order correctly.

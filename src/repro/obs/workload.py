@@ -61,7 +61,6 @@ def run_traced_mixed(
     ops: int = 8,
     k: int = 8,
     seed: int = 1,
-    storage: str = "arena",
     bus: EventBus | None = None,
     trace: bool = True,
 ) -> TracedRun:
@@ -78,7 +77,7 @@ def run_traced_mixed(
         bus = EventBus()
     elif not trace:
         bus = None
-    pq = BGPQ(node_capacity=k, max_keys=1 << 14, storage=storage)
+    pq = BGPQ(node_capacity=k, max_keys=1 << 14)
     engine = Engine(seed=seed, obs=bus)
     if bus is not None:
         pq.obs = bus

@@ -3,7 +3,7 @@
 The CUDA BGPQ never allocates on the hot path: every SORT_SPLIT merges
 two batch nodes through the block's shared memory and writes the halves
 straight back to their global-memory rows (§3.3, §4).  The functions
-here reproduce that discipline for the arena storage backend:
+here reproduce that discipline for the arena storage layout:
 
 * :class:`ScratchLedger` — one preallocated 2k-wide staging area per
   heap (the "shared memory" of a simulated thread block).

@@ -111,7 +111,7 @@ class ServeOutcome:
 
 def _fresh_queue(cfg: ServeConfig) -> NativeBGPQ:
     ctx = GpuContext.default() if cfg.charge_device else None
-    return NativeBGPQ(node_capacity=cfg.k, ctx=ctx, storage="arena")
+    return NativeBGPQ(node_capacity=cfg.k, ctx=ctx)
 
 
 def _supervisor(cfg: ServeConfig, frontend: Frontend, box: dict,

@@ -12,7 +12,7 @@ from repro.bench.frontier import (
     render_frontier_delta,
     run_frontier,
 )
-from repro.bench.micro import compare_to_baseline
+from repro.bench.reporting import compare_to_baseline
 
 # small enough to run in well under a second, loaded enough that the
 # elastic cell actually grows (the gate requires it)

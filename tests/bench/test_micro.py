@@ -1,44 +1,37 @@
-"""Micro perf-regression harness: structure, gating logic, CLI exit codes."""
+"""Building blocks of the bench gates: the shared baseline comparator,
+the zero-allocation bar of one heapify step, the analysis-baseline
+path override, and bench target dispatch."""
 
 import json
 
-import pytest
+import numpy as np
 
-from repro.bench.micro import (
-    MICRO_KS,
-    _alloc_loop,
-    _drive,
-    baseline_path,
-    compare_to_baseline,
-    run_micro,
-)
+from repro.bench import wall
+from repro.bench.reporting import analysis_baseline_path, compare_to_baseline
+from repro.core import HeapStorage
 
 
-@pytest.fixture(scope="module")
-def quick_results():
-    """One tiny real run shared by the structural tests."""
-    return run_micro(ks=(8,), quick=True, prim_iters=50, op_iters=12)
+def test_arena_heapify_is_allocation_free():
+    """One heapify step — an in-place ``HeapStorage.sort_split_nodes``
+    rebalance of two full sibling rows, refilled each call from a pool
+    of interleaved runs so it always merges — retains less than one
+    k-key buffer under the wall lane's tracemalloc helper."""
+    for k in (8, 128):
+        rng = np.random.default_rng(20260806 + k)
+        pool = [np.sort(rng.integers(0, 1 << 30, size=(2, k))) for _ in range(8)]
+        store = HeapStorage(4, k)
 
+        def op(i):
+            store.nodes[2].set_keys(pool[i & 7][0])
+            store.nodes[3].set_keys(pool[i & 7][1])
+            return store.sort_split_nodes(2, 3, small=2, large=3, ma=k)
 
-def test_payload_structure(quick_results):
-    r = quick_results
-    assert r["benchmark"] == "micro"
-    assert r["meta"]["quick"] is True
-    benches = {row["bench"] for row in r["rows"]}
-    assert benches == {"sort_split", "heapify_step", "insert", "delete", "mixed"}
-    # one row per (bench, storage)
-    assert len(r["rows"]) == 2 * len(benches)
-    for row in r["rows"]:
-        assert row["storage"] in ("arena", "list")
-        assert row["ops_per_sec"] > 0
-    assert set(r["speedups"]) == {f"{b}/k=8" for b in benches}
-    assert list(r["zero_alloc"]) == ["heapify_step/k=8"]
-
-
-def test_arena_heapify_is_allocation_free(quick_results):
-    """The acceptance bar, at a small k so CI stays fast: the arena
-    heapify step retains less than one key-buffer across the loop."""
-    assert quick_results["zero_alloc"]["heapify_step/k=8"] is True
+        retained, _ = wall._alloc_loop(op, 200)
+        assert retained < k * 8, (k, retained)
+        assert op(0) is False  # no presorted fast path: the rows merged
+        merged = np.sort(pool[0], axis=None)
+        assert np.array_equal(store.nodes[2].keys(), merged[:k])
+        assert np.array_equal(store.nodes[3].keys(), merged[k:])
 
 
 def test_compare_to_baseline_passes_identical():
@@ -56,7 +49,7 @@ def test_compare_to_baseline_flags_speedup_regression():
 
 
 def test_compare_to_baseline_gates_on_geomean_not_cells():
-    """A single noisy cell must not trip the gate if the bench's
+    """A single noisy cell must not trip the gate if the lane's
     geometric mean across k is still within tolerance."""
     base = {"speedups": {"mixed/k=8": 2.0, "mixed/k=512": 2.0}, "zero_alloc": {}}
     # one cell -30%, the other +30%: geomean ~ 0.95x of baseline -> pass
@@ -84,56 +77,17 @@ def test_compare_to_baseline_ignores_missing_ks():
 
 def test_baseline_path_env_override(monkeypatch, tmp_path):
     target = tmp_path / "other.json"
-    monkeypatch.setenv("REPRO_BENCH_BASELINE", str(target))
-    assert baseline_path() == target
+    monkeypatch.setenv("REPRO_ANALYSIS_BASELINE", str(target))
+    assert analysis_baseline_path() == target
 
 
-def test_drive_rejects_blocking_wait():
-    from repro.sim import Condition, Wait
+def test_cli_bench_micro_exit_codes(monkeypatch, capsys):
+    """``micro`` is not a bench target (exit 2, named on stderr); a bare
+    ``repro bench`` runs the native wall lane."""
+    from repro import cli
 
-    def blocked():
-        yield Wait(Condition("c"), predicate=lambda: False)
-
-    with pytest.raises(RuntimeError, match="Wait would block"):
-        _drive(blocked())
-
-
-def test_alloc_loop_detects_retention():
-    kept = []
-    retained, peak = _alloc_loop(lambda i: kept.append(bytearray(1024)), 50)
-    assert retained > 50 * 1000
-    assert peak >= retained
-
-
-def test_cli_bench_micro_exit_codes(tmp_path, monkeypatch, capsys):
-    import functools
-
-    import repro.bench.micro as micro
-    from repro.cli import main
-
-    monkeypatch.setenv("REPRO_BENCH_BASELINE", str(tmp_path / "BENCH_micro.json"))
-    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
-    monkeypatch.setattr(
-        micro, "run_micro",
-        functools.partial(micro.run_micro, prim_iters=50, op_iters=12),
-    )
-    # first run: no baseline yet -> writes it, exits 0
-    assert main(["bench", "micro", "--quick", "--bench-ks", "8"]) == 0
-    assert (tmp_path / "BENCH_micro.json").exists()
-    capsys.readouterr()
-    # second run against its own baseline: no regression possible beyond
-    # jitter; gate allows 20%, so this should pass almost surely -- but
-    # rather than rely on timing, verify via a doctored baseline
-    doctored = json.loads((tmp_path / "BENCH_micro.json").read_text())
-    doctored["speedups"] = {k: v * 10 for k, v in doctored["speedups"].items()}
-    (tmp_path / "BENCH_micro.json").write_text(json.dumps(doctored))
-    assert main(["bench", "micro", "--quick", "--bench-ks", "8"]) == 1
-    out = capsys.readouterr().out
-    assert "PERF REGRESSION" in out
-    # --update-baseline rewrites and exits 0 again
-    assert main(["bench", "micro", "--quick", "--bench-ks", "8",
-                 "--update-baseline"]) == 0
-
-
-def test_default_ks_constant():
-    assert MICRO_KS == (32, 128, 512)
+    assert cli.main(["bench", "micro"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown bench target 'micro'" in err and "native" in err
+    monkeypatch.setattr(cli, "_run_bench_native", lambda args: 7)
+    assert cli.main(["bench"]) == 7

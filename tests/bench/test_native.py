@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from repro.bench import wall
-from repro.bench.micro import compare_to_baseline
+from repro.bench.reporting import compare_to_baseline
+from repro.core.native import NativeBGPQ
 
-#: bulk/build size for tests: the full 32768 records make the list
-#: reference's per-batch Python loop dominate every run at small k
+#: bulk/build size for tests: the full 32768 records would dominate
+#: every run at small k
 TINY_BULK = 256
 
 
@@ -34,15 +35,14 @@ def test_payload_structure(quick_results):
     assert r["meta"]["quick"] is True
     assert r["meta"]["bulk_records"] == TINY_BULK
     variants = r["meta"]["variants"]
-    # one row per (lane bench, variant); app cells run list vs numpy
-    for bench in wall.WALL_BENCHES:
+    # one row per (bench, variant), app cells included; every compiled
+    # variant gets a ratio over the numpy reference
+    for bench in wall.WALL_BENCHES + wall.APP_BENCHES:
         got = sorted(row["variant"] for row in r["rows"] if row["bench"] == bench)
         assert got == sorted(variants)
-    for bench in wall.APP_BENCHES:
-        got = sorted(row["variant"] for row in r["rows"] if row["bench"] == bench)
-        assert got == ["list", "numpy"]
-        assert f"{bench}:numpy/k=8" in r["speedups"]
-        assert not any(k.startswith(f"{bench}:cext") for k in r["speedups"])
+        for variant in r["meta"]["compiled_available"]:
+            assert f"{bench}:{variant}/k=8" in r["speedups"]
+    assert not any(":numpy/" in key for key in r["speedups"])
     for row in r["rows"]:
         assert row["ops_per_sec"] > 0
         # only the numpy mixed lane pays for allocation tracing
@@ -53,7 +53,7 @@ def test_payload_structure(quick_results):
 
 def test_arena_steady_state_is_allocation_free(quick_results):
     """The acceptance bar, at a small k so CI stays fast: the numpy
-    arena's steady-state insert+deletemin loop retains less than one
+    variant's steady-state insert+deletemin loop retains less than one
     key-buffer across the loop."""
     assert quick_results["zero_alloc"]["mixed:numpy/k=8"] is True
 
@@ -66,7 +66,8 @@ def test_e2e_rows_skip_alloc_tracing(quick_results):
 
 def test_gating_reuses_micro_comparator(quick_results):
     """App-cell ratio drift and a lost zero-alloc flag each fail the
-    shared comparator, one problem per lane."""
+    shared comparator (:func:`repro.bench.reporting.compare_to_baseline`),
+    one problem per lane."""
     baseline = json.loads(json.dumps(quick_results))
     for key in baseline["speedups"]:
         if key.split(":")[0] in wall.APP_BENCHES:
@@ -74,9 +75,11 @@ def test_gating_reuses_micro_comparator(quick_results):
     current = json.loads(json.dumps(quick_results))
     current["zero_alloc"]["mixed:numpy/k=8"] = False
     problems = compare_to_baseline(current, baseline)
-    assert len(problems) == 3
-    assert any("on knapsack:numpy" in p for p in problems)
-    assert any("on astar:numpy" in p for p in problems)
+    compiled = quick_results["meta"]["compiled_available"]
+    assert len(problems) == 1 + 2 * len(compiled)
+    for variant in compiled:
+        assert any(f"on knapsack:{variant}" in p for p in problems)
+        assert any(f"on astar:{variant}" in p for p in problems)
     assert any("allocation regression on mixed:numpy/k=8" in p for p in problems)
 
 
@@ -84,7 +87,7 @@ def test_bulk_lane_carries_width_one_payload(monkeypatch):
     """The bulk lane drives ``insert_bulk`` with a width-1 payload that
     mirrors the keys, so every drained row must match its key."""
     monkeypatch.setattr(wall, "BULK_RECORDS", TINY_BULK)
-    q = wall._make_queue("numpy", 8, payload_width=1)
+    q = NativeBGPQ(8, kernels="numpy", payload_width=1)
     op = wall._lane_bulk(q, 8, np.random.default_rng(0), total_ops=2)
     op(0)
     assert len(q) == TINY_BULK
@@ -99,11 +102,10 @@ def test_render_native_delta(quick_results):
     current = json.loads(json.dumps(quick_results))
     current["zero_alloc"]["mixed:numpy/k=8"] = False
     table = wall.render_wall_delta(current, baseline)
-    for bench in wall.WALL_BENCHES:
-        assert f"{bench}:numpy" in table
-    for bench in wall.APP_BENCHES:
-        assert f"{bench}:numpy" in table
-    assert "0.50" in table  # current/baseline ratio column
+    for variant in quick_results["meta"]["compiled_available"]:
+        for bench in wall.WALL_BENCHES + wall.APP_BENCHES:
+            assert f"{bench}:{variant}" in table
+        assert "0.50" in table  # current/baseline ratio column
     assert "zero-alloc mixed:numpy/k=8: baseline=yes now=NO" in table
 
 
@@ -114,12 +116,16 @@ def test_cli_bench_native_exit_codes(quick_results, tmp_path, monkeypatch,
     from repro.cli import main
 
     current = copy.deepcopy(quick_results)
+    # the app-cell ratio under test (absent on a numpy-only host)
+    current["speedups"].setdefault("knapsack:cext/k=8", 1.0)
     monkeypatch.setattr(
         wall, "run_wall", lambda ks, quick: copy.deepcopy(current)
     )
     base_path = tmp_path / "BENCH_wall.json"
     delta_path = tmp_path / "results" / "bench_wall_delta.txt"
     monkeypatch.setenv("REPRO_BENCH_WALL_BASELINE", str(base_path))
+    monkeypatch.setenv("REPRO_ANALYSIS_BASELINE",
+                       str(tmp_path / "BENCH_analysis.json"))
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
     monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path / "runs"))
     argv = ["bench", "native", "--quick", "--bench-ks", "8"]
@@ -132,10 +138,10 @@ def test_cli_bench_native_exit_codes(quick_results, tmp_path, monkeypatch,
     assert not delta_path.exists()
 
     # the knapsack app cell drops 10x below its baseline ratio
-    current["speedups"]["knapsack:numpy/k=8"] /= 10
+    current["speedups"]["knapsack:cext/k=8"] /= 10
     assert main(argv) == 1
     out = capsys.readouterr().out
-    assert "WALL-CLOCK GATE FAILED" in out and "on knapsack:numpy" in out
+    assert "WALL-CLOCK GATE FAILED" in out and "on knapsack:cext" in out
     assert delta_path.is_file()
 
     # --update-baseline accepts the new ratio and exits 0 again

@@ -1,11 +1,31 @@
 """Reporting / rendering / archiving tests."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.bench.reporting import render_rows, save_results, speedup_summary
+from repro.bench.reporting import (
+    capture_analysis,
+    render_rows,
+    save_results,
+    speedup_summary,
+)
 from repro.bench.table1 import render_table1, table1_features
+from repro.obs import diff_analyses, load_analysis, render_diff
+
+BENCH_ANALYSIS = Path(__file__).parents[2] / "BENCH_analysis.json"
+
+
+def test_capture_analysis_matches_committed_baseline():
+    """The canonical traced workload reproduces the committed
+    ``BENCH_analysis.json`` exactly; re-record deliberately with
+    ``python -m repro bench native --update-baseline``."""
+    baseline = load_analysis(BENCH_ANALYSIS)
+    current = json.loads(json.dumps(capture_analysis(baseline["workload"])))
+    if current != baseline:
+        diff = diff_analyses(baseline, current, "committed", "current")
+        pytest.fail("BENCH_analysis.json drifted:\n" + render_diff(diff))
 
 
 def test_render_rows_alignment():

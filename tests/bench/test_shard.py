@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.micro import compare_to_baseline
+from repro.bench.reporting import compare_to_baseline
 from repro.bench.shard import (
     SHARD_COUNTS,
     SHARD_WORKLOADS,

@@ -2,15 +2,16 @@
 
 import functools
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import wall
-from repro.bench.micro import compare_to_baseline
+from repro.bench.reporting import compare_to_baseline
 from repro.obs.metrics import MetricsRegistry, validate_prometheus_text
 
-#: bulk/build size for tests: the full 32768 records make the list
-#: reference's per-batch Python loop dominate every run at small k
+#: bulk/build size for tests: the full 32768 records would dominate
+#: every run at small k
 TINY_BULK = 256
 
 
@@ -32,6 +33,8 @@ def tiny_lane(tmp_path, monkeypatch):
     )
     monkeypatch.setenv("REPRO_BENCH_WALL_BASELINE",
                        str(tmp_path / "BENCH_wall.json"))
+    monkeypatch.setenv("REPRO_ANALYSIS_BASELINE",
+                       str(tmp_path / "BENCH_analysis.json"))
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
     monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path / "runs"))
     return tmp_path
@@ -42,10 +45,10 @@ def test_payload_shape(results):
     assert results["meta"]["quick"] is True
     assert {"cpu_count", "cpu_model", "compiler"} <= set(results["meta"])
     variants = results["meta"]["variants"]
-    assert variants[0] == "list" and variants[1] == "numpy"
+    assert variants[0] == "numpy"
     assert "cext" not in variants or results["meta"]["compiler"]
     assert len(results["rows"]) == (
-        len(wall.WALL_BENCHES) * len(variants) + len(wall.APP_BENCHES) * 2
+        (len(wall.WALL_BENCHES) + len(wall.APP_BENCHES)) * len(variants)
     )
     for row in results["rows"]:
         assert row["ops_per_sec"] > 0
@@ -61,11 +64,8 @@ def test_speedup_keys_group_by_lane(results):
     for key in results["speedups"]:
         lane, _, kpart = key.partition("/")
         bench, _, variant = lane.partition(":")
-        assert variant in results["meta"]["variants"] and variant != "list"
-        if bench in wall.APP_BENCHES:
-            assert variant == "numpy"
-        else:
-            assert bench in wall.WALL_BENCHES
+        assert variant in results["meta"]["compiled_available"]
+        assert bench in wall.WALL_BENCHES + wall.APP_BENCHES
         assert kpart == "k=4"
 
 
@@ -108,23 +108,19 @@ def test_render_wall_delta(results):
     baseline["speedups"] = {k: v * 2 for k, v in baseline["speedups"].items()}
     text = wall.render_wall_delta(results, baseline)
     assert "geomean(now)" in text
-    for variant in results["meta"]["variants"][1:]:
+    for variant in results["meta"]["compiled_available"]:
         assert f"insert:{variant}" in text
-    for bench in wall.APP_BENCHES:
-        assert f"{bench}:numpy" in text
-    assert "0.50" in text  # current/baseline ratio column
+        for bench in wall.APP_BENCHES:
+            assert f"{bench}:{variant}" in text
+        assert "0.50" in text  # current/baseline ratio column
     assert "zero-alloc mixed:numpy/k=4: baseline=yes now=yes" in text
 
 
 def test_delta_skips_lanes_missing_from_current(results):
-    """A numpy-only host gating against a compiled baseline must only
-    compare the lanes it actually ran."""
+    """A numpy-only host gating against a compiled baseline records no
+    speedups, so it gates only the zero-allocation flags."""
     current = json.loads(json.dumps(results))
-    current["speedups"] = {
-        key: val
-        for key, val in current["speedups"].items()
-        if ":numpy/" in key
-    }
+    current["speedups"] = {}
     assert compare_to_baseline(current, results) == []
     text = wall.render_wall_delta(current, results)
     assert "numpy" in text and "cext" not in text
@@ -180,6 +176,9 @@ def test_cli_wall_lane(tiny_lane, capsys):
 
     # --update-baseline rewrites it and exits 0 again
     assert main(argv + ["--update-baseline"]) == 0
+    assert (tiny_lane / "BENCH_analysis.json").read_text() == (
+        Path(__file__).parents[2] / "BENCH_analysis.json"
+    ).read_text()
     rewritten = json.loads(base_path.read_text())
     assert rewritten["speedups"].keys() == baseline["speedups"].keys()
     assert all(v < 1e9 for v in rewritten["speedups"].values())

@@ -6,14 +6,14 @@ from repro.core import BGPQ, HeapAuditor
 from repro.core.native import NativeBGPQ
 
 
-def _native(storage="arena"):
-    pq = NativeBGPQ(node_capacity=4, storage=storage)
+def _native():
+    pq = NativeBGPQ(node_capacity=4)
     pq.insert_bulk(np.array([8, 3, 5, 1, 9, 2], dtype=np.int64))
     return pq
 
 
 def _sim():
-    pq = BGPQ(node_capacity=4, max_keys=1 << 10, storage="arena")
+    pq = BGPQ(node_capacity=4, max_keys=1 << 10)
     return pq
 
 
@@ -22,13 +22,6 @@ def test_clean_native_arena_passes():
     report = HeapAuditor(pq).audit()
     assert report.ok, report.problems
     assert "arena" in report.checks_run
-
-
-def test_native_list_backend_skips_arena_check():
-    pq = _native(storage="list")
-    report = HeapAuditor(pq).audit()
-    assert report.ok, report.problems
-    assert "arena" not in report.checks_run
 
 
 def test_native_dead_row_with_keys_flagged():

@@ -35,8 +35,10 @@ def test_bool_and_len():
 def test_validation():
     with pytest.raises(ConfigurationError):
         NativeBGPQ(node_capacity=1)
-    with pytest.raises(ConfigurationError):
-        NativeBGPQ(node_capacity=4, storage="rope")
+    for layout in ("list", "rope"):
+        with pytest.raises(ConfigurationError, match="only layout is 'arena'"):
+            NativeBGPQ(node_capacity=4, storage=layout)
+    assert NativeBGPQ(node_capacity=4, storage="arena").storage == "arena"
     pq = NativeBGPQ(node_capacity=4)
     with pytest.raises(ValueError):
         pq.deletemin(0)
@@ -158,9 +160,8 @@ def test_property_oracle_equivalence(script):
     assert np.array_equal(np.sort(pq.snapshot_keys()), oracle.snapshot_keys())
 
 
-@pytest.mark.parametrize("storage", ["arena", "list"])
-def test_peek_tracks_global_min_without_mutating(storage):
-    pq = NativeBGPQ(node_capacity=4, storage=storage)
+def test_peek_tracks_global_min_without_mutating():
+    pq = NativeBGPQ(node_capacity=4)
     assert pq.peek() is None
     pq.insert([7])  # buffered only: heap still empty
     assert pq.peek() == 7 and len(pq) == 1

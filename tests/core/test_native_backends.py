@@ -52,7 +52,7 @@ def test_backend_matches_numpy_serial_and_oracle(kern, k):
     rng = np.random.default_rng(k * 1001)
     script = _workload(rng, k, 60)
 
-    ref = NativeBGPQ(k, storage="arena", kernels="numpy")
+    ref = NativeBGPQ(k, kernels="numpy")
     ref_outs = _drive(ref, script, k)
 
     oracle = SequentialPQ()
@@ -62,7 +62,7 @@ def test_backend_matches_numpy_serial_and_oracle(kern, k):
         else:
             oracle.deletemin(arg)
 
-    pq = NativeBGPQ(k, storage="arena", kernels=kern)
+    pq = NativeBGPQ(k, kernels=kern)
     outs = _drive(pq, script, k)
     assert outs == ref_outs
     assert len(pq) == len(ref) == len(oracle)
@@ -91,9 +91,9 @@ def test_sim_time_identical_across_backends(kern):
     rng = np.random.default_rng(42)
     script = _workload(rng, k, 50)
 
-    ref = NativeBGPQ(k, ctx=ctx, storage="arena", kernels="numpy")
+    ref = NativeBGPQ(k, ctx=ctx, kernels="numpy")
     _drive(ref, script, k)
-    pq = NativeBGPQ(k, ctx=ctx, storage="arena", kernels=kern)
+    pq = NativeBGPQ(k, ctx=ctx, kernels=kern)
     _drive(pq, script, k)
     assert pq.sim_time_ns_exact == ref.sim_time_ns_exact
 
@@ -102,8 +102,8 @@ def test_sim_time_identical_across_backends(kern):
 def test_payload_rides_identically(kern):
     k = 8
     rng = np.random.default_rng(7)
-    ref = NativeBGPQ(k, storage="arena", payload_width=2, kernels="numpy")
-    pq = NativeBGPQ(k, storage="arena", payload_width=2, kernels=kern)
+    ref = NativeBGPQ(k, payload_width=2, kernels="numpy")
+    pq = NativeBGPQ(k, payload_width=2, kernels=kern)
     for _ in range(25):
         n = int(rng.integers(1, k + 1))
         keys = rng.integers(-50, 50, size=n).astype(np.int64)
@@ -123,9 +123,9 @@ def test_bulk_and_build_identical(kern):
     rng = np.random.default_rng(3)
     records = rng.integers(-10_000, 10_000, size=5000).astype(np.int64)
     for method in ("insert_bulk", "build"):
-        ref = NativeBGPQ(k, storage="arena", kernels="numpy")
+        ref = NativeBGPQ(k, kernels="numpy")
         getattr(ref, method)(records)
-        pq = NativeBGPQ(k, storage="arena", kernels=kern)
+        pq = NativeBGPQ(k, kernels=kern)
         getattr(pq, method)(records)
         assert len(pq) == len(ref)
         state, ref_state = pq.export_state(), ref.export_state()

@@ -1,10 +1,11 @@
-"""Differential suite: arena vs list storage vs an exact oracle.
+"""Differential suite: the arena storage vs an exact oracle.
 
-The arena backend must be *bit-identical* to the legacy list backend —
-same keys, same payload rows, same exact simulated time — over
-arbitrary interleavings of insert / insert_bulk / deletemin, and both
-must agree with a sequential oracle on key content.  The suites run at
-small k so hypothesis can explore deep heap shapes quickly.
+Over arbitrary interleavings of insert / insert_bulk / deletemin the
+queue must drain exactly what a sequential oracle drains, with every
+payload row still attached to its key, and keep the batched-heap
+invariants.  Exact simulated time is pinned separately
+(``test_tick_clock.py``).  The suites run at small k so hypothesis can
+explore deep heap shapes quickly.
 """
 
 import numpy as np
@@ -15,20 +16,9 @@ from hypothesis import strategies as st
 from repro.core import SequentialPQ
 from repro.core.native import NativeBGPQ
 from repro.device import GpuContext
+from repro.primitives import kernels
 
 K = 8
-
-
-def _pair(payload_width=2, ctx=True):
-    kwargs = dict(
-        node_capacity=K,
-        ctx=GpuContext.default() if ctx else None,
-        payload_width=payload_width,
-    )
-    return (
-        NativeBGPQ(storage="arena", **kwargs),
-        NativeBGPQ(storage="list", **kwargs),
-    )
 
 
 def _payload(keys: np.ndarray, seq: int) -> np.ndarray:
@@ -57,16 +47,13 @@ _script = st.lists(
 
 @given(_script)
 @settings(max_examples=60, deadline=None)
-def test_arena_list_bit_identical(script):
-    arena, legacy = _pair()
+def test_arena_matches_oracle(script):
+    arena = NativeBGPQ(node_capacity=K, ctx=GpuContext.default(), payload_width=2)
     oracle = SequentialPQ()
     seq = 0
     for kind, arg in script:
         if kind == "deletemin":
             ka, pa = arena.deletemin(arg)
-            kl, pl = legacy.deletemin(arg)
-            assert np.array_equal(ka, kl)
-            assert np.array_equal(pa, pl)
             assert np.array_equal(ka, oracle.deletemin(arg))
             assert np.array_equal(pa[:, 0], ka * 3)  # payload alignment
         else:
@@ -75,20 +62,11 @@ def test_arena_list_bit_identical(script):
             seq += keys.size
             method = "insert_bulk" if kind == "bulk" else "insert"
             getattr(arena, method)(keys, payload=pay)
-            getattr(legacy, method)(keys, payload=pay)
             oracle.insert(keys)
-        # exact-time parity: both backends charge identical formulas in
-        # identical order, and the exact tick clock makes that testable
-        # as equality rather than approximation
-        assert arena.sim_time_ns_exact == legacy.sim_time_ns_exact
-        assert len(arena) == len(legacy) == len(oracle)
+        assert len(arena) == len(oracle)
     assert arena.check_invariants() == []
-    assert legacy.check_invariants() == []
     assert np.array_equal(
         np.sort(arena.snapshot_keys()), oracle.snapshot_keys()
-    )
-    assert np.array_equal(
-        np.sort(arena.snapshot_keys()), np.sort(legacy.snapshot_keys())
     )
 
 
@@ -99,28 +77,24 @@ def test_arena_list_bit_identical(script):
 @settings(max_examples=40, deadline=None)
 def test_build_matches_bulk_drain(keys, count):
     """build() loads the same multiset bulk insertion would, satisfies
-    the heap invariants by construction, and drains identically on both
-    backends (payload rows included)."""
+    the heap invariants by construction, and drains identically to a
+    bulk-inserted queue (payload rows included)."""
     keys = np.asarray(keys, dtype=np.int64)
     pay = _payload(keys, 0)
-    arena, legacy = _pair(ctx=False)
+    arena = NativeBGPQ(node_capacity=K, payload_width=2)
     arena.build(keys, payload=pay)
-    legacy.build(keys, payload=pay)
     assert arena.check_invariants() == []
-    assert legacy.check_invariants() == []
-    assert len(arena) == len(legacy) == keys.size
+    assert len(arena) == keys.size
 
     reference = NativeBGPQ(node_capacity=K, payload_width=2)
     reference.insert_bulk(keys, payload=pay)
     while arena:
         ka, pa = arena.deletemin(count)
-        kl, pl = legacy.deletemin(count)
         kr, pr = reference.deletemin(count)
-        assert np.array_equal(ka, kl) and np.array_equal(ka, kr)
-        assert np.array_equal(pa, pl)
+        assert np.array_equal(ka, kr)
         # keys drain in globally sorted order with aligned payloads
         assert np.array_equal(pa[:, 0], ka * 3)
-    assert not legacy and not reference
+    assert not reference
 
 
 def test_build_requires_empty_queue():
@@ -137,8 +111,9 @@ def test_build_charges_device_time():
 
 
 def test_clear_resets_both_backends():
-    for storage in ("arena", "list"):
-        pq = NativeBGPQ(node_capacity=K, storage=storage)
+    """On both kernel backends: the fused C path and the NumPy one."""
+    for kern in kernels.available_backends():
+        pq = NativeBGPQ(node_capacity=K, kernels=kern)
         pq.insert_bulk(np.arange(7 * K))
         pq.clear()
         assert len(pq) == 0 and not pq
@@ -164,7 +139,7 @@ def test_sim_time_accumulates_exactly():
 
 def test_arena_growth_preserves_content():
     """Doubling growth must carry every live row across reallocation."""
-    pq = NativeBGPQ(node_capacity=K, storage="arena", payload_width=1)
+    pq = NativeBGPQ(node_capacity=K, payload_width=1)
     oracle = SequentialPQ()
     rng = np.random.default_rng(3)
     for _ in range(64):  # far past the initial 8-row arena

@@ -6,11 +6,10 @@ shape.  The oracle here is independent of both: a *recording* queue
 logs the float value of every charge it makes (its charge table never
 memoizes, and its plain ``_charge`` is wrapped), and the clock of an
 ordinary queue driven through the same script must equal the plain
-``Fraction`` sum of those floats — on the fused C path, the NumPy
-arena path and the list backend, and across an export/restore.  The
-list backend, which charges every step in place rather than from a
-kernel's charge log, rides along as a second reference, and a fixed
-script pins the exact clock value itself.
+``Fraction`` sum of those floats — on the fused C path and the NumPy
+path, which charges every step in place rather than from a kernel's
+charge log, and across an export/restore.  A fixed script pins the
+exact clock value and the exported state digest themselves.
 
 The per-op deltas the durable service and the fleet shards report
 must equal the float of the exact clock's difference around each call.
@@ -38,14 +37,13 @@ K = 8
 
 PATHS = [
     pytest.param(
-        "arena", "cext", id="cext-fused",
+        "cext", id="cext-fused",
         marks=pytest.mark.skipif(
             "cext" not in kernels.available_backends(),
             reason="C core unavailable",
         ),
     ),
-    pytest.param("arena", "numpy", id="numpy-arena"),
-    pytest.param("list", "numpy", id="list"),
+    pytest.param("numpy", id="numpy-arena"),
 ]
 
 
@@ -77,9 +75,9 @@ def _record(pq: NativeBGPQ, log: list) -> NativeBGPQ:
     return pq
 
 
-def _queue(storage, kern, payload_width):
+def _queue(kern, payload_width):
     pq = NativeBGPQ(
-        node_capacity=K, ctx=GpuContext.default(), storage=storage,
+        node_capacity=K, ctx=GpuContext.default(),
         kernels=kern, payload_width=payload_width,
     )
     if kern == "cext":
@@ -123,37 +121,33 @@ def _assert_matches_oracle(pq: NativeBGPQ, charges: list) -> None:
     assert pq.sim_ticks == exact * TICKS_PER_NS
 
 
-@pytest.mark.parametrize("storage,kern", PATHS)
+@pytest.mark.parametrize("kern", PATHS)
 @given(script=_ops, payload_width=st.sampled_from([0, 2]))
 @settings(max_examples=40, deadline=None)
-def test_clock_equals_fraction_sum_of_charges(storage, kern, script,
-                                              payload_width):
+def test_clock_equals_fraction_sum_of_charges(kern, script, payload_width):
     charges: list = []
-    rec = _record(_queue(storage, kern, payload_width), charges)
-    pq = _queue(storage, kern, payload_width)
-    # the list backend charges every step in place, never from a log
-    ref = _queue("list", "numpy", payload_width)
+    rec = _record(_queue(kern, payload_width), charges)
+    pq = _queue(kern, payload_width)
     seq = 0
     for op in script:
-        for q in (rec, pq, ref):
+        for q in (rec, pq):
             _apply(q, op, seq)
         seq += 0 if op[0] == "deletemin" else len(op[1])
         _assert_matches_oracle(pq, charges)
-        assert pq.sim_ticks == ref.sim_ticks
-    assert rec.export_state() == pq.export_state() == ref.export_state()
+    assert rec.export_state() == pq.export_state()
 
 
-@pytest.mark.parametrize("storage,kern", PATHS)
+@pytest.mark.parametrize("kern", PATHS)
 @given(script=_ops, cut=st.integers(0, 50))
 @settings(max_examples=25, deadline=None)
-def test_clock_survives_restore_mid_sequence(storage, kern, script, cut):
+def test_clock_survives_restore_mid_sequence(kern, script, cut):
     charges: list = []
-    rec = _record(_queue(storage, kern, 0), charges)
-    pq = _queue(storage, kern, 0)
+    rec = _record(_queue(kern, 0), charges)
+    pq = _queue(kern, 0)
     for i, op in enumerate(script):
         if i == cut:
             state = json.loads(json.dumps(pq.export_state()))
-            pq = _queue(storage, kern, 0)
+            pq = _queue(kern, 0)
             pq.restore_state(state)
             _assert_matches_oracle(pq, charges)
         _apply(rec, op, 0)
@@ -177,12 +171,12 @@ def _fixed_script():
     return ops
 
 
-@pytest.mark.parametrize("storage,kern", PATHS)
-def test_fixed_script_clock_is_pinned(storage, kern):
+@pytest.mark.parametrize("kern", PATHS)
+def test_fixed_script_clock_is_pinned(kern):
     """A golden clock: any change to a charge formula, or to which
     steps charge, moves the exact sum (and the exported digest)."""
     pq = NativeBGPQ(node_capacity=16, ctx=GpuContext.default(),
-                    storage=storage, kernels=kern, payload_width=1)
+                    kernels=kern, payload_width=1)
     pq.build(np.arange(100, 0, -1), payload=np.arange(100))
     for kind, arg in _fixed_script():
         if kind == "deletemin":

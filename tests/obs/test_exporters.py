@@ -29,11 +29,6 @@ def test_chrome_trace_passes_schema_validation(traced_run):
     assert validate_chrome_trace(json.dumps(trace)) == []
 
 
-def test_chrome_trace_schema_for_list_backend():
-    run = run_traced_mixed(threads=4, ops=6, k=8, seed=1, storage="list")
-    assert validate_chrome_trace(to_chrome_trace(run.events)) == []
-
-
 def test_chrome_trace_structure(traced_run):
     trace = to_chrome_trace(traced_run.events)
     evs = trace["traceEvents"]

@@ -48,9 +48,9 @@ def test_trace_default_workload_exercises_every_mechanism(results_dir, capsys):
     assert metrics["counter.ops_done_deletemin"] > 0
 
 
-def test_trace_command_respects_trace_out_and_storage(results_dir, tmp_path, capsys):
+def test_trace_command_respects_trace_out(results_dir, tmp_path, capsys):
     out_file = tmp_path / "sub" / "custom.json"
-    rc = main(["trace", "--storage", "list", "--trace-out", str(out_file)])
+    rc = main(["trace", "--trace-out", str(out_file)])
     capsys.readouterr()
     assert rc == 0
     assert out_file.exists()

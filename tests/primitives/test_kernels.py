@@ -77,6 +77,33 @@ def test_cext_build_failure_is_graceful(monkeypatch, tmp_path):
         cbuild.reset_for_tests()
 
 
+def test_build_cache_is_keyed_on_cpu_flags(monkeypatch, tmp_path):
+    """A -march=native build must not be reused on a host with other
+    CPU features: two flag sets land in two build directories.  The
+    flags come from /proc/cpuinfo, or a constant where it is absent."""
+    cpuinfo = tmp_path / "cpuinfo"
+    cpuinfo.write_text("processor\t: 0\nflags\t\t: fpu sse2 avx2\n")
+    monkeypatch.setattr(cbuild, "_CPUINFO", cpuinfo)
+    assert cbuild._cpu_flags() == "fpu sse2 avx2"
+    monkeypatch.setattr(cbuild, "_CPUINFO", tmp_path / "absent")
+    assert cbuild._cpu_flags() == "unknown"
+
+    def fake_compile(source, out):
+        out.write_bytes(b"")  # lands in the build dir, then fails to load
+        return "cc"
+
+    monkeypatch.setenv("REPRO_CKERN_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(cbuild, "_compile", fake_compile)
+    try:
+        for flags in ("fpu sse2 avx2", "fpu sse2 avx2 avx512f"):
+            monkeypatch.setattr(cbuild, "_cpu_flags", lambda f=flags: f)
+            cbuild.reset_for_tests()
+            assert cbuild.load_ckern() is None
+    finally:
+        cbuild.reset_for_tests()
+    assert len(list((tmp_path / "cache").iterdir())) == 2
+
+
 def test_instrumented_kernels_record_and_match(monkeypatch):
     registry = MetricsRegistry()
     kern = kernels.instrument(kernels.select("numpy"), registry)

@@ -4,8 +4,7 @@ The hypothesis suite is the checkpoint half of the durability story:
 ``export_state`` → JSON → ``restore_state`` must reproduce the queue
 *exactly* — same digest, same contents, same simulated clock — and a
 restored replica must stay behaviourally identical to the
-uninterrupted oracle for arbitrary continued operation, on both
-storage backends.
+uninterrupted oracle for arbitrary continued operation.
 """
 
 import json
@@ -21,9 +20,8 @@ from repro.errors import ConfigurationError, DurabilityError
 from repro.serve.checkpoint import CheckpointStore, state_digest
 
 
-def _mk(storage="arena", k=4, payload_width=0):
-    return NativeBGPQ(node_capacity=k, storage=storage,
-                      payload_width=payload_width)
+def _mk(k=4, payload_width=0):
+    return NativeBGPQ(node_capacity=k, payload_width=payload_width)
 
 
 # -- store mechanics -------------------------------------------------------
@@ -136,13 +134,12 @@ def test_restore_rejects_broken_heap_layout(doctor):
     src.insert_bulk(np.arange(10, dtype=np.int64))
     state = src.export_state()
     doctor(state)
-    for storage in ("arena", "list"):
-        dst = _mk(storage=storage)
-        dst.insert_bulk(np.array([7, 5], dtype=np.int64))
-        before = dst.export_state()
-        with pytest.raises(ConfigurationError, match="snapshot"):
-            dst.restore_state(state)
-        assert dst.export_state() == before
+    dst = _mk()
+    dst.insert_bulk(np.array([7, 5], dtype=np.int64))
+    before = dst.export_state()
+    with pytest.raises(ConfigurationError, match="snapshot"):
+        dst.restore_state(state)
+    assert dst.export_state() == before
 
 
 _MISSING = object()
@@ -163,32 +160,42 @@ _MISSING = object()
         ("stats", _MISSING),
         ("stats", None),
         ("stats", [["ops", 3]]),
+        (None, {}),
+        (None, []),
+        ("heap_size", "x"),
+        ("heap_size", 2.5),
+        ("nodes", 3),
+        ("buffer", _MISSING),
     ],
     ids=[
         "clock-garbage", "clock-none", "clock-float", "clock-missing",
         "clock-negative", "clock-not-dyadic", "clock-below-tick",
         "clock-exponent", "clock-zero-denominator",
         "stats-missing", "stats-none", "stats-list",
+        "snapshot-empty-dict", "snapshot-list", "heap-size-str",
+        "heap-size-float", "nodes-int", "buffer-missing",
     ],
 )
 def test_restore_rejects_bad_clock_or_stats(field, value):
-    """The clock and stats are parsed before any row is written: a
-    value no export could have produced fails closed, untouched."""
+    """The snapshot's shape, clock and stats are checked before any row
+    is written: a value no export could have produced fails closed,
+    untouched.  ``field=None`` replaces the whole snapshot."""
     ctx = GpuContext.default()
     src = NativeBGPQ(node_capacity=4, ctx=ctx)
     src.insert_bulk(np.arange(10, dtype=np.int64))
     state = src.export_state()
-    if value is _MISSING:
+    if field is None:
+        state = value
+    elif value is _MISSING:
         del state[field]
     else:
         state[field] = value
-    for storage in ("arena", "list"):
-        dst = NativeBGPQ(node_capacity=4, ctx=ctx, storage=storage)
-        dst.insert_bulk(np.array([7, 5], dtype=np.int64))
-        before = dst.export_state()
-        with pytest.raises(ConfigurationError, match="snapshot"):
-            dst.restore_state(state)
-        assert dst.export_state() == before
+    dst = NativeBGPQ(node_capacity=4, ctx=ctx)
+    dst.insert_bulk(np.array([7, 5], dtype=np.int64))
+    before = dst.export_state()
+    with pytest.raises(ConfigurationError, match="snapshot"):
+        dst.restore_state(state)
+    assert dst.export_state() == before
 
 
 def test_restore_accepts_any_exported_clock():
@@ -201,14 +208,20 @@ def test_restore_accepts_any_exported_clock():
     assert dst.sim_ticks == src.sim_ticks
 
 
-def test_restore_crosses_storage_backends():
-    src = _mk(storage="arena")
+def test_restore_reproduces_pinned_digests():
+    """A restored queue exports the snapshot's digest and then plays on
+    exactly as the allocate-per-merge reference did from the same
+    snapshot (its drained batches and final digest, pinned)."""
+    src = _mk()
     src.insert_bulk(np.arange(17, dtype=np.int64)[::-1].copy())
-    dst = _mk(storage="list")
+    dst = _mk()
     dst.restore_state(src.export_state())
     assert state_digest(dst.export_state()) == state_digest(src.export_state())
-    np.testing.assert_array_equal(
-        np.sort(dst.snapshot_keys()), np.sort(src.snapshot_keys())
+    dst.insert_bulk(np.array([3, 40, 1]))
+    assert dst.deletemin(4)[0].tolist() == [0, 1, 1, 2]
+    assert dst.deletemin(4)[0].tolist() == [3, 3, 4, 5]
+    assert state_digest(dst.export_state()) == (
+        "c94bf9b247514b40468621b7ec5ed7a936e5dfdaecd998214162010635991dd8"
     )
 
 
@@ -239,19 +252,18 @@ def _apply(pq, op):
 
 @settings(max_examples=40, deadline=None)
 @given(ops=ops_strategy, cut=st.integers(min_value=0, max_value=24),
-       storage=st.sampled_from(["arena", "list"]),
        payload_width=st.sampled_from([0, 2]))
-def test_checkpoint_restore_differential(ops, cut, storage, payload_width):
+def test_checkpoint_restore_differential(ops, cut, payload_width):
     """Snapshot at an arbitrary cut; the restored replica must replay
     the remaining ops with byte-identical results, state, and clock."""
-    oracle = _mk(storage=storage, k=4, payload_width=payload_width)
+    oracle = _mk(k=4, payload_width=payload_width)
     cut = min(cut, len(ops))
     for op in ops[:cut]:
         _apply(oracle, op)
 
     # snapshot through JSON, exactly as the checkpoint store does
     state = json.loads(json.dumps(oracle.export_state()))
-    replica = _mk(storage=storage, k=4, payload_width=payload_width)
+    replica = _mk(k=4, payload_width=payload_width)
     replica.restore_state(state)
 
     assert state_digest(replica.export_state()) == state_digest(

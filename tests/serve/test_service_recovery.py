@@ -17,8 +17,7 @@ from repro.serve.wal import WriteAheadLog
 
 
 def _queue(payload_width=0):
-    return NativeBGPQ(node_capacity=4, storage="arena",
-                      payload_width=payload_width)
+    return NativeBGPQ(node_capacity=4, payload_width=payload_width)
 
 
 def _script(n_ops=20, seed=7):
