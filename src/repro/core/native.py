@@ -212,6 +212,8 @@ class NativeBGPQ:
         self.ctx = ctx
         self.model: GpuCostModel | None = ctx.model if ctx is not None else None
         self._heap_size = 0
+        # live records, kept at the public op boundaries so len() is O(1)
+        self._size = 0
         self._ticks = 0
         self._charges = _ChargeTicks(self.model, node_capacity)
         self.stats = {"insert_heapify": 0, "deletemin_heapify": 0, "ops": 0}
@@ -339,7 +341,9 @@ class NativeBGPQ:
             return
         skeys, spay = self._kern.sort_records(keys, pay)
         for i in range(0, skeys.size, self.k):
-            self._insert_sorted(skeys[i : i + self.k], spay[i : i + self.k])
+            part = skeys[i : i + self.k]
+            self._insert_sorted(part, spay[i : i + self.k])
+            self._size += part.size
 
     def build(self, keys, payload=None) -> None:
         """Load an initial frontier into an *empty* queue in O(n) node ops.
@@ -356,7 +360,7 @@ class NativeBGPQ:
         per-batch in-block sort and a merge tree over the batches (the
         device would produce the global order with a batch merge sort).
         """
-        if len(self):
+        if self._size:
             raise ValueError("build requires an empty queue; use insert_bulk")
         keys, pay = self._normalize(keys, payload)
         n = keys.size
@@ -400,6 +404,7 @@ class NativeBGPQ:
                 a.pay[1, :n] = spay
             a.counts[1] = n
         self._heap_size = nodes
+        self._size = n
 
     def deletemin(self, count: int):
         """Remove up to ``count`` smallest records.
@@ -411,7 +416,9 @@ class NativeBGPQ:
         if self.model is not None:
             self._ticks += self._charges[_ROOT_LOCK, 0, 0]
         self.stats["ops"] += 1
-        return self._deletemin(count)
+        out = self._deletemin(count)
+        self._size -= out[0].size
+        return out
 
     def peek(self):
         """Smallest key without removing it (``None`` when empty).
@@ -431,6 +438,7 @@ class NativeBGPQ:
         """Reset to empty; storage, stats and the sim clock are retained."""
         self._arena.counts[:] = 0
         self._heap_size = 0
+        self._size = 0
 
     # -- dispatch ---------------------------------------------------------
     def _insert_sorted(self, skeys: np.ndarray, spay: np.ndarray) -> None:
@@ -853,16 +861,16 @@ class NativeBGPQ:
                 a.pay[i, : nk.size] = npay
             a.counts[i] = nk.size
         self._heap_size = heap_size
+        self._size = bk.size + sum(nk.size for nk, _ in rows)
         self._ticks = ticks
         self.stats = dict(stats)
 
     # -- introspection ------------------------------------------------------
     def __len__(self) -> int:
-        a = self._arena
-        return int(a.counts[0] + a.counts[1 : self._heap_size + 1].sum())
+        return self._size
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return self._size > 0
 
     @property
     def sim_ticks(self) -> int:
@@ -947,8 +955,13 @@ class NativeBGPQ:
         return problems
 
     def check_invariants(self) -> list[str]:
-        """Batched-heap invariants (tests only)."""
-        return self._layout_problems(
+        """Batched-heap invariants, plus the O(1) length counter (tests only)."""
+        problems = self._layout_problems(
             [self._node_keys(i) for i in range(1, self._heap_size + 1)],
             self._buffer_keys(),
         )
+        a = self._arena
+        held = int(a.counts[0] + a.counts[1 : self._heap_size + 1].sum())
+        if self._size != held:
+            problems.append(f"len() counter {self._size} != arena holds {held}")
+        return problems

@@ -257,12 +257,12 @@ def run_fleet(
         kind, arg = sess.script[sess.next_req]
         sess.next_req += 1
         requests += 1
-        name = f"client{sess.idx}"
         if kind == "insert":
             keys = np.asarray(arg, dtype=np.int64).ravel()
             parts = fleet.route_insert(keys, at=now)
             if obs is not None:
-                obs.emit(OP_BEGIN, now, name, op="insert", n=int(keys.size))
+                obs.emit(OP_BEGIN, now, f"client{sess.idx}", op="insert",
+                         n=int(keys.size))
             if not parts:
                 # empty insert: completes immediately, no shard touched
                 sess.req_end = now
@@ -277,7 +277,8 @@ def run_fleet(
             sess.outstanding = 1
             sess.req_end = now
             if obs is not None:
-                obs.emit(OP_BEGIN, now, name, op="deletemin", want=int(arg))
+                obs.emit(OP_BEGIN, now, f"client{sess.idx}", op="deletemin",
+                         want=int(arg))
             queues[plan[0]].append(
                 _SubOp(sess.idx, "deletemin", now, count=int(arg), plan=plan)
             )
@@ -317,14 +318,13 @@ def run_fleet(
             break
         sub = queues[best_shard].popleft()
         sess = sessions[sub.session]
-        name = f"client{sub.session}"
         if sub.kind == "insert":
             ticket = fleet.exec_insert(best_shard, sub.keys, at=sub.arrival)
             keys_in += sub.keys.size
             history.append(
                 FleetOpRecord(
                     len(history), sub.session, "insert",
-                    tuple(int(x) for x in sub.keys), (),
+                    tuple(sub.keys.tolist()), (),
                     sub.arrival, ticket.t_start, ticket.t_end, best_shard,
                 )
             )
@@ -334,7 +334,7 @@ def run_fleet(
             history.append(
                 FleetOpRecord(
                     len(history), sub.session, "deletemin",
-                    (sub.count,), tuple(int(x) for x in ticket.keys),
+                    (sub.count,), tuple(ticket.keys.tolist()),
                     sub.arrival, ticket.t_start, ticket.t_end, best_shard,
                 )
             )
@@ -349,6 +349,7 @@ def run_fleet(
             slo.observe(sub.kind, ticket.t_end - sub.arrival,
                         ts=ticket.t_end)
         if obs is not None:
+            name = f"client{sub.session}"
             lock = f"fleet.s{best_shard}.n1"
             if ticket.t_start > sub.arrival:
                 obs.emit(LOCK_CONTEND, sub.arrival, name, lock=lock)
@@ -360,7 +361,7 @@ def run_fleet(
             else:
                 obs.emit(LOCK_ACQUIRE, ticket.t_start, name, lock=lock)
             obs.emit(LOCK_RELEASE, ticket.t_end, name, lock=lock)
-        last_holder[best_shard] = name
+            last_holder[best_shard] = name
         if executed % imbalance_every == 0:
             if obs is not None:
                 obs.emit(

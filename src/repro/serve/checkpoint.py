@@ -88,8 +88,9 @@ class CheckpointStore:
         Returns ``(state, lsn)``, or ``None`` when no checkpoint exists
         yet (recovery then replays the WAL from LSN 1 against an empty
         queue).  A corrupt newest checkpoint falls back to the previous
-        one; if *every* present checkpoint is corrupt there is no safe
-        state to serve from and :class:`DurabilityError` is raised.
+        one; if *every* present checkpoint is corrupt this store has no
+        safe state and :class:`DurabilityError` is raised (the service
+        then falls back to a full WAL replay when the log allows it).
         """
         paths = self._checkpoint_paths()
         if not paths:

@@ -14,7 +14,9 @@ becomes visible, so a lost op is always an op whose response nobody
 ever saw.
 
 Recovery (:meth:`DurableService.open` on a non-empty data dir) loads
-the newest valid checkpoint, replays the WAL suffix, and cross-checks
+the newest valid checkpoint (or, when every checkpoint is corrupt but
+the WAL still starts at LSN 1, none: it replays from empty), replays
+the WAL suffix, and cross-checks
 every replayed deletemin against its journaled result — divergence is
 a :class:`~repro.errors.DurabilityError`, because a replay that
 returns different keys means the on-disk history cannot reproduce the
@@ -86,7 +88,16 @@ class DurableService:
         # host wall clock, measurement only (how long recovery took on
         # this machine) — the value never feeds a scheduling decision
         t0 = time.perf_counter_ns() if self.metrics is not None else 0
-        loaded = self.checkpoints.load_latest()
+        try:
+            loaded = self.checkpoints.load_latest()
+        except DurabilityError:
+            # every checkpoint is corrupt; the WAL is never pruned, so
+            # when it still starts at LSN 1 a full replay from empty
+            # rebuilds the same state
+            head = self.wal.records()[:1]
+            if not head or head[0].lsn != 1:
+                raise
+            loaded = None
         had_state = loaded is not None or len(self.wal) > 0
         self.queue.clear()
         ckpt_lsn = 0

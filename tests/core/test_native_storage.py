@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core import SequentialPQ
 from repro.core.native import NativeBGPQ
 from repro.device import GpuContext
+from repro.errors import ConfigurationError
 from repro.primitives import kernels
 
 K = 8
@@ -151,3 +152,63 @@ def test_arena_growth_preserves_content():
         keys, pay = pq.deletemin(K)
         assert np.array_equal(keys, oracle.deletemin(K))
         assert np.array_equal(pay.ravel(), keys)
+
+
+_KEYS = st.lists(st.integers(-(1 << 40), 1 << 40), max_size=3 * K)
+_len_script = st.lists(
+    st.one_of(
+        _KEYS.map(lambda ks: ("insert", ks)),  # empty, <= k and > k batches
+        _KEYS.map(lambda ks: ("build", ks)),  # rejected unless the queue is empty
+        st.integers(0, K).map(lambda c: ("deletemin", c)),  # 0 is rejected
+        st.sampled_from([("clear", None), ("restore", None), ("bad_restore", None)]),
+    ),
+    max_size=40,
+)
+
+
+@given(st.sampled_from(kernels.available_backends()), _len_script)
+@settings(max_examples=60, deadline=None)
+def test_len_counter_matches_arena(backend, script):
+    """len() is an O(1) counter; after every step, accepted or rejected,
+    it equals the records the arena rows hold."""
+    pq = NativeBGPQ(node_capacity=K, kernels=backend)
+    spare = NativeBGPQ(node_capacity=K, kernels=backend)
+    spare.insert(np.arange(2 * K + 3))
+    for kind, arg in script:
+        if kind == "insert":
+            pq.insert(arg)
+        elif kind == "build":
+            if len(pq):
+                with pytest.raises(ValueError, match="empty"):
+                    pq.build(arg)
+            else:
+                pq.build(arg)
+        elif kind == "deletemin":
+            if arg == 0:
+                with pytest.raises(ValueError):
+                    pq.deletemin(arg)
+            else:
+                pq.deletemin(arg)
+        elif kind == "clear":
+            pq.clear()
+        elif kind == "restore":
+            # restore over a non-empty queue, then keep going on it
+            spare.restore_state(pq.export_state())
+            pq, spare = spare, pq
+        else:
+            state = pq.export_state()
+            state["nodes"] = state["nodes"] + [{"keys": [], "pay": []}]
+            with pytest.raises(ConfigurationError):
+                pq.restore_state(state)
+        a = pq._arena
+        held = int(a.counts[0] + a.counts[1 : pq._heap_size + 1].sum())
+        assert len(pq) == held
+        assert bool(pq) == (held > 0)
+        assert pq.check_invariants() == []
+
+
+def test_check_invariants_reports_len_counter_drift():
+    pq = NativeBGPQ(node_capacity=K)
+    pq.insert(np.arange(3 * K))
+    pq._size -= 1  # a bookkeeping bug at an op boundary
+    assert any("len() counter" in p for p in pq.check_invariants())

@@ -135,6 +135,45 @@ def test_checkpoint_bounds_replay(tmp_path):
     recovered.close()
 
 
+def _corrupt_every_checkpoint(data_dir):
+    paths = sorted(data_dir.glob("ckpt-*.json"))
+    assert paths
+    for path in paths:
+        path.write_text(path.read_text()[:-40])  # half-written saves
+
+
+def test_all_checkpoints_corrupt_replays_full_wal(tmp_path):
+    """The WAL still starts at LSN 1, so a full replay is a safe state."""
+    ops = _script()
+    digests = _oracle_digests(ops, tmp_path, checkpoint_every=4)
+    data = tmp_path / "data"
+    svc = DurableService.open(_queue(), data, checkpoint_every=4)
+    for op in ops:
+        svc.apply(op)
+    svc.close()
+    _corrupt_every_checkpoint(data)
+    recovered = DurableService.open(_queue(), data, checkpoint_every=4)
+    assert recovered.digest() == digests[-1]
+    info = recovered.recovery_info
+    assert info["ckpt_lsn"] == 0 and info["replayed"] == len(ops)
+    assert not info["fresh"]
+    recovered.close()
+
+
+def test_all_checkpoints_corrupt_without_wal_head_raises(tmp_path):
+    """A WAL missing LSN 1 cannot rebuild the state from empty."""
+    svc = DurableService.open(_queue(), tmp_path, checkpoint_every=4)
+    for i in range(10):
+        svc.apply_insert("s0", i, [i])
+    svc.close()
+    _corrupt_every_checkpoint(tmp_path)
+    wal_path = tmp_path / WriteAheadLog.FILENAME
+    lines = wal_path.read_text().splitlines()
+    wal_path.write_text("\n".join(lines[1:]) + "\n")  # log starts at LSN 2
+    with pytest.raises(DurabilityError, match="integrity"):
+        DurableService.open(_queue(), tmp_path, checkpoint_every=4)
+
+
 def test_audit_uses_wal_as_ledger(tmp_path):
     svc = DurableService.open(_queue(), tmp_path)
     svc.apply_insert("s0", 0, [7, 3, 7])
