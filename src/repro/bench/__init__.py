@@ -2,8 +2,9 @@
 
 The gated lanes live alongside: :mod:`~repro.bench.wall` (``repro
 bench native``, NativeBGPQ wall clock), :mod:`~repro.bench.shard` and
-:mod:`~repro.bench.frontier` (simulated fleet throughput), all judged
-by :func:`~repro.bench.reporting.compare_to_baseline`.
+:mod:`~repro.bench.frontier` (simulated fleet throughput), each one
+:class:`~repro.bench.reporting.BenchLane` run by
+:func:`~repro.bench.reporting.run_lane`.
 """
 
 from .experiments import (

@@ -24,7 +24,8 @@ conserve the key multiset while the run is in flight.
 
 Everything is simulated and seeded, so ``BENCH_frontier.json`` (env
 override ``REPRO_BENCH_FRONTIER_BASELINE``) is machine-portable and
-CI gates exact ratios via
+CI gates exact ratios: :data:`LANE` runs the sweep through
+:func:`repro.bench.reporting.run_lane`, which checks drift with
 :func:`repro.bench.reporting.compare_to_baseline` plus this module's own
 hard verification floors (:func:`frontier_gate_problems`).
 """
@@ -33,86 +34,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.audit import HeapAuditor
-from ..core.linearizability import check_k_relaxed, relaxation_budget
-from ..fleet import ElasticController, ShardedBGPQ, mixed_scripts, run_fleet
-from .reporting import geomean as _geomean
-from .shard import GATE_SHARDS, PLACEMENT_SKEW
+from ..fleet import ElasticController, mixed_scripts
+from .reporting import BenchLane, geomean
+from .shard import GATE_SHARDS, PLACEMENT_SKEW, _run_cell
 
 __all__ = [
     "FRONTIER_WIDTHS",
     "FRONTIER_POLICIES",
-    "frontier_baseline_path",
+    "LANE",
     "run_frontier",
     "frontier_gate_problems",
-    "render_frontier_delta",
 ]
 
 FRONTIER_WIDTHS = (1, 2, 4)
 FRONTIER_POLICIES = ("hash", "spray", "shortest", "d-choice")
 
 
-def frontier_baseline_path():
-    """Committed baseline location (repo root), env-overridable."""
-    import os
-    from pathlib import Path
-
-    return Path(
-        os.environ.get("REPRO_BENCH_FRONTIER_BASELINE", "BENCH_frontier.json")
-    )
-
-
-def _frontier_cell(
-    scripts: list[list[tuple]],
-    n_shards: int,
-    k: int,
-    policy: str,
-    width: int,
-    seed: int,
-    elastic: ElasticController | None = None,
-    imbalance_every: int = 64,
-) -> dict:
-    """One verified frontier cell: run, relax-check, audit."""
-    fleet = ShardedBGPQ(
-        n_shards=n_shards, node_capacity=k, backend="native",
-        policy=policy, spray_width=width, seed=seed,
-    )
-    result = run_fleet(
-        fleet, scripts, imbalance_every=imbalance_every, elastic=elastic,
-    )
-    peak_shards = max(
-        [n_shards, fleet.n_shards]
-        + [t.n_after for t in (elastic.actions if elastic else [])]
-    )
-    budget = relaxation_budget(
-        k, len(scripts), peak_shards, migrated=fleet.stats["migrated"]
-    )
-    relax = check_k_relaxed(result.history, k=budget)
-    inserted = [np.asarray(r.args, dtype=np.int64)
-                for r in result.history if r.kind == "insert"]
-    removed = [np.asarray(r.result, dtype=np.int64)
-               for r in result.history if r.kind == "deletemin"]
-    audit = HeapAuditor(fleet).audit(
-        inserted=inserted, removed=removed,
-        context=f"frontier policy={policy} width={width}",
-    )
-    makespan = result.makespan_ns
-    moved = result.keys_in + result.keys_out
-    return {
-        "policy": policy,
-        "spray_width": width,
-        "shards": fleet.n_shards,
-        "makespan_us": round(makespan / 1e3, 3),
-        "keys_per_us": round(moved / makespan * 1e3, 3) if makespan else 0.0,
-        "minimal_k": relax.minimal_k,
-        "relax_budget": budget,
-        "migrated": fleet.stats["migrated"],
-        "steals": result.stats["steals"],
-        "relax_ok": bool(relax.ok),
-        "relax_problems": relax.problems[:5],
-        "audit_ok": bool(audit.ok),
-        "audit_problems": audit.problems[:5],
-    }
+#: the row fields this sweep commits, in baseline order
+FRONTIER_FIELDS = (
+    "policy", "spray_width", "shards", "makespan_us", "keys_per_us",
+    "minimal_k", "relax_budget", "migrated", "steals", "relax_ok",
+    "relax_problems", "audit_ok", "audit_problems",
+)
 
 
 def run_frontier(
@@ -141,10 +84,11 @@ def run_frontier(
     )
     rows: list[dict] = []
     speedups: dict[str, float] = {}
-    base = _frontier_cell(scripts, 1, k, "hash", 1, seed)
+    base = _run_cell(scripts, 1, k, "hash", 1, seed)
     for policy in policies:
         for width in widths:
-            row = _frontier_cell(scripts, GATE_SHARDS, k, policy, width, seed)
+            cell = _run_cell(scripts, GATE_SHARDS, k, policy, width, seed)
+            row = {f: cell[f] for f in FRONTIER_FIELDS}
             rows.append(row)
             if base["keys_per_us"]:
                 speedups[f"frontier/{policy}-w{width}"] = round(
@@ -157,11 +101,9 @@ def run_frontier(
         min_shards=2, max_shards=GATE_SHARDS,
         grow_above=2.0 * k, cooldown=1,
     )
-    elastic_row = _frontier_cell(
-        scripts, 2, k, "shortest", 2, seed,
-        elastic=controller, imbalance_every=32,
-    )
-    elastic = dict(elastic_row)
+    cell = _run_cell(scripts, 2, k, "shortest", 2, seed,
+                     elastic=controller, imbalance_every=32)
+    elastic = {f: cell[f] for f in FRONTIER_FIELDS}
     elastic["grows"] = sum(1 for t in controller.actions if t.action == "grow")
     elastic["actions"] = [t.action for t in controller.actions]
 
@@ -223,36 +165,34 @@ def frontier_gate_problems(results: dict) -> list[str]:
     return problems
 
 
-def render_frontier_delta(current: dict, baseline: dict) -> str:
-    """Current-vs-baseline frontier table (CI artifact on gate failure)."""
-    lines = [
-        "cell                 now(x)  baseline(x)  ratio  minimal_k",
-        "-" * 60,
+def _summary(results: dict) -> list[str]:
+    elastic = results["elastic"]
+    verified = elastic["relax_ok"] and elastic["audit_ok"]
+    return [
+        f"elastic 2->{results['meta']['shards']}: grows={elastic['grows']} "
+        f"migrated={elastic['migrated']} minimal_k={elastic['minimal_k']} "
+        f"budget={elastic['relax_budget']} {'ok' if verified else 'FAILED'}"
     ]
-    cur_rows = {
-        f"{r['policy']}-w{r['spray_width']}": r for r in current.get("rows", [])
-    }
-    cur_sp = current.get("speedups", {})
-    for key, base_val in sorted(baseline.get("speedups", {}).items()):
-        cell = key.split("/", 1)[-1]
-        cur_val = cur_sp.get(key)
-        if cur_val is None:
-            continue
-        mk = cur_rows.get(cell, {}).get("minimal_k", "-")
-        lines.append(
-            f"{cell:<20} {cur_val:>6.2f} {base_val:>12.2f} "
-            f"{cur_val / base_val if base_val else float('nan'):>6.2f} {mk:>10}"
-        )
-    pairs = [
-        (cur_sp[key], base_val)
-        for key, base_val in baseline.get("speedups", {}).items()
-        if key in cur_sp
-    ]
-    if pairs:
-        lines.append(
-            f"geomean ratio: "
-            f"{_geomean(c for c, _ in pairs) / _geomean(b for _, b in pairs):.3f}"
-        )
-    for p in frontier_gate_problems(current):
-        lines.append(f"VERIFY FAILED: {p}")
-    return "\n".join(lines)
+
+
+#: ``repro bench frontier``: the spray_width x policy surface plus the
+#: elastic grow-under-load cell
+LANE = BenchLane(
+    name="frontier",
+    stem="frontier",
+    title="bench frontier (minimal_k vs makespan per cell)",
+    run=lambda args, rebaseline: run_frontier(
+        k=args.shard_k,
+        sessions=args.shard_sessions,
+        requests=args.shard_requests,
+        quick=args.quick,
+    ),
+    gate=frontier_gate_problems,
+    summary=_summary,
+    config_keys=("k", "sessions", "requests", "quick"),
+    headline=lambda r: {"elastic_grows": r["elastic"]["grows"]},
+    ratios=lambda r: {
+        "frontier": round(geomean(r["speedups"].values()), 3)
+        if r["speedups"] else None,
+    },
+)

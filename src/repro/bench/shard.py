@@ -50,10 +50,11 @@ quality-vs-throughput sweep over ``spray_width`` × policy.
 Because all time is simulated (deterministic cost model, seeded
 router), the committed baseline ``BENCH_shard.json`` (env override
 ``REPRO_BENCH_SHARD_BASELINE``) is machine-portable and the CI gate
-can demand exact-ish ratios: gating reuses
-:func:`repro.bench.reporting.compare_to_baseline` plus two hard floors —
-the 4-shard mixed speedup must stay >= 2x, and the k-relaxed spec must
-pass on every cell.
+can demand exact-ish ratios: :data:`LANE` runs it through
+:func:`repro.bench.reporting.run_lane`, which gates drift with
+:func:`repro.bench.reporting.compare_to_baseline` plus this module's
+hard floors — the 4-shard mixed speedup must stay >= 2x, and the
+k-relaxed spec must pass on every cell.
 """
 
 from __future__ import annotations
@@ -61,20 +62,19 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.audit import HeapAuditor
-from ..core.linearizability import check_k_relaxed
+from ..core.linearizability import check_k_relaxed, relaxation_budget
 from ..core.native import NativeBGPQ
-from ..fleet import ShardedBGPQ, mixed_scripts, run_fleet
+from ..fleet import ElasticController, ShardedBGPQ, mixed_scripts, run_fleet
 from ..sim import effects as fx
-from .reporting import geomean as _geomean
+from .reporting import BenchLane, geomean
 
 __all__ = [
+    "LANE",
     "SHARD_COUNTS",
     "SHARD_WORKLOADS",
     "PLACEMENT_POLICIES",
-    "shard_baseline_path",
     "run_shard",
     "shard_gate_problems",
-    "render_shard_delta",
 ]
 
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -92,14 +92,6 @@ GATE_MIN_SPEEDUP = 2.0
 PLACEMENT_SKEW = 1.1
 GATE_PLACEMENT_FLOOR = 4.48
 PLACEMENT_POLICIES = ("hash", "spray", "shortest", "d-choice")
-
-
-def shard_baseline_path():
-    """Committed baseline location (repo root), env-overridable."""
-    import os
-    from pathlib import Path
-
-    return Path(os.environ.get("REPRO_BENCH_SHARD_BASELINE", "BENCH_shard.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -134,33 +126,26 @@ class _TracePQ(NativeBGPQ):
         return keys, pay
 
 
-def _knapsack_trace(batch: int, quick: bool) -> list[tuple]:
-    from ..apps.knapsack.branch_bound import solve_batched
-    from ..apps.knapsack.instance import generate
-
-    inst = generate(24 if quick else 36, family="weakly_correlated", seed=5)
+def _app_trace(app: str, batch: int, quick: bool) -> list[tuple]:
+    """The op stream of one real ``knapsack`` or ``astar`` solve."""
     trace: list[tuple] = []
 
     def factory(node_capacity, ctx, payload_width, _storage):
         return _TracePQ(node_capacity=node_capacity, ctx=ctx,
                         payload_width=payload_width, trace=trace)
 
-    solve_batched(inst, batch=batch, pq_factory=factory)
-    return trace
+    if app == "knapsack":
+        from ..apps.knapsack.branch_bound import solve_batched
+        from ..apps.knapsack.instance import generate
 
+        inst = generate(24 if quick else 36, family="weakly_correlated", seed=5)
+        solve_batched(inst, batch=batch, pq_factory=factory)
+    else:
+        from ..apps.astar.grid import generate_grid
+        from ..apps.astar.search import astar_batched
 
-def _astar_trace(batch: int, quick: bool) -> list[tuple]:
-    from ..apps.astar.grid import generate_grid
-    from ..apps.astar.search import astar_batched
-
-    grid = generate_grid(24 if quick else 48, 0.15, seed=3)
-    trace: list[tuple] = []
-
-    def factory(node_capacity, ctx, payload_width, _storage):
-        return _TracePQ(node_capacity=node_capacity, ctx=ctx,
-                        payload_width=payload_width, trace=trace)
-
-    astar_batched(grid, batch=batch, pq_factory=factory)
+        grid = generate_grid(24 if quick else 48, 0.15, seed=3)
+        astar_batched(grid, batch=batch, pq_factory=factory)
     return trace
 
 
@@ -173,23 +158,46 @@ def _deal(trace: list[tuple], sessions: int) -> list[list[tuple]]:
 
 
 # ---------------------------------------------------------------------------
-# one (workload, shard-count) cell
+# one verified fleet cell (this bench's and the frontier sweep's)
 # ---------------------------------------------------------------------------
+#: the row fields this bench commits, in baseline order
+SHARD_FIELDS = (
+    "shards", "policy", "requests", "keys_in", "keys_out", "makespan_us",
+    "keys_per_us", "steals", "probes", "imbalance", "minimal_k",
+    "relax_budget", "relax_ok", "relax_problems", "audit_ok",
+    "audit_problems",
+)
+
+
 def _run_cell(
     scripts: list[list[tuple]],
     n_shards: int,
     k: int,
     policy: str,
+    width: int,
     seed: int,
+    elastic: ElasticController | None = None,
+    imbalance_every: int = 64,
 ) -> dict:
+    """One verified cell: run, relax-check, audit; every field either
+    bench commits (each projects its own row from it)."""
     fleet = ShardedBGPQ(
         n_shards=n_shards, node_capacity=k, backend="native",
-        policy=policy, spray_width=2, seed=seed,
+        policy=policy, spray_width=width, seed=seed,
     )
-    result = run_fleet(fleet, scripts)
+    result = run_fleet(
+        fleet, scripts, imbalance_every=imbalance_every, elastic=elastic,
+    )
     # in-flight work bound: one ≤2k-key request per concurrent session
-    # plus one hidden batch per unprobed shard root (see module doc)
-    budget = 2 * k * (len(scripts) + n_shards)
+    # plus one hidden batch per unprobed shard root (see module doc),
+    # plus every key an elastic action migrated
+    peak_shards = max(
+        [n_shards, fleet.n_shards]
+        + [t.n_after for t in (elastic.actions if elastic else [])]
+    )
+    budget = relaxation_budget(
+        k, len(scripts), peak_shards, migrated=fleet.stats["migrated"]
+    )
     relax = check_k_relaxed(result.history, k=budget)
     inserted = [np.asarray(r.args, dtype=np.int64)
                 for r in result.history if r.kind == "insert"]
@@ -197,13 +205,14 @@ def _run_cell(
                for r in result.history if r.kind == "deletemin"]
     audit = HeapAuditor(fleet).audit(
         inserted=inserted, removed=removed,
-        context=f"shards={n_shards} policy={policy}",
+        context=f"shards={n_shards} policy={policy} width={width}",
     )
     moved = result.keys_in + result.keys_out
     makespan = result.makespan_ns
     return {
-        "shards": n_shards,
+        "shards": fleet.n_shards,
         "policy": policy,
+        "spray_width": width,
         "requests": result.requests,
         "keys_in": result.keys_in,
         "keys_out": result.keys_out,
@@ -212,6 +221,7 @@ def _run_cell(
         "steals": result.stats["steals"],
         "probes": result.stats["probes"],
         "imbalance": round(fleet.imbalance(), 3),
+        "migrated": fleet.stats["migrated"],
         "minimal_k": relax.minimal_k,
         "relax_budget": budget,
         "relax_ok": bool(relax.ok),
@@ -296,10 +306,10 @@ def _placement_section(
     scripts = mixed_scripts(
         sessions, requests, k, seed=seed, skew=PLACEMENT_SKEW
     )
-    base = _run_cell(scripts, 1, k, "hash", seed)
+    base = _run_cell(scripts, 1, k, "hash", 2, seed)
     cells: dict[str, dict] = {}
     for pol in PLACEMENT_POLICIES:
-        row = _run_cell(scripts, GATE_SHARDS, k, pol, seed)
+        row = _run_cell(scripts, GATE_SHARDS, k, pol, 2, seed)
         cells[pol] = {
             "speedup": round(row["keys_per_us"] / base["keys_per_us"], 3)
             if base["keys_per_us"]
@@ -351,12 +361,11 @@ def run_shard(
     scripts_by_workload: dict[str, list[list[tuple]]] = {}
     if "mixed" in workloads:
         scripts_by_workload["mixed"] = mixed_scripts(sessions, requests, k, seed=seed)
-    if "knapsack" in workloads:
-        scripts_by_workload["knapsack"] = _deal(
-            _knapsack_trace(k, quick), sessions // 2
-        )
-    if "astar" in workloads:
-        scripts_by_workload["astar"] = _deal(_astar_trace(k, quick), sessions // 2)
+    for app in ("knapsack", "astar"):
+        if app in workloads:
+            scripts_by_workload[app] = _deal(
+                _app_trace(app, k, quick), sessions // 2
+            )
 
     rows: list[dict] = []
     speedups: dict[str, float] = {}
@@ -364,7 +373,8 @@ def run_shard(
     for workload, scripts in scripts_by_workload.items():
         base_tput = None
         for n in shard_counts:
-            row = _run_cell(scripts, n, k, policy, seed)
+            cell = _run_cell(scripts, n, k, policy, 2, seed)
+            row = {f: cell[f] for f in SHARD_FIELDS}
             row["workload"] = workload
             rows.append(row)
             relaxation[f"{workload}/shards={n}"] = {
@@ -415,7 +425,7 @@ def run_shard(
         # allocation gate, so the flag dict is empty by construction
         "zero_alloc": {},
         "relaxation": relaxation,
-        "geomean_4shard": round(_geomean(gate_cells), 3) if gate_cells else None,
+        "geomean_4shard": round(geomean(gate_cells), 3) if gate_cells else None,
         "mixed_4shard": speedups.get(f"mixed/shards={GATE_SHARDS}"),
         "spraylist": spray,
         "placement": placement,
@@ -468,40 +478,52 @@ def shard_gate_problems(results: dict) -> list[str]:
     return problems
 
 
-def render_shard_delta(current: dict, baseline: dict) -> str:
-    """Per-workload current-vs-baseline geomean table (CI artifact)."""
-    by_workload: dict[str, list[tuple[float, float]]] = {}
-    for key, base_val in baseline.get("speedups", {}).items():
-        cur_val = current.get("speedups", {}).get(key)
-        if cur_val is not None:
-            by_workload.setdefault(key.split("/")[0], []).append((cur_val, base_val))
-    lines = [
-        "workload   geomean(now)  geomean(baseline)  ratio",
-        "-" * 51,
-    ]
-    for workload in sorted(by_workload):
-        pairs = by_workload[workload]
-        cur = _geomean(c for c, _ in pairs)
-        base = _geomean(b for _, b in pairs)
-        lines.append(
-            f"{workload:<10} {cur:>12.3f} {base:>18.3f} {cur / base:>6.2f}"
-        )
-    for cell, rep in sorted(current.get("relaxation", {}).items()):
-        if not rep.get("ok"):
-            lines.append(f"relaxation FAILED: {cell} "
-                         f"(minimal_k={rep.get('minimal_k')}, "
-                         f"budget={rep.get('budget')})")
-    placement = current.get("placement")
+def _summary(results: dict) -> list[str]:
+    lines = []  # per-cell relaxation is in the table's columns
+    if results["spraylist"]:
+        lines.append(f"spraylist (reduced mixed): "
+                     f"{results['spraylist']['keys_per_us']:.3f} keys/us")
+    if results["mixed_4shard"] is not None:
+        lines.append(f"mixed {GATE_SHARDS}-shard speedup: "
+                     f"{results['mixed_4shard']:.2f}x "
+                     f"(floor {GATE_MIN_SPEEDUP:.1f}x)")
+    placement = results["placement"]
     if placement:
-        lines.append("")
-        lines.append(
-            f"skewed placement (skew={placement.get('skew')}, "
-            f"{placement.get('shards')} shards):"
-        )
-        for pol, cell in sorted(placement.get("cells", {}).items()):
-            lines.append(
-                f"  {pol:<9} {cell.get('speedup', 0):>6.2f}x  "
-                f"minimal_k={cell.get('minimal_k')}  "
-                f"{'ok' if cell.get('ok') else 'FAILED'}"
-            )
-    return "\n".join(lines)
+        lines.append(f"skewed placement (skew={placement['skew']}, "
+                     f"{placement['shards']} shards):")
+        lines += [
+            f"  {pol:<9} {cell['speedup']:>6.2f}x  "
+            f"minimal_k={cell['minimal_k']}  "
+            f"{'ok' if cell['ok'] else 'FAILED'}"
+            for pol, cell in sorted(placement["cells"].items())
+        ]
+        lines.append(f"  best load-aware: {placement['best_load_aware']} "
+                     f"({placement['best_speedup']:.2f}x)")
+    return lines
+
+
+#: ``repro bench shard``: one run suffices even for the baseline —
+#: simulated clocks and a seeded router make the payload a pure
+#: function of its arguments
+LANE = BenchLane(
+    name="shard",
+    stem="shard",
+    title="bench shard (fleet vs single queue)",
+    run=lambda args, rebaseline: run_shard(
+        shard_counts=args.shard_counts,
+        k=args.shard_k,
+        sessions=args.shard_sessions,
+        requests=args.shard_requests,
+        policy=args.shard_policy,
+        quick=args.quick,
+    ),
+    gate=shard_gate_problems,
+    summary=_summary,
+    config_keys=("shard_counts", "k", "sessions", "requests", "policy",
+                 "quick"),
+    headline=lambda r: {
+        "geomean_4shard": r["geomean_4shard"],
+        "mixed_4shard": r["mixed_4shard"],
+    },
+    ratios=lambda r: {"4shard": r["geomean_4shard"]},
+)

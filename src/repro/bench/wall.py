@@ -26,19 +26,16 @@ Lanes (per node capacity in :data:`WALL_KS`):
     One :meth:`insert_bulk` of :data:`BULK_RECORDS` records carrying a
     width-1 payload into a cleared queue — the post-expansion push every
     app driver performs, with the payload column riding the presort.
-``build``
-    One Floyd-style :meth:`build` of :data:`BULK_RECORDS` keys.
-``knapsack`` / ``astar``
-    Miniature end-to-end application solves with the process-wide
-    kernel backend switched to each variant.  They are dominated by
-    driver work outside the queue, so their ratios stay within ~0.8-1.7x;
-    they catch engine-integration regressions, not speedup.
+
+App solves have no cell: perfbench's ``knapsack`` workload times them,
+and ``tests/apps/test_backend_parity.py`` checks their answers per backend.
 
 Queues are constructed without a ``GpuContext``: device-charge
 accounting is bit-identical across variants (tested), so simulating it
 here would only tax every variant equally and blur the ratios.
 
-Gating is two-layered, both machine-portable:
+Gating is two-layered, both machine-portable, and :data:`LANE` hands
+both to the shared runner :func:`repro.bench.reporting.run_lane`:
 
 * a committed drift baseline (``BENCH_wall.json``, env override
   ``REPRO_BENCH_WALL_BASELINE``) checked through
@@ -64,29 +61,26 @@ import gc
 import os
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 
 from ..core.native import NativeBGPQ
 from ..device import cbuild
 from ..primitives import kernels as kernel_registry
-from .reporting import geomean as _geomean
+from .reporting import BenchLane, refresh_analysis_baseline, results_dir
 
 __all__ = [
     "BULK_RECORDS",
     "FLOOR_SPEEDUP",
+    "LANE",
     "WALL_KS",
     "instrumented_mixed_pass",
-    "render_wall_delta",
     "run_wall",
-    "wall_baseline_path",
     "wall_gate_problems",
 ]
 
 WALL_KS = (32, 128, 512)
-WALL_BENCHES = ("insert", "delete", "mixed", "bulk", "build")
-APP_BENCHES = ("knapsack", "astar")
+WALL_BENCHES = ("insert", "delete", "mixed", "bulk")
 BULK_RECORDS = 32768
 FLOOR_SPEEDUP = 3.15
 FLOOR_KEY_BENCH = "mixed"
@@ -94,16 +88,6 @@ FLOOR_VARIANT = "cext"
 FLOOR_K = 512
 #: the variant every speedup is measured against
 REFERENCE = "numpy"
-
-
-def wall_baseline_path() -> Path:
-    """Committed baseline location (repo root), env-overridable."""
-    return Path(os.environ.get("REPRO_BENCH_WALL_BASELINE", "BENCH_wall.json"))
-
-
-def _variants() -> list[str]:
-    """Variants this host can actually run, reference first."""
-    return kernel_registry.available_backends()
 
 
 def _time_loop(ops: dict, iters: int, repeats: int = 3) -> dict:
@@ -231,58 +215,12 @@ def _lane_bulk(q: NativeBGPQ, k: int, rng, total_ops: int):
     return op
 
 
-def _lane_build(q: NativeBGPQ, k: int, rng, total_ops: int):
-    records = rng.integers(0, 1 << 30, size=BULK_RECORDS).astype(np.int64)
-
-    def op(i, q=q, records=records):
-        q.clear()
-        q.build(records)
-
-    return op
-
-
 _LANES = {
     "insert": _lane_insert,
     "delete": _lane_delete,
     "mixed": _lane_mixed,
     "bulk": _lane_bulk,
-    "build": _lane_build,
 }
-
-
-def _app_ops(bench: str, k: int, variants: list[str]) -> dict:
-    """Per variant, an op that runs one miniature solve with the
-    process-wide kernel backend switched to that variant and asserts
-    the answer is the reference's."""
-    if bench == "knapsack":
-        from ..apps.knapsack.branch_bound import solve_batched
-        from ..apps.knapsack.instance import generate
-
-        inst = generate(36, family="weakly_correlated", seed=5)
-
-        def solve():
-            return solve_batched(inst, batch=k).best_profit
-    else:
-        from ..apps.astar.grid import generate_grid
-        from ..apps.astar.search import astar_batched
-
-        grid = generate_grid(48, 0.15, seed=3)
-
-        def solve():
-            return astar_batched(grid, batch=k).cost
-
-    with kernel_registry.use(REFERENCE):
-        expect = solve()
-
-    def app_op(variant):
-        def op(i):
-            with kernel_registry.use(variant):
-                got = solve()
-            assert got == expect, f"{bench} answer changed: {got} != {expect}"
-
-        return op
-
-    return {variant: app_op(variant) for variant in variants}
 
 
 # ---------------------------------------------------------------------------
@@ -290,40 +228,26 @@ def run_wall(
     ks=WALL_KS,
     quick: bool = False,
     op_iters: int | None = None,
-    e2e_iters: int | None = None,
 ) -> dict:
     """Run the wall-clock lanes; returns the BENCH_wall payload.
 
     Speedup keys are ``"{bench}:{variant}/k={k}"`` — the variant's
     ops/sec over the ``numpy`` reference's for the same (bench, k).
-    ``op_iters``/``e2e_iters`` override the iteration counts (tests use
-    tiny loops; the quick/full presets serve CI and the baseline).
+    ``op_iters`` overrides the iteration count (tests use tiny loops;
+    the quick/full presets serve CI and the baseline).
     """
     op_iters = op_iters if op_iters is not None else (12 if quick else 40)
-    e2e_iters = e2e_iters if e2e_iters is not None else (2 if quick else 4)
     bulk_iters = max(2, op_iters // 8)
-    variants = _variants()
+    # the variants this host can actually run, reference first
+    variants = kernel_registry.available_backends()
 
     provenance: dict[str, dict] = {}
     rows: list[dict] = []
     zero_alloc: dict[str, bool] = {}
-
-    def record(bench, k, variant, iters, ops_per_sec, retained=-1):
-        rows.append(
-            {
-                "bench": bench,
-                "k": k,
-                "variant": variant,
-                "ops": iters,
-                "ops_per_sec": round(ops_per_sec, 1),
-                "retained_bytes": int(retained),
-            }
-        )
-
     for k in ks:
         for bench in WALL_BENCHES:
-            iters = bulk_iters if bench in ("bulk", "build") else op_iters
-            repeats = 2 if bench in ("bulk", "build") else 3
+            iters = bulk_iters if bench == "bulk" else op_iters
+            repeats = 2 if bench == "bulk" else 3
             total_ops = max(1, iters // 4) + repeats * iters
             ops = {}
             for variant in variants:
@@ -342,13 +266,14 @@ def run_wall(
                     # bookkeeping means the heapify path allocates
                     retained = _alloc_loop(op, iters)[0]
                     zero_alloc[f"mixed:numpy/k={k}"] = retained < k * 8 + 256
-                record(bench, k, variant, iters, rates[variant], retained)
-        # best of 5 short loops: a ~10 ms solve is easily hit by a
-        # scheduler stall on a shared host
-        for bench in APP_BENCHES:
-            rates = _time_loop(_app_ops(bench, k, variants), e2e_iters, repeats=5)
-            for variant in variants:
-                record(bench, k, variant, e2e_iters, rates[variant])
+                rows.append({
+                    "bench": bench,
+                    "k": k,
+                    "variant": variant,
+                    "ops": iters,
+                    "ops_per_sec": round(rates[variant], 1),
+                    "retained_bytes": int(retained),
+                })
 
     speedups: dict[str, float] = {}
     by_cell = {(r["bench"], r["k"], r["variant"]): r for r in rows}
@@ -368,7 +293,6 @@ def run_wall(
             "quick": quick,
             "ks": list(ks),
             "op_iters": op_iters,
-            "e2e_iters": e2e_iters,
             "bulk_records": BULK_RECORDS,
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
@@ -417,35 +341,6 @@ def wall_gate_problems(results: dict, quick: bool = False) -> list[str]:
     return []
 
 
-def render_wall_delta(current: dict, baseline: dict) -> str:
-    """Per-lane current-vs-baseline geomean table (the CI failure artifact)."""
-    by_lane: dict[str, list[tuple[float, float]]] = {}
-    for key, base_val in baseline.get("speedups", {}).items():
-        cur_val = current.get("speedups", {}).get(key)
-        if cur_val is not None:
-            by_lane.setdefault(key.split("/")[0], []).append((cur_val, base_val))
-    lines = [
-        "lane                    geomean(now)  geomean(baseline)  ratio",
-        "-" * 62,
-    ]
-    for lane in sorted(by_lane):
-        pairs = by_lane[lane]
-        cur = _geomean(c for c, _ in pairs)
-        base = _geomean(b for _, b in pairs)
-        lines.append(
-            f"{lane:<23} {cur:>12.3f} {base:>18.3f} {cur / base:>6.2f}"
-        )
-    for key, flag in sorted(baseline.get("zero_alloc", {}).items()):
-        now = current.get("zero_alloc", {}).get(key)
-        lines.append(
-            f"zero-alloc {key}: baseline={'yes' if flag else 'no'} "
-            f"now={'yes' if now else 'NO' if now is False else '?'}"
-        )
-    for problem in wall_gate_problems(current, quick=current["meta"].get("quick")):
-        lines.append(f"floor: {problem}")
-    return "\n".join(lines)
-
-
 def instrumented_mixed_pass(
     registry, k: int = 128, iters: int = 64, backends=None
 ) -> dict:
@@ -458,11 +353,8 @@ def instrumented_mixed_pass(
     timer call per kernel, which must never touch the gated numbers.
     Returns {backend: ops} for the pass.
     """
-    backends = list(
-        backends
-        if backends is not None
-        else [b for b in kernel_registry.available_backends()]
-    )
+    if backends is None:
+        backends = kernel_registry.available_backends()
     done: dict[str, int] = {}
     for name in backends:
         kern = kernel_registry.instrument(kernel_registry.select(name), registry)
@@ -476,3 +368,58 @@ def instrumented_mixed_pass(
             q.deletemin(k)
         done[name] = iters
     return done
+
+
+def _run_lane(args, rebaseline: bool) -> dict:
+    results = run_wall(ks=args.bench_ks, quick=args.quick)
+    if rebaseline:
+        # A baseline records the *floor* the gate defends, so take the
+        # conservative elementwise minimum of two runs — a single
+        # lucky-fast sample would otherwise trip the gate forever after.
+        second = run_wall(ks=args.bench_ks, quick=args.quick)
+        for key, val in second["speedups"].items():
+            prev = results["speedups"].get(key)
+            results["speedups"][key] = val if prev is None else min(prev, val)
+        for key, flag in second["zero_alloc"].items():
+            results["zero_alloc"][key] = bool(
+                flag and results["zero_alloc"].get(key, True)
+            )
+    # per-kernel wall histograms ride the metrics registry; a separate
+    # untimed pass so the timer never taxes the gated loops
+    from ..obs.metrics import MetricsRegistry, validate_prometheus_text
+
+    registry = MetricsRegistry()
+    instrumented_mixed_pass(registry)
+    prom_text = registry.to_prometheus()
+    validate_prometheus_text(prom_text)
+    prom_path = results_dir() / "bench_wall.prom"
+    prom_path.write_text(prom_text)
+    print(f"[kernel histograms saved {prom_path}]")
+    return results
+
+
+#: ``repro bench native``: host ops/sec per variant, gated as ratios
+#: over the numpy reference plus the zero-alloc flags and the floor;
+#: ``--update-baseline`` also rewrites ``BENCH_analysis.json``
+#: (simulated ns, so byte-stable)
+LANE = BenchLane(
+    name="native",
+    stem="wall",
+    title="bench native (host ops/sec per NativeBGPQ variant)",
+    run=_run_lane,
+    gate=lambda r: wall_gate_problems(r, quick=r["meta"]["quick"]),
+    summary=lambda r: [
+        f"kernels[{variant}]: {info}"
+        for variant, info in r["meta"]["kernels"].items()
+    ],
+    config_keys=("ks", "quick"),
+    headline=lambda r: {
+        "kernels": r["meta"]["kernels"], "cpu_count": r["meta"]["cpu_count"],
+    },
+    ratios=lambda r: {
+        "floor": r["speedups"].get(
+            f"{FLOOR_KEY_BENCH}:{FLOOR_VARIANT}/k={FLOOR_K}"
+        ),
+    },
+    on_update=refresh_analysis_baseline,
+)

@@ -28,29 +28,17 @@ Usage::
 livelocks, or fails the post-run heap audit; each failure line carries
 the (queue, plan, seed) triple that reproduces it.
 
-``bench native`` (the default bench target) times the host-speed
-:class:`~repro.core.native.NativeBGPQ` application engine (see
-:mod:`repro.bench.wall`), archives the results, and exits non-zero on
-a >20% geomean speedup regression against the committed
-``BENCH_wall.json`` baseline (refresh it with ``--update-baseline``):
-compiled-over-numpy kernel ratios, the steady-state zero-allocation
-gate, miniature knapsack/A* end-to-end runs and a >=3.15x compiled
-mixed floor; on failure it saves a current-vs-baseline delta table
-next to the archived results.
-``bench shard`` gates the sharded fleet (see :mod:`repro.bench.shard`
-and :mod:`repro.fleet`): simulated throughput at 1/2/4/8 shards vs the
-single-queue baseline on mixed/knapsack/A* workloads against
-``BENCH_shard.json``, with hard floors — a >=2x 4-shard mixed speedup,
-a passing k-relaxed correctness check on every cell, and (full runs)
-the skewed-placement section where the best load-aware policy
-(shortest/d-choice) must beat hash and clear the 4.48x floor; the run
-is fully deterministic (simulated clocks, seeded router), so the
-baseline ratios are machine-portable.  ``bench frontier`` sweeps the
-quality-vs-throughput surface (see :mod:`repro.bench.frontier`):
-``spray_width`` x placement policy on the skewed workload, each cell
-reporting measured ``minimal_k`` next to makespan, plus an elastic
-grow-under-load cell verified with the migration-aware relaxation
-budget, gated against ``BENCH_frontier.json``.
+``bench <lane>`` runs one row of :data:`LANES` through the shared
+runner :func:`repro.bench.reporting.run_lane`: ``native`` (the default)
+times :class:`~repro.core.native.NativeBGPQ` per kernel backend
+(:mod:`repro.bench.wall`: compiled-over-numpy ratios, zero-allocation
+flags, a >=3.15x compiled mixed floor); ``shard`` and ``frontier``
+gate the sharded fleet's simulated throughput (:mod:`repro.bench.shard`,
+:mod:`repro.bench.frontier`: deterministic, so machine-portable).  Each
+exits 1 on a >20% geomean speedup regression against its committed
+``BENCH_<lane>.json`` or a failed hard gate, saving a delta table next
+to the archived results; ``--update-baseline`` rewrites the baseline
+only from a run that clears its hard gates.
 
 ``trace`` runs the canonical mixed workload with the observability bus
 attached (see :mod:`repro.obs`), prints collaboration counters, op
@@ -107,8 +95,13 @@ from .bench import (
     table2_knapsack,
     table2_util,
 )
+from .bench import frontier, shard, wall
+from .bench.reporting import run_lane
 
 __all__ = ["main"]
+
+#: the gated ``repro bench`` lanes, by target
+LANES = {lane.name: lane for lane in (wall.LANE, shard.LANE, frontier.LANE)}
 
 
 def _record_registry(kind: str, config: dict, status: str, summary: dict,
@@ -825,383 +818,46 @@ def _run_faults(args) -> int:
     return 0
 
 
-def _refresh_analysis_baseline() -> None:
-    """Rewrite BENCH_analysis.json (per-phase critical-path composition)."""
-    import json
-
-    from .bench.reporting import analysis_baseline_path, capture_analysis
-
-    payload = capture_analysis()
-    path = analysis_baseline_path()
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"analysis baseline written to {path}")
-
-
-def _run_bench_native(args) -> int:
-    """`repro bench native`: the NativeBGPQ wall-clock gate.
-
-    Unlike the simulated lanes this one times wall-clock ops/sec per
-    kernel variant (numpy reference, compiled C core), so the committed
-    baseline stores *ratios over the numpy reference* (machine-portable)
-    plus the zero-allocation flags, and a hard ``>= 3.15x`` floor guards
-    the compiled mixed lane at k=512.  ``--update-baseline`` also
-    rewrites ``BENCH_analysis.json`` (simulated ns, so byte-stable).
-    """
-    import json
-
-    from .bench.wall import (
-        WALL_KS,
-        instrumented_mixed_pass,
-        render_wall_delta,
-        run_wall,
-        wall_baseline_path,
-        wall_gate_problems,
-    )
-    from .bench.reporting import compare_to_baseline, gate_meta, results_dir
-    from .obs.metrics import MetricsRegistry, validate_prometheus_text
-
-    ks = (
-        tuple(int(k) for k in args.bench_ks.split(","))
-        if args.bench_ks
-        else WALL_KS
-    )
-    base_file = wall_baseline_path()
-    rebaseline = args.update_baseline or not base_file.exists()
-    t0 = time.perf_counter()
-    results = run_wall(ks=ks, quick=args.quick)
-    if rebaseline:
-        # A baseline records the *floor* the gate defends, so take the
-        # conservative elementwise minimum of two runs — a single
-        # lucky-fast sample would otherwise trip the gate forever after.
-        second = run_wall(ks=ks, quick=args.quick)
-        for key, val in second["speedups"].items():
-            prev = results["speedups"].get(key)
-            results["speedups"][key] = val if prev is None else min(prev, val)
-        for key, flag in second["zero_alloc"].items():
-            results["zero_alloc"][key] = bool(
-                flag and results["zero_alloc"].get(key, True)
-            )
-    wall_s = time.perf_counter() - t0
-    print(render_rows(
-        results["rows"], "bench native (host ops/sec per NativeBGPQ variant)"
-    ))
-    print()
-    for key, val in sorted(results["speedups"].items()):
-        print(f"  speedup vs numpy {key}: {val:.2f}x")
-    for key, flag in sorted(results["zero_alloc"].items()):
-        print(f"  zero-alloc {key}: {'yes' if flag else 'NO'}")
-    for variant, info in results["meta"]["kernels"].items():
-        print(f"  kernels[{variant}]: {info}")
-
-    # per-kernel wall histograms ride the PR 9 metrics registry; a
-    # separate untimed pass so the timer never taxes the gated loops
-    registry = MetricsRegistry()
-    instrumented_mixed_pass(registry)
-    prom_text = registry.to_prometheus()
-    validate_prometheus_text(prom_text)
-    prom_path = results_dir() / "bench_wall.prom"
-    prom_path.parent.mkdir(parents=True, exist_ok=True)
-    prom_path.write_text(prom_text)
-
-    path = save_results("bench_wall", results["rows"], meta={
-        **results["meta"],
-        "speedups": results["speedups"],
-        "zero_alloc": results["zero_alloc"],
-        "floor": results["floor"],
-        "wall_s": round(wall_s, 1),
-    })
-    print(f"[{wall_s:.1f}s host; saved {path}; kernel histograms {prom_path}]\n")
-
-    rc = 0
-    problems: list[str] = []
-    if rebaseline:
-        base_file.write_text(json.dumps(results, indent=2, default=str) + "\n")
-        print(f"baseline written to {base_file}")
-        if args.update_baseline:
-            _refresh_analysis_baseline()
-        problems = wall_gate_problems(results, quick=args.quick)
-    else:
-        baseline = json.loads(base_file.read_text())
-        problems = compare_to_baseline(results, baseline)
-        problems += wall_gate_problems(results, quick=args.quick)
-        if not problems:
-            print(f"no regression vs {base_file} (tolerance 20%)")
-    if problems:
-        print(f"WALL-CLOCK GATE FAILED vs {base_file}:")
-        for p in problems:
-            print(f"  {p}")
-        baseline = (
-            results if rebaseline else json.loads(base_file.read_text())
-        )
-        delta = render_wall_delta(results, baseline)
-        delta_path = results_dir() / "bench_wall_delta.txt"
-        delta_path.write_text(delta + "\n")
-        print("\n" + delta)
-        print(f"\n(delta table saved to {delta_path}; re-baseline "
-              "intentionally with: python -m repro bench native "
-              "--update-baseline)")
-        rc = 1
-
-    floor_key = (
-        "mixed:cext/k=512"
-        if "cext" in results["meta"]["compiled_available"] else None
-    )
-    _record_registry(
-        "bench-wall",
-        config={
-            "ks": list(ks),
-            "quick": args.quick,
-            "rebaseline": rebaseline,
-        },
-        status="completed" if rc == 0 else "failed",
-        summary={
-            "speedups": results["speedups"],
-            "kernels": results["meta"]["kernels"],
-            "cpu_count": results["meta"]["cpu_count"],
-            "gate": gate_meta(
-                rc == 0, base_file, rebaseline,
-                ratios={
-                    "floor": results["speedups"].get(floor_key)
-                } if floor_key else None,
-            ),
-            "wall_s": round(wall_s, 1),
-        },
-    )
-    return rc
-
-
-def _run_bench_shard(args) -> int:
-    """`repro bench shard`: the sharded-fleet simulated-throughput gate."""
-    import json
-
-    from .bench.reporting import compare_to_baseline, results_dir
-    from .bench.shard import (
-        SHARD_COUNTS,
-        render_shard_delta,
-        run_shard,
-        shard_baseline_path,
-        shard_gate_problems,
-    )
-
-    shard_counts = (
-        tuple(int(n) for n in args.shard_counts.split(","))
-        if args.shard_counts
-        else SHARD_COUNTS
-    )
-    base_file = shard_baseline_path()
-    rebaseline = args.update_baseline or not base_file.exists()
-    t0 = time.perf_counter()
-    # one run suffices even for the baseline: simulated clocks + seeded
-    # router make the payload a pure function of its arguments
-    results = run_shard(
-        shard_counts=shard_counts,
-        k=args.shard_k,
-        sessions=args.shard_sessions,
-        requests=args.shard_requests,
-        policy=args.shard_policy,
-        quick=args.quick,
-    )
-    wall = time.perf_counter() - t0
-    print(render_rows(results["rows"], "bench shard (fleet vs single queue)"))
-    print()
-    for key, val in sorted(results["speedups"].items()):
-        print(f"  speedup {key}: {val:.2f}x")
-    for cell, rep in sorted(results["relaxation"].items()):
-        print(f"  relaxed {cell}: minimal_k={rep['minimal_k']} "
-              f"budget={rep['budget']} {'ok' if rep['ok'] else 'FAILED'}")
-    if results.get("spraylist"):
-        spray = results["spraylist"]
-        print(f"  spraylist (reduced mixed): {spray['keys_per_us']:.3f} keys/us")
-    if results.get("mixed_4shard") is not None:
-        print(f"  mixed 4-shard speedup: {results['mixed_4shard']:.2f}x "
-              "(floor 2.0x)")
-    if results.get("placement"):
-        placement = results["placement"]
-        print(f"  skewed placement (skew={placement['skew']}, "
-              f"{placement['shards']} shards):")
-        for pol, cell in sorted(placement["cells"].items()):
-            print(f"    {pol:<9} {cell['speedup']:>6.2f}x  "
-                  f"minimal_k={cell['minimal_k']}  "
-                  f"{'ok' if cell['ok'] else 'FAILED'}")
-        print(f"    best load-aware: {placement['best_load_aware']} "
-              f"({placement['best_speedup']:.2f}x)")
-    path = save_results("bench_shard", results["rows"], meta={
-        **results["meta"],
-        "speedups": results["speedups"],
-        "geomean_4shard": results["geomean_4shard"],
-        "mixed_4shard": results["mixed_4shard"],
-        "wall_s": round(wall, 1),
-    })
-    print(f"[{wall:.1f}s host; saved {path}]\n")
-
-    rc = 0
-    problems = shard_gate_problems(results)
-    if problems:
-        print("SHARD GATE FAILURE:")
-        for p in problems:
-            print(f"  {p}")
-        rc = 1
-    if rebaseline:
-        if rc == 0:
-            base_file.write_text(json.dumps(results, indent=2, default=str) + "\n")
-            print(f"baseline written to {base_file}")
-        else:
-            print("(baseline NOT written: hard gates failed)")
-    else:
-        baseline = json.loads(base_file.read_text())
-        drift = compare_to_baseline(results, baseline)
-        if drift:
-            print(f"PERF REGRESSION vs {base_file}:")
-            for p in drift:
-                print(f"  {p}")
-            rc = 1
-        else:
-            print(f"no regression vs {base_file} (tolerance 20%)")
-        if rc:
-            delta = render_shard_delta(results, baseline)
-            delta_path = results_dir() / "bench_shard_delta.txt"
-            delta_path.write_text(delta + "\n")
-            print("\n" + delta)
-            print(f"\n(delta table saved to {delta_path}; re-baseline "
-                  "intentionally with: python -m repro bench shard "
-                  "--update-baseline)")
-    from .bench.reporting import gate_meta
-
-    _record_registry(
-        "bench-shard",
-        config={
-            "shard_counts": list(shard_counts),
-            "k": args.shard_k,
-            "sessions": args.shard_sessions,
-            "requests": args.shard_requests,
-            "policy": args.shard_policy,
-            "quick": args.quick,
-            "rebaseline": rebaseline,
-        },
-        status="completed" if rc == 0 else "failed",
-        summary={
-            "speedups": results["speedups"],
-            "geomean_4shard": results["geomean_4shard"],
-            "mixed_4shard": results["mixed_4shard"],
-            "gate": gate_meta(rc == 0, base_file, rebaseline,
-                              ratios={"4shard": results["geomean_4shard"]}),
-            "wall_s": round(wall, 1),
-        },
-    )
-    return rc
-
-
-def _run_bench_frontier(args) -> int:
-    """`repro bench frontier`: the quality-vs-throughput sweep gate."""
-    import json
-
-    from .bench.frontier import (
-        frontier_baseline_path,
-        frontier_gate_problems,
-        render_frontier_delta,
-        run_frontier,
-    )
-    from .bench.reporting import compare_to_baseline, results_dir
-
-    base_file = frontier_baseline_path()
-    rebaseline = args.update_baseline or not base_file.exists()
-    t0 = time.perf_counter()
-    results = run_frontier(
-        k=args.shard_k,
-        sessions=args.shard_sessions,
-        requests=args.shard_requests,
-        quick=args.quick,
-    )
-    wall = time.perf_counter() - t0
-    print(render_rows(results["rows"],
-                      "bench frontier (minimal_k vs makespan per cell)"))
-    print()
-    for key, val in sorted(results["speedups"].items()):
-        print(f"  speedup {key}: {val:.2f}x")
-    elastic = results["elastic"]
-    print(f"  elastic 2->{results['meta']['shards']}: grows={elastic['grows']} "
-          f"migrated={elastic['migrated']} minimal_k={elastic['minimal_k']} "
-          f"budget={elastic['relax_budget']} "
-          f"{'ok' if elastic['relax_ok'] and elastic['audit_ok'] else 'FAILED'}")
-    path = save_results("bench_frontier", results["rows"], meta={
-        **results["meta"],
-        "speedups": results["speedups"],
-        "elastic": {k: v for k, v in elastic.items()
-                    if k not in ("relax_problems", "audit_problems")},
-        "wall_s": round(wall, 1),
-    })
-    print(f"[{wall:.1f}s host; saved {path}]\n")
-
-    rc = 0
-    problems = frontier_gate_problems(results)
-    if problems:
-        print("FRONTIER GATE FAILURE:")
-        for p in problems:
-            print(f"  {p}")
-        rc = 1
-    if rebaseline:
-        if rc == 0:
-            base_file.write_text(json.dumps(results, indent=2, default=str) + "\n")
-            print(f"baseline written to {base_file}")
-        else:
-            print("(baseline NOT written: hard gates failed)")
-    else:
-        baseline = json.loads(base_file.read_text())
-        drift = compare_to_baseline(results, baseline)
-        if drift:
-            print(f"PERF REGRESSION vs {base_file}:")
-            for p in drift:
-                print(f"  {p}")
-            rc = 1
-        else:
-            print(f"no regression vs {base_file} (tolerance 20%)")
-        if rc:
-            delta = render_frontier_delta(results, baseline)
-            delta_path = results_dir() / "bench_frontier_delta.txt"
-            delta_path.write_text(delta + "\n")
-            print("\n" + delta)
-            print(f"\n(delta table saved to {delta_path}; re-baseline "
-                  "intentionally with: python -m repro bench frontier "
-                  "--update-baseline)")
-    from .bench.reporting import gate_meta, geomean
-
-    _record_registry(
-        "bench-frontier",
-        config={
-            "k": args.shard_k,
-            "sessions": args.shard_sessions,
-            "requests": args.shard_requests,
-            "quick": args.quick,
-            "rebaseline": rebaseline,
-        },
-        status="completed" if rc == 0 else "failed",
-        summary={
-            "speedups": results["speedups"],
-            "elastic_grows": elastic["grows"],
-            "gate": gate_meta(
-                rc == 0, base_file, rebaseline,
-                ratios={"frontier": round(geomean(
-                    results["speedups"].values()), 3)
-                    if results["speedups"] else None},
-            ),
-            "wall_s": round(wall, 1),
-        },
-    )
-    return rc
-
-
 def _run_bench(args) -> int:
-    target = args.target or "native"
-    if target == "native":
-        return _run_bench_native(args)
-    if target == "shard":
-        return _run_bench_shard(args)
-    if target == "frontier":
-        return _run_bench_frontier(args)
-    print(f"error: unknown bench target {args.target!r} "
-          "(try 'native', 'shard', or 'frontier')",
-          file=sys.stderr)
-    return 2
+    """`repro bench [native|shard|frontier]`: run one lane of LANES."""
+    lane = LANES.get(args.target or "native")
+    if lane is None:
+        print(f"error: unknown bench target {args.target!r} "
+              f"(try {', '.join(map(repr, LANES))})", file=sys.stderr)
+        return 2
+    return run_lane(lane, args, record=_record_registry)
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated ints, sorted and deduplicated."""
+    try:
+        return tuple(sorted({int(v) for v in text.split(",")}))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _bench_ks(text: str) -> tuple[int, ...]:
+    """argparse type of ``--bench-ks``: NativeBGPQ node capacities."""
+    ks = _int_list(text)
+    if ks[0] < 2:
+        raise argparse.ArgumentTypeError(
+            f"node capacities must be >= 2, got {text!r}"
+        )
+    return ks
+
+
+def _shard_counts(text: str) -> tuple[int, ...]:
+    """argparse type of ``--shard-counts``: every speedup is measured
+    against the 1-shard cell, so the list must include it."""
+    counts = _int_list(text)
+    if counts[0] != 1:
+        raise argparse.ArgumentTypeError(
+            f"shard counts must be >= 1 and include 1, the single-queue "
+            f"reference every speedup is measured against (got {text!r})"
+        )
+    return counts
 
 
 class _VersionAction(argparse.Action):
@@ -1332,7 +988,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench.add_argument(
         "--bench-ks",
-        default=None,
+        type=_bench_ks,
+        default=wall.WALL_KS,
         help="comma-separated node capacities (default: 32,128,512)",
     )
     bench.add_argument(
@@ -1344,7 +1001,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench.add_argument(
         "--shard-counts",
-        default=None,
+        type=_shard_counts,
+        default=shard.SHARD_COUNTS,
         help="bench shard: comma-separated fleet widths (default: 1,2,4,8)",
     )
     bench.add_argument(

@@ -34,6 +34,26 @@ def test_cli_rejects_unknown():
         main(["fancy"])
 
 
+@pytest.mark.parametrize("target, flag, value, why", [
+    ("native", "--bench-ks", "8,x", "comma-separated integers"),
+    ("native", "--bench-ks", "1", "must be >= 2"),
+    ("shard", "--shard-counts", "1,x", "comma-separated integers"),
+    ("shard", "--shard-counts", "2,4", "include 1"),
+])
+def test_bench_rejects_bad_sweep_lists(target, flag, value, why, tmp_path,
+                                       monkeypatch, capsys):
+    """Bad sweep lists are usage errors (exit 2), never a traceback or
+    a baseline written without the cells its gates need."""
+    monkeypatch.setenv("REPRO_BENCH_WALL_BASELINE", str(tmp_path / "w.json"))
+    monkeypatch.setenv("REPRO_BENCH_SHARD_BASELINE", str(tmp_path / "s.json"))
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", target, flag, value, "--quick"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and why in err
+    assert not any(tmp_path.glob("*.json"))
+
+
 def test_fig6_capacity_sweep_rows():
     rows = fig6_capacity_sweep(capacities=(32, 64), block_sizes=(128,), n_keys=2048)
     assert len(rows) == 2

@@ -2,32 +2,20 @@
 
 import json
 
-import pytest
-
 from repro.bench.frontier import (
     FRONTIER_POLICIES,
     FRONTIER_WIDTHS,
-    frontier_baseline_path,
+    LANE,
     frontier_gate_problems,
-    render_frontier_delta,
     run_frontier,
 )
 from repro.bench.reporting import compare_to_baseline
 
-# small enough to run in well under a second, loaded enough that the
-# elastic cell actually grows (the gate requires it)
-TINY = dict(widths=(1, 2), policies=("hash", "shortest"), k=64,
-            sessions=16, requests=8)
+from .conftest import TINY_FRONTIER
 
 
-@pytest.fixture(scope="module")
-def tiny_results():
-    """One tiny real sweep shared by the structural tests."""
-    return run_frontier(**TINY)
-
-
-def test_payload_structure(tiny_results):
-    r = tiny_results
+def test_payload_structure(frontier_results):
+    r = frontier_results
     assert r["benchmark"] == "frontier"
     assert r["meta"]["widths"] == [1, 2]
     assert r["base_keys_per_us"] > 0
@@ -46,12 +34,12 @@ def test_payload_structure(tiny_results):
     assert r["elastic"]["relax_ok"] and r["elastic"]["audit_ok"]
 
 
-def test_sweep_is_bit_deterministic(tiny_results):
-    again = run_frontier(**TINY)
+def test_sweep_is_bit_deterministic(frontier_results):
+    again = run_frontier(**TINY_FRONTIER)
     strip = lambda d: {k: v for k, v in d.items()
                        if k not in ("recorded_at", "meta")}
     assert json.dumps(strip(again), sort_keys=True, default=str) == json.dumps(
-        strip(tiny_results), sort_keys=True, default=str
+        strip(frontier_results), sort_keys=True, default=str
     )
 
 
@@ -63,41 +51,30 @@ def test_quick_clamps_the_grid():
     assert max(r["meta"]["widths"]) <= 2  # width 4 clamped away
 
 
-def test_gate_flags_verification_failures(tiny_results):
-    assert frontier_gate_problems(tiny_results) == []
-    broken = json.loads(json.dumps(tiny_results))
+def test_gate_flags_verification_failures(frontier_results):
+    assert frontier_gate_problems(frontier_results) == []
+    broken = json.loads(json.dumps(frontier_results))
     broken["rows"][0]["relax_ok"] = False
     assert any("k-relaxed" in p for p in frontier_gate_problems(broken))
-    unaudited = json.loads(json.dumps(tiny_results))
+    unaudited = json.loads(json.dumps(frontier_results))
     unaudited["rows"][1]["audit_ok"] = False
     assert any("audit" in p for p in frontier_gate_problems(unaudited))
-    stuck = json.loads(json.dumps(tiny_results))
+    stuck = json.loads(json.dumps(frontier_results))
     stuck["elastic"]["grows"] = 0
     assert any("never grew" in p for p in frontier_gate_problems(stuck))
 
 
-def test_gating_reuses_micro_comparator(tiny_results):
-    doctored = json.loads(json.dumps(tiny_results))
+def test_gating_reuses_micro_comparator(frontier_results):
+    doctored = json.loads(json.dumps(frontier_results))
     doctored["speedups"] = {k: v * 10 for k, v in doctored["speedups"].items()}
-    assert compare_to_baseline(tiny_results, doctored)
-    assert compare_to_baseline(tiny_results, tiny_results) == []
-
-
-def test_render_frontier_delta(tiny_results):
-    doctored = json.loads(json.dumps(tiny_results))
-    doctored["speedups"] = {k: v * 2 for k, v in doctored["speedups"].items()}
-    table = render_frontier_delta(tiny_results, doctored)
-    assert "hash-w1" in table and "0.50" in table
-    assert "geomean ratio" in table
-    failed = json.loads(json.dumps(tiny_results))
-    failed["elastic"]["grows"] = 0
-    assert "VERIFY FAILED" in render_frontier_delta(failed, doctored)
+    assert compare_to_baseline(frontier_results, doctored)
+    assert compare_to_baseline(frontier_results, frontier_results) == []
 
 
 def test_baseline_path_env_override(monkeypatch, tmp_path):
     target = tmp_path / "other.json"
     monkeypatch.setenv("REPRO_BENCH_FRONTIER_BASELINE", str(target))
-    assert frontier_baseline_path() == target
+    assert LANE.baseline_path() == target
 
 
 def test_cli_bench_frontier_exit_codes(tmp_path, monkeypatch, capsys):
@@ -119,7 +96,7 @@ def test_cli_bench_frontier_exit_codes(tmp_path, monkeypatch, capsys):
     (tmp_path / "BENCH_frontier.json").write_text(json.dumps(doctored))
     assert main(args) == 1
     out = capsys.readouterr().out
-    assert "PERF REGRESSION" in out
+    assert "bench frontier: GATE FAILED" in out
     assert (tmp_path / "results" / "bench_frontier_delta.txt").exists()
     # --update-baseline rewrites and exits 0 again
     assert main(args + ["--update-baseline"]) == 0
@@ -127,7 +104,7 @@ def test_cli_bench_frontier_exit_codes(tmp_path, monkeypatch, capsys):
 
 def test_committed_baseline_matches_schema():
     """The repo-root BENCH_frontier.json is a real payload of this bench."""
-    base = json.loads(frontier_baseline_path().read_text())
+    base = json.loads(LANE.baseline_path().read_text())
     assert base["benchmark"] == "frontier"
     assert base["meta"]["widths"] == list(FRONTIER_WIDTHS)
     assert base["meta"]["policies"] == list(FRONTIER_POLICIES)

@@ -1,13 +1,18 @@
-"""Building blocks of the bench gates: the shared baseline comparator,
-the zero-allocation bar of one heapify step, the analysis-baseline
-path override, and bench target dispatch."""
+"""Building blocks of the bench gates: the shared baseline comparator
+and delta table, the zero-allocation bar of one heapify step, the
+analysis-baseline path override, and bench target dispatch."""
 
 import json
 
 import numpy as np
+import pytest
 
 from repro.bench import wall
-from repro.bench.reporting import analysis_baseline_path, compare_to_baseline
+from repro.bench.reporting import (
+    analysis_baseline_path,
+    compare_to_baseline,
+    render_delta,
+)
 from repro.core import HeapStorage
 
 
@@ -89,5 +94,51 @@ def test_cli_bench_micro_exit_codes(monkeypatch, capsys):
     assert cli.main(["bench", "micro"]) == 2
     err = capsys.readouterr().err
     assert "unknown bench target 'micro'" in err and "native" in err
-    monkeypatch.setattr(cli, "_run_bench_native", lambda args: 7)
+    seen = []
+    monkeypatch.setattr(cli, "run_lane",
+                        lambda lane, args, record: seen.append(lane.name) or 7)
     assert cli.main(["bench"]) == 7
+    assert seen == ["native"]
+
+
+def _break_native(r):
+    # a full run at k=512 whose compiled mixed cell went missing
+    r["meta"].update(quick=False, ks=[512], compiled_available=["cext"])
+
+
+def _break_shard(r):
+    r["relaxation"]["mixed/shards=2"]["ok"] = False
+
+
+def _break_frontier(r):
+    r["elastic"]["grows"] = 0
+
+
+@pytest.mark.parametrize("lane, breaks, failure", [
+    ("native", _break_native, "floor lane missing"),
+    ("shard", _break_shard, "k-relaxed/audit verification failed"),
+    ("frontier", _break_frontier, "elastic cell never grew"),
+], ids=["native", "shard", "frontier"])
+def test_render_delta(lane, breaks, failure, request):
+    """One table for every lane: each baseline cell the run measured
+    with now/baseline/ratio, a geomean line per key group, the zero-alloc
+    flags, then the lane's hard-gate problems."""
+    from repro.cli import LANES
+
+    spec = LANES[lane]
+    results = request.getfixturevalue(f"{spec.stem}_results")
+    baseline = json.loads(json.dumps(results))
+    baseline["speedups"] = {k: v * 2 for k, v in baseline["speedups"].items()}
+    current = json.loads(json.dumps(results))
+    breaks(current)
+    table = render_delta(current, baseline, spec.gate(current))
+    for key in baseline["speedups"]:
+        assert key in table
+        assert f"{key.split('/')[0]} geomean" in table
+    if baseline["speedups"]:
+        assert "0.50" in table  # now/baseline ratio column
+    for key in baseline["zero_alloc"]:
+        assert f"zero-alloc {key}: baseline=yes now=yes" in table
+    gate_lines = [ln for ln in table.splitlines() if ln.startswith("gate: ")]
+    assert any(failure in ln for ln in gate_lines)
+    assert "gate: " not in render_delta(results, baseline)

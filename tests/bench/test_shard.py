@@ -2,31 +2,21 @@
 
 import json
 
-import pytest
-
 from repro.bench.reporting import compare_to_baseline
 from repro.bench.shard import (
+    LANE,
     SHARD_COUNTS,
     SHARD_WORKLOADS,
     _deal,
-    render_shard_delta,
     run_shard,
-    shard_baseline_path,
     shard_gate_problems,
 )
 
-TINY = dict(shard_counts=(1, 2), k=16, sessions=4, requests=4,
-            workloads=("mixed",))
+from .conftest import TINY_SHARD
 
 
-@pytest.fixture(scope="module")
-def tiny_results():
-    """One tiny real run shared by the structural tests."""
-    return run_shard(**TINY)
-
-
-def test_payload_structure(tiny_results):
-    r = tiny_results
+def test_payload_structure(shard_results):
+    r = shard_results
     assert r["benchmark"] == "shard"
     assert r["meta"]["workloads"] == ["mixed"]
     assert len(r["rows"]) == 2  # one per shard count
@@ -41,17 +31,17 @@ def test_payload_structure(tiny_results):
     assert r["spraylist"]["keys_per_us"] > 0
 
 
-def test_simulated_run_is_bit_deterministic(tiny_results):
-    again = run_shard(**TINY)
+def test_simulated_run_is_bit_deterministic(shard_results):
+    again = run_shard(**TINY_SHARD)
     strip = lambda d: {k: v for k, v in d.items()
                        if k not in ("recorded_at", "meta")}
     assert json.dumps(strip(again), sort_keys=True, default=str) == json.dumps(
-        strip(tiny_results), sort_keys=True, default=str
+        strip(shard_results), sort_keys=True, default=str
     )
 
 
-def test_gate_flags_speedup_floor_and_relaxation(tiny_results):
-    clean = json.loads(json.dumps(tiny_results))
+def test_gate_flags_speedup_floor_and_relaxation(shard_results):
+    clean = json.loads(json.dumps(shard_results))
     clean["mixed_4shard"] = 2.4
     assert shard_gate_problems(clean) == []
     slow = json.loads(json.dumps(clean))
@@ -64,21 +54,11 @@ def test_gate_flags_speedup_floor_and_relaxation(tiny_results):
     assert any("k-relaxed" in p for p in problems)
 
 
-def test_gating_reuses_micro_comparator(tiny_results):
-    doctored = json.loads(json.dumps(tiny_results))
+def test_gating_reuses_micro_comparator(shard_results):
+    doctored = json.loads(json.dumps(shard_results))
     doctored["speedups"] = {k: v * 10 for k, v in doctored["speedups"].items()}
-    assert compare_to_baseline(tiny_results, doctored)
-    assert compare_to_baseline(tiny_results, tiny_results) == []
-
-
-def test_render_shard_delta(tiny_results):
-    doctored = json.loads(json.dumps(tiny_results))
-    doctored["speedups"] = {k: v * 2 for k, v in doctored["speedups"].items()}
-    table = render_shard_delta(tiny_results, doctored)
-    assert "mixed" in table and "0.50" in table
-    failed = json.loads(json.dumps(tiny_results))
-    failed["relaxation"]["mixed/shards=2"]["ok"] = False
-    assert "relaxation FAILED" in render_shard_delta(failed, doctored)
+    assert compare_to_baseline(shard_results, doctored)
+    assert compare_to_baseline(shard_results, shard_results) == []
 
 
 def test_app_traces_ride_the_fleet():
@@ -93,9 +73,9 @@ def test_app_traces_ride_the_fleet():
     assert r["spraylist"] is None  # mixed not benched here
 
 
-def test_placement_section_gated_on_full_grid(tiny_results):
+def test_placement_section_gated_on_full_grid(shard_results):
     # TINY never reaches GATE_SHARDS, so no skewed comparison is run
-    assert tiny_results["placement"] is None
+    assert shard_results["placement"] is None
     r = run_shard(shard_counts=(1, 4), k=32, sessions=8, requests=4,
                   quick=True, workloads=("mixed",))
     placement = r["placement"]
@@ -121,7 +101,7 @@ def test_deal_round_robin_preserves_order():
 def test_baseline_path_env_override(monkeypatch, tmp_path):
     target = tmp_path / "other.json"
     monkeypatch.setenv("REPRO_BENCH_SHARD_BASELINE", str(target))
-    assert shard_baseline_path() == target
+    assert LANE.baseline_path() == target
 
 
 def test_cli_bench_shard_exit_codes(tmp_path, monkeypatch, capsys):
@@ -144,15 +124,28 @@ def test_cli_bench_shard_exit_codes(tmp_path, monkeypatch, capsys):
     (tmp_path / "BENCH_shard.json").write_text(json.dumps(doctored))
     assert main(args) == 1
     out = capsys.readouterr().out
-    assert "PERF REGRESSION" in out
+    assert "bench shard: GATE FAILED" in out
     assert (tmp_path / "results" / "bench_shard_delta.txt").exists()
     # --update-baseline rewrites and exits 0 again
     assert main(args + ["--update-baseline"]) == 0
 
+    # every run lands in the registry under the kind and gate block
+    # `repro runs trend bench-shard` folds
+    from repro.registry import registry_from_env
+
+    runs = registry_from_env().list_runs(kind="bench-shard")
+    assert sorted(r["status"] for r in runs) == [
+        "completed", "completed", "failed"]
+    for r in runs:
+        assert set(r["summary"]["gate"]) == {
+            "passed", "baseline_file", "rebaseline", "geomean_ratios"}
+        assert "4shard" in r["summary"]["gate"]["geomean_ratios"]
+        assert r["config"]["shard_counts"] == [1, 2, 4]
+
 
 def test_committed_baseline_matches_schema():
     """The repo-root BENCH_shard.json is a real payload of this bench."""
-    base = json.loads(shard_baseline_path().read_text())
+    base = json.loads(LANE.baseline_path().read_text())
     assert base["benchmark"] == "shard"
     assert base["mixed_4shard"] >= 2.0
     assert set(base["meta"]["workloads"]) == set(SHARD_WORKLOADS)

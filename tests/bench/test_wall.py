@@ -7,20 +7,10 @@ from pathlib import Path
 import pytest
 
 from repro.bench import wall
-from repro.bench.reporting import compare_to_baseline
+from repro.bench.reporting import compare_to_baseline, render_delta
 from repro.obs.metrics import MetricsRegistry, validate_prometheus_text
 
-#: bulk/build size for tests: the full 32768 records would dominate
-#: every run at small k
-TINY_BULK = 256
-
-
-@pytest.fixture(scope="module")
-def results():
-    """One tiny-iteration run shared by the shape/gate tests."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wall, "BULK_RECORDS", TINY_BULK)
-        return wall.run_wall(ks=(4,), quick=True, op_iters=4, e2e_iters=1)
+from .conftest import TINY_BULK
 
 
 @pytest.fixture
@@ -28,8 +18,7 @@ def tiny_lane(tmp_path, monkeypatch):
     """Point the CLI at a shrunk lane and throwaway baseline/results dirs."""
     monkeypatch.setattr(wall, "BULK_RECORDS", TINY_BULK)
     monkeypatch.setattr(
-        wall, "run_wall",
-        functools.partial(wall.run_wall, op_iters=2, e2e_iters=1),
+        wall, "run_wall", functools.partial(wall.run_wall, op_iters=2),
     )
     monkeypatch.setenv("REPRO_BENCH_WALL_BASELINE",
                        str(tmp_path / "BENCH_wall.json"))
@@ -40,33 +29,31 @@ def tiny_lane(tmp_path, monkeypatch):
     return tmp_path
 
 
-def test_payload_shape(results):
-    assert results["benchmark"] == "wall"
-    assert results["meta"]["quick"] is True
-    assert {"cpu_count", "cpu_model", "compiler"} <= set(results["meta"])
-    variants = results["meta"]["variants"]
+def test_payload_shape(wall_results):
+    assert wall_results["benchmark"] == "wall"
+    assert wall_results["meta"]["quick"] is True
+    assert {"cpu_count", "cpu_model", "compiler"} <= set(wall_results["meta"])
+    variants = wall_results["meta"]["variants"]
     assert variants[0] == "numpy"
-    assert "cext" not in variants or results["meta"]["compiler"]
-    assert len(results["rows"]) == (
-        (len(wall.WALL_BENCHES) + len(wall.APP_BENCHES)) * len(variants)
-    )
-    for row in results["rows"]:
+    assert "cext" not in variants or wall_results["meta"]["compiler"]
+    assert len(wall_results["rows"]) == len(wall.WALL_BENCHES) * len(variants)
+    for row in wall_results["rows"]:
         assert row["ops_per_sec"] > 0
     for variant in variants:
-        assert variant in results["meta"]["kernels"]
-        assert "backend" in results["meta"]["kernels"][variant]
-    assert list(results["zero_alloc"]) == ["mixed:numpy/k=4"]
+        assert variant in wall_results["meta"]["kernels"]
+        assert "backend" in wall_results["meta"]["kernels"][variant]
+    assert list(wall_results["zero_alloc"]) == ["mixed:numpy/k=8"]
 
 
-def test_speedup_keys_group_by_lane(results):
+def test_speedup_keys_group_by_lane(wall_results):
     """Keys must group as bench:variant under compare_to_baseline's
     ``key.split("/")[0]`` convention — one gate per (bench, variant)."""
-    for key in results["speedups"]:
+    for key in wall_results["speedups"]:
         lane, _, kpart = key.partition("/")
         bench, _, variant = lane.partition(":")
-        assert variant in results["meta"]["compiled_available"]
-        assert bench in wall.WALL_BENCHES + wall.APP_BENCHES
-        assert kpart == "k=4"
+        assert variant in wall_results["meta"]["compiled_available"]
+        assert bench in wall.WALL_BENCHES
+        assert kpart == "k=8"
 
 
 def test_alloc_loop_detects_retention():
@@ -76,18 +63,18 @@ def test_alloc_loop_detects_retention():
     assert peak >= retained
 
 
-def test_baseline_comparison_round_trip(results):
-    assert compare_to_baseline(results, results) == []
-    slower = json.loads(json.dumps(results))
+def test_baseline_comparison_round_trip(wall_results):
+    assert compare_to_baseline(wall_results, wall_results) == []
+    slower = json.loads(json.dumps(wall_results))
     for key in slower["speedups"]:
-        slower["speedups"][key] = results["speedups"][key] * 4 + 1
-    assert compare_to_baseline(results, slower) != []
+        slower["speedups"][key] = wall_results["speedups"][key] * 4 + 1
+    assert compare_to_baseline(wall_results, slower) != []
 
 
-def test_floor_gate_logic(results):
+def test_floor_gate_logic(wall_results):
     # quick runs and sweeps without k=512 never trip the floor
-    assert wall.wall_gate_problems(results, quick=True) == []
-    assert wall.wall_gate_problems(results, quick=False) == []
+    assert wall.wall_gate_problems(wall_results, quick=True) == []
+    assert wall.wall_gate_problems(wall_results, quick=False) == []
 
     fake = {
         "meta": {"compiled_available": ["cext"], "ks": [512]},
@@ -103,26 +90,25 @@ def test_floor_gate_logic(results):
     assert wall.wall_gate_problems(fake, quick=False) == []
 
 
-def test_render_wall_delta(results):
-    baseline = json.loads(json.dumps(results))
+def test_render_wall_delta(wall_results):
+    baseline = json.loads(json.dumps(wall_results))
     baseline["speedups"] = {k: v * 2 for k, v in baseline["speedups"].items()}
-    text = wall.render_wall_delta(results, baseline)
-    assert "geomean(now)" in text
-    for variant in results["meta"]["compiled_available"]:
+    text = render_delta(wall_results, baseline)
+    for variant in wall_results["meta"]["compiled_available"]:
         assert f"insert:{variant}" in text
-        for bench in wall.APP_BENCHES:
-            assert f"{bench}:{variant}" in text
+        assert f"insert:{variant} geomean" in text
         assert "0.50" in text  # current/baseline ratio column
-    assert "zero-alloc mixed:numpy/k=4: baseline=yes now=yes" in text
+    assert "zero-alloc mixed:numpy/k=8: baseline=yes now=yes" in text
+    assert "gate: " not in text
 
 
-def test_delta_skips_lanes_missing_from_current(results):
+def test_delta_skips_lanes_missing_from_current(wall_results):
     """A numpy-only host gating against a compiled baseline records no
     speedups, so it gates only the zero-allocation flags."""
-    current = json.loads(json.dumps(results))
+    current = json.loads(json.dumps(wall_results))
     current["speedups"] = {}
-    assert compare_to_baseline(current, results) == []
-    text = wall.render_wall_delta(current, results)
+    assert compare_to_baseline(current, wall_results) == []
+    text = render_delta(current, wall_results)
     assert "numpy" in text and "cext" not in text
 
 
@@ -171,7 +157,7 @@ def test_cli_wall_lane(tiny_lane, capsys):
     rc = main(argv)
     out = capsys.readouterr().out
     assert rc == 1
-    assert "WALL-CLOCK GATE FAILED" in out
+    assert "bench native: GATE FAILED" in out
     assert (tiny_lane / "results" / "bench_wall_delta.txt").is_file()
 
     # --update-baseline rewrites it and exits 0 again
