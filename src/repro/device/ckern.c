@@ -1,6 +1,11 @@
-/* Compiled host kernels for the wall-clock fast path.
+/* Compiled host kernels for NativeBGPQ's wall-clock fast path.
  *
- * The NumPy "reference" kernels in repro/primitives are the semantic
+ * Four entry points, exactly the ones the queue calls: sort_split_into
+ * (the paper's SORT_SPLIT between two nodes), sort_records (the stable
+ * presort of an incoming batch), and the fused whole-op arena kernels
+ * insert_sorted and deletemin (one GIL round-trip per queue op).
+ *
+ * The NumPy reference kernels in repro/primitives are the semantic
  * source of truth; everything here is required to be *bit-identical*
  * to them (enforced by the hypothesis parity suite in
  * tests/primitives/test_kernel_parity.py).  The contract mirrors the
@@ -10,6 +15,12 @@
  * and nothing here allocates on the steady-state path (scratch buffers
  * are caller-supplied; only the bulk record sort mallocs a transient
  * C-heap temp, invisible to tracemalloc by design).
+ *
+ * Every call is validated once at the boundary and fails closed with a
+ * ValueError: key, count, scratch and log buffers must be C-contiguous
+ * 8-byte signed integers, payload buffers must hold every row their
+ * shape implies, and sizes must be in range.  A bad call raises; it
+ * never reaches the unchecked compute loops below.
  *
  * Every compute loop runs with the GIL released
  * (Py_BEGIN_ALLOW_THREADS), so other Python threads of the process
@@ -34,19 +45,41 @@ typedef struct {
     int held;
 } Buf;
 
+/* get_buf flags: a read-only or writable byte buffer (payload rows,
+ * which may be None when no payload moves), or an int64 buffer */
+#define RO 0
+#define RW PyBUF_WRITABLE
+#define I64 PyBUF_FORMAT
+
+/* int64 in native byte order: struct code 'q' or 'l' with 8-byte items */
 static int
-get_buf(PyObject *obj, Buf *b, int writable)
+is_i64(const Py_buffer *v)
+{
+    const char *f = v->format;
+    if (f == NULL || v->itemsize != 8)
+        return 0;
+    if (*f == '@' || *f == '=' || *f == (PY_LITTLE_ENDIAN ? '<' : '>'))
+        f++;
+    return (f[0] == 'q' || f[0] == 'l') && f[1] == '\0';
+}
+
+static int
+get_buf(PyObject *obj, Buf *b, int flags)
 {
     b->held = 0;
     b->view.buf = NULL;
     b->view.len = 0;
-    if (obj == Py_None)
+    if (obj == Py_None && !(flags & I64))
         return 0;
-    int flags = writable ? (PyBUF_C_CONTIGUOUS | PyBUF_WRITABLE)
-                         : PyBUF_C_CONTIGUOUS;
-    if (PyObject_GetBuffer(obj, &b->view, flags) != 0)
+    if (PyObject_GetBuffer(obj, &b->view, PyBUF_C_CONTIGUOUS | flags) != 0)
         return -1;
     b->held = 1;
+    if ((flags & I64) && !is_i64(&b->view)) {
+        PyErr_Format(PyExc_ValueError,
+                     "expected an int64 buffer, got format '%s'",
+                     b->view.format ? b->view.format : "B");
+        return -1;
+    }
     return 0;
 }
 
@@ -56,6 +89,27 @@ release_bufs(Buf *bufs, int n)
     for (int i = 0; i < n; i++)
         if (bufs[i].held)
             PyBuffer_Release(&bufs[i].view);
+}
+
+/* Acquire n buffers with per-buffer flags; on failure release the ones
+ * already held and leave the error set. */
+static int
+get_bufs(PyObject **objs, Buf *bufs, const int *flags, int n)
+{
+    for (int i = 0; i < n; i++) {
+        if (get_buf(objs[i], &bufs[i], flags[i])) {
+            release_bufs(bufs, i + 1);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* 1 when len bytes cannot hold n rows of rb bytes (no overflow) */
+static inline int
+lacks(Py_ssize_t len, Py_ssize_t n, Py_ssize_t rb)
+{
+    return n > 0 && rb > 0 && len / n < rb;
 }
 
 #define KEYS(b) ((int64_t *)(b).view.buf)
@@ -294,63 +348,29 @@ sort_records_core(int64_t *keys, char *pay, Py_ssize_t n, Py_ssize_t rb)
 /* python-visible kernels                                              */
 /* ------------------------------------------------------------------ */
 
-/* merge_into(a, b, out_k, pa, pb, out_p, rb) */
-static PyObject *
-py_merge_into(PyObject *self, PyObject *args)
-{
-    PyObject *oa, *ob, *oout, *opa, *opb, *oop;
-    Py_ssize_t rb;
-    if (!PyArg_ParseTuple(args, "OOOOOOn", &oa, &ob, &oout, &opa, &opb,
-                          &oop, &rb))
-        return NULL;
-    Buf bufs[6];
-    if (get_buf(oa, &bufs[0], 0) || get_buf(ob, &bufs[1], 0) ||
-        get_buf(oout, &bufs[2], 1) || get_buf(opa, &bufs[3], 0) ||
-        get_buf(opb, &bufs[4], 0) || get_buf(oop, &bufs[5], 1)) {
-        release_bufs(bufs, 6);
-        return NULL;
-    }
-    Py_ssize_t na = bufs[0].view.len / 8, nb = bufs[1].view.len / 8;
-    if (bufs[2].view.len < (na + nb) * 8 ||
-        (rb && bufs[5].view.len < (na + nb) * rb)) {
-        release_bufs(bufs, 6);
-        PyErr_SetString(PyExc_ValueError, "merge_into: destination too small");
-        return NULL;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    merge_core(KEYS(bufs[0]), na, KEYS(bufs[1]), nb, KEYS(bufs[2]),
-               BYTES(bufs[3]), BYTES(bufs[4]), BYTES(bufs[5]), rb);
-    Py_END_ALLOW_THREADS
-    release_bufs(bufs, 6);
-    Py_RETURN_NONE;
-}
-
 /* sort_split_into(a, b, ma, x_k, y_k, sk, pa, pb, x_p, y_p, sp, rb) */
 static PyObject *
 py_sort_split_into(PyObject *self, PyObject *args)
 {
-    PyObject *o[11];
+    PyObject *o[10];
     Py_ssize_t ma, rb;
     if (!PyArg_ParseTuple(args, "OOnOOOOOOOOn", &o[0], &o[1], &ma, &o[2],
                           &o[3], &o[4], &o[5], &o[6], &o[7], &o[8], &o[9],
                           &rb))
         return NULL;
+    static const int flags[10] = {RO | I64, RO | I64, RW | I64, RW | I64,
+                                  RW | I64, RO, RO, RW, RW, RW};
     Buf bufs[10];
-    if (get_buf(o[0], &bufs[0], 0) || get_buf(o[1], &bufs[1], 0) ||
-        get_buf(o[2], &bufs[2], 1) || get_buf(o[3], &bufs[3], 1) ||
-        get_buf(o[4], &bufs[4], 1) || get_buf(o[5], &bufs[5], 0) ||
-        get_buf(o[6], &bufs[6], 0) || get_buf(o[7], &bufs[7], 1) ||
-        get_buf(o[8], &bufs[8], 1) || get_buf(o[9], &bufs[9], 1)) {
-        release_bufs(bufs, 10);
+    if (get_bufs(o, bufs, flags, 10))
         return NULL;
-    }
     Py_ssize_t na = bufs[0].view.len / 8, nb = bufs[1].view.len / 8;
     Py_ssize_t total = na + nb;
     Py_ssize_t mb = total - ma;
-    if (ma < 0 || ma > total || bufs[4].view.len < total * 8 ||
+    if (rb < 0 || ma < 0 || ma > total || bufs[4].view.len < total * 8 ||
         bufs[2].view.len < ma * 8 || bufs[3].view.len < mb * 8 ||
-        (rb && (bufs[9].view.len < total * rb ||
-                bufs[7].view.len < ma * rb || bufs[8].view.len < mb * rb))) {
+        lacks(bufs[5].view.len, na, rb) || lacks(bufs[6].view.len, nb, rb) ||
+        lacks(bufs[7].view.len, ma, rb) || lacks(bufs[8].view.len, mb, rb) ||
+        lacks(bufs[9].view.len, total, rb)) {
         release_bufs(bufs, 10);
         PyErr_SetString(PyExc_ValueError, "sort_split_into: bad split/scratch");
         return NULL;
@@ -369,16 +389,20 @@ py_sort_split_into(PyObject *self, PyObject *args)
 static PyObject *
 py_sort_records(PyObject *self, PyObject *args)
 {
-    PyObject *ok, *op;
+    PyObject *o[2];
     Py_ssize_t rb;
-    if (!PyArg_ParseTuple(args, "OOn", &ok, &op, &rb))
+    if (!PyArg_ParseTuple(args, "OOn", &o[0], &o[1], &rb))
         return NULL;
+    static const int flags[2] = {RW | I64, RW};
     Buf bufs[2];
-    if (get_buf(ok, &bufs[0], 1) || get_buf(op, &bufs[1], 1)) {
+    if (get_bufs(o, bufs, flags, 2))
+        return NULL;
+    Py_ssize_t n = bufs[0].view.len / 8;
+    if (rb < 0 || lacks(bufs[1].view.len, n, rb)) {
         release_bufs(bufs, 2);
+        PyErr_SetString(PyExc_ValueError, "sort_records: bad payload");
         return NULL;
     }
-    Py_ssize_t n = bufs[0].view.len / 8;
     int rc;
     Py_BEGIN_ALLOW_THREADS
     rc = sort_records_core(KEYS(bufs[0]), BYTES(bufs[1]), n, rb);
@@ -387,80 +411,6 @@ py_sort_records(PyObject *self, PyObject *args)
     if (rc != 0)
         return PyErr_NoMemory();
     Py_RETURN_NONE;
-}
-
-/* exclusive_scan_i64(values, out) */
-static PyObject *
-py_exclusive_scan(PyObject *self, PyObject *args)
-{
-    PyObject *oin, *oout;
-    if (!PyArg_ParseTuple(args, "OO", &oin, &oout))
-        return NULL;
-    Buf bufs[2];
-    if (get_buf(oin, &bufs[0], 0) || get_buf(oout, &bufs[1], 1)) {
-        release_bufs(bufs, 2);
-        return NULL;
-    }
-    Py_ssize_t n = bufs[0].view.len / 8;
-    if (bufs[1].view.len / 8 < n) {
-        release_bufs(bufs, 2);
-        PyErr_SetString(PyExc_ValueError, "scan: destination too small");
-        return NULL;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    {
-        const int64_t *in = KEYS(bufs[0]);
-        int64_t *out = KEYS(bufs[1]);
-        int64_t acc = 0;
-        for (Py_ssize_t i = 0; i < n; i++) {
-            int64_t v = in[i];
-            out[i] = acc;
-            acc += v; /* reads in[i] first so in/out may alias */
-        }
-    }
-    Py_END_ALLOW_THREADS
-    release_bufs(bufs, 2);
-    Py_RETURN_NONE;
-}
-
-/* compact(values, mask_u8, out, rb) -> kept count.  rb == record bytes
- * (8 for bare int64 keys; key row + payload handled by the wrapper as
- * separate calls). */
-static PyObject *
-py_compact(PyObject *self, PyObject *args)
-{
-    PyObject *ov, *om, *oo;
-    Py_ssize_t rb;
-    if (!PyArg_ParseTuple(args, "OOOn", &ov, &om, &oo, &rb))
-        return NULL;
-    Buf bufs[3];
-    if (get_buf(ov, &bufs[0], 0) || get_buf(om, &bufs[1], 0) ||
-        get_buf(oo, &bufs[2], 1)) {
-        release_bufs(bufs, 3);
-        return NULL;
-    }
-    Py_ssize_t n = bufs[1].view.len;
-    if (rb <= 0 || bufs[0].view.len < n * rb) {
-        release_bufs(bufs, 3);
-        PyErr_SetString(PyExc_ValueError, "compact: bad record size");
-        return NULL;
-    }
-    Py_ssize_t kept = 0;
-    Py_BEGIN_ALLOW_THREADS
-    {
-        const char *v = BYTES(bufs[0]);
-        const char *m = BYTES(bufs[1]);
-        char *out = BYTES(bufs[2]);
-        for (Py_ssize_t i = 0; i < n; i++) {
-            if (m[i]) {
-                memcpy(out + kept * rb, v + i * rb, (size_t)rb);
-                kept++;
-            }
-        }
-    }
-    Py_END_ALLOW_THREADS
-    release_bufs(bufs, 3);
-    return PyLong_FromSsize_t(kept);
 }
 
 /* ------------------------------------------------------------------ */
@@ -549,6 +499,11 @@ extract_root_c(int64_t *keys, char *pay, int64_t *counts, Py_ssize_t k,
     return take;
 }
 
+/* buffers of both fused kernels: keys, pay, counts, batch keys, batch
+ * pay, scratch, log (the batch is the incoming items or the output) */
+static const int ARENA_FLAGS[7] = {RW | I64, RW, RW | I64, RW | I64, RW,
+                                   RW | I64, RW | I64};
+
 /* insert_sorted(keys, pay, counts, items_k, items_p, sk, k, rb, n,
  *               heap_size, log) -> (new_heap_size, nlog)
  * The whole arena insert of one sorted batch of n <= k records staged
@@ -567,17 +522,14 @@ py_insert_sorted(PyObject *self, PyObject *args)
                           &o[4], &o[5], &k, &rb, &n, &heap_size, &o[6]))
         return NULL;
     Buf bufs[7];
-    if (get_buf(o[0], &bufs[0], 1) || get_buf(o[1], &bufs[1], 1) ||
-        get_buf(o[2], &bufs[2], 1) || get_buf(o[3], &bufs[3], 1) ||
-        get_buf(o[4], &bufs[4], 1) || get_buf(o[5], &bufs[5], 1) ||
-        get_buf(o[6], &bufs[6], 1)) {
-        release_bufs(bufs, 7);
+    if (get_bufs(o, bufs, ARENA_FLAGS, 7))
         return NULL;
-    }
-    Py_ssize_t rows = bufs[0].view.len / (k * 8);
+    Py_ssize_t rows = k >= 1 ? bufs[0].view.len / 8 / k : 0;
     Py_ssize_t max_log = bufs[6].view.len / 24;
-    if (n < 1 || n > k || heap_size < 1 || heap_size + 1 >= rows ||
+    if (k < 1 || rb < 0 || n < 1 || n > k || heap_size < 1 ||
+        heap_size >= rows - 1 || lacks(bufs[1].view.len, rows * k, rb) ||
         bufs[2].view.len / 8 < rows || bufs[3].view.len / 8 < k ||
+        lacks(bufs[4].view.len, k, rb) ||
         bufs[5].view.len < 2 * k * (8 + rb) ||
         max_log < (Py_ssize_t)level_of(heap_size + 1) + 3) {
         release_bufs(bufs, 7);
@@ -667,20 +619,16 @@ py_deletemin(PyObject *self, PyObject *args)
                           &o[5], &o[6]))
         return NULL;
     Buf bufs[7];
-    if (get_buf(o[0], &bufs[0], 1) || get_buf(o[1], &bufs[1], 1) ||
-        get_buf(o[2], &bufs[2], 1) || get_buf(o[3], &bufs[3], 1) ||
-        get_buf(o[4], &bufs[4], 1) || get_buf(o[5], &bufs[5], 1) ||
-        get_buf(o[6], &bufs[6], 1)) {
-        release_bufs(bufs, 7);
+    if (get_bufs(o, bufs, ARENA_FLAGS, 7))
         return NULL;
-    }
-    Py_ssize_t rows = bufs[0].view.len / (k * 8);
+    Py_ssize_t rows = k >= 1 ? bufs[0].view.len / 8 / k : 0;
     /* log: (tag, p1, p2) triples; worst case: the move + buffer fold +
      * two splits per level of the descent + the final extract */
     Py_ssize_t max_log = bufs[6].view.len / 24;
-    if (heap_size < 2 || heap_size >= rows ||
+    if (k < 1 || rb < 0 || heap_size < 2 || heap_size >= rows ||
+        lacks(bufs[1].view.len, rows * k, rb) ||
         bufs[2].view.len / 8 < rows || count < KEYS(bufs[2])[1] ||
-        bufs[3].view.len / 8 < count ||
+        bufs[3].view.len / 8 < count || lacks(bufs[4].view.len, count, rb) ||
         bufs[5].view.len < 2 * k * (8 + rb) ||
         max_log < 3 * ((Py_ssize_t)level_of(heap_size) + 2)) {
         release_bufs(bufs, 7);
@@ -782,50 +730,15 @@ py_deletemin(PyObject *self, PyObject *args)
     return Py_BuildValue("nnn", total, heap_size, nlog);
 }
 
-/* shift_left(keys_row, pay_row, count, take, rb) -> new count */
-static PyObject *
-py_shift_left(PyObject *self, PyObject *args)
-{
-    PyObject *ok, *op;
-    Py_ssize_t count, take, rb;
-    if (!PyArg_ParseTuple(args, "OOnnn", &ok, &op, &count, &take, &rb))
-        return NULL;
-    Buf bufs[2];
-    if (get_buf(ok, &bufs[0], 1) || get_buf(op, &bufs[1], 1)) {
-        release_bufs(bufs, 2);
-        return NULL;
-    }
-    Py_ssize_t m = count - take;
-    if (take < 0 || m < 0 || bufs[0].view.len / 8 < count) {
-        release_bufs(bufs, 2);
-        PyErr_SetString(PyExc_ValueError, "shift_left: bad take");
-        return NULL;
-    }
-    int64_t *keys = KEYS(bufs[0]);
-    char *pay = BYTES(bufs[1]);
-    Py_BEGIN_ALLOW_THREADS
-    memmove(keys, keys + take, (size_t)m * 8);
-    if (rb)
-        memmove(pay, pay + take * rb, (size_t)(m * rb));
-    Py_END_ALLOW_THREADS
-    release_bufs(bufs, 2);
-    return PyLong_FromSsize_t(m);
-}
-
 static PyMethodDef CkernMethods[] = {
-    {"merge_into", py_merge_into, METH_VARARGS, "stable a-priority merge"},
     {"sort_split_into", py_sort_split_into, METH_VARARGS,
      "fused SORT_SPLIT through caller scratch"},
     {"sort_records", py_sort_records, METH_VARARGS,
      "in-place stable record sort"},
-    {"exclusive_scan_i64", py_exclusive_scan, METH_VARARGS,
-     "serial exclusive prefix sum (int64)"},
-    {"compact", py_compact, METH_VARARGS, "stream compaction by byte rows"},
     {"insert_sorted", py_insert_sorted, METH_VARARGS,
      "fused whole-batch arena insert (split, fold/detach, heapify)"},
     {"deletemin", py_deletemin, METH_VARARGS,
      "fused whole-batch arena deletemin (general path)"},
-    {"shift_left", py_shift_left, METH_VARARGS, "drop a row's first records"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,16 +1,19 @@
 """Kernel dispatch: NumPy reference vs the compiled C backend.
 
-Every batch primitive the queues execute per operation — ``merge_into``,
-``sort_split_into``, the bitonic network, scan and compaction — exists
-in two implementations:
+``NativeBGPQ`` reaches the kernel layer through two batch primitives —
+``sort_split_into`` (the paper's SORT_SPLIT between two nodes) and
+``sort_records`` (the stable presort of an incoming batch) — plus, on
+the compiled backend, the fused whole-op C entry points
+``mod.insert_sorted`` / ``mod.deletemin``.  Each primitive exists in two
+implementations:
 
 ``numpy``
     The reference implementations in this package.  Always present and
     always the semantic source of truth.
 ``cext``
     A small C core (``repro/device/ckern.c``) compiled on first use
-    with whatever C compiler the host has, exposing the same kernels
-    plus *fused* whole-heapify entry points.
+    with whatever C compiler the host has, exposing the same two
+    primitives plus the *fused* whole-heapify entry points.
 
 The contract for every compiled kernel is **bit-identical output** to
 the reference — same values, same tie resolution, same payload
@@ -39,10 +42,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import bitonic as _bitonic
-from . import compaction as _compaction
 from . import inplace as _inplace
-from . import scan as _scan
 
 __all__ = [
     "BACKENDS",
@@ -103,23 +103,11 @@ class KernelSet:
     fused = False
 
     # -- per-node primitives (signatures match repro.primitives) -------
-    def merge_into(self, a, b, out_k, pa=None, pb=None, out_p=None, iota=None):
-        return _inplace.merge_into(a, b, out_k, pa, pb, out_p, iota)
-
     def sort_split_into(self, a, b, ma, x_k, y_k, scratch,
                         pa=None, pb=None, x_p=None, y_p=None):
         return _inplace.sort_split_into(
             a, b, ma, x_k, y_k, scratch, pa, pb, x_p, y_p
         )
-
-    def bitonic_sort(self, keys, payload=None):
-        return _bitonic.bitonic_sort(keys, payload)
-
-    def exclusive_scan(self, values):
-        return _scan.exclusive_scan(values)
-
-    def compact(self, values, keep):
-        return _compaction.compact(values, keep)
 
     def sort_records(self, keys, pay):
         """Stable sort records by key; returns new (keys, payload) arrays.
@@ -158,16 +146,6 @@ class CExtKernels(KernelSet):
     def __init__(self, mod):
         self.mod = mod
 
-    def merge_into(self, a, b, out_k, pa=None, pb=None, out_p=None, iota=None):
-        rb = _row_bytes(out_p)
-        if not _c_i64(a, b, out_k) or (rb and not _c_contig(pa, pb, out_p)):
-            return _inplace.merge_into(a, b, out_k, pa, pb, out_p, iota)
-        if rb:
-            self.mod.merge_into(a, b, out_k, pa, pb, out_p, rb)
-        else:
-            self.mod.merge_into(a, b, out_k, None, None, None, 0)
-        return a.shape[0] + b.shape[0]
-
     def sort_split_into(self, a, b, ma, x_k, y_k, scratch,
                         pa=None, pb=None, x_p=None, y_p=None):
         with_pay = x_p is not None and scratch.pay.shape[1] > 0
@@ -197,57 +175,6 @@ class CExtKernels(KernelSet):
                 None, None, None, None, None, 0,
             )
         return ma, total - ma
-
-    def bitonic_sort(self, keys, payload=None):
-        keys = np.asarray(keys)
-        if keys.ndim != 1:
-            raise ValueError("bitonic_sort expects a 1-D array")
-        if keys.dtype != _I64 or not keys.flags.c_contiguous:
-            return _bitonic.bitonic_sort(keys, payload)
-        # A stable record sort yields the network's key output (same
-        # multiset, ascending) and exactly the reference's stable-argsort
-        # payload permutation.
-        out_k = keys.copy()
-        if payload is None:
-            self.mod.sort_records(out_k, np.empty(0, np.uint8), 0)
-            return out_k
-        pay = np.asarray(payload)
-        pay2 = pay.reshape(pay.shape[0], -1) if pay.ndim > 1 else pay.reshape(-1, 1)
-        if not pay2.flags.c_contiguous:
-            return _bitonic.bitonic_sort(keys, payload)
-        out_p = pay2.copy()
-        self.mod.sort_records(out_k, out_p, _row_bytes(out_p))
-        return out_k, out_p.reshape(pay.shape)
-
-    def exclusive_scan(self, values):
-        values = np.asarray(values)
-        # integer addition is associative, so the serial C scan matches
-        # the Blelloch tree bit-for-bit; floats would not (rounding
-        # depends on summation order), so they stay on the reference
-        if values.dtype != _I64 or not values.flags.c_contiguous:
-            return _scan.exclusive_scan(values)
-        out = np.empty_like(values)
-        self.mod.exclusive_scan_i64(values, out)
-        return out
-
-    def compact(self, values, keep):
-        values = np.asarray(values)
-        keep = np.asarray(keep, dtype=bool)
-        if values.shape[0] != keep.shape[0]:
-            raise ValueError("mask length mismatch")
-        if (
-            values.ndim not in (1, 2)
-            or not values.flags.c_contiguous
-            or not keep.flags.c_contiguous
-            or values.dtype.hasobject
-        ):
-            return _compaction.compact(values, keep)
-        rb = values.dtype.itemsize * (values.shape[1] if values.ndim == 2 else 1)
-        if rb == 0:
-            return _compaction.compact(values, keep)
-        out = np.empty_like(values)
-        kept = self.mod.compact(values, keep.view(np.uint8), out, rb)
-        return out[:kept].copy()
 
     def sort_records(self, keys, pay):
         keys = np.ascontiguousarray(keys)
@@ -347,14 +274,7 @@ def provenance(kern: KernelSet | None = None) -> dict:
 # instrumentation
 # ---------------------------------------------------------------------
 
-_TIMED = (
-    "merge_into",
-    "sort_split_into",
-    "bitonic_sort",
-    "exclusive_scan",
-    "compact",
-    "sort_records",
-)
+_TIMED = ("sort_split_into", "sort_records")
 
 
 class InstrumentedKernels:

@@ -46,28 +46,6 @@ def compiled(request):
     return kernels.select(request.param)
 
 
-@given(a=sorted_runs, b=sorted_runs, w=widths)
-@settings(max_examples=120, deadline=None)
-def test_merge_into_parity(a, b, w):
-    ka, pa = _records(None, a, w)
-    kb, pb = _records(None, b, w)
-    pb = pb + 1000  # distinct payloads expose any tie-order deviation
-    for name in COMPILED:
-        kern = kernels.select(name)
-        ref_k = np.empty(len(a) + len(b), dtype=np.int64)
-        got_k = np.empty_like(ref_k)
-        if w:
-            ref_p = np.empty((len(ref_k), w), dtype=np.int64)
-            got_p = np.empty_like(ref_p)
-            REF.merge_into(ka, kb, ref_k, pa, pb, ref_p)
-            kern.merge_into(ka, kb, got_k, pa, pb, got_p)
-            assert np.array_equal(ref_p, got_p), name
-        else:
-            REF.merge_into(ka, kb, ref_k)
-            kern.merge_into(ka, kb, got_k)
-        assert np.array_equal(ref_k, got_k), name
-
-
 @given(
     a=sorted_runs,
     b=sorted_runs,
@@ -117,68 +95,49 @@ def test_sort_records_parity(keys, w):
         assert np.array_equal(ref_p, got_p), name
 
 
-@given(keys=st.lists(st.integers(min_value=-6, max_value=6), max_size=64))
-@settings(max_examples=100, deadline=None)
-def test_bitonic_sort_parity(keys):
-    ka = np.array(keys, dtype=np.int64)
-    pa = np.arange(len(ka), dtype=np.int64)
-    ref = REF.bitonic_sort(ka.copy(), pa.copy())
-    ref_k = REF.bitonic_sort(ka.copy())
-    for name in COMPILED:
-        kern = kernels.select(name)
-        got = kern.bitonic_sort(ka.copy(), pa.copy())
-        assert np.array_equal(ref[0], got[0]), name
-        assert np.array_equal(ref[1], got[1]), name
-        assert np.array_equal(ref_k, kern.bitonic_sort(ka.copy())), name
-
-
-@given(vals=st.lists(st.integers(min_value=-100, max_value=100), max_size=64))
-@settings(max_examples=100, deadline=None)
-def test_exclusive_scan_parity(vals):
-    arr = np.array(vals, dtype=np.int64)
-    ref = REF.exclusive_scan(arr)
-    for name in COMPILED:
-        assert np.array_equal(ref, kernels.select(name).exclusive_scan(arr)), name
-
-
-@given(
-    vals=st.lists(st.integers(min_value=-100, max_value=100), max_size=64),
-    bits=st.integers(min_value=0, max_value=(1 << 63) - 1),
-)
-@settings(max_examples=100, deadline=None)
-def test_compact_parity(vals, bits):
-    arr = np.array(vals, dtype=np.int64)
-    keep = np.array([(bits >> i) & 1 == 1 for i in range(len(vals))], dtype=bool)
-    two_d = np.stack([arr, arr + 1], axis=1) if len(vals) else arr.reshape(0, 1)
-    for name in COMPILED:
-        kern = kernels.select(name)
-        assert np.array_equal(REF.compact(arr, keep), kern.compact(arr, keep)), name
-        assert np.array_equal(
-            REF.compact(two_d, keep), kern.compact(two_d, keep)
-        ), name
-
-
 def test_simd_boundary_tie_storm():
-    """Ties straddling every 8-element lane boundary of the AVX merge."""
+    """Ties straddling every 8-element lane boundary of the AVX merge.
+
+    Keys-only SORT_SPLIT is the path that reaches the SIMD merge network
+    (``merge_core`` via ``sort_split_core``); split points sweep the
+    whole range so lane boundaries land on both sides of the cut.
+    """
     rng = np.random.default_rng(7)
     for trial in range(50):
-        na, nb = rng.integers(8, 64, size=2)
+        na, nb = (int(n) for n in rng.integers(8, 64, size=2))
         a = np.sort(rng.integers(0, 4, size=na).astype(np.int64))
         b = np.sort(rng.integers(0, 4, size=nb).astype(np.int64))
-        ref = np.empty(na + nb, dtype=np.int64)
-        REF.merge_into(a, b, ref)
+        ma = int(rng.integers(0, na + nb + 1))
+        outs = {}
+        for name in ["numpy", *COMPILED]:
+            x_k = np.empty(ma, dtype=np.int64)
+            y_k = np.empty(na + nb - ma, dtype=np.int64)
+            kernels.select(name).sort_split_into(
+                a, b, ma, x_k, y_k, ScratchLedger(na + nb)
+            )
+            outs[name] = np.concatenate([x_k, y_k])
+        assert np.array_equal(outs["numpy"], np.sort(np.concatenate([a, b])))
         for name in COMPILED:
-            got = np.empty_like(ref)
-            kernels.select(name).merge_into(a, b, got)
-            assert np.array_equal(ref, got), name
+            assert np.array_equal(outs["numpy"], outs[name]), name
 
 
 def test_noncontiguous_input_falls_back_identically(compiled):
     a = np.arange(0, 20, 2, dtype=np.int64)[::2]  # non-contiguous view
     b = np.arange(1, 11, 2, dtype=np.int64)
     assert not a.flags.c_contiguous
-    ref = np.empty(len(a) + len(b), dtype=np.int64)
-    got = np.empty_like(ref)
-    REF.merge_into(a, b, ref)
-    compiled.merge_into(a, b, got)
-    assert np.array_equal(ref, got)
+    total = len(a) + len(b)
+    splits = {}
+    for tag, impl in (("ref", REF), ("got", compiled)):
+        x_k = np.empty(4, dtype=np.int64)
+        y_k = np.empty(total - 4, dtype=np.int64)
+        impl.sort_split_into(a, b, 4, x_k, y_k, ScratchLedger(total))
+        splits[tag] = np.concatenate([x_k, y_k])
+    assert np.array_equal(splits["ref"], splits["got"])
+
+    keys = np.array([5, 1, 5, 3, 1, 2, 5, 0], dtype=np.int64)[::2]
+    pay = np.arange(8, dtype=np.int64).reshape(4, 2)[:, ::-1]
+    assert not keys.flags.c_contiguous and not pay.flags.c_contiguous
+    ref_k, ref_p = REF.sort_records(keys, pay)
+    got_k, got_p = compiled.sort_records(keys, pay)
+    assert np.array_equal(ref_k, got_k)
+    assert np.array_equal(ref_p, got_p)

@@ -110,11 +110,14 @@ def test_instrumented_kernels_record_and_match(monkeypatch):
     assert kern.provenance()["instrumented"] is True
     assert kern.fused is False  # forces per-kernel (unfused) dispatch
 
+    keys = np.array([3, 1, 2, 1], dtype=np.int64)
+    pay = np.array([[30], [10], [20], [11]], dtype=np.int64)
+    out_k, out_p = kern.sort_records(keys, pay)
+    assert list(out_k) == [1, 1, 2, 3]
+    assert list(out_p[:, 0]) == [10, 11, 20, 30]
+
     a = np.array([1, 3, 5], dtype=np.int64)
     b = np.array([2, 4], dtype=np.int64)
-    out = np.empty(5, dtype=np.int64)
-    kern.merge_into(a, b, out)
-    assert list(out) == [1, 2, 3, 4, 5]
 
     scratch = ScratchLedger(4)
     x_k = np.empty(2, dtype=np.int64)
@@ -123,7 +126,7 @@ def test_instrumented_kernels_record_and_match(monkeypatch):
     assert list(x_k) == [1, 2] and list(y_k) == [3, 4, 5]
 
     text = registry.to_prometheus()
-    assert 'kernel="merge_into"' in text
+    assert 'kernel="sort_records"' in text
     assert 'kernel="sort_split_into"' in text
     assert 'backend="numpy"' in text
 
