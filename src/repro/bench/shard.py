@@ -182,7 +182,7 @@ def _run_cell(
     """One verified cell: run, relax-check, audit; every field either
     bench commits (each projects its own row from it)."""
     fleet = ShardedBGPQ(
-        n_shards=n_shards, node_capacity=k, backend="native",
+        n_shards=n_shards, node_capacity=k,
         policy=policy, spray_width=width, seed=seed,
     )
     result = run_fleet(

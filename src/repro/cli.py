@@ -298,7 +298,6 @@ def _run_serve(args) -> int:
     from .serve import ServeConfig, run_serve_campaign
 
     cfg = ServeConfig(
-        backend=args.backend,
         sessions=args.sessions,
         ops=args.ops,
         k=args.capacity,
@@ -311,8 +310,8 @@ def _run_serve(args) -> int:
         admission_smoothing_ns=args.admission_smoothing_ns,
     )
     config = {
-        "backend": cfg.backend, "sessions": cfg.sessions, "ops": cfg.ops,
-        "k": cfg.k, "window": cfg.window, "budget": cfg.budget,
+        "sessions": cfg.sessions, "ops": cfg.ops, "k": cfg.k,
+        "window": cfg.window, "budget": cfg.budget,
         "checkpoint_every": cfg.checkpoint_every, "plan": cfg.plan,
         "seeds": args.seeds, "seed_base": args.seed_base,
         "admission_smoothing_ns": cfg.admission_smoothing_ns,
@@ -355,9 +354,7 @@ def _run_serve(args) -> int:
         }
         for o in outcomes
     ]
-    print(render_rows(
-        rows, f"serve campaign ({cfg.backend} backend, plan={cfg.plan})"
-    ))
+    print(render_rows(rows, f"serve campaign (plan={cfg.plan})"))
     failures = [o for o in outcomes if not o.survived]
     total_rec = sum(o.recoveries for o in outcomes)
     total_shed = sum(o.shed for o in outcomes)
@@ -445,11 +442,9 @@ def _run_serve(args) -> int:
         print(f"{len(failures)} of {len(outcomes)} serve runs FAILED:")
         for o in failures:
             detail = o.failure or "; ".join(o.audit_problems)
-            print(f"  backend={o.backend} plan={o.plan} seed={o.seed} "
-                  f"[{o.status}] {detail}")
+            print(f"  plan={o.plan} seed={o.seed} [{o.status}] {detail}")
         print("\nreproduce with: python -m repro serve "
-              f"--backend {cfg.backend} --faults {cfg.plan} "
-              "--seeds 1 --seed-base <seed>")
+              f"--faults {cfg.plan} --seeds 1 --seed-base <seed>")
         return 1
     print("all serve runs survived: audit + recovery drill passed on every seed")
     return 0
@@ -1031,12 +1026,6 @@ def main(argv: list[str] | None = None) -> int:
         help="bench shard: requests per session (default: 16)",
     )
     serve = parser.add_argument_group("durable service (serve)")
-    serve.add_argument(
-        "--backend",
-        choices=("native", "sim"),
-        default="native",
-        help="serve backend: durable NativeBGPQ server or concurrent sim BGPQ",
-    )
     serve.add_argument(
         "--sessions", type=int, default=4, help="concurrent client sessions"
     )

@@ -1,9 +1,9 @@
 """Sharded BGPQ fleet: multi-queue router + relaxed global deletemin.
 
 Scaling *around* the root lock instead of through it: N independent
-BGPQ shards (native or sim backend, each with its own partial buffer
-and arena) behind a placement router with four policies (hash, spray,
-and the load-aware shortest/d-choice).  Inserts are shard-local; the
+NativeBGPQ shards (each with its own partial buffer and arena) behind
+a placement router with four policies (hash, spray, and the
+load-aware shortest/d-choice).  Inserts are shard-local; the
 global ``delete_min`` is k-relaxed — a spray probe over shard minima
 plus a steal-from-fullest fallback — and
 :func:`repro.core.check_k_relaxed` verifies the relaxation bound on
@@ -19,7 +19,7 @@ baselines; ``docs/FLEET.md`` is the operator guide.
 from .driver import FleetOpRecord, FleetRunResult, mixed_scripts, run_fleet
 from .elastic import ElasticController
 from .router import LOAD_AWARE_POLICIES, POLICIES, Router
-from .sharded import BACKENDS, OpTicket, ReshardTicket, ShardedBGPQ
+from .sharded import OpTicket, ReshardTicket, ShardedBGPQ
 
 __all__ = [
     "Router",
@@ -28,7 +28,6 @@ __all__ = [
     "ShardedBGPQ",
     "OpTicket",
     "ReshardTicket",
-    "BACKENDS",
     "ElasticController",
     "FleetOpRecord",
     "FleetRunResult",

@@ -35,12 +35,13 @@ the bounded-staleness framing of multiresolution priority queues:
   drives them from the ``shard.imbalance`` gauge at the request
   driver's safe points.
 
-Time model: each shard runs at host speed (NativeBGPQ) or as a driven
-sim generator (BGPQ), charging device cost to its *own* simulated
-clock.  A fleet operation starts at ``max(arrival, shard clock)`` and
-advances only that shard's clock; the fleet makespan is the max over
-shard clocks.  Everything is deterministic — cost model, seeded router
-— so fleet speedups are machine-portable and exact.
+Time model: each shard is a host-speed
+:class:`~repro.core.native.NativeBGPQ` that charges device cost to its
+*own* simulated clock.  A fleet
+operation starts at ``max(arrival, shard clock)`` and advances only
+that shard's clock; the fleet makespan is the max over shard clocks.
+Everything is deterministic — cost model, seeded router — so fleet
+speedups are machine-portable and exact.
 
 The fleet is keys-only (``payload_width=0``): the applications that
 need payloads pin them to a single queue; the fleet targets the
@@ -53,7 +54,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.bgpq import BGPQ
 from ..core.native import TICKS_PER_NS, NativeBGPQ
 from ..device.kernels import GpuContext
 from ..errors import ConfigurationError
@@ -67,21 +67,16 @@ from ..obs.events import (
     SHARD_SHRINK,
     SHARD_STEAL,
 )
-from ..sim import effects as fx
 from .router import LOAD_AWARE_POLICIES, Router
 
-__all__ = ["ShardedBGPQ", "OpTicket", "ReshardTicket", "BACKENDS"]
-
-BACKENDS = ("native", "sim")
+__all__ = ["ShardedBGPQ", "OpTicket", "ReshardTicket"]
 
 
 # ---------------------------------------------------------------------------
-# shard adapters: one uniform surface over both queue engines
+# shard adapter: a NativeBGPQ that reports each op's simulated cost
 # ---------------------------------------------------------------------------
 class _NativeShard:
-    """NativeBGPQ with per-op device-cost deltas (host-speed engine)."""
-
-    backend = "native"
+    """NativeBGPQ with per-op device-cost deltas, in simulated ns."""
 
     def __init__(self, node_capacity: int, ctx: GpuContext):
         self.pq = NativeBGPQ(node_capacity=node_capacity, ctx=ctx)
@@ -107,80 +102,6 @@ class _NativeShard:
     def probe_ns(self) -> float:
         m = self.pq.model
         return float(m.global_read_ns(1)) if m is not None else 1.0
-
-    def __len__(self) -> int:
-        return len(self.pq)
-
-    def snapshot_keys(self) -> np.ndarray:
-        return self.pq.snapshot_keys()
-
-    def check_invariants(self) -> list[str]:
-        return self.pq.check_invariants()
-
-
-def _drive_timed(gen) -> tuple[object, float]:
-    """Drain one sim-queue generator, summing its charged time.
-
-    Single-shard-threaded, so locks are always free (the whole point of
-    sharding: no cross-shard lock exists) and predicate waits must
-    already hold; Compute and Atomic carry the device charges.
-    """
-    ns = 0.0
-    send = None
-    try:
-        while True:
-            eff = gen.send(send)
-            cls = eff.__class__
-            if cls is fx.Compute:
-                ns += eff.ns
-                send = None
-            elif cls is fx.Atomic:
-                ns += eff.ns
-                send = eff.fn()
-            elif cls is fx.TryAcquire or cls is fx.AcquireTimeout:
-                send = True
-            elif cls is fx.Wait:
-                if eff.predicate is not None and not eff.predicate():
-                    raise RuntimeError("fleet shard driver: Wait would block")
-                send = None
-            else:
-                send = None
-    except StopIteration as stop:
-        return stop.value, ns
-
-
-class _SimShard:
-    """Discrete-event BGPQ driven per-op by a timed effect interpreter."""
-
-    backend = "sim"
-
-    def __init__(self, node_capacity: int, ctx: GpuContext, max_keys: int):
-        self.pq = BGPQ(ctx=ctx, node_capacity=node_capacity, max_keys=max_keys)
-
-    def insert(self, keys: np.ndarray) -> float:
-        total = 0.0
-        k = self.pq.k
-        for i in range(0, keys.size, k):
-            _, ns = _drive_timed(self.pq.insert_op(keys[i : i + k]))
-            total += ns
-        return total
-
-    def deletemin(self, count: int) -> tuple[np.ndarray, float]:
-        keys, ns = _drive_timed(self.pq.deletemin_op(count))
-        return keys, ns
-
-    def peek(self):
-        store = self.pq.store
-        best = None
-        if store.heap_size >= 1 and store.root.count:
-            best = int(store.root.min_key())
-        buf = self.pq.pbuffer
-        if buf.size and (best is None or buf[0] < best):
-            best = int(buf[0])
-        return best
-
-    def probe_ns(self) -> float:
-        return float(self.pq.model.global_read_ns(1))
 
     def __len__(self) -> int:
         return len(self.pq)
@@ -251,10 +172,6 @@ class ShardedBGPQ:
     node_capacity:
         Per-shard batch node capacity (the paper's k); also the upper
         bound on a single delete_min's ``count``.
-    backend:
-        ``"native"`` (host-speed NativeBGPQ, default) or ``"sim"`` (the
-        discrete-event BGPQ driven per-op); both use arena storage
-        underneath.
     policy / spray_width / seed:
         Router configuration (see :class:`~repro.fleet.router.Router`).
     obs:
@@ -268,22 +185,14 @@ class ShardedBGPQ:
         self,
         n_shards: int = 4,
         node_capacity: int = 512,
-        backend: str = "native",
         policy: str = "hash",
         spray_width: int = 2,
         seed: int = 0,
-        max_keys: int = 1 << 16,
         ctx: GpuContext | None = None,
         obs=None,
         metrics=None,
     ):
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown fleet backend {backend!r}; choose one of {BACKENDS}"
-            )
         self.k = node_capacity
-        self.backend = backend
-        self._max_keys = max_keys
         self.router = Router(
             n_shards, policy=policy, spray_width=spray_width, seed=seed
         )
@@ -314,11 +223,9 @@ class ShardedBGPQ:
             "migrated": 0,
         }
 
-    def _make_shard(self):
-        """One fresh shard with the fleet's backend config."""
-        if self.backend == "native":
-            return _NativeShard(self.k, self.ctx)
-        return _SimShard(self.k, self.ctx, self._max_keys)
+    def _make_shard(self) -> _NativeShard:
+        """One fresh empty shard with the fleet's capacity and context."""
+        return _NativeShard(self.k, self.ctx)
 
     # -- properties ---------------------------------------------------------
     @property

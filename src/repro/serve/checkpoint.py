@@ -6,7 +6,9 @@ the LSN of the last WAL record it covers, and a sha256 over the
 canonical JSON of both — so a half-written checkpoint (crash during
 save) is detected and skipped, and recovery falls back to the previous
 one plus a longer WAL replay.  The store keeps the newest ``keep``
-checkpoints and prunes older files on save.
+checkpoints and prunes older files on save.  With ``fsync`` set, a save
+fsyncs the temp file before the rename and the directory after it, so
+a checkpoint that recovery may rely on survives power loss.
 
 :func:`state_digest` is the byte-identity yardstick of the whole
 durability design: two queues are *the same state* iff the sha256 of
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 from ..errors import DurabilityError
@@ -39,11 +42,13 @@ class CheckpointStore:
 
     PREFIX = "ckpt-"
 
-    def __init__(self, directory: str | Path, keep: int = 2, obs=None):
+    def __init__(self, directory: str | Path, keep: int = 2, obs=None,
+                 fsync: bool = False):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep = max(1, keep)
         self._obs = obs
+        self._fsync = fsync
 
     def _path_for(self, lsn: int) -> Path:
         return self.directory / f"{self.PREFIX}{lsn:012d}.json"
@@ -59,7 +64,9 @@ class CheckpointStore:
         The integrity hash covers ``{lsn, state}`` so neither can be
         swapped without detection.  Writes via a temp file + rename so
         a crash mid-save leaves no plausible-looking partial file under
-        the checkpoint name.
+        the checkpoint name.  With ``fsync`` on, the file is synced
+        before the rename and the directory after it, before any older
+        checkpoint is pruned.
         """
         digest = state_digest({"lsn": lsn, "state": state})
         doc = {"lsn": lsn, "state": state, "sha256": digest}
@@ -67,8 +74,18 @@ class CheckpointStore:
             doc["extra"] = extra
         path = self._path_for(lsn)
         tmp = path.with_suffix(".tmp")
-        tmp.write_text(canonical_json(doc), encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(canonical_json(doc))
+            if self._fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
         tmp.rename(path)
+        if self._fsync:
+            fd = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
         self._prune()
         if self._obs is not None:
             keys = sum(len(n["keys"]) for n in state.get("nodes", []))

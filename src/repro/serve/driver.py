@@ -1,7 +1,7 @@
 """``run_serve``: the engine room behind the ``repro serve`` CLI verb.
 
-One serve run spins up a discrete-event engine with N client sessions
-and — for the native backend — a durable server plus a supervisor.
+One serve run spins up a discrete-event engine with N client sessions,
+a durable NativeBGPQ server and a supervisor.
 The supervisor forks the server (wrapped by the fault injector, so the
 configured plan can crash it at any crashpoint), joins it, and on a
 crash performs recovery *from disk*: the in-memory service is
@@ -15,14 +15,10 @@ After the engine drains, three verdicts decide the outcome:
 * **audit** — :class:`~repro.core.audit.HeapAuditor` with the WAL as
   the conservation ledger (structure + length + exact key multisets);
 * **drill** — a *fresh* queue is recovered from the data dir and its
-  canonical digest must equal the live queue's (native backend);
+  canonical digest must equal the live queue's;
 * **admitted-key conservation** — every key a session saw admitted
   must appear in the WAL journal (no admitted key is ever lost, even
   across sheds, backoffs and crashes).
-
-The sim backend replaces the digest drill with a ledger drill (WAL
-multiset reconstruction equals the live snapshot), since the
-concurrent queue's layout is interleaving-dependent by design.
 """
 
 from __future__ import annotations
@@ -32,9 +28,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from ..core.audit import HeapAuditor
 from ..core.native import NativeBGPQ
 from ..device.kernels import GpuContext
 from ..errors import DurabilityError, ReproError
@@ -42,8 +35,7 @@ from ..sim import Engine, FaultInjector, FaultPlan, Fork, Join
 from ..sim.faults import CRASHED
 from .admission import AdmissionController
 from .service import DurableService
-from .sessions import Frontend, native_session, server_loop, sim_session
-from .wal import WriteAheadLog
+from .sessions import Frontend, native_session, server_loop
 
 __all__ = ["ServeConfig", "ServeOutcome", "run_serve", "run_serve_campaign"]
 
@@ -52,7 +44,6 @@ __all__ = ["ServeConfig", "ServeOutcome", "run_serve", "run_serve_campaign"]
 class ServeConfig:
     """Knobs of one serve run; every field has a campaign-sized default."""
 
-    backend: str = "native"  # native | sim
     sessions: int = 4
     ops: int = 8  # ops per session
     k: int = 8  # node capacity
@@ -60,7 +51,7 @@ class ServeConfig:
     budget: int = 16  # global pending-op budget
     checkpoint_every: int = 16  # ops between checkpoints
     data_dir: str | None = None  # None: fresh temp dir per run
-    plan: str = "none"  # fault preset for the server (native) / sessions (sim)
+    plan: str = "none"  # fault preset injected into the server
     seed: int = 0
     base_backoff_ns: float = 2_000.0
     max_backoffs: int | None = None  # None: retry-forever (never drops)
@@ -71,18 +62,11 @@ class ServeConfig:
     admission_smoothing_ns: float | None = None  # EWMA half life for the
     # global-budget load signal; None = raw instantaneous pending count
 
-    def __post_init__(self):
-        if self.backend not in ("native", "sim"):
-            raise ValueError(
-                f"unknown serve backend {self.backend!r}; choose 'native' or 'sim'"
-            )
-
 
 @dataclass
 class ServeOutcome:
     """What one serve run did and whether its durability story held."""
 
-    backend: str
     plan: str
     seed: int
     status: str = "survived"  # survived | failed | audit-failed
@@ -95,7 +79,6 @@ class ServeOutcome:
     shed_by_reason: dict = field(default_factory=dict)
     peak_pending: int = 0
     dropped: int = 0
-    aborted: int = 0
     makespan_ns: float = 0.0
     queue_len: int = 0
     sim_time_ns: float = 0.0
@@ -150,10 +133,20 @@ def _flatten_counter(lists) -> Counter:
     return c
 
 
-def _run_native(cfg: ServeConfig, data_dir: Path, obs=None, metrics=None,
-                slo=None) -> ServeOutcome:
-    out = ServeOutcome(backend="native", plan=cfg.plan, seed=cfg.seed,
-                       data_dir=str(data_dir))
+def run_serve(cfg: ServeConfig, obs=None, metrics=None,
+              slo=None) -> ServeOutcome:
+    """Run one serve cell; never raises for a cell failure — the
+    outcome carries the reproducing (plan, seed) instead.
+
+    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) and
+    ``slo`` (a :class:`~repro.obs.slo.SloTracker`) are optional sinks;
+    ``None`` disables emission entirely, and the differential tests
+    pin down that attaching them changes no observable outcome."""
+    data_dir = Path(cfg.data_dir) if cfg.data_dir else Path(
+        tempfile.mkdtemp(prefix="repro-serve-")
+    )
+    data_dir.mkdir(parents=True, exist_ok=True)
+    out = ServeOutcome(plan=cfg.plan, seed=cfg.seed, data_dir=str(data_dir))
     admission = AdmissionController(
         window=cfg.window, budget=cfg.budget,
         base_backoff_ns=cfg.base_backoff_ns,
@@ -248,92 +241,6 @@ def _run_native(cfg: ServeConfig, data_dir: Path, obs=None, metrics=None,
             f"digest {out.digest[:16]}"
         )
     return out
-
-
-def _run_sim(cfg: ServeConfig, data_dir: Path, obs=None, metrics=None,
-             slo=None) -> ServeOutcome:
-    from ..campaign import queue_factory
-
-    out = ServeOutcome(backend="sim", plan=cfg.plan, seed=cfg.seed,
-                       data_dir=str(data_dir))
-    pq = queue_factory("bgpq")(cfg.k)
-    if obs is not None and hasattr(pq, "obs"):
-        pq.obs = obs
-    admission = AdmissionController(
-        window=cfg.window, budget=cfg.budget,
-        base_backoff_ns=cfg.base_backoff_ns,
-        smoothing_half_life_ns=cfg.admission_smoothing_ns,
-        metrics=metrics,
-    )
-    wal = WriteAheadLog.open(data_dir, obs=obs, metrics=metrics)
-    injector = FaultInjector(FaultPlan.preset(cfg.plan), seed=cfg.seed, obs=obs)
-    engine = Engine(seed=cfg.seed, obs=obs)
-    records: list[dict] = [{} for _ in range(cfg.sessions)]
-    for i in range(cfg.sessions):
-        gen = sim_session(
-            pq, admission, wal, f"s{i}", cfg.seed, cfg.ops, cfg.k, records[i],
-            key_space=cfg.key_space, base_backoff_ns=cfg.base_backoff_ns,
-            slo=slo, now_fn=lambda: engine.now,
-        )
-        engine.spawn(injector.wrap(gen, f"s{i}"), name=f"s{i}")
-    try:
-        out.makespan_ns = engine.run(max_events=cfg.max_events)
-    except ReproError as exc:
-        out.status = "failed"
-        out.failure = repr(exc)
-    out.ops_journaled = len(wal)
-    stats = admission.snapshot_stats()
-    out.admitted = stats["admitted"]
-    out.shed = stats["shed"]
-    out.shed_by_reason = stats["shed_by_reason"]
-    out.peak_pending = stats["peak_pending"]
-    out.aborted = sum(r.get("aborted", 0) for r in records)
-    out.queue_len = len(pq)
-    if out.status == "survived":
-        inserted = [np.asarray(r.keys, dtype=np.int64)
-                    for r in wal.records() if r.kind == "insert"]
-        removed = [np.asarray((r.result or {}).get("keys", []), dtype=np.int64)
-                   for r in wal.records() if r.kind == "deletemin"]
-        report = HeapAuditor(pq).audit(
-            inserted=inserted, removed=removed,
-            context=f"serve-sim plan={cfg.plan} seed={cfg.seed}",
-        )
-        # ledger drill: the journal alone reconstructs the live multiset
-        expect = _flatten_counter(r.keys for r in wal.records()
-                                  if r.kind == "insert")
-        expect.subtract(_flatten_counter(
-            (r.result or {}).get("keys", []) for r in wal.records()
-            if r.kind == "deletemin"
-        ))
-        live = _flatten_counter([np.asarray(pq.snapshot_keys()).tolist()])
-        out.drill_ok = +expect == live
-        if not out.drill_ok:
-            report.problems.append(
-                "WAL ledger reconstruction does not match the live snapshot"
-            )
-        if not report.ok:
-            out.status = "audit-failed"
-            out.audit_problems = report.problems
-    wal.close()
-    return out
-
-
-def run_serve(cfg: ServeConfig, obs=None, metrics=None,
-              slo=None) -> ServeOutcome:
-    """Run one serve cell; never raises for a cell failure — the
-    outcome carries the reproducing (backend, plan, seed) instead.
-
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) and
-    ``slo`` (a :class:`~repro.obs.slo.SloTracker`) are optional sinks;
-    ``None`` disables emission entirely, and the differential tests
-    pin down that attaching them changes no observable outcome."""
-    data_dir = Path(cfg.data_dir) if cfg.data_dir else Path(
-        tempfile.mkdtemp(prefix="repro-serve-")
-    )
-    data_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.backend == "native":
-        return _run_native(cfg, data_dir, obs=obs, metrics=metrics, slo=slo)
-    return _run_sim(cfg, data_dir, obs=obs, metrics=metrics, slo=slo)
 
 
 def run_serve_campaign(cfg: ServeConfig, seeds: int = 10,

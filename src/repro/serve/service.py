@@ -74,9 +74,11 @@ class DurableService:
         (k, dtypes, payload width) as the one that wrote the state; its
         contents are discarded and replaced by checkpoint + replay.  An
         empty directory is a fresh start: the queue is cleared and the
-        WAL begins at LSN 1.
+        WAL begins at LSN 1.  ``fsync`` syncs every WAL append and every
+        checkpoint (file and directory) to disk.
         """
-        checkpoints = CheckpointStore(data_dir, keep=keep_checkpoints, obs=obs)
+        checkpoints = CheckpointStore(data_dir, keep=keep_checkpoints, obs=obs,
+                                      fsync=fsync)
         wal = WriteAheadLog.open(data_dir, obs=obs, fsync=fsync,
                                  metrics=metrics)
         svc = cls(queue, wal, checkpoints,

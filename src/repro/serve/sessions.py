@@ -6,8 +6,6 @@ effects, so the fault injector can kill the server at a crashpoint and
 a supervisor thread can recover it — crash-recovery is exercised under
 the same deterministic scheduler as everything else in the tree.
 
-Native backend (the durable path)
----------------------------------
 Shared host state (:class:`Frontend`) carries a pending deque, a
 response map, and the admission controller; sessions submit through
 one ``Atomic`` (admission check + enqueue linearized), honor
@@ -18,15 +16,6 @@ response, release the admission slot, all indivisible — and yields
 crashpoints only *between* dispatches, so an admitted request is
 always either still pending or fully journaled+applied: a crash can
 delay an admitted key, never lose it.
-
-Sim backend (the concurrency path)
-----------------------------------
-Sessions drive the concurrent :class:`~repro.core.bgpq.BGPQ` ops
-directly (there is no server thread to serialize through), with the
-same admission gate in front of every op and the WAL appended in the
-op's success step — ledger-grade durability: the journal reconstructs
-the key multiset, not the byte-exact layout (which for the concurrent
-queue depends on the interleaving anyway).
 """
 
 from __future__ import annotations
@@ -38,13 +27,12 @@ from collections import deque
 import numpy as np
 
 from ..apps.resilience import jittered_backoff_ns
-from ..errors import OperationAborted
 from ..obs.events import SERVE_SHED
 from ..sim import Atomic, Compute, Signal, Wait, crashpoint
 from ..sim.sync import Condition
 from .admission import AdmissionController, RetryAfter
 
-__all__ = ["Frontend", "native_session", "server_loop", "sim_session"]
+__all__ = ["Frontend", "native_session", "server_loop"]
 
 
 class Frontend:
@@ -240,115 +228,3 @@ def native_session(
     yield Signal(frontend.work)
     return "done"
 
-
-def sim_session(
-    pq,
-    admission: AdmissionController,
-    wal,
-    sid: str,
-    seed: int,
-    ops: int,
-    k: int,
-    record: dict,
-    key_space: int = 100_000,
-    base_backoff_ns: float = 2_000.0,
-    retries: int = 3,
-    slo=None,
-    now_fn=lambda: 0.0,
-):
-    """One session driving the concurrent sim BGPQ directly; generator.
-
-    The admission gate brackets every queue op; the op itself is the
-    regular concurrent protocol (so it can abort under bounded waits —
-    retried with the same jittered backoff, then dropped to the record
-    as ``aborted``).  The WAL append rides the op's success step: only
-    completed ops enter the journal, which is exactly the
-    append-after-success ledger discipline of the fault campaigns.
-    """
-    rng = random.Random(f"serve:{seed}:{sid}")
-    record.setdefault("admitted_inserts", [])
-    record.setdefault("received", [])
-    record.setdefault("shed", 0)
-    record.setdefault("aborted", 0)
-
-    def _admit():
-        verdict = admission.try_admit(sid, now=now_fn())
-        if verdict is None:
-            return None
-        record["shed"] += 1
-        return verdict
-
-    try:
-        for request in _session_ops(sid, seed, ops, k, key_space):
-            yield crashpoint()
-            attempt = 0
-            while True:
-                verdict = yield Atomic(_admit)
-                if verdict is None:
-                    break
-                delay = max(
-                    verdict.backoff_hint_ns,
-                    jittered_backoff_ns(attempt, base_backoff_ns, rng=rng),
-                )
-                yield Compute(delay)
-                attempt += 1
-            op_id = request["op_id"]
-            t_sub = now_fn()
-            if request["kind"] == "insert":
-                keys = np.asarray(request["keys"], dtype=np.int64)
-                done = False
-                for attempt in range(retries + 1):
-                    try:
-                        yield from pq.insert_op(keys)
-                        done = True
-                        break
-                    except OperationAborted:
-                        if attempt < retries:
-                            yield Compute(
-                                jittered_backoff_ns(attempt, base_backoff_ns,
-                                                    rng=rng)
-                            )
-                if done:
-                    yield Atomic(lambda: (
-                        wal.append(sid, op_id, "insert", keys=request["keys"]),
-                        record["admitted_inserts"].append(list(request["keys"])),
-                    ))
-                    if slo is not None:
-                        slo.observe("insert", now_fn() - t_sub, ts=now_fn())
-                else:
-                    record["aborted"] += 1
-                yield Atomic(lambda: admission.complete(sid))
-            else:
-                got = None
-                for attempt in range(retries + 1):
-                    try:
-                        got = yield from pq.deletemin_op(request["count"])
-                        break
-                    except OperationAborted:
-                        if attempt < retries:
-                            yield Compute(
-                                jittered_backoff_ns(attempt, base_backoff_ns,
-                                                    rng=rng)
-                            )
-                if got is None:
-                    record["aborted"] += 1
-                else:
-                    got_l = [int(x) for x in np.asarray(got).ravel()]
-                    yield Atomic(lambda: (
-                        wal.append(sid, op_id, "deletemin",
-                                   count=request["count"],
-                                   result={"keys": got_l, "pay": []}),
-                        record["received"].append(got_l),
-                    ))
-                    if slo is not None:
-                        slo.observe("deletemin", now_fn() - t_sub,
-                                    ts=now_fn())
-                yield Atomic(lambda: admission.complete(sid))
-    finally:
-        # a crashed session must not strand its admission slot: reap
-        # whatever this sid still holds (plain python, no effects)
-        leaked = admission.inflight(sid)
-        for _ in range(leaked):
-            admission.complete(sid)
-    yield crashpoint()
-    return "done"

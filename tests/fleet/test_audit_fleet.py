@@ -72,11 +72,3 @@ def test_shard_problem_is_prefixed_with_index():
     report = HeapAuditor(fleet).audit()
     assert not report.ok
     assert any(p.startswith(f"shard {victim}:") for p in report.problems)
-
-
-def test_sim_backend_fleet_audits_clean():
-    fleet, _ = loaded_fleet(backend="sim")
-    fleet.delete_min(5)
-    report = HeapAuditor(fleet).audit()
-    assert report.ok, report.problems
-    assert any("lock-quiescence" in c for c in report.checks_run)

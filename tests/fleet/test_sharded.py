@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+import repro.fleet
+from repro.core.native import NativeBGPQ
 from repro.fleet import ShardedBGPQ
 from repro.obs.events import (
     SHARD_OP_BEGIN,
@@ -69,8 +70,12 @@ def test_delete_count_validation():
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(ConfigurationError):
-        fleet(backend="cuda")
+    # every shard is a NativeBGPQ: there is no backend to choose
+    with pytest.raises(TypeError, match="backend"):
+        fleet(backend="native")
+    with pytest.raises(TypeError, match="max_keys"):
+        fleet(max_keys=1 << 16)
+    assert not hasattr(repro.fleet, "BACKENDS")
 
 
 def test_single_shard_is_exact():
@@ -157,20 +162,23 @@ def test_check_invariants_prefixes_shard_index():
     assert all(p.startswith("shard ") for p in problems)
 
 
-@pytest.mark.parametrize("backend", ["native", "sim"])
+#: the single-queue engine a drained fleet is checked against
+ENGINES = {"native": NativeBGPQ}
+
+
+@pytest.mark.parametrize("backend", sorted(ENGINES))
 def test_backends_agree_on_drained_multiset(backend):
-    f = fleet(n=3, k=8, backend=backend, policy="hash")
+    f = fleet(n=3, k=8, policy="hash")
+    single = ENGINES[backend](node_capacity=8)
     keys = np.random.default_rng(2).integers(-100, 100, 70, dtype=np.int64)
     f.insert(keys)
+    single.insert(keys)
     out = []
     while f:
         out.append(f.delete_min(8))
-    assert np.array_equal(np.sort(np.concatenate(out)), np.sort(keys))
-
-
-def test_sim_backend_charges_time():
-    f = fleet(n=2, backend="sim", policy="hash")
-    f.insert(np.arange(64, dtype=np.int64))
-    assert f.makespan_ns > 0
-    f.delete_min(8)
-    assert f.makespan_ns > 0
+    ref = []
+    while len(single):
+        ref.append(single.deletemin(8)[0])
+    # relaxed deletes reorder across shards; the single queue does not
+    assert np.array_equal(np.sort(np.concatenate(out)), np.concatenate(ref))
+    assert np.array_equal(np.concatenate(ref), np.sort(keys))

@@ -1,13 +1,15 @@
-"""End-to-end serve runs: crash campaigns, overload, both backends."""
+"""End-to-end serve runs: crash campaigns, overload, determinism."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from repro.serve import ServeConfig, run_serve, run_serve_campaign
+from repro.serve import ServeConfig, ServeOutcome, run_serve, run_serve_campaign
 
 
 def _cfg(tmp_path, **kw):
-    base = dict(backend="native", sessions=3, ops=6, k=8, window=4,
+    base = dict(sessions=3, ops=6, k=8, window=4,
                 budget=16, checkpoint_every=4,
                 data_dir=str(tmp_path / "data"), plan="none", seed=0)
     base.update(kw)
@@ -68,17 +70,6 @@ def test_crash_plus_overload(tmp_path):
     assert all(o.drill_ok for o in outcomes)
 
 
-def test_sim_backend_ledger_drill(tmp_path):
-    outcomes = run_serve_campaign(
-        _cfg(tmp_path, backend="sim", plan="mixed", sessions=3, ops=4),
-        seeds=3,
-    )
-    assert all(o.survived for o in outcomes), [
-        (o.seed, o.status, o.failure, o.audit_problems) for o in outcomes
-    ]
-    assert all(o.drill_ok for o in outcomes)
-
-
 def test_campaign_seeds_do_not_share_state(tmp_path):
     outcomes = run_serve_campaign(_cfg(tmp_path), seeds=2)
     dirs = {o.data_dir for o in outcomes}
@@ -88,8 +79,11 @@ def test_campaign_seeds_do_not_share_state(tmp_path):
 
 
 def test_unknown_backend_rejected(tmp_path):
-    with pytest.raises(ValueError, match="backend"):
-        _cfg(tmp_path, backend="quantum")
+    # one queue engine serves: there is no backend to choose
+    with pytest.raises(TypeError, match="backend"):
+        _cfg(tmp_path, backend="native")
+    assert "backend" not in {f.name for f in fields(ServeConfig)}
+    assert "backend" not in {f.name for f in fields(ServeOutcome)}
 
 
 def test_serve_run_is_deterministic(tmp_path):

@@ -41,8 +41,11 @@ def test_serve_with_crash_faults(isolated_dirs, capsys):
 
 
 def test_serve_sim_backend(isolated_dirs, capsys):
-    assert main(SERVE_SMALL + ["--backend", "sim", "--faults", "mixed"]) == 0
-    assert "sim backend" in capsys.readouterr().out
+    # the flag is gone: argparse rejects it as a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(SERVE_SMALL + ["--backend", "sim", "--faults", "mixed"])
+    assert exc.value.code == 2
+    assert "--backend" in capsys.readouterr().err
 
 
 def test_serve_without_registry_uses_tempdir(isolated_dirs, monkeypatch,

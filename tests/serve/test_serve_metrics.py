@@ -29,12 +29,11 @@ def _outcome_key(o):
     )
 
 
-@pytest.mark.parametrize("backend,plan", [("native", "crash"), ("sim", "none")])
-def test_metrics_do_not_move_the_run(tmp_path, backend, plan):
+@pytest.mark.parametrize("plan", ["crash"], ids=["native-crash"])
+def test_metrics_do_not_move_the_run(tmp_path, plan):
     def one(metrics, slo, tag):
-        cfg = ServeConfig(backend=backend, sessions=3, ops=6, k=8,
-                          budget=12, plan=plan, seed=5,
-                          data_dir=str(tmp_path / tag))
+        cfg = ServeConfig(sessions=3, ops=6, k=8, budget=12, plan=plan,
+                          seed=5, data_dir=str(tmp_path / tag))
         return run_serve(cfg, metrics=metrics, slo=slo)
 
     bare = one(None, None, "bare")
@@ -50,8 +49,8 @@ def test_metrics_do_not_move_the_run(tmp_path, backend, plan):
 
 def test_serve_emits_recovery_and_checkpoint_metrics(tmp_path):
     reg = MetricsRegistry()
-    cfg = ServeConfig(backend="native", sessions=3, ops=8, k=8,
-                      checkpoint_every=4, plan="crash", seed=3,
+    cfg = ServeConfig(sessions=3, ops=8, k=8, checkpoint_every=4,
+                      plan="crash", seed=3,
                       data_dir=str(tmp_path / "d"))
     out = run_serve(cfg, metrics=reg)
     assert out.survived

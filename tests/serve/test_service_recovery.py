@@ -7,6 +7,9 @@ the service object mid-history and re-opening the data dir with a
 fresh queue — exactly what the serve supervisor does.
 """
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -193,3 +196,44 @@ def test_fresh_dir_is_fresh(tmp_path):
     }
     assert len(svc.queue) == 0
     svc.close()
+
+
+def _record_fsyncs(monkeypatch) -> list[tuple[int, bool]]:
+    """Patch ``os.fsync`` to log ``(inode, is_dir)`` of every synced fd."""
+    calls: list[tuple[int, bool]] = []
+    real = os.fsync
+
+    def spy(fd):
+        st = os.fstat(fd)
+        calls.append((st.st_ino, stat.S_ISDIR(st.st_mode)))
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", spy)
+    return calls
+
+
+def test_fsync_syncs_checkpoint_file_then_directory(tmp_path, monkeypatch):
+    calls = _record_fsyncs(monkeypatch)
+    svc = DurableService.open(_queue(), tmp_path, checkpoint_every=4,
+                              fsync=True)
+    for op in _script():
+        svc.apply(op)
+    svc.close()
+    ckpts = svc.checkpoints._checkpoint_paths()
+    assert ckpts
+    dir_syncs = [i for i, c in enumerate(calls)
+                 if c == (os.stat(tmp_path).st_ino, True)]
+    for path in ckpts:
+        # rename keeps the inode, so the synced temp file is this file
+        at = calls.index((os.stat(path).st_ino, False))
+        assert any(i > at for i in dir_syncs), path.name
+
+
+def test_no_fsync_when_fsync_is_off(tmp_path, monkeypatch):
+    calls = _record_fsyncs(monkeypatch)
+    svc = DurableService.open(_queue(), tmp_path, checkpoint_every=4)
+    for op in _script():
+        svc.apply(op)
+    svc.close()
+    assert svc.checkpoints._checkpoint_paths()
+    assert calls == []
