@@ -122,8 +122,9 @@ class SprayListPQ(ConcurrentPQ):
                     if key is not None:
                         got = key
                     break
-                # ids are 16-byte aligned; shift so stripes spread
-                stripe = self.stripes[(id(node) >> 4) % len(self.stripes)]
+                # stripe by key, not by address: int hashes ignore
+                # PYTHONHASHSEED, so contention replays run to run
+                stripe = self.stripes[hash(node.key) % len(self.stripes)]
                 yield Acquire(stripe)
                 ok = yield Atomic(lambda n=node: self.sl.mark(n))
                 yield Compute(m.atomic_ns(contended=True))

@@ -178,62 +178,41 @@ class HeapAuditor:
                     )
 
     def _check_arena(self, report: AuditReport) -> None:
-        """Arena-storage-aware pass: dead rows and the row-0 contract.
+        """Arena-storage-aware pass: dead rows and the row-0 pBuffer.
 
         The shared :class:`~repro.core.arena.NodeArena` makes two bugs
         representable that the per-node views never see — a retired row
         whose count was not zeroed (its stale keys would resurface the
-        moment the heap grows back over it), and writes landing in row
-        0, whose meaning differs by queue:
+        moment the heap grows back over it), and a broken row 0, which
+        both :class:`~repro.core.bgpq.BGPQ` and
+        :class:`~repro.core.native.NativeBGPQ` use as the partial
+        buffer, so it must hold a *sorted* run of fewer than k keys.
 
-        * :class:`~repro.core.native.NativeBGPQ` keeps its partial buffer in row 0, so the row must hold a
-          *sorted* run of fewer than k keys;
-        * the sim :class:`~repro.core.bgpq.BGPQ`'s ``HeapStorage``
-          reserves row 0 (its ping-pong partial buffer lives outside
-          the arena), so any key count there is a stray write.
-
-        Scratch storage (the ``ScratchLedger`` and NativeBGPQ's
+        Scratch storage (the arena's ``ScratchLedger`` and NativeBGPQ's
         travelling batch) is deliberately *not* audited: it is
         by-design garbage between operations.
         """
-        # NativeBGPQ's private arena (row 0 == partial buffer)
-        arena = getattr(self.pq, "_arena", None)
-        if arena is not None:
-            report.checks_run.append("arena")
-            size = self.pq._heap_size
-            for i in range(size + 1, arena.rows):
-                if arena.counts[i]:
-                    report.problems.append(
-                        f"arena row {i} beyond heap_size={size} holds "
-                        f"{int(arena.counts[i])} keys"
-                    )
-            nbuf = int(arena.counts[0])
-            if nbuf >= arena.k:
-                report.problems.append(
-                    f"row-0 pBuffer holds {nbuf} >= k={arena.k} keys"
-                )
-            buf = arena.keys[0, :nbuf]
-            if buf.size > 1 and np.any(buf[:-1] > buf[1:]):
-                report.problems.append("row-0 pBuffer unsorted")
-            return
-        # sim BGPQ's HeapStorage arena (row 0 reserved)
         store = getattr(self.pq, "store", None)
-        arena = getattr(store, "arena", None) if store is not None else None
+        if store is not None:  # BGPQ's HeapStorage
+            arena, size = getattr(store, "arena", None), store.heap_size
+        else:  # NativeBGPQ
+            arena = getattr(self.pq, "_arena", None)
+            size = getattr(self.pq, "_heap_size", 0)
         if arena is None:
             return
         report.checks_run.append("arena")
-        size = store.heap_size
-        if arena.counts[0]:
-            report.problems.append(
-                f"reserved arena row 0 holds {int(arena.counts[0])} keys "
-                "(the sim pBuffer lives outside the arena)"
-            )
         for i in range(size + 1, arena.rows):
             if arena.counts[i]:
                 report.problems.append(
                     f"arena row {i} beyond heap_size={size} holds "
                     f"{int(arena.counts[i])} keys"
                 )
+        nbuf = int(arena.counts[0])
+        if nbuf >= arena.k:
+            report.problems.append(f"row-0 pBuffer holds {nbuf} >= k={arena.k} keys")
+        buf = arena.keys[0, :nbuf]
+        if buf.size > 1 and np.any(buf[:-1] > buf[1:]):
+            report.problems.append("row-0 pBuffer unsorted")
 
     def _check_locks(self, report: AuditReport) -> None:
         store = getattr(self.pq, "store", None)

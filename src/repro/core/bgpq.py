@@ -9,6 +9,12 @@ from; concurrent blocks operating on different nodes provide the
 inter-node task parallelism, synchronised by per-node locks (the root
 and the partial buffer share one lock, §4).
 
+Storage is the arena layout :class:`~repro.core.native.NativeBGPQ` uses:
+the partial buffer is row 0 of the heap's
+:class:`~repro.core.arena.NodeArena` and node ``i`` is row ``i``, so both
+queues run the same in-place row SORT_SPLIT and a one-thread run leaves
+the same rows as the host queue fed the same script.
+
 Usage (synthetic workload)::
 
     from repro.core import BGPQ
@@ -106,21 +112,6 @@ class BGPQ(InsertMixin, DeleteMixin, ConcurrentPQ):
             payload_width=payload_width,
             payload_dtype=payload_dtype,
         )
-        # Ping-pong pair backing the partial buffer: each rebalance
-        # merges the live buffer into the inactive half and flips, so
-        # ``self.pbuffer`` is always a view into preallocated storage
-        # and the hot path never allocates.
-        self._pb_keys = (
-            np.empty(node_capacity, dtype=self.store.dtype),
-            np.empty(node_capacity, dtype=self.store.dtype),
-        )
-        self._pb_pay = (
-            np.empty((node_capacity, payload_width), dtype=payload_dtype),
-            np.empty((node_capacity, payload_width), dtype=payload_dtype),
-        )
-        self._pb_active = 0
-        self.pbuffer = self._pb_keys[0][:0]
-        self.pbuffer_pay = self._pb_pay[0][:0]
         self.collaboration = collaboration
         #: optional :class:`~repro.obs.events.EventBus`; when set, the
         #: operation paths emit structured mechanism events (SORT_SPLITs,
@@ -234,100 +225,20 @@ class BGPQ(InsertMixin, DeleteMixin, ConcurrentPQ):
             )
         return payload
 
-    # -- fused partial-buffer operations ------------------------------------
-    # All three run under the root/pBuffer lock.  They stage through the
-    # heap's scratch ledger and the ping-pong pair, so steady state does
-    # zero array allocations; ties keep the first operand's keys first,
-    # exactly like merge_with_payload.
-    def _buffer_absorb(self, items_k: np.ndarray, items_p: np.ndarray) -> None:
-        """Alg.1 lines 21-24: merge ``items`` into the partial buffer."""
-        from ..primitives.inplace import merge_into
+    # -- the partial buffer: arena row 0 ---------------------------------
+    @property
+    def pbuffer(self) -> np.ndarray:
+        """The partial buffer's live keys: a read-only view of arena row 0."""
+        view = self.store.nodes[0].keys()
+        view.flags.writeable = False
+        return view
 
-        dst = 1 - self._pb_active
-        total = self.pbuffer.size + items_k.size
-        if self.store.payload_width:
-            merge_into(
-                self.pbuffer, items_k, self._pb_keys[dst],
-                self.pbuffer_pay, items_p, self._pb_pay[dst],
-                iota=self.store.scratch.iota,
-            )
-        else:
-            merge_into(self.pbuffer, items_k, self._pb_keys[dst])
-        self._pb_active = dst
-        self.pbuffer = self._pb_keys[dst][:total]
-        self.pbuffer_pay = self._pb_pay[dst][:total]
-
-    def _buffer_detach_full(
-        self, items_k: np.ndarray, items_p: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Alg.1 lines 26-29: the k smallest of items ∪ buffer leave as a
-        full batch (returned as fresh arrays — they travel down the tree
-        across yields, so they cannot live in shared scratch); the rest
-        becomes the new buffer, in place."""
-        from ..primitives.inplace import sort_split_into
-
-        s = self.store.scratch
-        dst = 1 - self._pb_active
-        rest = items_k.size + self.pbuffer.size - self.k
-        if self.store.payload_width:
-            sort_split_into(
-                items_k, self.pbuffer, self.k,
-                s.keys, self._pb_keys[dst], s,
-                pa=items_p, pb=self.pbuffer_pay,
-                x_p=s.pay, y_p=self._pb_pay[dst],
-            )
-            fk = s.keys[: self.k].copy()
-            fp = s.pay[: self.k].copy()
-        else:
-            sort_split_into(
-                items_k, self.pbuffer, self.k, s.keys, self._pb_keys[dst], s
-            )
-            fk = s.keys[: self.k].copy()
-            fp = np.zeros((self.k, 0), dtype=self.store.payload_dtype)
-        self._pb_active = dst
-        self.pbuffer = self._pb_keys[dst][:rest]
-        self.pbuffer_pay = self._pb_pay[dst][:rest]
-        return fk, fp
-
-    def _balance_root_buffer(self) -> None:
-        """Alg.2 line 13: root keeps the ``|root|`` smallest of
-        root ∪ buffer; the buffer is rewritten in place with the rest."""
-        from ..primitives.inplace import sort_split_into
-
-        a = self.store.arena
-        s = self.store.scratch
-        rc = int(a.counts[1])
-        nb = self.pbuffer.size
-        dst = 1 - self._pb_active
-        if self.store.payload_width:
-            sort_split_into(
-                a.keys[1, :rc], self.pbuffer, rc,
-                a.keys[1], self._pb_keys[dst], s,
-                pa=a.pay[1, :rc], pb=self.pbuffer_pay,
-                x_p=a.pay[1], y_p=self._pb_pay[dst],
-            )
-        else:
-            sort_split_into(
-                a.keys[1, :rc], self.pbuffer, rc, a.keys[1], self._pb_keys[dst], s
-            )
-        self._pb_active = dst
-        self.pbuffer = self._pb_keys[dst][:nb]
-        self.pbuffer_pay = self._pb_pay[dst][:nb]
-
-    # -- rollback snapshots of the partial buffer --------------------------
-    def _pbuffer_snapshot(self):
-        """Capture the buffer for OpGuard rollback.  The fused paths
-        rewrite the ping-pong storage in place, so the snapshot copies."""
-        return self.pbuffer.copy(), self.pbuffer_pay.copy()
-
-    def _pbuffer_restore(self, buf_k: np.ndarray, buf_p: np.ndarray) -> None:
-        n = buf_k.size
-        keys = self._pb_keys[self._pb_active]
-        pay = self._pb_pay[self._pb_active]
-        keys[:n] = buf_k
-        pay[:n] = buf_p
-        self.pbuffer = keys[:n]
-        self.pbuffer_pay = pay[:n]
+    @property
+    def pbuffer_pay(self) -> np.ndarray:
+        """The partial buffer's payload rows (read-only, aligned with keys)."""
+        view = self.store.nodes[0].payload()
+        view.flags.writeable = False
+        return view
 
     # -- quiescent introspection -----------------------------------------
     def snapshot_keys(self) -> np.ndarray:
@@ -345,20 +256,13 @@ class BGPQ(InsertMixin, DeleteMixin, ConcurrentPQ):
         that the buffer's keys do not undercut the root (§3.1).
         """
         problems = self.store.check_heap_property()
-        root = self.store.root
-        if (
-            self.pbuffer.size
-            and root.state == AVAIL
-            and root.count
-            and self.pbuffer[0] < root.max_key()
-        ):
-            problems.append(
-                f"buffer min {self.pbuffer[0]} < root max {root.max_key()}"
-            )
-        if self.pbuffer.size > 1 and np.any(self.pbuffer[:-1] > self.pbuffer[1:]):
+        root, buf = self.store.root, self.pbuffer
+        if buf.size and root.state == AVAIL and root.count and buf[0] < root.max_key():
+            problems.append(f"buffer min {buf[0]} < root max {root.max_key()}")
+        if buf.size > 1 and np.any(buf[:-1] > buf[1:]):
             problems.append("buffer not sorted")
-        if self.pbuffer.size >= self.k:
-            problems.append(f"buffer holds {self.pbuffer.size} >= k={self.k} keys")
+        if buf.size >= self.k:
+            problems.append(f"buffer holds {buf.size} >= k={self.k} keys")
         return problems
 
     def memory_bytes(self) -> int:

@@ -119,7 +119,7 @@ class BGPQBottomUp(BGPQ):
                 yield Release(store.lock(p))
                 yield Compute(m.lock_release_ns())
                 break
-            store.sort_split_nodes(p, cur, small=p, large=cur, ma=p_node.count)
+            store.arena.split_rows(p, cur, small=p, large=cur, ma=p_node.count)
             self.stats["percolate_levels"] += 1
             yield Compute(m.node_sort_split_ns(p_node.count, c_node.count))
             yield Release(store.lock(cur))

@@ -157,15 +157,20 @@ class DeleteMixin:
                 f"deletemin found last node {tar} in unexpected state {tar_node.state}"
             )
 
-        # line 13: ensure root <= buffer
-        if self.pbuffer.size:
-            self._balance_root_buffer()
+        # line 13: ensure root <= buffer — the root keeps the |root|
+        # smallest of root ∪ buffer, row 0 the rest
+        nbuf = int(store.arena.counts[0])
+        if nbuf:
+            store.arena.split_rows(1, 0, small=1, large=0, ma=root.count)
             if self.obs is not None:
+                # reported as a full rewrite even when the presorted fast
+                # path fired: sort_split_fast has never counted this site,
+                # and BENCH_analysis.json records it that way
                 self.obs.emit_here(
                     SORT_SPLIT, site="delete.root_buffer",
-                    na=int(root.count), nb=int(self.pbuffer.size), fast=False,
+                    na=int(root.count), nb=nbuf, fast=False,
                 )
-            yield Compute(m.node_sort_split_ns(root.count, self.pbuffer.size))
+            yield Compute(m.node_sort_split_ns(root.count, nbuf))
 
         # line 14 / Alg.3: heapify, extracting `remained` at the root
         self.stats["deletemin_heapify"] += 1
@@ -182,9 +187,9 @@ class DeleteMixin:
         EMPTY).
 
         With a ``guard``, a snapshot of everything this routine (and
-        the caller's heap shrink) may touch is registered for rollback
-        and crash points are emitted; the fully-served exits commit
-        before releasing the root.
+        the caller's heap shrink) may touch — rows 0-1 and the heap
+        size — is registered for rollback and crash points are emitted;
+        the fully-served exits commit before releasing the root.
         """
         store, m = self.store, self.model
         root = store.root
@@ -192,20 +197,7 @@ class DeleteMixin:
         no_p = np.empty((0, store.payload_width), dtype=store.payload_dtype)
 
         if guard is not None:
-            root_k = root.keys().copy()
-            root_p = root.payload().copy()
-            root_count, root_state = root.count, root.state
-            buf_k, buf_p = self._pbuffer_snapshot()
-            size = store.heap_size
-
-            def restore():
-                root.buf[:root_count] = root_k
-                root.pay[:root_count] = root_p
-                root.count, root.state = root_count, root_state
-                self._pbuffer_restore(buf_k, buf_p)
-                store.heap_size = size
-
-            guard.on_abort(restore)
+            guard.on_abort(store.root_rollback())
             yield crashpoint()
 
         if store.heap_size == 0:  # lines 16-17: empty queue
@@ -235,7 +227,7 @@ class DeleteMixin:
         if store.heap_size == 1:  # lines 23-29: refill from the buffer
             if self.pbuffer.size:
                 root.set_keys(self.pbuffer, self.pbuffer_pay)  # buffer kept sorted
-                self.pbuffer, self.pbuffer_pay = no_k, no_p
+                store.nodes[0].clear()
                 if self.obs is not None:
                     self.obs.emit_here(
                         ROOT_REFILL, source="buffer", n=int(root.count)
@@ -329,7 +321,7 @@ class DeleteMixin:
                 # line 9: x = child with the larger max keeps the large half
                 x, y = (l, r) if nl.max_key() > nr.max_key() else (r, l)
                 ma = min(self.k, nl.count + nr.count)
-                fast = store.sort_split_nodes(l, r, small=y, large=x, ma=ma)
+                fast = store.arena.split_rows(l, r, small=y, large=x, ma=ma)
                 if self.obs is not None:
                     self.obs.emit_here(
                         SORT_SPLIT, site="delete.heapify_pair",
@@ -349,7 +341,7 @@ class DeleteMixin:
 
             # line 12: current node keeps the small half
             y_node = store.node(y)
-            fast = store.sort_split_nodes(
+            fast = store.arena.split_rows(
                 cur, y, small=cur, large=y, ma=cur_node.count
             )
             if self.obs is not None:

@@ -2,9 +2,9 @@
 
 The heap of batch nodes is stored 1-indexed, exactly as in the paper:
 node ``i``'s children are ``2i`` and ``2i+1``, its parent ``i // 2``.
-``heap_size`` counts live nodes *including* the root.  The root (index
-1) shares its lock with the partial buffer; every other node has its
-own lock.
+``heap_size`` counts live nodes *including* the root.  Row 0 of the
+shared :class:`~repro.core.arena.NodeArena` is the partial buffer, which
+shares the root's lock (index 1); every other node has its own lock.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CapacityError
-from ..primitives.inplace import ScratchLedger, sort_split_into
 from ..sim import SimLock
 from .arena import NodeArena
 from .node import BatchNode
@@ -60,10 +59,10 @@ class HeapStorage:
     :class:`~repro.errors.CapacityError`, mirroring the fixed
     pre-allocated device array of the CUDA implementation.
 
-    One shared :class:`NodeArena` holds every node row contiguously
-    (the device layout of §3.3); nodes are two-word views and the fused
-    helpers below rebalance node rows in place through a preallocated
-    :class:`ScratchLedger`.
+    One shared :class:`NodeArena` holds the partial buffer (row 0) and
+    every node row contiguously (the device layout of §3.3); nodes are
+    two-word views, and :meth:`NodeArena.split_rows` /
+    :meth:`NodeArena.split_row_items` rebalance rows in place.
     """
 
     def __init__(
@@ -82,15 +81,9 @@ class HeapStorage:
         self.dtype = np.dtype(dtype)
         self.payload_width = payload_width
         self.payload_dtype = np.dtype(payload_dtype)
-        # index 0 unused; nodes/rows allocated eagerly like the device array
+        # row 0 is the partial buffer; rows allocated eagerly like the device array
         self.arena = NodeArena(
             max_nodes + 1,
-            node_capacity,
-            dtype=dtype,
-            payload_width=payload_width,
-            payload_dtype=payload_dtype,
-        )
-        self.scratch = ScratchLedger(
             node_capacity,
             dtype=dtype,
             payload_width=payload_width,
@@ -130,72 +123,24 @@ class HeapStorage:
         self.heap_size = nxt
         return nxt
 
-    # -- fused in-place SORT_SPLIT over arena rows ------------------------
-    def sort_split_nodes(self, i: int, j: int, small: int, large: int, ma: int) -> bool:
-        """SORT_SPLIT nodes ``i`` and ``j`` (merged in that order) in place:
-        node ``small`` receives the ``ma`` smallest keys, node ``large``
-        the rest.  ``{small, large}`` must equal ``{i, j}``; both rows
-        are rewritten through the scratch ledger with no temporaries.
-        Callers hold both node locks.
+    def root_rollback(self):
+        """A closure that restores rows 0-1 (partial buffer and root) and
+        ``heap_size`` to their current values — the undo an
+        :class:`~repro.core.recovery.OpGuard` registers before an
+        operation rewrites them in place.  Caller holds the root lock."""
+        a = self.arena
+        keys, pay = a.keys[:2].copy(), a.pay[:2].copy()
+        counts, states = a.counts[:2].copy(), a.states[:2].copy()
+        size = self.heap_size
 
-        Returns True when the presorted fast path fired (the rows were
-        already the requested split and nothing was rewritten) — the
-        bit the observability layer reports as the fast-path rate.
-        """
-        a, s = self.arena, self.scratch
-        ni = int(a.counts[i])
-        nj = int(a.counts[j])
-        if ni and nj:
-            # Already balanced: the rows hold exactly the split the caller
-            # wants, so the rewrite is the identity.  Two scalar compares
-            # make ~a third of steady-state heapify rebalances free.
-            if small == i and ma == ni and a.keys[i, ni - 1] <= a.keys[j, 0]:
-                return True
-            if small == j and ma == nj and a.keys[j, nj - 1] < a.keys[i, 0]:
-                return True
-        if a.payload_width:
-            sort_split_into(
-                a.keys[i, :ni], a.keys[j, :nj], ma,
-                a.keys[small], a.keys[large], s,
-                pa=a.pay[i, :ni], pb=a.pay[j, :nj],
-                x_p=a.pay[small], y_p=a.pay[large],
-            )
-        else:
-            sort_split_into(
-                a.keys[i, :ni], a.keys[j, :nj], ma,
-                a.keys[small], a.keys[large], s,
-            )
-        a.counts[small] = ma
-        a.counts[large] = ni + nj - ma
-        return False
+        def restore():
+            a.keys[:2] = keys
+            a.pay[:2] = pay
+            a.counts[:2] = counts
+            a.states[:2] = states
+            self.heap_size = size
 
-    def sort_split_node_items(
-        self,
-        i: int,
-        items_k: np.ndarray,
-        items_p: np.ndarray | None = None,
-    ) -> bool:
-        """SORT_SPLIT node ``i`` against a travelling batch, in place:
-        the node keeps the ``|i|`` smallest keys of node ∪ items and the
-        batch arrays are rewritten with the rest (same length — this is
-        the heapify step of Alg. 1 line 20/33).
-        Returns True when the presorted fast path skipped the rewrite.
-        """
-        a, s = self.arena, self.scratch
-        ni = int(a.counts[i])
-        if ni and items_k.shape[0] and a.keys[i, ni - 1] <= items_k[0]:
-            return True  # node already holds the |i| smallest; batch unchanged
-        if a.payload_width and items_p is not None:
-            sort_split_into(
-                a.keys[i, :ni], items_k, ni,
-                a.keys[i], items_k, s,
-                pa=a.pay[i, :ni], pb=items_p,
-                x_p=a.pay[i], y_p=items_p,
-            )
-        else:
-            sort_split_into(a.keys[i, :ni], items_k, ni, a.keys[i], items_k, s)
-        # the node's count (ni) and the batch length are both unchanged
-        return False
+        return restore
 
     # -- quiescent helpers for tests/snapshots ---------------------------
     def all_keys(self) -> np.ndarray:

@@ -166,32 +166,18 @@ class InsertMixin:
         still held) when the buffer overflowed.
 
         With a ``guard``, a snapshot of everything this routine may
-        touch (root contents/state, buffer arrays, heap size) is
-        registered for rollback and crash points are emitted; the
+        touch (rows 0-1 — the buffer and the root — and the heap size)
+        is registered for rollback and crash points are emitted; the
         absorbed exits commit before releasing the root.  Without one
         (the bottom-up variant) behaviour is exactly the original.
         """
         store, m = self.store, self.model
-        root = store.root
+        root, a = store.root, store.arena
 
         if guard is not None:
             # One snapshot covers every pre-commit mutation below *and*
-            # the caller's grow().  The buffer is rewritten in place, so
-            # its snapshot copies.
-            root_k = root.keys().copy()
-            root_p = root.payload().copy()
-            root_count, root_state = root.count, root.state
-            buf_k, buf_p = self._pbuffer_snapshot()
-            size = store.heap_size
-
-            def restore():
-                root.buf[:root_count] = root_k
-                root.pay[:root_count] = root_p
-                root.count, root.state = root_count, root_state
-                self._pbuffer_restore(buf_k, buf_p)
-                store.heap_size = size
-
-            guard.on_abort(restore)
+            # the caller's grow().
+            guard.on_abort(store.root_rollback())
             yield crashpoint()
 
         if store.heap_size == 0:  # lines 16-19: empty heap
@@ -207,26 +193,27 @@ class InsertMixin:
             return None
 
         obs = self.obs
+        n_in = items_k.size
         # line 20: SORT_SPLIT(root, |root|, items, size, |root|) — the
         # root keeps the |root| smallest of root ∪ items.
         if root.count:
-            fast = store.sort_split_node_items(1, items_k, items_p)
+            fast = a.split_row_items(1, items_k, items_p, root.count)
             if obs is not None:
                 obs.emit_here(
                     SORT_SPLIT, site="insert.root",
-                    na=int(root.count), nb=int(items_k.size), fast=fast,
+                    na=int(root.count), nb=n_in, fast=fast,
                 )
-            yield Compute(m.node_sort_split_ns(root.count, items_k.size))
+            yield Compute(m.node_sort_split_ns(root.count, n_in))
 
-        if self.pbuffer.size + items_k.size < self.k:  # lines 21-24: absorb
+        nbuf = int(a.counts[0])
+        if nbuf + n_in < self.k:  # lines 21-24: absorb
             # (kept sorted by merging — equivalent to append+sort-on-use)
-            yield Compute(m.sort_split_ns(self.pbuffer.size, items_k.size))
-            self._buffer_absorb(items_k, items_p)
+            yield Compute(m.sort_split_ns(nbuf, n_in))
+            a.split_row_items(0, items_k, items_p, nbuf + n_in)
             self.stats["partial_insert"] += 1
             if obs is not None:
                 obs.emit_here(
-                    PBUFFER_HIT,
-                    absorbed=int(items_k.size), buffered=int(self.pbuffer.size),
+                    PBUFFER_HIT, absorbed=n_in, buffered=nbuf + n_in,
                 )
             if guard is not None:
                 guard.commit()
@@ -234,15 +221,21 @@ class InsertMixin:
             yield Compute(m.lock_release_ns())
             return None
 
-        # lines 26-29: overflow — detach the k smallest as a full batch
-        n_in = items_k.size
-        fk, fp = self._buffer_detach_full(items_k, items_p)
+        # lines 26-29: overflow — the k smallest of items ∪ buffer leave
+        # as a full batch (items first on ties), the rest stays in row 0.
+        # The batch travels down the tree across yields, so it gets fresh
+        # arrays rather than shared scratch.
+        fk = np.empty(self.k, dtype=store.dtype)
+        fp = np.empty((self.k, store.payload_width), dtype=store.payload_dtype)
+        a.kernels.sort_split_into(
+            items_k, a.keys[0, :nbuf], self.k, fk, a.keys[0], a.scratch,
+            pa=items_p, pb=a.pay[0, :nbuf], x_p=fp, y_p=a.pay[0],
+        )
+        rest = n_in + nbuf - self.k
+        a.counts[0] = rest
         if obs is not None:
-            obs.emit_here(
-                PBUFFER_OVERFLOW,
-                batch=int(self.k), buffered=int(self.pbuffer.size),
-            )
-        yield Compute(m.node_sort_split_ns(n_in, self.pbuffer.size + self.k))
+            obs.emit_here(PBUFFER_OVERFLOW, batch=int(self.k), buffered=rest)
+        yield Compute(m.node_sort_split_ns(n_in, rest + self.k))
         if guard is not None:
             yield crashpoint()  # root still held; snapshot fully covers
         return fk, fp
@@ -272,7 +265,7 @@ class InsertMixin:
             yield Compute(m.lock_release_ns())
             node = store.node(cur)
             if node.state == AVAIL and node.count:
-                fast = store.sort_split_node_items(cur, items_k, items_p)
+                fast = store.arena.split_row_items(cur, items_k, items_p, node.count)
                 if self.obs is not None:
                     self.obs.emit_here(
                         SORT_SPLIT, site="insert.heapify",

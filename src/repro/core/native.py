@@ -23,9 +23,10 @@ rows that travel with their keys through every merge and split, which
 is how the applications store search-tree nodes.
 
 The whole heap lives in one :class:`~repro.core.arena.NodeArena` (row 0
-is the partial buffer, row ``i`` is node ``i``), every SORT_SPLIT runs
-through the fused in-place :func:`~repro.primitives.inplace.sort_split_into`
-path, and the steady-state heapify loop performs zero traced
+is the partial buffer, row ``i`` is node ``i`` — the DES queue's layout
+too), every SORT_SPLIT runs through the arena's fused in-place
+:meth:`~repro.core.arena.NodeArena.split_rows` path on this queue's
+kernel set, and the steady-state heapify loop performs zero traced
 allocations — the application engines' hot path mirrors the paper's
 preallocated device layout (§3.3).
 
@@ -54,7 +55,6 @@ from ..device.costmodel import GpuCostModel
 from ..device.kernels import GpuContext
 from ..errors import ConfigurationError
 from ..primitives import kernels as kernel_registry
-from ..primitives.inplace import ScratchLedger
 from .arena import NodeArena
 from .heap import left, parent, path_next, right
 
@@ -248,12 +248,7 @@ class NativeBGPQ:
             dtype=key_dtype,
             payload_width=payload_width,
             payload_dtype=payload_dtype,
-        )
-        self._scratch = ScratchLedger(
-            node_capacity,
-            dtype=key_dtype,
-            payload_width=payload_width,
-            payload_dtype=payload_dtype,
+            kernels=self._kern,
         )
         # the travelling batch of both heapify loops (Alg. 1's `items`)
         self._items_k = np.empty(node_capacity, dtype=key_dtype)
@@ -453,62 +448,12 @@ class NativeBGPQ:
         if i >= a.rows:
             self._arena = a.grown(max(2 * a.rows, i + 1))
 
-    def _split_rows(self, i: int, j: int, small: int, large: int, ma: int) -> None:
-        """SORT_SPLIT rows ``i`` and ``j`` (merged in that order) in place:
-        row ``small`` receives the ``ma`` smallest records, row ``large``
-        the rest.  ``{small, large} == {i, j}``; ties keep ``i``'s keys
-        first, exactly like :func:`~repro.primitives.merge_with_payload`.
-        """
-        a, s = self._arena, self._scratch
-        ni = int(a.counts[i])
-        nj = int(a.counts[j])
-        if ni and nj:
-            # already the requested split: the rewrite is the identity
-            if small == i and ma == ni and a.keys[i, ni - 1] <= a.keys[j, 0]:
-                return
-            if small == j and ma == nj and a.keys[j, nj - 1] < a.keys[i, 0]:
-                return
-        if self.payload_width:
-            self._kern.sort_split_into(
-                a.keys[i, :ni], a.keys[j, :nj], ma,
-                a.keys[small], a.keys[large], s,
-                pa=a.pay[i, :ni], pb=a.pay[j, :nj],
-                x_p=a.pay[small], y_p=a.pay[large],
-            )
-        else:
-            self._kern.sort_split_into(
-                a.keys[i, :ni], a.keys[j, :nj], ma,
-                a.keys[small], a.keys[large], s,
-            )
-        a.counts[small] = ma
-        a.counts[large] = ni + nj - ma
-
-    def _split_row_items(self, i: int, n: int, ma: int) -> None:
-        """SORT_SPLIT row ``i`` against the travelling batch, in place:
-        the row keeps the ``ma`` smallest of row ∪ items and the items
-        arrays are rewritten with the rest (``n`` stays the batch length).
-        """
-        a, s = self._arena, self._scratch
-        ik, ip = self._items_k, self._items_p
-        ni = int(a.counts[i])
-        if ni and n and ma == ni and a.keys[i, ni - 1] <= ik[0]:
-            return  # row already holds the ma smallest; batch unchanged
-        if self.payload_width:
-            self._kern.sort_split_into(
-                a.keys[i, :ni], ik[:n], ma,
-                a.keys[i], ik, s,
-                pa=a.pay[i, :ni], pb=ip[:n],
-                x_p=a.pay[i], y_p=ip,
-            )
-        else:
-            self._kern.sort_split_into(a.keys[i, :ni], ik[:n], ma, a.keys[i], ik, s)
-        a.counts[i] = ma
-
     def _shift_row_left(self, i: int, take: int) -> None:
         """Drop row ``i``'s first ``take`` records, staged through scratch
         (an in-row move; direct overlapping assignment would make numpy
         allocate a bounce buffer on the steady-state path)."""
-        a, s = self._arena, self._scratch
+        a = self._arena
+        s = a.scratch
         ni = int(a.counts[i])
         m = ni - take
         if m:
@@ -553,40 +498,21 @@ class NativeBGPQ:
         if nroot:
             # root keeps its nroot smallest of root ∪ items
             self._charge_split(nroot, n)
-            self._split_row_items(1, n, ma=nroot)
+            a.split_row_items(1, ik[:n], ip[:n], nroot)
         nbuf = int(a.counts[0])
         if nbuf + n < self.k:
             # fold the batch into the partial buffer (buffer keys first)
             if self.model is not None:
                 self._charge(self.model.sort_split_ns(nbuf, n))
-            total = nbuf + n
-            if self.payload_width:
-                self._kern.sort_split_into(
-                    a.keys[0, :nbuf], ik[:n], total,
-                    a.keys[0], ik, self._scratch,
-                    pa=a.pay[0, :nbuf], pb=ip[:n],
-                    x_p=a.pay[0], y_p=ip,
-                )
-            else:
-                self._kern.sort_split_into(
-                    a.keys[0, :nbuf], ik[:n], total, a.keys[0], ik, self._scratch
-                )
-            a.counts[0] = total
+            a.split_row_items(0, ik[:n], ip[:n], nbuf + n)
             return
         # buffer overflow: detach a full batch (items keys first on ties),
         # leave the rest in the buffer, heapify the full batch down
         self._charge_split(n, nbuf)
-        if self.payload_width:
-            self._kern.sort_split_into(
-                ik[:n], a.keys[0, :nbuf], self.k,
-                ik, a.keys[0], self._scratch,
-                pa=ip[:n], pb=a.pay[0, :nbuf],
-                x_p=ip, y_p=a.pay[0],
-            )
-        else:
-            self._kern.sort_split_into(
-                ik[:n], a.keys[0, :nbuf], self.k, ik, a.keys[0], self._scratch
-            )
+        a.kernels.sort_split_into(
+            ik[:n], a.keys[0, :nbuf], self.k, ik, a.keys[0], a.scratch,
+            pa=ip[:n], pb=a.pay[0, :nbuf], x_p=ip, y_p=a.pay[0],
+        )
         a.counts[0] = n + nbuf - self.k
         self._insert_heapify()
 
@@ -603,7 +529,7 @@ class NativeBGPQ:
         while cur != tar:
             ni = int(a.counts[cur])
             self._charge_split(ni, k)
-            self._split_row_items(cur, k, ma=ni)
+            a.split_row_items(cur, self._items_k, self._items_p, ni)
             cur = path_next(cur, tar)
         a.keys[tar, :k] = self._items_k
         if self.payload_width:
@@ -680,7 +606,7 @@ class NativeBGPQ:
             self._charge(self.model.global_read_ns(k) + self.model.global_write_ns(k))
         if int(a.counts[0]):
             self._charge_split(nlast, int(a.counts[0]))
-            self._split_rows(1, 0, small=1, large=0, ma=nlast)
+            a.split_rows(1, 0, small=1, large=0, ma=nlast)
         ex_k, ex_p = self._deletemin_heapify(remained)
         out_k = np.concatenate([out_root_k, ex_k])
         out_p = np.concatenate([out_root_p, ex_p])
@@ -721,11 +647,11 @@ class NativeBGPQ:
                 x, y = (l, r) if a.keys[l, nl - 1] > a.keys[r, nr - 1] else (r, l)
                 ma = min(self.k, nl + nr)
                 self._charge_split(nl, nr)
-                self._split_rows(l, r, small=y, large=x, ma=ma)
+                a.split_rows(l, r, small=y, large=x, ma=ma)
             else:
                 y = children[0]
             self._charge_split(ncur, int(a.counts[y]))
-            self._split_rows(cur, y, small=cur, large=y, ma=ncur)
+            a.split_rows(cur, y, small=cur, large=y, ma=ncur)
             if cur == 1 and out is None:
                 out = extract_root()
             cur = y
@@ -905,8 +831,6 @@ class NativeBGPQ:
         """Backing storage for nodes + buffer (k + O(1) per record)."""
         return int(
             self._arena.nbytes()
-            + self._scratch.keys.nbytes
-            + self._scratch.pay.nbytes
             + self._items_k.nbytes
             + self._items_p.nbytes
         )

@@ -244,7 +244,7 @@ def run_serve(cfg: ServeConfig, obs=None, metrics=None,
 
 
 def run_serve_campaign(cfg: ServeConfig, seeds: int = 10,
-                       seed_base: int = 0, trace: bool = False,
+                       seed_base: int = 0,
                        metrics=None, slo=None) -> list[ServeOutcome]:
     """Seed-swept serve campaign; each seed gets its own data subdir
     (a durable state is one history — seeds must not share a WAL).
@@ -259,12 +259,7 @@ def run_serve_campaign(cfg: ServeConfig, seeds: int = 10,
         tempfile.mkdtemp(prefix="repro-serve-campaign-")
     )
     for s in range(seeds):
-        obs = None
-        if trace:
-            from ..obs import EventBus
-
-            obs = EventBus()
         cell = replace(cfg, seed=seed_base + s,
                        data_dir=str(base_dir / f"seed-{seed_base + s}"))
-        outcomes.append(run_serve(cell, obs=obs, metrics=metrics, slo=slo))
+        outcomes.append(run_serve(cell, metrics=metrics, slo=slo))
     return outcomes

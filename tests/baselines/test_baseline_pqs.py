@@ -5,9 +5,15 @@ conserve keys under mixed concurrency; the relaxed SprayList gets the
 conservation checks plus a looseness bound instead of exactness.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines import (
     CBPQ,
     HuntHeapPQ,
@@ -137,6 +143,43 @@ def test_spraylist_collisions_counted_on_small_queue():
     eng.run()
     # near-empty queue => sprays collide (paper §6.4's observation)
     assert pq.stats["sprays"] >= 8
+
+
+_SPRAY_CHILD = """
+import numpy as np
+from repro.baselines import SprayListPQ
+from repro.sim import Engine
+
+pq = SprayListPQ(n_threads=16, seed=0)
+rng = np.random.default_rng(5)
+eng = Engine(seed=0)
+
+def worker(tid):
+    for _ in range(6):
+        yield from pq.insert_op(rng.integers(0, 1 << 20, size=32))
+        yield from pq.deletemin_op(16)
+
+for tid in range(16):
+    eng.spawn(worker(tid))
+eng.run()
+print(repr(eng.now), pq.stats["collisions"])
+"""
+
+
+def test_spraylist_makespan_replays_across_interpreters():
+    """A seeded, contended SprayList run gives the same simulated time in
+    two fresh interpreters: the stripe lock a spray takes must not
+    depend on where the heap placed the node."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _SPRAY_CHILD],
+            capture_output=True, text=True, timeout=120, env=env, check=True,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1], runs
+    assert int(runs[0].split()[1]) > 0  # the sprays really contended
 
 
 def test_ljsl_batches_physical_deletes():

@@ -13,30 +13,30 @@ from repro.bench.reporting import (
     compare_to_baseline,
     render_delta,
 )
-from repro.core import HeapStorage
+from repro.core.arena import NodeArena
 
 
 def test_arena_heapify_is_allocation_free():
-    """One heapify step — an in-place ``HeapStorage.sort_split_nodes``
+    """One heapify step — an in-place ``NodeArena.split_rows``
     rebalance of two full sibling rows, refilled each call from a pool
     of interleaved runs so it always merges — retains less than one
     k-key buffer under the wall lane's tracemalloc helper."""
     for k in (8, 128):
         rng = np.random.default_rng(20260806 + k)
         pool = [np.sort(rng.integers(0, 1 << 30, size=(2, k))) for _ in range(8)]
-        store = HeapStorage(4, k)
+        arena = NodeArena(4, k)
 
         def op(i):
-            store.nodes[2].set_keys(pool[i & 7][0])
-            store.nodes[3].set_keys(pool[i & 7][1])
-            return store.sort_split_nodes(2, 3, small=2, large=3, ma=k)
+            arena.keys[2:4] = pool[i & 7]
+            arena.counts[2:4] = k
+            return arena.split_rows(2, 3, small=2, large=3, ma=k)
 
         retained, _ = wall._alloc_loop(op, 200)
         assert retained < k * 8, (k, retained)
         assert op(0) is False  # no presorted fast path: the rows merged
         merged = np.sort(pool[0], axis=None)
-        assert np.array_equal(store.nodes[2].keys(), merged[:k])
-        assert np.array_equal(store.nodes[3].keys(), merged[k:])
+        assert np.array_equal(arena.keys[2], merged[:k])
+        assert np.array_equal(arena.keys[3], merged[k:])
 
 
 def test_compare_to_baseline_passes_identical():

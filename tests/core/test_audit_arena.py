@@ -1,6 +1,7 @@
-"""HeapAuditor's arena-storage pass: dead rows and the row-0 contract."""
+"""HeapAuditor's arena-storage pass: dead rows and the row-0 pBuffer."""
 
 import numpy as np
+import pytest
 
 from repro.core import BGPQ, HeapAuditor
 from repro.core.native import NativeBGPQ
@@ -15,6 +16,13 @@ def _native():
 def _sim():
     pq = BGPQ(node_capacity=4, max_keys=1 << 10)
     return pq
+
+
+#: queue -> its NodeArena; row 0 is the partial buffer in both
+_QUEUES = {
+    "native": (_native, lambda pq: pq._arena),
+    "sim": (_sim, lambda pq: pq.store.arena),
+}
 
 
 def test_clean_native_arena_passes():
@@ -34,9 +42,11 @@ def test_native_dead_row_with_keys_flagged():
                for p in report.problems), report.problems
 
 
-def test_native_unsorted_pbuffer_flagged():
-    pq = _native()
-    arena = pq._arena
+@pytest.mark.parametrize("queue", sorted(_QUEUES))
+def test_unsorted_pbuffer_flagged(queue):
+    make, arena_of = _QUEUES[queue]
+    pq = make()
+    arena = arena_of(pq)
     arena.counts[0] = 2
     arena.keys[0, :2] = [7, 3]  # descending: violates the sorted-run contract
     report = HeapAuditor(pq).audit()
@@ -44,9 +54,11 @@ def test_native_unsorted_pbuffer_flagged():
         report.problems
 
 
-def test_native_overfull_pbuffer_flagged():
-    pq = _native()
-    arena = pq._arena
+@pytest.mark.parametrize("queue", sorted(_QUEUES))
+def test_overfull_pbuffer_flagged(queue):
+    make, arena_of = _QUEUES[queue]
+    pq = make()
+    arena = arena_of(pq)
     arena.counts[0] = arena.k  # pBuffer must stay strictly under k
     arena.keys[0, :] = np.arange(arena.k)
     report = HeapAuditor(pq).audit()
@@ -58,14 +70,6 @@ def test_sim_clean_arena_passes():
     report = HeapAuditor(pq).audit()
     assert report.ok, report.problems
     assert "arena" in report.checks_run
-
-
-def test_sim_reserved_row_zero_write_flagged():
-    pq = _sim()
-    pq.store.arena.counts[0] = 1  # stray write: sim pBuffer is elsewhere
-    report = HeapAuditor(pq).audit()
-    assert any("reserved arena row 0" in p for p in report.problems), \
-        report.problems
 
 
 def test_sim_dead_row_with_keys_flagged():

@@ -14,7 +14,9 @@ import pytest
 
 from repro.campaign import run_one
 from repro.core import BGPQ, HeapAuditor
+from repro.core.native import NativeBGPQ
 from repro.errors import SimThreadError, ThreadCrashed
+from repro.primitives import kernels
 from repro.sim import Engine, Label
 from repro.sim.faults import CRASHPOINT
 
@@ -221,3 +223,57 @@ def test_fault_campaign_cell_matches_list_backend(plan):
         outcomes.append([a.status, a.injected, a.crashed_threads,
                          a.aborted_ops, a.rollbacks, repr(a.makespan_ns)])
     assert _digest(outcomes) == _CAMPAIGN[plan], outcomes
+
+
+# ---------------------------------------------------------------------------
+# one layout: the DES queue and the host queue hold the same arena rows
+# ---------------------------------------------------------------------------
+def _live_rows(arena, heap_size):
+    """Rows 0..heap_size (partial buffer, then nodes) as (keys, payload)."""
+    return [
+        (arena.keys[i, :c].tolist(), arena.pay[i, :c].tolist())
+        for i, c in enumerate(arena.counts[: heap_size + 1].tolist())
+    ]
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+@pytest.mark.parametrize("seed", range(8))
+def test_sim_and_native_share_arena_rows(seed, backend):
+    """A one-thread DES ``BGPQ`` and a ``NativeBGPQ`` fed the same random
+    insert/deletemin script return the same batches and, after every
+    operation, hold identical arena rows — the partial buffer in row 0
+    included.  Narrow keys force ties, and the payload column numbers
+    the records, so tie order shows in the rows too."""
+    k, width = 8, seed % 2
+    rng = np.random.default_rng(seed)
+    sim = BGPQ(node_capacity=k, max_keys=1 << 12, payload_width=width)
+    host = NativeBGPQ(node_capacity=k, payload_width=width, kernels=backend)
+    serial = 0
+    checked = 0
+
+    def script():
+        nonlocal serial, checked
+        for step in range(120):
+            # grow the heap a few levels deep, then drain it
+            if rng.random() < (0.7 if step < 80 else 0.2):
+                n = int(rng.integers(1, k + 1))
+                keys = rng.integers(0, 64, size=n).astype(np.int64)
+                pay = np.arange(serial, serial + n).reshape(n, 1)[:, :width]
+                serial += n
+                yield from sim.insert_op(keys, pay)
+                host.insert(keys, pay)
+            else:
+                count = int(rng.integers(1, k + 1))
+                got_k, got_p = yield from sim.deletemin_op(count, with_payload=True)
+                want_k, want_p = host.deletemin(count)
+                assert got_k.tolist() == want_k.tolist()
+                assert got_p.tolist() == want_p.tolist()
+            assert sim.store.heap_size == host._heap_size
+            assert _live_rows(sim.store.arena, sim.store.heap_size) == \
+                _live_rows(host._arena, host._heap_size)
+            checked += 1
+
+    eng = Engine(seed=seed)
+    eng.spawn(script())
+    eng.run()
+    assert checked == 120 and len(sim) == len(host)
