@@ -9,8 +9,8 @@ simulated machine:
 * :mod:`repro.device` — machine specifications and the cost model that
   converts algorithmic work into simulated nanoseconds (NVIDIA TITAN X
   and 4-socket Xeon E7-4870 parameter sets, matching the paper).
-* :mod:`repro.primitives` — stage-accurate GPU primitives: bitonic
-  sort, merge path, and the paper's SORT_SPLIT operation.
+* :mod:`repro.primitives` — the paper's SORT_SPLIT as a fused, in-place
+  NumPy reference, and the registry that swaps in the compiled C core.
 * :mod:`repro.core` — the BGPQ data structure itself (Algorithms 1-3,
   the partial buffer, and the TARGET/MARKED thread-collaboration
   protocol), a host-speed "native" batched heap for applications, the

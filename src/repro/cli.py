@@ -84,6 +84,8 @@ import sys
 import time
 
 from .bench import (
+    ORDERS,
+    PAPER_SIZES,
     fig6_blocks_sweep,
     fig6_capacity_sweep,
     render_rows,
@@ -97,6 +99,8 @@ from .bench import (
 )
 from .bench import frontier, shard, wall
 from .bench.reporting import run_lane
+from .campaign import QUEUE_FACTORIES, run_campaign, run_one
+from .sim import FaultPlan
 
 __all__ = ["main"]
 
@@ -708,26 +712,19 @@ def _run_metrics(args) -> int:
 
 
 def _run_faults(args) -> int:
-    from .campaign import run_campaign
-
-    queues = tuple(q for q in args.queues.split(",") if q)
-    plans = tuple(p for p in args.plans.split(",") if p)
+    queues, plans = args.queues, args.plans
     trace_on = args.trace or args.metrics
     t0 = time.perf_counter()
-    try:
-        result = run_campaign(
-            queues=queues,
-            plans=plans,
-            seeds=args.seeds,
-            seed_base=args.seed_base,
-            threads=args.threads,
-            ops=args.ops,
-            k=args.capacity,
-            trace=trace_on,
-        )
-    except ValueError as err:  # unknown queue/plan name
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    result = run_campaign(
+        queues=queues,
+        plans=plans,
+        seeds=args.seeds,
+        seed_base=args.seed_base,
+        threads=args.threads,
+        ops=args.ops,
+        k=args.capacity,
+        trace=trace_on,
+    )
     wall = time.perf_counter() - t0
     print(render_rows(result.rows(), "Fault campaign (injected/survived/failed)"))
     meta = {
@@ -785,7 +782,6 @@ def _run_faults(args) -> int:
     if args.trace:
         # re-run the campaign's first cell with a bus — same seed, same
         # schedule (tracing is pure observation) — for the chrome trace
-        from .campaign import run_one
         from .obs import EventBus
 
         bus = EventBus()
@@ -831,6 +827,44 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
+
+
+def _int_at_least(low: int):
+    """argparse type factory: one integer, at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _name_list(known):
+    """argparse type factory: a non-empty comma-separated list of names,
+    each one of ``known`` (looked up when the flag is parsed)."""
+    def parse(text: str) -> tuple[str, ...]:
+        names = tuple(n for n in text.split(",") if n)
+        if not names:
+            raise argparse.ArgumentTypeError(
+                f"expected at least one name, got {text!r}"
+            )
+        unknown = [n for n in names if n not in known]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown name {unknown[0]!r}; choose from {', '.join(known)}"
+            )
+        return names
+    return parse
+
+
+_positive = _int_at_least(1)
+#: batch node capacity k: both queues reject k < 2 with a ConfigurationError
+_node_capacity = _int_at_least(2)
 
 
 def _bench_ks(text: str) -> tuple[int, ...]:
@@ -932,28 +966,32 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--sizes",
+        type=_name_list(PAPER_SIZES),
         default="1M,8M,64M",
         help="comma-separated paper sizes for insdel (default: 1M,8M,64M)",
     )
     parser.add_argument(
         "--orders",
+        type=_name_list(ORDERS),
         default="random,ascend,descend",
         help="key orders for insdel (default: random,ascend,descend)",
     )
     faults = parser.add_argument_group("faults campaign")
     faults.add_argument(
-        "--seeds", type=int, default=20, help="seeds per (queue, plan) cell"
+        "--seeds", type=_positive, default=20, help="seeds per (queue, plan) cell"
     )
     faults.add_argument(
         "--seed-base", type=int, default=0, help="first seed of the sweep"
     )
     faults.add_argument(
         "--plans",
+        type=_name_list(FaultPlan.PRESETS),
         default="crash,timeout,jitter",
         help="comma-separated fault plans (crash,timeout,jitter,mixed,none)",
     )
     faults.add_argument(
         "--queues",
+        type=_name_list(QUEUE_FACTORIES),
         default="bgpq,bgpq-bu,tbb",
         help=(
             "comma-separated queues "
@@ -961,13 +999,13 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     faults.add_argument(
-        "--threads", type=int, default=4, help="simulated workers per run"
+        "--threads", type=_positive, default=4, help="simulated workers per run"
     )
     faults.add_argument(
-        "--ops", type=int, default=6, help="insert/delete pairs per worker"
+        "--ops", type=_positive, default=6, help="insert/delete pairs per worker"
     )
     faults.add_argument(
-        "--capacity", type=int, default=8, help="batch node capacity k"
+        "--capacity", type=_node_capacity, default=8, help="batch node capacity k"
     )
     bench = parser.add_argument_group("bench native/shard/frontier")
     bench.add_argument(
@@ -1009,31 +1047,31 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench.add_argument(
         "--shard-k",
-        type=int,
+        type=_node_capacity,
         default=512,
         help="bench shard: batch node capacity k (default: 512)",
     )
     bench.add_argument(
         "--shard-sessions",
-        type=int,
+        type=_positive,
         default=64,
         help="bench shard: concurrent client sessions (default: 64)",
     )
     bench.add_argument(
         "--shard-requests",
-        type=int,
+        type=_positive,
         default=16,
         help="bench shard: requests per session (default: 16)",
     )
     serve = parser.add_argument_group("durable service (serve)")
     serve.add_argument(
-        "--sessions", type=int, default=4, help="concurrent client sessions"
+        "--sessions", type=_positive, default=4, help="concurrent client sessions"
     )
     serve.add_argument(
-        "--window", type=int, default=4, help="per-session inflight window"
+        "--window", type=_positive, default=4, help="per-session inflight window"
     )
     serve.add_argument(
-        "--budget", type=int, default=16, help="global pending-op budget"
+        "--budget", type=_positive, default=16, help="global pending-op budget"
     )
     serve.add_argument(
         "--checkpoint-every",
@@ -1052,6 +1090,7 @@ def main(argv: list[str] | None = None) -> int:
         nargs="?",
         const="crash",
         default="none",
+        choices=FaultPlan.PRESETS,
         help=(
             "inject faults into the serve run; bare --faults means the "
             "crash preset (also: timeout, jitter, mixed, none)"
@@ -1074,7 +1113,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     runs = parser.add_argument_group("run registry (runs)")
     runs.add_argument(
-        "--keep", type=int, default=20, help="`runs gc`: newest runs to keep"
+        "--keep", type=_int_at_least(0), default=20, help="`runs gc`: newest runs to keep"
     )
     runs.add_argument(
         "--trend-tolerance",
@@ -1165,11 +1204,9 @@ def main(argv: list[str] | None = None) -> int:
         print(render_table1())
         print()
     if want in ("insdel", "all"):
-        sizes = tuple(args.sizes.split(","))
-        orders = tuple(args.orders.split(","))
         _run(
             "table2_insdel",
-            lambda: table2_insdel(sizes=sizes, orders=orders),
+            lambda: table2_insdel(sizes=args.sizes, orders=args.orders),
             "Table 2 'Ins & Del' (simulated ms)",
         )
     if want in ("util", "all"):

@@ -120,9 +120,9 @@ class NodeArena:
         """SORT_SPLIT rows ``i`` and ``j`` (merged in that order) in place:
         row ``small`` receives the ``ma`` smallest records, row ``large``
         the rest.  ``{small, large}`` must equal ``{i, j}``; ties keep
-        ``i``'s keys first, exactly like
-        :func:`~repro.primitives.merge_with_payload`.  Callers hold both
-        rows' locks.
+        ``i``'s keys first and payload rows follow their keys, as in
+        :func:`~repro.primitives.merge_into`.  Callers hold both rows'
+        locks.
 
         Returns True when the presorted fast path fired (the rows were
         already the requested split and nothing was rewritten) — the

@@ -161,14 +161,11 @@ class DeleteMixin:
         # smallest of root ∪ buffer, row 0 the rest
         nbuf = int(store.arena.counts[0])
         if nbuf:
-            store.arena.split_rows(1, 0, small=1, large=0, ma=root.count)
+            fast = store.arena.split_rows(1, 0, small=1, large=0, ma=root.count)
             if self.obs is not None:
-                # reported as a full rewrite even when the presorted fast
-                # path fired: sort_split_fast has never counted this site,
-                # and BENCH_analysis.json records it that way
                 self.obs.emit_here(
                     SORT_SPLIT, site="delete.root_buffer",
-                    na=int(root.count), nb=nbuf, fast=False,
+                    na=int(root.count), nb=nbuf, fast=fast,
                 )
             yield Compute(m.node_sort_split_ns(root.count, nbuf))
 

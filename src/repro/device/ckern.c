@@ -116,7 +116,7 @@ lacks(Py_ssize_t len, Py_ssize_t n, Py_ssize_t rb)
 #define BYTES(b) ((char *)(b).view.buf)
 
 /* ------------------------------------------------------------------ */
-/* core merge: stable, ties favour `a` (matches mergepath.merge)       */
+/* core merge: stable, ties favour `a` (matches inplace.merge_into)   */
 /* ------------------------------------------------------------------ */
 
 #if defined(__AVX512F__)

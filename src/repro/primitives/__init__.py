@@ -1,41 +1,14 @@
-"""GPU data-parallel primitives, executed stage-accurately on the host.
+"""The SORT_SPLIT data path every queue runs.
 
-* :mod:`~repro.primitives.bitonic` — bitonic sorting network.
-* :mod:`~repro.primitives.mergepath` — GPU Merge Path merging.
-* :mod:`~repro.primitives.sortsplit` — the paper's SORT_SPLIT.
-* :mod:`~repro.primitives.inplace` — fused, allocation-free SORT_SPLIT
-  into caller-supplied destination rows (the arena storage hot path).
-* :mod:`~repro.primitives.scan` — Blelloch prefix scan.
-* :mod:`~repro.primitives.compaction` — stream compaction.
+* :mod:`~repro.primitives.inplace` — the NumPy reference: a fused,
+  allocation-free SORT_SPLIT into caller-supplied destination rows
+  (the arena storage hot path).  Simulated time for the GPU's merge
+  path and bitonic stages is charged in closed form by
+  :class:`repro.device.GpuCostModel`, not here.
+* :mod:`~repro.primitives.kernels` — the backend registry that picks
+  the reference or the compiled C core at run time.
 """
 
-from .bitonic import bitonic_sort, bitonic_stage_count, is_power_of_two, next_power_of_two
-from .compaction import compact, compact_payload, partition_flags
 from .inplace import ScratchLedger, merge_into, sort_split_into
-from .mergepath import merge, merge_path_diagonals, merge_path_partitions, merge_with_payload
-from .scan import exclusive_scan, inclusive_scan, scan_stage_count, segmented_reduce
-from .sortsplit import check_sorted, sort_split, sort_split_payload
 
-__all__ = [
-    "ScratchLedger",
-    "bitonic_sort",
-    "bitonic_stage_count",
-    "check_sorted",
-    "compact",
-    "compact_payload",
-    "exclusive_scan",
-    "inclusive_scan",
-    "is_power_of_two",
-    "merge",
-    "merge_into",
-    "merge_path_diagonals",
-    "merge_path_partitions",
-    "merge_with_payload",
-    "next_power_of_two",
-    "partition_flags",
-    "scan_stage_count",
-    "segmented_reduce",
-    "sort_split",
-    "sort_split_into",
-    "sort_split_payload",
-]
+__all__ = ["ScratchLedger", "merge_into", "sort_split_into"]

@@ -14,10 +14,10 @@ here reproduce that discipline for the arena storage layout:
   row and the rest into another.  Destinations may alias the inputs,
   which is what lets heapify rebalance two arena rows in place.
 
-Semantics are bit-identical to :func:`repro.primitives.sort_split` /
-``sort_split_payload``: ties between the two runs resolve in favour of
-the first (``a``) run, so payload rows travel exactly as they do
-through :func:`repro.primitives.merge_with_payload`.
+The merge is stable: ties between the two runs resolve in favour of
+the first (``a``) run, and payload rows follow their keys.  This is the
+reference the compiled kernels in :mod:`repro.primitives.kernels` must
+match bit for bit.
 
 Why the key-only path may call ``ndarray.sort``: after copying the two
 sorted runs contiguously into the destination, a *stable* sort detects
@@ -121,7 +121,7 @@ def merge_into(
         return total
     if iota is None:
         iota = np.arange(max(na, nb), dtype=np.intp)
-    # Merge-path ranks (see primitives.mergepath.merge): a[i] lands at
+    # Merge-path ranks, stable with ties to a: a[i] lands at
     # i + |{b strictly before it}|, b[j] at j + |{a at or before it}|.
     pos_a = np.searchsorted(b, a, side="left")
     pos_a += iota[:na]

@@ -169,6 +169,8 @@ class RunRegistry:
     def gc(self, keep: int = 20) -> list[str]:
         """Keep the ``keep`` newest runs; drop the rest (index rewrite +
         artifact dirs removed).  Returns the dropped run_ids."""
+        if keep < 0:
+            raise ValueError(f"gc keep must be >= 0, got {keep}")
         runs = self.list_runs()
         keep_runs, drop_runs = runs[:keep], runs[keep:]
         if not drop_runs:

@@ -54,6 +54,44 @@ def test_bench_rejects_bad_sweep_lists(target, flag, value, why, tmp_path,
     assert not any(tmp_path.glob("*.json"))
 
 
+BAD_VALUES = [
+    (["faults", "--seeds", "0"], "--seeds"),
+    (["faults", "--queues", ","], "--queues"),
+    (["faults", "--queues", ",", "--trace"], "--queues"),
+    (["faults", "--queues", "bgpq,bogus"], "--queues"),
+    (["faults", "--plans", ","], "--plans"),
+    (["faults", "--threads", "0"], "--threads"),
+    (["faults", "--ops", "0"], "--ops"),
+    (["faults", "--capacity", "1"], "--capacity"),
+    (["serve", "--seeds", "0"], "--seeds"),
+    (["serve", "--capacity", "1"], "--capacity"),
+    (["serve", "--sessions", "0"], "--sessions"),
+    (["serve", "--faults", "bogus"], "--faults"),
+    (["serve", "--window", "0"], "--window"),
+    (["serve", "--budget", "0"], "--budget"),
+    (["bench", "shard", "--quick", "--shard-sessions", "0"], "--shard-sessions"),
+    (["metrics", "fleet", "--shard-requests", "0"], "--shard-requests"),
+    (["metrics", "fleet", "--shard-k", "1"], "--shard-k"),
+    (["insdel", "--sizes", "3Q"], "--sizes"),
+    (["insdel", "--orders", "sideways"], "--orders"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_VALUES,
+                         ids=[" ".join(argv) for argv, _ in BAD_VALUES])
+def test_cli_rejects_bad_values(argv, flag, tmp_path, monkeypatch, capsys):
+    """Bad flag values are usage errors (exit 2) raised before any work
+    runs: no zero-cell "success", no traceback, nothing written."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path / "runs"))
+    monkeypatch.setenv("REPRO_BENCH_SHARD_BASELINE", str(tmp_path / "s.json"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_fig6_capacity_sweep_rows():
     rows = fig6_capacity_sweep(capacities=(32, 64), block_sizes=(128,), n_keys=2048)
     assert len(rows) == 2

@@ -27,6 +27,14 @@ class TestGpuModel:
         assert gpu.bitonic_sort_ns(1) == 0.0
         assert gpu.bitonic_sort_ns(0) == 0.0
 
+    def test_bitonic_charges_55_stages_for_1024_keys(self, gpu):
+        # log2(1024) * (log2(1024) + 1) / 2 = 55 stages, each n/2
+        # compare-exchanges over the 512 lanes plus one block sync;
+        # 1000 keys pad to the same 1024-key network
+        per_stage = gpu._elem_ns() + gpu.block_sync_ns()
+        assert gpu.bitonic_sort_ns(1024) == 55 * per_stage
+        assert gpu.bitonic_sort_ns(1000) == gpu.bitonic_sort_ns(1024)
+
     def test_wider_blocks_speed_up_large_sorts(self):
         narrow = GpuCostModel(TITAN_X, LaunchConfig(128, 32))
         wide = GpuCostModel(TITAN_X, LaunchConfig(128, 512))

@@ -1,19 +1,16 @@
-"""Fused in-place SORT_SPLIT — equivalence with the allocating primitives."""
+"""Fused in-place SORT_SPLIT — the NumPy reference against a stable-sort oracle.
+
+The oracle is a stable ``np.argsort`` of ``a‖b``: ties keep ``a``'s keys
+first and payload rows follow their keys, which is the tie rule the
+queues and the compiled kernels depend on.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.primitives import (
-    ScratchLedger,
-    merge,
-    merge_into,
-    merge_with_payload,
-    sort_split,
-    sort_split_into,
-    sort_split_payload,
-)
+from repro.primitives import ScratchLedger, merge_into, sort_split_into
 
 sorted_ints = st.lists(
     st.integers(min_value=-(2**30), max_value=2**30), max_size=100
@@ -24,6 +21,16 @@ def _arr(xs):
     return np.array(xs, dtype=np.int64)
 
 
+def _stable_merge(a, b, pa=None, pb=None):
+    """Oracle: stable argsort of ``a‖b`` (ties keep ``a`` first); with
+    payload, returns ``(keys, payload)`` with rows following their keys."""
+    keys = np.concatenate([a, b])
+    order = np.argsort(keys, kind="stable")
+    if pa is None:
+        return keys[order]
+    return keys[order], np.concatenate([pa, pb])[order]
+
+
 # ---------------------------------------------------------------------------
 # merge_into
 # ---------------------------------------------------------------------------
@@ -32,7 +39,7 @@ def test_merge_into_matches_merge():
     out = np.empty(7, dtype=np.int64)
     n = merge_into(a, b, out)
     assert n == 7
-    np.testing.assert_array_equal(out, merge(a, b))
+    np.testing.assert_array_equal(out, _stable_merge(a, b))
 
 
 def test_merge_into_empty_sides():
@@ -44,8 +51,7 @@ def test_merge_into_empty_sides():
 
 
 def test_merge_into_stability_ties_favor_a():
-    """On equal keys the payload rows from ``a`` must come first —
-    identical to merge_with_payload's tie rule."""
+    """On equal keys the payload rows from ``a`` must come first."""
     a, pa = _arr([3, 3]), np.array([[10], [11]], dtype=np.int64)
     b, pb = _arr([3]), np.array([[20]], dtype=np.int64)
     out_k = np.empty(3, dtype=np.int64)
@@ -62,7 +68,7 @@ def test_merge_into_property(xs, ys):
     out = np.empty(a.size + b.size, dtype=np.int64)
     n = merge_into(a, b, out)
     assert n == a.size + b.size
-    np.testing.assert_array_equal(out[:n], merge(a, b))
+    np.testing.assert_array_equal(out[:n], _stable_merge(a, b))
 
 
 @given(sorted_ints, sorted_ints)
@@ -76,7 +82,7 @@ def test_merge_into_payload_property(xs, ys):
     out_p = np.empty((total, 1), dtype=np.int64)
     iota = np.arange(total, dtype=np.intp)
     merge_into(a, b, out_k, pa=pa, pb=pb, out_p=out_p, iota=iota)
-    rk, rp = merge_with_payload(a, pa, b, pb)
+    rk, rp = _stable_merge(a, b, pa, pb)
     np.testing.assert_array_equal(out_k, rk)
     np.testing.assert_array_equal(out_p, rp)
 
@@ -94,10 +100,10 @@ def test_sort_split_into_matches_sort_split():
     x = np.empty(3, dtype=np.int64)
     y = np.empty(3, dtype=np.int64)
     ma, mb = sort_split_into(a, b, 3, x, y, s)
-    ex, ey = sort_split(a, b, ma=3)
-    assert (ma, mb) == (ex.size, ey.size)
-    np.testing.assert_array_equal(x[:ma], ex)
-    np.testing.assert_array_equal(y[:mb], ey)
+    merged = _stable_merge(a, b)
+    assert (ma, mb) == (3, 3)
+    np.testing.assert_array_equal(x[:ma], merged[:3])
+    np.testing.assert_array_equal(y[:mb], merged[3:])
 
 
 def test_sort_split_into_aliasing_destinations():
@@ -142,9 +148,9 @@ def test_sort_split_into_payload_property(xs, ys, data):
     got_ma, got_mb = sort_split_into(
         a, b, ma, x_k, y_k, s, pa=pa, pb=pb, x_p=x_p, y_p=y_p
     )
-    ek, ep, lk, lp = sort_split_payload(a, pa, b, pb, ma=ma)
-    assert (got_ma, got_mb) == (ek.size, lk.size)
-    np.testing.assert_array_equal(x_k[:got_ma], ek)
-    np.testing.assert_array_equal(y_k[:got_mb], lk)
-    np.testing.assert_array_equal(x_p[:got_ma], ep)
-    np.testing.assert_array_equal(y_p[:got_mb], lp)
+    rk, rp = _stable_merge(a, b, pa, pb)
+    assert (got_ma, got_mb) == (ma, total - ma)
+    np.testing.assert_array_equal(x_k[:ma], rk[:ma])
+    np.testing.assert_array_equal(y_k[:total - ma], rk[ma:])
+    np.testing.assert_array_equal(x_p[:ma], rp[:ma])
+    np.testing.assert_array_equal(y_p[:total - ma], rp[ma:])

@@ -90,6 +90,23 @@ def test_gc_noop_under_keep(tmp_path):
     assert reg.gc(keep=5) == []
 
 
+def test_gc_rejects_negative_keep(tmp_path, monkeypatch, capsys):
+    import pytest
+
+    from repro.cli import main
+
+    reg = RunRegistry(tmp_path)
+    ids = [reg.record("faults") for _ in range(2)]
+    with pytest.raises(ValueError):
+        reg.gc(keep=-1)
+    monkeypatch.setenv(REGISTRY_ENV, str(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main(["runs", "gc", "--keep", "-1"])
+    assert exc.value.code == 2
+    assert "argument --keep" in capsys.readouterr().err
+    assert [r["run_id"] for r in reg.list_runs()] == ids[::-1]
+
+
 def test_registry_from_env(tmp_path, monkeypatch):
     monkeypatch.setenv(REGISTRY_ENV, str(tmp_path / "custom"))
     reg = registry_from_env()
