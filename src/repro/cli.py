@@ -1075,7 +1075,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_positive,
         default=16,
         help="checkpoint after this many journaled ops",
     )
@@ -1169,7 +1169,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     obs.add_argument(
         "--buckets",
-        type=int,
+        type=_positive,
         default=20,
         help="utilization timeline buckets for `repro trace` (default: 20)",
     )

@@ -48,6 +48,7 @@ from __future__ import annotations
 import numbers
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from ..primitives import kernels as kernel_registry
 from .arena import NodeArena
 from .heap import left, parent, path_next, right
 
-__all__ = ["NativeBGPQ", "TICKS_PER_NS"]
+__all__ = ["NativeBGPQ", "StateRows", "TICKS_PER_NS"]
 
 _I64 = np.dtype(np.int64)
 
@@ -70,10 +71,10 @@ TICKS_PER_NS = 1 << 1074
 # a hostile snapshot cannot build a giant power of ten
 _SIM_NS_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-# every top-level field export_state writes; restore_state needs them all
-_SNAPSHOT_FIELDS = (
+# every header field export_rows writes; restore_rows needs them all
+_HEADER_FIELDS = (
     "k", "key_dtype", "payload_width", "payload_dtype",
-    "heap_size", "buffer", "nodes", "sim_ns", "stats",
+    "heap_size", "sim_ns", "stats",
 )
 
 # bound on each queue's charge memo (distinct (tag, p1, p2) shapes)
@@ -169,6 +170,34 @@ def _snapshot_ticks(sim_ns) -> int:
             "of 2**-1074 ns"
         )
     return exact.numerator * (TICKS_PER_NS // den)
+
+
+class StateRows(NamedTuple):
+    """A queue's logical state as :meth:`NativeBGPQ.export_rows` returns it.
+
+    ``header`` holds the layout (``k``, both dtype names,
+    ``payload_width``), ``heap_size``, the clock as an exact ``sim_ns``
+    string and the ``stats`` counters.  ``counts`` holds the record
+    count of rows ``0..heap_size`` (row 0 is the partial buffer, row
+    ``i`` node ``i``); ``keys`` (1-D) and ``pay`` (``(n, payload_width)``)
+    hold the live records of those rows, concatenated in row order.
+    """
+
+    header: dict
+    counts: np.ndarray
+    keys: np.ndarray
+    pay: np.ndarray
+
+    def as_state(self) -> dict:
+        """The :meth:`NativeBGPQ.export_state` dict view of these rows."""
+        keys = self.keys.tolist()
+        pay = self.pay.tolist()
+        rows = []
+        at = 0
+        for n in self.counts.tolist():
+            rows.append({"keys": keys[at:at + n], "pay": pay[at:at + n]})
+            at += n
+        return {**self.header, "buffer": rows[0], "nodes": rows[1:]}
 
 
 class NativeBGPQ:
@@ -657,62 +686,66 @@ class NativeBGPQ:
             cur = y
 
     # -- durable state ------------------------------------------------------
-    def export_state(self) -> dict:
-        """Canonical snapshot of the logical queue state.
+    def export_rows(self) -> StateRows:
+        """The logical queue state as a header plus the live arena rows.
 
-        Everything an identical replay needs — layout, heap shape, the
-        live records of every node and the partial buffer, the exact
-        simulated clock (as an exact ``Fraction`` string, so no float
-        rounding sneaks in), and the op counters — as plain
-        JSON-serializable types.  Arena capacity, scratch contents, and
-        dead rows are deliberately *not* part of the state: two queues that played the
-        same op sequence export identical dicts even if one grew its
-        arena in different steps, which is what lets the durable service
-        layer compare a recovered queue to an uninterrupted oracle
-        byte-for-byte (via the canonical-JSON digest in
-        :mod:`repro.serve.checkpoint`).
+        Everything an identical replay needs: layout, heap shape, the
+        exact simulated clock (as an exact ``Fraction`` string, so no
+        float rounding sneaks in), the op counters, and the live
+        records of the partial buffer and every node, taken from rows
+        ``0..heap_size`` with one mask.  Arena capacity, scratch
+        contents and dead rows are deliberately *not* part of the
+        state: two queues that played the same op sequence export
+        identical rows even if one grew its arena in different steps,
+        which is what lets the durable service compare a recovered
+        queue to an uninterrupted oracle.
         """
         a = self._arena
-        buf_n = int(a.counts[0])
-        buffer = {"keys": a.keys[0, :buf_n].tolist(), "pay": a.pay[0, :buf_n].tolist()}
-        nodes = []
-        for i in range(1, self._heap_size + 1):
-            n = int(a.counts[i])
-            nodes.append({"keys": a.keys[i, :n].tolist(), "pay": a.pay[i, :n].tolist()})
-        return {
+        rows = self._heap_size + 1
+        counts = a.counts[:rows].copy()
+        live = np.arange(self.k) < counts[:, None]
+        header = {
             "k": self.k,
             "key_dtype": self.key_dtype.name,
             "payload_width": self.payload_width,
             "payload_dtype": self.payload_dtype.name,
             "heap_size": self._heap_size,
-            "buffer": buffer,
-            "nodes": nodes,
             "sim_ns": str(self.sim_time_ns_exact),
             "stats": dict(self.stats),
         }
+        return StateRows(header, counts, a.keys[:rows][live], a.pay[:rows][live])
 
-    def restore_state(self, state: dict) -> None:
-        """Overwrite this queue with an :meth:`export_state` snapshot.
+    def export_state(self) -> dict:
+        """Canonical snapshot: the :meth:`StateRows.as_state` dict view of
+        :meth:`export_rows`, in plain JSON-serializable types — the input
+        of the canonical-JSON digest in :mod:`repro.serve.checkpoint`."""
+        return self.export_rows().as_state()
 
-        The snapshot is checked whole before anything is written: it
-        must be a dict carrying every exported field, ``heap_size`` an
-        int >= 0 and ``nodes`` a list; k, dtypes and payload width must
-        match this queue's construction parameters; its rows must form
-        a valid batched heap; ``sim_ns`` must be a clock an export could
-        have written and ``stats`` a dict.  Anything else raises
+    def restore_rows(self, rows: StateRows) -> None:
+        """Overwrite this queue with an :meth:`export_rows` snapshot.
+
+        The snapshot is checked whole before anything is written: the
+        header must be a dict carrying every exported field,
+        ``heap_size`` an int >= 0; k, dtypes and payload width must
+        match this queue's construction parameters; ``counts`` must
+        give ``heap_size + 1`` non-negative row sizes that ``keys`` and
+        ``pay`` hold exactly; the rows must form a valid batched heap;
+        ``sim_ns`` must be a clock an export could have written and
+        ``stats`` a dict.  Anything else raises
         :class:`ConfigurationError` with the queue untouched.  The rows
         are then written straight into the arena — a restore never
         replays inserts, so the resulting node layout, clock, and stats
         are exactly the exported ones.
         """
-        if not isinstance(state, dict):
+        header, counts, keys, pay = rows
+        if not isinstance(header, dict):
             raise ConfigurationError(
-                f"snapshot must be a dict, got {type(state).__name__}"
+                f"snapshot header must be a dict, got {type(header).__name__}"
             )
-        missing = [f for f in _SNAPSHOT_FIELDS if f not in state]
+        missing = [f for f in _HEADER_FIELDS if f not in header]
         if missing:
             raise ConfigurationError(f"snapshot lacks {', '.join(missing)}")
-        heap_size = state["heap_size"]
+        heap_size = header["heap_size"]
         if (
             not isinstance(heap_size, numbers.Integral)
             or isinstance(heap_size, bool)
@@ -722,29 +755,93 @@ class NativeBGPQ:
                 f"snapshot heap_size must be an int >= 0, got {heap_size!r}"
             )
         heap_size = int(heap_size)
+        if header["k"] != self.k:
+            raise ConfigurationError(
+                f"snapshot k={header['k']} != queue k={self.k}"
+            )
+        if (
+            header["key_dtype"] != self.key_dtype.name
+            or header["payload_width"] != self.payload_width
+            or header["payload_dtype"] != self.payload_dtype.name
+        ):
+            raise ConfigurationError(
+                "snapshot record layout does not match this queue: "
+                f"snapshot ({header['key_dtype']}, w={header['payload_width']} "
+                f"{header['payload_dtype']}) vs queue ({self.key_dtype.name}, "
+                f"w={self.payload_width} {self.payload_dtype.name})"
+            )
+        counts, keys, pay = np.asarray(counts), np.asarray(keys), np.asarray(pay)
+        if counts.ndim != 1 or counts.dtype.kind not in "iu":
+            raise ConfigurationError(
+                f"snapshot row counts must be a 1-D integer array, got "
+                f"shape {counts.shape} of {counts.dtype}"
+            )
+        if counts.size != heap_size + 1:
+            raise ConfigurationError(
+                f"snapshot lists {counts.size - 1} nodes for heap_size={heap_size}"
+            )
+        if (counts < 0).any():
+            raise ConfigurationError("snapshot has a negative row count")
+        total = sum(counts.tolist())
+        if (
+            keys.shape != (total,)
+            or keys.dtype != self.key_dtype
+            or pay.shape != (total, self.payload_width)
+            or pay.dtype != self.payload_dtype
+        ):
+            raise ConfigurationError(
+                f"snapshot rows hold keys {keys.shape} {keys.dtype} and payload "
+                f"{pay.shape} {pay.dtype}, but its counts give {total} records"
+            )
+
+        # validate the whole layout before writing a single row: the
+        # fused kernels trust row counts and sortedness unchecked
+        row_keys = np.split(keys, np.cumsum(counts[:-1]))
+        problems = self._layout_problems(row_keys[1:], row_keys[0])
+        if problems:
+            raise ConfigurationError(
+                "snapshot breaks the heap layout: " + "; ".join(problems)
+            )
+
+        ticks = _snapshot_ticks(header["sim_ns"])
+        stats = header["stats"]
+        if not isinstance(stats, dict):
+            raise ConfigurationError(
+                f"snapshot stats must be a dict, got {type(stats).__name__}"
+            )
+
+        self.clear()
+        self._ensure_rows(max(1, heap_size))
+        a = self._arena
+        live = np.arange(self.k) < counts[:, None]
+        a.keys[: heap_size + 1][live] = keys
+        if self.payload_width:
+            a.pay[: heap_size + 1][live] = pay
+        a.counts[: heap_size + 1] = counts
+        self._heap_size = heap_size
+        self._size = total
+        self._ticks = ticks
+        self.stats = dict(stats)
+
+    def restore_state(self, state: dict) -> None:
+        """Overwrite this queue with an :meth:`export_state` snapshot.
+
+        Converts the dict's ``buffer`` and ``nodes`` rows to arrays and
+        hands them to :meth:`restore_rows`, which checks the whole
+        snapshot first: anything an export could not have written raises
+        :class:`ConfigurationError` with the queue untouched.
+        """
+        if not isinstance(state, dict):
+            raise ConfigurationError(
+                f"snapshot must be a dict, got {type(state).__name__}"
+            )
+        missing = [f for f in ("buffer", "nodes") if f not in state]
+        if missing:
+            raise ConfigurationError(f"snapshot lacks {', '.join(missing)}")
         nodes = state["nodes"]
         if not isinstance(nodes, list):
             raise ConfigurationError(
                 f"snapshot nodes must be a list, got {type(nodes).__name__}"
-            )
-        if state["k"] != self.k:
-            raise ConfigurationError(
-                f"snapshot k={state['k']} != queue k={self.k}"
-            )
-        if (
-            state["key_dtype"] != self.key_dtype.name
-            or state["payload_width"] != self.payload_width
-            or state["payload_dtype"] != self.payload_dtype.name
-        ):
-            raise ConfigurationError(
-                "snapshot record layout does not match this queue: "
-                f"snapshot ({state['key_dtype']}, w={state['payload_width']} "
-                f"{state['payload_dtype']}) vs queue ({self.key_dtype.name}, "
-                f"w={self.payload_width} {self.payload_dtype.name})"
-            )
-        if len(nodes) != heap_size:
-            raise ConfigurationError(
-                f"snapshot lists {len(nodes)} nodes for heap_size={heap_size}"
             )
 
         def _row(rec) -> tuple[np.ndarray, np.ndarray]:
@@ -757,39 +854,14 @@ class NativeBGPQ:
                 raise ConfigurationError(f"malformed snapshot row: {err}") from err
             return keys, pay
 
-        # validate the whole layout before writing a single row: the
-        # fused kernels trust row counts and sortedness unchecked
-        bk, bp = _row(state["buffer"])
-        rows = [_row(rec) for rec in nodes]
-        problems = self._layout_problems([nk for nk, _ in rows], bk)
-        if problems:
-            raise ConfigurationError(
-                "snapshot breaks the heap layout: " + "; ".join(problems)
-            )
-
-        ticks = _snapshot_ticks(state["sim_ns"])
-        stats = state["stats"]
-        if not isinstance(stats, dict):
-            raise ConfigurationError(
-                f"snapshot stats must be a dict, got {type(stats).__name__}"
-            )
-
-        self.clear()
-        self._ensure_rows(max(1, heap_size))
-        a = self._arena
-        a.keys[0, : bk.size] = bk
-        if self.payload_width:
-            a.pay[0, : bk.size] = bp
-        a.counts[0] = bk.size
-        for i, (nk, npay) in enumerate(rows, start=1):
-            a.keys[i, : nk.size] = nk
-            if self.payload_width:
-                a.pay[i, : nk.size] = npay
-            a.counts[i] = nk.size
-        self._heap_size = heap_size
-        self._size = bk.size + sum(nk.size for nk, _ in rows)
-        self._ticks = ticks
-        self.stats = dict(stats)
+        rows = [_row(state["buffer"])] + [_row(rec) for rec in nodes]
+        header = {f: v for f, v in state.items() if f not in ("buffer", "nodes")}
+        self.restore_rows(StateRows(
+            header,
+            np.array([nk.size for nk, _ in rows], dtype=np.int64),
+            np.concatenate([nk for nk, _ in rows]),
+            np.concatenate([npay for _, npay in rows]),
+        ))
 
     # -- introspection ------------------------------------------------------
     def __len__(self) -> int:

@@ -11,7 +11,7 @@ byte-identical to an uninterrupted run.
 Layers, bottom up:
 
 * :mod:`repro.serve.wal` — CRC-guarded JSON-lines op journal.
-* :mod:`repro.serve.checkpoint` — queue snapshots + canonical digests.
+* :mod:`repro.serve.checkpoint` — binary queue snapshots + canonical digests.
 * :mod:`repro.serve.admission` — the load-shedding admission controller.
 * :mod:`repro.serve.service` — :class:`DurableService`: journal-then-
   apply, checkpointing, and crash recovery (checkpoint + WAL replay).

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..core.audit import AuditReport, HeapAuditor
 from ..core.native import TICKS_PER_NS
-from ..errors import DurabilityError
+from ..errors import ConfigurationError, DurabilityError
 from ..obs.events import SERVE_APPLY, SERVE_RECOVER
 from .checkpoint import CheckpointStore, state_digest
 from .wal import WalRecord, WriteAheadLog
@@ -56,7 +56,11 @@ class DurableService:
         self.queue = queue
         self.wal = wal
         self.checkpoints = checkpoints
-        self.checkpoint_every = max(1, checkpoint_every)
+        if checkpoint_every < 1:
+            raise ConfigurationError(
+                f"checkpoint_every must be >= 1 op, got {checkpoint_every}"
+            )
+        self.checkpoint_every = checkpoint_every
         self._obs = obs
         self.metrics = metrics
         self._applied: dict[tuple[str, int], dict] = {}
@@ -96,16 +100,15 @@ class DurableService:
             # every checkpoint is corrupt; the WAL is never pruned, so
             # when it still starts at LSN 1 a full replay from empty
             # rebuilds the same state
-            head = self.wal.records()[:1]
-            if not head or head[0].lsn != 1:
+            if self.wal.first_lsn != 1:
                 raise
             loaded = None
         had_state = loaded is not None or len(self.wal) > 0
         self.queue.clear()
         ckpt_lsn = 0
         if loaded is not None:
-            state, ckpt_lsn = loaded
-            self.queue.restore_state(state)
+            rows, ckpt_lsn = loaded
+            self.queue.restore_rows(rows)
         replayed = 0
         for rec in self.wal.records(from_lsn=ckpt_lsn + 1):
             self._replay(rec)
@@ -269,7 +272,7 @@ class DurableService:
 
     def checkpoint(self) -> Path:
         lsn = self.wal.last_lsn
-        path = self.checkpoints.save(self.queue.export_state(), lsn)
+        path = self.checkpoints.save(self.queue.export_rows(), lsn)
         self._last_ckpt_lsn = lsn
         if self.metrics is not None:
             self.metrics.counter(

@@ -181,6 +181,11 @@ class WriteAheadLog:
     def last_lsn(self) -> int:
         return self._next_lsn - 1
 
+    @property
+    def first_lsn(self) -> int | None:
+        """LSN of the oldest durable record; None for an empty log."""
+        return self._records[0].lsn if self._records else None
+
     def append(self, sid: str, op_id: int, kind: str, *, keys=None, pay=None,
                count: int = 0, result: dict | None = None) -> WalRecord:
         """Durably journal one op; returns the record with its LSN."""
@@ -224,8 +229,14 @@ class WriteAheadLog:
 
     # -- read side -------------------------------------------------------
     def records(self, from_lsn: int = 1) -> list[WalRecord]:
-        """All durable records with ``lsn >= from_lsn``, in LSN order."""
-        return [r for r in self._records if r.lsn >= from_lsn]
+        """All durable records with ``lsn >= from_lsn``, in LSN order.
+
+        LSNs are contiguous (:meth:`open` rejects a gap), so the suffix
+        is one slice at ``from_lsn``'s offset from the oldest record.
+        """
+        if not self._records:
+            return []
+        return self._records[max(0, from_lsn - self._records[0].lsn):]
 
     def __len__(self) -> int:
         return len(self._records)

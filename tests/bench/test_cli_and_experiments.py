@@ -69,6 +69,10 @@ BAD_VALUES = [
     (["serve", "--faults", "bogus"], "--faults"),
     (["serve", "--window", "0"], "--window"),
     (["serve", "--budget", "0"], "--budget"),
+    (["serve", "--checkpoint-every", "0"], "--checkpoint-every"),
+    (["serve", "--checkpoint-every", "-3"], "--checkpoint-every"),
+    (["trace", "--buckets", "0"], "--buckets"),
+    (["trace", "--buckets", "-3"], "--buckets"),
     (["bench", "shard", "--quick", "--shard-sessions", "0"], "--shard-sessions"),
     (["metrics", "fleet", "--shard-requests", "0"], "--shard-requests"),
     (["metrics", "fleet", "--shard-k", "1"], "--shard-k"),

@@ -1,10 +1,10 @@
 """Checkpoint store integrity + the export/restore differential.
 
 The hypothesis suite is the checkpoint half of the durability story:
-``export_state`` → JSON → ``restore_state`` must reproduce the queue
-*exactly* — same digest, same contents, same simulated clock — and a
-restored replica must stay behaviourally identical to the
-uninterrupted oracle for arbitrary continued operation.
+``export_rows`` → checkpoint bytes → ``restore_rows`` must reproduce
+the queue *exactly* — same digest, same contents, same simulated
+clock — and a restored replica must stay behaviourally identical to
+the uninterrupted oracle for arbitrary continued operation.
 """
 
 import json
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.native import NativeBGPQ
 from repro.device import GpuContext
 from repro.errors import ConfigurationError, DurabilityError
-from repro.serve.checkpoint import CheckpointStore, state_digest
+from repro.serve.checkpoint import CheckpointStore, decode, encode, state_digest
 
 
 def _mk(k=4, payload_width=0):
@@ -30,11 +30,28 @@ def test_save_load_round_trip(tmp_path):
     store = CheckpointStore(tmp_path)
     pq = _mk()
     pq.insert_bulk(np.array([5, 1, 9, 3], dtype=np.int64))
-    state = pq.export_state()
-    store.save(state, lsn=7)
-    loaded, lsn = store.load_latest()
+    store.save(pq.export_rows(), lsn=7)
+    rows, lsn = store.load_latest()
     assert lsn == 7
-    assert state_digest(loaded) == state_digest(state)
+    assert state_digest(rows.as_state()) == state_digest(pq.export_state())
+
+
+def test_round_trip_keeps_dtypes(tmp_path):
+    """Float keys and a narrow payload dtype round-trip through the
+    binary rows unchanged (float64 is also what ``np.dtype(None)``
+    means, so the loader must not mistake it for a missing field)."""
+    store = CheckpointStore(tmp_path)
+    pq = NativeBGPQ(node_capacity=4, key_dtype=np.float64, payload_width=3,
+                    payload_dtype=np.int32)
+    keys = np.array([2.5, -1.0, 9.75, 0.0, 3.0, 1e300], dtype=np.float64)
+    pq.insert_bulk(keys, np.arange(18, dtype=np.int32).reshape(6, 3))
+    store.save(pq.export_rows(), lsn=3)
+    rows, lsn = store.load_latest()
+    dst = NativeBGPQ(node_capacity=4, key_dtype=np.float64, payload_width=3,
+                     payload_dtype=np.int32)
+    dst.restore_rows(rows)
+    assert lsn == 3
+    assert dst.export_state() == pq.export_state()
 
 
 def test_load_latest_empty_dir(tmp_path):
@@ -45,19 +62,19 @@ def test_prune_keeps_newest(tmp_path):
     store = CheckpointStore(tmp_path, keep=2)
     pq = _mk()
     for lsn in (1, 2, 3, 4):
-        store.save(pq.export_state(), lsn=lsn)
-    names = sorted(p.name for p in tmp_path.glob("ckpt-*.json"))
-    assert names == ["ckpt-000000000003.json", "ckpt-000000000004.json"]
+        store.save(pq.export_rows(), lsn=lsn)
+    names = sorted(p.name for p in tmp_path.glob("ckpt-*"))
+    assert names == ["ckpt-000000000003.bin", "ckpt-000000000004.bin"]
 
 
 def test_corrupt_newest_falls_back(tmp_path):
     store = CheckpointStore(tmp_path, keep=2)
     pq = _mk()
     pq.insert_bulk(np.array([1, 2], dtype=np.int64))
-    store.save(pq.export_state(), lsn=1)
+    store.save(pq.export_rows(), lsn=1)
     pq.insert_bulk(np.array([3], dtype=np.int64))
-    newest = store.save(pq.export_state(), lsn=2)
-    newest.write_text(newest.read_text()[:-40])  # half-written save
+    newest = store.save(pq.export_rows(), lsn=2)
+    newest.write_bytes(newest.read_bytes()[:-40])  # half-written save
     state, lsn = store.load_latest()
     assert lsn == 1  # fell back to the older, intact checkpoint
 
@@ -65,10 +82,11 @@ def test_corrupt_newest_falls_back(tmp_path):
 def test_all_corrupt_raises(tmp_path):
     store = CheckpointStore(tmp_path)
     pq = _mk()
-    path = store.save(pq.export_state(), lsn=1)
-    doc = json.loads(path.read_text())
-    doc["state"]["heap_size"] = 99  # tamper: digest no longer matches
-    path.write_text(json.dumps(doc))
+    path = store.save(pq.export_rows(), lsn=1)
+    data = path.read_bytes()
+    assert data.count(b'"heap_size":0') == 1
+    # tamper: the hash no longer matches
+    path.write_bytes(data.replace(b'"heap_size":0', b'"heap_size":9'))
     with pytest.raises(DurabilityError, match="integrity"):
         store.load_latest()
 
@@ -76,10 +94,11 @@ def test_all_corrupt_raises(tmp_path):
 def test_digest_covers_lsn(tmp_path):
     store = CheckpointStore(tmp_path)
     pq = _mk()
-    path = store.save(pq.export_state(), lsn=5)
-    doc = json.loads(path.read_text())
-    doc["lsn"] = 6  # swap the covered LSN without touching the state
-    path.write_text(json.dumps(doc))
+    path = store.save(pq.export_rows(), lsn=5)
+    data = path.read_bytes()
+    assert data.count(b'"lsn":5') == 1
+    # swap the covered LSN without touching the state
+    path.write_bytes(data.replace(b'"lsn":5', b'"lsn":6'))
     with pytest.raises(DurabilityError):
         store.load_latest()
 
@@ -261,10 +280,11 @@ def test_checkpoint_restore_differential(ops, cut, payload_width):
     for op in ops[:cut]:
         _apply(oracle, op)
 
-    # snapshot through JSON, exactly as the checkpoint store does
-    state = json.loads(json.dumps(oracle.export_state()))
+    # snapshot through the checkpoint store's bytes
+    rows, lsn = decode(encode(oracle.export_rows(), lsn=cut))
+    assert lsn == cut
     replica = _mk(k=4, payload_width=payload_width)
-    replica.restore_state(state)
+    replica.restore_rows(rows)
 
     assert state_digest(replica.export_state()) == state_digest(
         oracle.export_state()
@@ -280,3 +300,39 @@ def test_checkpoint_restore_differential(ops, cut, payload_width):
     np.testing.assert_array_equal(
         np.sort(replica.snapshot_keys()), np.sort(oracle.snapshot_keys())
     )
+
+
+def _per_row_state(pq):
+    """The snapshot dict built row by row from the arena, as a reference
+    for the one-mask rows export."""
+    a = pq._arena
+    rows = [
+        {"keys": a.keys[i, : a.counts[i]].tolist(),
+         "pay": a.pay[i, : a.counts[i]].tolist()}
+        for i in range(pq._heap_size + 1)
+    ]
+    return {
+        "k": pq.k, "key_dtype": pq.key_dtype.name,
+        "payload_width": pq.payload_width,
+        "payload_dtype": pq.payload_dtype.name, "heap_size": pq._heap_size,
+        "buffer": rows[0], "nodes": rows[1:],
+        "sim_ns": str(pq.sim_time_ns_exact), "stats": dict(pq.stats),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=ops_strategy, payload_width=st.sampled_from([0, 2]))
+def test_export_state_is_dict_view_of_rows(ops, payload_width):
+    """``export_state`` is the dict view of ``export_rows``: the same
+    rows, counts and header a row-by-row walk of the arena gives."""
+    pq = NativeBGPQ(node_capacity=4, ctx=GpuContext.default(),
+                    payload_width=payload_width)
+    for op in ops:
+        _apply(pq, op)
+        want = _per_row_state(pq)
+        rows = pq.export_rows()
+        assert rows.as_state() == want
+        assert pq.export_state() == want
+        assert rows.counts.tolist() == [len(r["keys"]) for r in
+                                        [want["buffer"], *want["nodes"]]]
+        assert rows.pay.shape == (rows.keys.size, payload_width)

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core.native import NativeBGPQ
-from repro.errors import DurabilityError
+from repro.errors import ConfigurationError, DurabilityError
+from repro.serve.checkpoint import CheckpointStore
 from repro.serve.service import DurableService
 from repro.serve.wal import WriteAheadLog
 
@@ -139,10 +140,10 @@ def test_checkpoint_bounds_replay(tmp_path):
 
 
 def _corrupt_every_checkpoint(data_dir):
-    paths = sorted(data_dir.glob("ckpt-*.json"))
+    paths = sorted(data_dir.glob("ckpt-*.bin"))
     assert paths
     for path in paths:
-        path.write_text(path.read_text()[:-40])  # half-written saves
+        path.write_bytes(path.read_bytes()[:-40])  # half-written saves
 
 
 def test_all_checkpoints_corrupt_replays_full_wal(tmp_path):
@@ -175,6 +176,18 @@ def test_all_checkpoints_corrupt_without_wal_head_raises(tmp_path):
     wal_path.write_text("\n".join(lines[1:]) + "\n")  # log starts at LSN 2
     with pytest.raises(DurabilityError, match="integrity"):
         DurableService.open(_queue(), tmp_path, checkpoint_every=4)
+
+
+@pytest.mark.parametrize("every, keep", [(0, 2), (-3, 2), (4, 0), (4, -1)])
+def test_open_rejects_non_positive_cadence_or_keep(tmp_path, every, keep):
+    """A checkpoint cadence or retention below 1 is refused, not clamped,
+    so no caller can record a value the service did not use."""
+    with pytest.raises(ConfigurationError):
+        DurableService.open(_queue(), tmp_path, checkpoint_every=every,
+                            keep_checkpoints=keep)
+    with pytest.raises(ConfigurationError):
+        DurableService(_queue(), None, CheckpointStore(tmp_path, keep=keep),
+                       checkpoint_every=every)
 
 
 def test_audit_uses_wal_as_ledger(tmp_path):

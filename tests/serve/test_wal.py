@@ -43,6 +43,25 @@ def test_records_from_lsn_filters(tmp_path):
         assert len(wal) == 5
 
 
+def test_records_from_lsn_slices_a_log_that_starts_late(tmp_path):
+    """The suffix is sliced at the LSN's offset from the oldest record,
+    which need not be LSN 1."""
+    with WriteAheadLog.open(tmp_path) as wal:
+        assert wal.first_lsn is None and wal.records(from_lsn=3) == []
+        for i in range(6):
+            wal.append("s0", i, "insert", keys=[i])
+    path = _wal_path(tmp_path)
+    path.write_text("".join(path.read_text().splitlines(True)[2:]))
+    with WriteAheadLog.open(tmp_path) as wal:
+        assert wal.first_lsn == 3
+        assert [r.lsn for r in wal.records()] == [3, 4, 5, 6]
+        assert [r.lsn for r in wal.records(from_lsn=1)] == [3, 4, 5, 6]
+        assert [r.lsn for r in wal.records(from_lsn=5)] == [5, 6]
+        assert wal.records(from_lsn=7) == []
+        wal.append("s0", 6, "insert", keys=[6])
+        assert [r.lsn for r in wal.records(from_lsn=6)] == [6, 7]
+
+
 def test_torn_tail_is_truncated(tmp_path):
     with WriteAheadLog.open(tmp_path) as wal:
         wal.append("s0", 0, "insert", keys=[1])
