@@ -48,33 +48,43 @@ def dantzig_upper_bound_batch(
 ) -> np.ndarray:
     """Vectorised Dantzig bound for a batch of nodes.
 
-    Uses the prefix sums of the density-sorted items: for each node,
-    binary-search how many whole remaining items fit, then add the
-    fractional part — O(log n) per node, all lanes independent, exactly
-    the shape a GPU kernel computes per thread.
+    Uses the instance's prefix sums of the density-sorted items: for
+    each node, binary-search how many whole remaining items fit, then
+    add the fractional part — O(log n) per node, all lanes independent,
+    exactly the shape a GPU kernel computes per thread.
     """
-    wsum = np.concatenate([[0], np.cumsum(inst.weights)])
-    psum = np.concatenate([[0], np.cumsum(inst.profits)])
     levels = np.asarray(levels)
-    profits = np.asarray(profits, dtype=np.float64)
-    weights = np.asarray(weights)
-    cap = inst.capacity - weights
-    # whole items [level, j) fit while wsum[j]-wsum[level] <= cap
-    targets = wsum[levels] + np.maximum(cap, 0)
+    cap = inst.capacity - np.asarray(weights)
+    ub = fractional_bound(
+        inst, levels, np.asarray(profits, dtype=np.float64), np.maximum(cap, 0)
+    )
+    return np.where(cap < 0, -np.inf, ub)
+
+
+def fractional_bound(
+    inst: KnapsackInstance,
+    levels: np.ndarray,
+    profits: np.ndarray,
+    room: np.ndarray,
+) -> np.ndarray:
+    """Dantzig bound of feasible nodes: ``room >= 0`` capacity left.
+
+    ``profits`` is float64.  Whole items ``[level, j)`` fit while
+    ``wsum[j] - wsum[level] <= room``; ``room >= 0`` already keeps ``j``
+    in ``[level, n_items]``, so no clamp is needed.
+    """
+    wsum = inst.wsum
+    targets = wsum[levels] + room
     j = np.searchsorted(wsum, targets, side="right") - 1
-    j = np.minimum(np.maximum(j, levels), inst.n_items)
-    ub = profits + (psum[j] - psum[levels])
-    rem_cap = targets - wsum[j]
+    ub = profits + (inst.psum[j] - inst.psum[levels])
     has_frac = j < inst.n_items
-    frac_p = np.zeros_like(ub)
     jj = np.where(has_frac, j, 0)
     frac_p = np.where(
         has_frac,
-        inst.profits[jj] * (rem_cap / inst.weights[jj]),
+        inst.profits[jj] * ((targets - wsum[j]) / inst.weights[jj]),
         0.0,
     )
-    ub = ub + frac_p
-    return np.where(cap < 0, -np.inf, ub)
+    return ub + frac_p
 
 
 def greedy_completion(

@@ -32,9 +32,10 @@ import numpy as np
 
 from ...core.native import NativeBGPQ
 from ...device.kernels import GpuContext
+from ...errors import ConfigurationError
 from ...sim import Atomic, Compute, Engine
 from ..resilience import OverflowList, deletemin_with_retries, insert_with_retries
-from .bounds import dantzig_upper_bound, dantzig_upper_bound_batch
+from .bounds import dantzig_upper_bound, fractional_bound
 from .instance import KnapsackInstance
 
 __all__ = ["KnapsackResult", "solve_sequential", "solve_batched", "solve_concurrent"]
@@ -98,37 +99,88 @@ def solve_sequential(inst: KnapsackInstance) -> KnapsackResult:
     return KnapsackResult(incumbent, expanded, pruned, max_queue)
 
 
-def _expand_batch(inst, levels, profits, weights, incumbent):
-    """Vectorised expansion: children of a node batch + bounds.
+def node_widths(inst: KnapsackInstance) -> tuple[int, int]:
+    """Bit widths ``(lb, wb)`` of a packed node's level and weight fields.
 
-    Returns (keys, payload, new_incumbent, n_pruned): the surviving
-    children as PQ records.  This is the data-parallel kernel a thread
-    block runs after retrieving a node batch.
+    :func:`solve_batched` stores each node as one int64,
+    ``profit << (lb + wb) | weight << lb | level``: ``lb`` covers the
+    leaf level ``n_items``, ``wb`` every feasible weight (at most
+    ``capacity``) and the profit field takes the bits above.  Raises
+    :class:`ConfigurationError` when the profit sum does not fit in
+    what is left of 63 bits, or the bound-valued keys would overflow.
     """
-    live = levels < inst.n_items
-    levels, profits, weights = levels[live], profits[live], weights[live]
-    if levels.size == 0:
-        return (
-            np.empty(0, np.int64),
-            np.empty((0, 3), np.int64),
-            incumbent,
-            0,
+    lb = inst.n_items.bit_length()
+    wb = int(inst.capacity).bit_length()
+    pb = int(inst.profits.sum()).bit_length()
+    if lb + wb + pb > 63 or pb + (KEY_SCALE - 1).bit_length() > 63:
+        raise ConfigurationError(
+            f"knapsack node needs {lb} level + {wb} weight + {pb} profit "
+            f"bits; a packed node and its key must fit in 63"
         )
-    p_i = inst.profits[levels]
-    w_i = inst.weights[levels]
-    # take-children (filter infeasible) + skip-children
-    take_ok = weights + w_i <= inst.capacity
-    c_levels = np.concatenate([levels[take_ok] + 1, levels + 1])
-    c_profits = np.concatenate([(profits + p_i)[take_ok], profits])
-    c_weights = np.concatenate([(weights + w_i)[take_ok], weights])
-    if c_profits.size:
-        incumbent = max(incumbent, int(c_profits.max()))
-    ubs = dantzig_upper_bound_batch(inst, c_levels, c_profits, c_weights)
-    keep = ubs > incumbent
-    pruned = int((~keep).sum())
-    keys = _key_for(ubs[keep])
-    payload = np.stack([c_levels[keep], c_profits[keep], c_weights[keep]], axis=1)
-    return keys, payload, incumbent, pruned
+    return lb, wb
+
+
+def pack_nodes(levels, profits, weights, lb: int, wb: int) -> np.ndarray:
+    """Pack node fields into int64 nodes (see :func:`node_widths`)."""
+    return (
+        np.left_shift(profits, lb + wb, dtype=np.int64)
+        | np.left_shift(weights, lb, dtype=np.int64)
+        | levels
+    )
+
+
+def unpack_nodes(nodes: np.ndarray, lb: int, wb: int):
+    """``(levels, profits, weights)`` of packed int64 nodes."""
+    return (
+        nodes & ((1 << lb) - 1),
+        nodes >> (lb + wb),
+        (nodes >> lb) & ((1 << wb) - 1),
+    )
+
+
+class _Expansion:
+    """The expansion kernel of one solve: children of a node batch.
+
+    Holds what stays fixed for an instance: the node field widths, the
+    per-item take-child delta (one level down, item ``i``'s profit and
+    weight added, so a take-child is ``node + take[level]`` and a
+    skip-child ``node + 1``) and a children buffer for a full batch.
+    """
+
+    def __init__(self, inst: KnapsackInstance, lb: int, wb: int, batch: int):
+        self.inst = inst
+        self.lb, self.wb = lb, wb
+        self.lmask, self.wmask = (1 << lb) - 1, (1 << wb) - 1
+        self.take = pack_nodes(1, inst.profits, inst.weights, lb, wb)
+        self.children = np.empty(2 * batch, np.int64)
+
+    def __call__(self, nodes: np.ndarray, incumbent: int):
+        """Returns (keys, nodes, new_incumbent, n_pruned) of the surviving
+        children: take-children first, then skip-children, each in
+        ``nodes`` order.  This is the data-parallel kernel a thread block
+        runs after retrieving a node batch."""
+        inst, lb = self.inst, self.lb
+        levels = nodes & self.lmask
+        live = levels < inst.n_items
+        if not live.all():
+            nodes, levels = nodes[live], levels[live]
+        room = inst.capacity - ((nodes >> lb) & self.wmask)
+        take_ok = inst.weights[levels] <= room
+        nt = int(np.count_nonzero(take_ok))
+        c = self.children[: nt + nodes.size]
+        np.compress(take_ok, nodes + self.take[levels], out=c[:nt])
+        np.add(nodes, 1, out=c[nt:])
+        c_levels, c_profits, c_weights = unpack_nodes(c, lb, self.wb)
+        if nt:
+            # a skip-child keeps its parent's profit, which the incumbent
+            # already covers
+            incumbent = max(incumbent, int(c_profits[:nt].max()))
+        ubs = fractional_bound(
+            inst, c_levels, c_profits.astype(np.float64), inst.capacity - c_weights
+        )
+        keep = ubs > incumbent
+        kept = c[keep]
+        return _key_for(ubs[keep]), kept, incumbent, c.size - kept.size
 
 
 def solve_batched(
@@ -143,46 +195,49 @@ def solve_batched(
     because pruning happens against the monotonically growing
     incumbent and the queue is drained to empty.
 
+    Each node is one packed int64 payload column (:func:`node_widths`),
+    so a record is 16 bytes; an instance too large to pack raises
+    :class:`ConfigurationError` before any queue is built.
+
     ``pq_factory(node_capacity, ctx, payload_width, storage)``, when
     given, supplies the queue instead of NativeBGPQ — the shard bench
     injects a recording subclass here to capture the app's exact PQ
     op trace for fleet replay.  ``storage`` is always ``"arena"``.
     """
+    lb, wb = node_widths(inst)
     ctx = ctx if ctx is not None else GpuContext.default()
     if pq_factory is None:
-        pq = NativeBGPQ(node_capacity=batch, ctx=ctx, payload_width=3)
+        pq = NativeBGPQ(node_capacity=batch, ctx=ctx, payload_width=1)
     else:
-        pq = pq_factory(batch, ctx, 3, "arena")
+        pq = pq_factory(batch, ctx, 1, "arena")
     model = ctx.model
+    expand = _Expansion(inst, lb, wb, batch)
+    depth = max(1, int(np.log2(max(2, inst.n_items))))
     expansion_ns = 0.0
 
     incumbent = inst.greedy_value()
     root_ub = dantzig_upper_bound(inst, 0, 0, 0)
     if root_ub > incumbent:
-        pq.insert(_key_for(np.array([root_ub])), payload=np.zeros((1, 3), np.int64))
+        pq.insert(_key_for(np.array([root_ub])), payload=np.zeros((1, 1), np.int64))
     expanded = pruned = 0
     max_queue = len(pq)
     while pq:
         keys, payload = pq.deletemin(batch)
-        # stale-bound prune: keys are -ub; drop batch members dominated
-        neg = -keys.astype(np.float64) / KEY_SCALE
-        fresh = neg > incumbent
-        pruned += int((~fresh).sum())
-        payload = payload[fresh]
-        expanded += payload.shape[0]
-        ckeys, cpayload, incumbent, pr = _expand_batch(
-            inst, payload[:, 0], payload[:, 1], payload[:, 2], incumbent
-        )
+        # stale-bound prune: keys are -ub * KEY_SCALE in ascending order,
+        # so the nodes whose bound still beats the incumbent are a prefix
+        fresh = int(np.searchsorted(keys, -KEY_SCALE * incumbent, "left"))
+        pruned += keys.size - fresh
+        expanded += fresh
+        ckeys, cnodes, incumbent, pr = expand(payload[:fresh, 0], incumbent)
         pruned += pr
         # expansion kernel cost: bound binary searches + compaction over
         # the children, cooperative across the block
         expansion_ns += (
-            model.shared_pass_ns(2 * payload.shape[0])
-            * max(1, int(np.log2(max(2, inst.n_items))))
-            + model.global_read_ns(4 * payload.shape[0])
-            + model.global_write_ns(4 * max(1, cpayload.shape[0]))
+            model.shared_pass_ns(2 * fresh) * depth
+            + model.global_read_ns(4 * fresh)
+            + model.global_write_ns(4 * max(1, cnodes.size))
         )
-        pq.insert_bulk(ckeys, payload=cpayload)
+        pq.insert_bulk(ckeys, payload=cnodes)
         max_queue = max(max_queue, len(pq))
     return KnapsackResult(
         incumbent, expanded, pruned, max_queue, pq.sim_time_ns + expansion_ns

@@ -9,7 +9,7 @@ one instance).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,13 +24,17 @@ class KnapsackInstance:
 
     ``profits``/``weights`` are kept sorted by profit density
     (profit/weight, descending) — the order every bound computation and
-    branching strategy in this package expects.
+    branching strategy in this package expects.  ``wsum``/``psum`` are
+    their prefix sums (``wsum[i]`` is the weight of items ``[0, i)``),
+    computed once here for the batched bound.
     """
 
     profits: np.ndarray
     weights: np.ndarray
     capacity: int
     family: str = "uncorrelated"
+    wsum: np.ndarray = field(init=False, compare=False, repr=False)
+    psum: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.profits.shape != self.weights.shape:
@@ -42,6 +46,8 @@ class KnapsackInstance:
         density = self.profits / self.weights
         if np.any(density[:-1] < density[1:]):
             raise ValueError("items must be sorted by density descending")
+        object.__setattr__(self, "wsum", np.concatenate([[0], np.cumsum(self.weights)]))
+        object.__setattr__(self, "psum", np.concatenate([[0], np.cumsum(self.profits)]))
 
     @property
     def n_items(self) -> int:
@@ -52,7 +58,7 @@ class KnapsackInstance:
 
     def greedy_value(self) -> int:
         """Profit of greedily packing by density (a lower bound)."""
-        take = np.cumsum(self.weights) <= self.capacity
+        take = self.wsum[1:] <= self.capacity
         return int(self.profits[take].sum())
 
 

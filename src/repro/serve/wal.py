@@ -77,17 +77,48 @@ class WalRecord:
         return body
 
     @classmethod
-    def from_body(cls, body: dict) -> "WalRecord":
-        return cls(
-            lsn=body["lsn"],
-            sid=body["sid"],
-            op_id=body["op_id"],
-            kind=body["kind"],
-            keys=body.get("keys", []),
-            pay=body.get("pay", []),
-            count=body.get("count", 0),
-            result=body.get("result"),
-        )
+    def from_body(cls, body) -> "WalRecord":
+        """The record of a decoded body.
+
+        Raises :class:`DurabilityError` unless ``body`` has the shape
+        :meth:`to_body` writes: an object with every field of its kind,
+        each of its type (JSON booleans are not integers), a positive
+        ``lsn`` and ``count``, and a ``result`` holding ``keys``/``pay``.
+        """
+        if not isinstance(body, dict):
+            raise DurabilityError(
+                f"WAL body is a JSON {type(body).__name__}, not an object")
+        kind = body.get("kind")
+        fields = _FIELDS.get(kind) if isinstance(kind, str) else None
+        if fields is None:
+            raise DurabilityError(f"WAL body has unknown kind {kind!r:.40}")
+        for name, types in fields.items():
+            if name not in body:
+                raise DurabilityError(f"WAL body lacks {name!r}")
+            value = body[name]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise DurabilityError(f"WAL field {name!r} is {value!r:.40}")
+        if body["lsn"] < 1:
+            raise DurabilityError(f"WAL record has lsn {body['lsn']}")
+        common = (body["lsn"], body["sid"], body["op_id"], body["kind"])
+        if body["kind"] == "insert":
+            return cls(*common, keys=body["keys"], pay=body["pay"])
+        result = body["result"]
+        if body["count"] < 1 or result is not None and not all(
+            isinstance(result.get(f), list) for f in ("keys", "pay")
+        ):
+            raise DurabilityError(
+                f"WAL record {body['lsn']}: deletemin({body['count']}) with "
+                f"result {result!r:.40}")
+        return cls(*common, count=body["count"], result=result)
+
+
+#: the fields :meth:`WalRecord.to_body` writes, by kind, with their types
+_COMMON = {"lsn": int, "sid": str, "op_id": int, "kind": str}
+_FIELDS = {
+    "insert": {**_COMMON, "keys": list, "pay": list},
+    "deletemin": {**_COMMON, "count": int, "result": (dict, type(None))},
+}
 
 
 def _encode(body: dict) -> str:
@@ -97,20 +128,25 @@ def _encode(body: dict) -> str:
 
 
 def _decode(line: str) -> dict | None:
-    """Parse one journal line; None means torn/corrupt."""
-    if len(line) < 10 or line[8] != " ":
+    """Parse one journal line; None means torn/corrupt.
+
+    The CRC must read exactly as :func:`_encode` writes it, eight
+    lowercase hex digits: ``int(..., 16)`` would also take ``A-F`` or a
+    leading space, and one flipped bit makes either from a valid CRC.
+    """
+    text = line[9:]
+    if line[:9] != f"{zlib.crc32(text.encode('utf-8')) & 0xFFFFFFFF:08x} ":
         return None
-    crc_hex, text = line[:8], line[9:]
     try:
-        crc = int(crc_hex, 16)
-    except ValueError:
+        body = json.loads(text)
+    except (ValueError, RecursionError):
+        # not JSON (JSONDecodeError is a ValueError), an integer past
+        # the digit limit, or nesting past the recursion limit
         return None
-    if zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF != crc:
-        return None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return None
+    if body is None:
+        # None marks a torn line, but this ``null`` passed its CRC
+        raise DurabilityError("WAL body is JSON null, not an object")
+    return body
 
 
 class WriteAheadLog:
@@ -143,17 +179,26 @@ class WriteAheadLog:
         path = directory / cls.FILENAME
         records: list[WalRecord] = []
         if path.exists():
-            raw = path.read_text(encoding="utf-8")
-            lines = raw.splitlines()
+            # bytes, decoded line by line: a line that is not UTF-8 is as
+            # corrupt as one failing its CRC
+            raw = path.read_bytes()
+            lines = raw.split(b"\n")
+            if not lines[-1]:
+                lines.pop()  # the final record's newline
             bad_at: int | None = None
             for i, line in enumerate(lines):
                 if not line.strip():
                     continue
-                body = _decode(line)
-                if body is None:
+                try:
+                    body = _decode(line.decode("utf-8"))
+                    rec = None if body is None else WalRecord.from_body(body)
+                except UnicodeDecodeError:
+                    rec = None
+                except DurabilityError as exc:
+                    raise DurabilityError(f"{path}: line {i + 1}: {exc}") from None
+                if rec is None:
                     bad_at = i
                     break
-                rec = WalRecord.from_body(body)
                 if records and rec.lsn != records[-1].lsn + 1:
                     raise DurabilityError(
                         f"{path}: LSN gap at line {i + 1}: "
@@ -168,8 +213,12 @@ class WriteAheadLog:
                     )
                 # torn tail: the crash interrupted the final append;
                 # truncate it so the file is clean for new appends
-                keep = "".join(line + "\n" for line in lines[:bad_at])
-                path.write_text(keep, encoding="utf-8")
+                path.write_bytes(b"".join(line + b"\n" for line in lines[:bad_at]))
+            elif raw and not raw.endswith(b"\n"):
+                # the crash cut only the final newline: restore it, or the
+                # next append would run on into that record's line
+                with open(path, "ab") as fh:
+                    fh.write(b"\n")
         return cls(path, records, obs=obs, fsync=fsync, metrics=metrics)
 
     # -- append side -----------------------------------------------------

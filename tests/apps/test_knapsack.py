@@ -17,7 +17,9 @@ from repro.apps.knapsack import (
     solve_dp,
     solve_sequential,
 )
+from repro.apps.knapsack.branch_bound import node_widths, pack_nodes, unpack_nodes
 from repro.baselines import LJSkipListPQ, SprayListPQ, TbbHeapPQ
+from repro.errors import ConfigurationError
 
 
 class TestInstance:
@@ -60,6 +62,15 @@ class TestInstance:
         b = generate(30, seed=7)
         assert np.array_equal(a.profits, b.profits)
         assert np.array_equal(a.weights, b.weights)
+
+    def test_prefix_sums_cached(self):
+        inst = generate(40, seed=3)
+        np.testing.assert_array_equal(
+            inst.wsum, np.concatenate([[0], np.cumsum(inst.weights)]))
+        np.testing.assert_array_equal(
+            inst.psum, np.concatenate([[0], np.cumsum(inst.profits)]))
+        # derived, so equality and construction ignore them
+        assert inst == KnapsackInstance(inst.profits, inst.weights, inst.capacity)
 
     def test_greedy_value_feasible(self):
         inst = generate(40, seed=3)
@@ -154,3 +165,56 @@ class TestSolvers:
         opt = solve_dp(inst)
         assert solve_sequential(inst).best_profit == opt
         assert solve_batched(inst, batch=8).best_profit == opt
+
+
+class TestNodePacking:
+    """``solve_batched`` stores a node as one int64 (``node_widths``)."""
+
+    def test_oversized_instance_fails_closed(self):
+        inst = generate(50, R=10**9, seed=0)
+        built = []
+
+        def factory(*args):
+            built.append(args)
+
+        with pytest.raises(ConfigurationError, match="63"):
+            solve_batched(inst, pq_factory=factory)
+        assert not built
+
+    def test_in_repo_instances_fit(self):
+        # the perfbench pool's size: 800 items, R=1000
+        inst = generate(800, "weakly_correlated", seed=1)
+        lb, wb = node_widths(inst)
+        assert lb + wb + int(inst.profits.sum()).bit_length() <= 50
+
+    @given(
+        family=st.sampled_from(FAMILIES),
+        n=st.integers(1, 1000),
+        R=st.integers(1, 10**6),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pack_unpack_round_trip(self, family, n, R, seed, data):
+        inst = generate(n, family=family, R=R, seed=seed)
+        top = int(inst.profits.sum())
+        bits = n.bit_length() + inst.capacity.bit_length() + top.bit_length()
+        if bits > 63:
+            with pytest.raises(ConfigurationError):
+                node_widths(inst)
+            return
+        lb, wb = node_widths(inst)
+        fields = st.tuples(
+            st.integers(0, inst.n_items),
+            st.integers(0, top),
+            st.integers(0, inst.capacity),
+        )
+        rows = data.draw(st.lists(fields, min_size=1, max_size=8))
+        # the extremes: the leaf level, a full knapsack, every profit
+        rows.append((inst.n_items, top, inst.capacity))
+        levels, profits, weights = (np.array(c, np.int64) for c in zip(*rows))
+        nodes = pack_nodes(levels, profits, weights, lb, wb)
+        assert nodes.dtype == np.int64 and np.all(nodes >= 0)
+        got = unpack_nodes(nodes, lb, wb)
+        for want, col in zip((levels, profits, weights), got):
+            np.testing.assert_array_equal(col, want)

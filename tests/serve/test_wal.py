@@ -122,6 +122,17 @@ def test_decode_rejects_malformed_lines():
     assert _decode(f"{crc:08x} {text}") is None
 
 
+def test_decode_rejects_a_crc_that_only_parses_alike():
+    """One flipped bit turns a hex letter upper case, or a leading 0
+    into a space; ``int(..., 16)`` reads either as the same CRC."""
+    lines = [_encode({"lsn": i}) for i in range(200)]
+    letter = next(line for line in lines if line[:8] != line[:8].upper())
+    zero = next(line for line in lines if line[0] == "0")
+    assert _decode(letter) is not None and _decode(zero) is not None
+    assert _decode(letter[:8].upper() + letter[8:]) is None
+    assert _decode(" " + zero[1:]) is None
+
+
 def test_empty_dir_starts_at_lsn_one(tmp_path):
     with WriteAheadLog.open(tmp_path) as wal:
         assert wal.next_lsn == 1
