@@ -16,7 +16,7 @@ against the committed ``BENCH_shard.json`` / ``BENCH_frontier.json``
 baselines; ``docs/FLEET.md`` is the operator guide.
 """
 
-from .driver import FleetOpRecord, FleetRunResult, mixed_scripts, run_fleet
+from .driver import FleetOpRecord, FleetRunResult, KeyBatch, mixed_scripts, run_fleet
 from .elastic import ElasticController
 from .router import LOAD_AWARE_POLICIES, POLICIES, Router
 from .sharded import OpTicket, ReshardTicket, ShardedBGPQ
@@ -31,6 +31,7 @@ __all__ = [
     "ElasticController",
     "FleetOpRecord",
     "FleetRunResult",
+    "KeyBatch",
     "run_fleet",
     "mixed_scripts",
 ]

@@ -169,20 +169,43 @@ class Router:
             raise ConfigurationError(
                 f"policy {self.policy!r} needs the fleet's per-shard loads"
             )
-        if self.policy == "shortest":
-            candidates = tuple(range(self.n_shards))
-        elif self.spray_width >= self.n_shards:
+        if self.policy == "shortest" or self.spray_width >= self.n_shards:
             candidates = tuple(range(self.n_shards))
         else:  # d-choice: sample d = spray_width distinct shards
-            candidates = tuple(
-                self._rng.sample(range(self.n_shards), self.spray_width)
-            )
+            candidates = tuple(self._sample(self.n_shards, self.spray_width))
         self.last_candidates = candidates
-        return min(candidates, key=lambda i: (tuple(loads[i]), i))
+        # lexical minimum of (load, index): equal loads go to the lower index
+        best = candidates[0]
+        best_load = loads[best]
+        for i in candidates[1:]:
+            load = loads[i]
+            if load < best_load or (load == best_load and i < best):
+                best, best_load = i, load
+        return best
 
     # -- delete probe -------------------------------------------------------
     def probe_set(self) -> tuple[int, ...]:
         """``spray_width`` distinct shards to peek for a relaxed delete."""
         if self.spray_width >= self.n_shards:
             return tuple(range(self.n_shards))
-        return tuple(self._rng.sample(range(self.n_shards), self.spray_width))
+        return tuple(self._sample(self.n_shards, self.spray_width))
+
+    def _sample(self, n: int, d: int) -> list[int]:
+        """``self._rng.sample(range(n), d)``, draw for draw.
+
+        ``random.sample`` spends most of a small call on its
+        ``Sequence`` check.  For a population of at most 21 and at most
+        5 draws it takes its pool path, replayed here with the same
+        ``_randbelow`` calls, so the RNG stream is unchanged; larger
+        calls go to ``sample`` itself.
+        """
+        if n > 21 or d > 5:
+            return self._rng.sample(range(n), d)
+        randbelow = self._rng._randbelow
+        pool = list(range(n))
+        out = []
+        for i in range(d):
+            j = randbelow(n - i)
+            out.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return out

@@ -81,6 +81,10 @@ class _NativeShard:
     def __init__(self, node_capacity: int, ctx: GpuContext):
         self.pq = NativeBGPQ(node_capacity=node_capacity, ctx=ctx)
         self._mark = self.pq.sim_ticks
+        m = self.pq.model
+        #: simulated cost of one optimistic root-minimum read; the
+        #: model is fixed for the shard's life, so it is priced once
+        self.probe_ns = float(m.global_read_ns(1)) if m is not None else 1.0
 
     def _delta_ns(self) -> float:
         now = self.pq.sim_ticks
@@ -98,10 +102,6 @@ class _NativeShard:
 
     def peek(self):
         return self.pq.peek()
-
-    def probe_ns(self) -> float:
-        m = self.pq.model
-        return float(m.global_read_ns(1)) if m is not None else 1.0
 
     def __len__(self) -> int:
         return len(self.pq)
@@ -388,7 +388,7 @@ class ShardedBGPQ:
                 f"delete_min count must be in [1, {self.k}], got {count}"
             )
         primary, probe = plan if plan is not None else self.plan_delete()
-        probe_cost = sum(self.shards[p].probe_ns() for p in probe)
+        probe_cost = sum(self.shards[p].probe_ns for p in probe)
         s = self.shards[primary]
         start = max(at + probe_cost, self.clocks[primary])
         if self.obs is not None:

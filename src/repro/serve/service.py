@@ -44,6 +44,32 @@ from .wal import WalRecord, WriteAheadLog
 __all__ = ["DurableService"]
 
 
+def _journaled_ints(values: list, dtype, shape: tuple, field: str,
+                    lsn: int) -> np.ndarray:
+    """A journaled integer list as an array of ``dtype`` and ``shape``.
+
+    The WAL reader checks each record's CRC and field types, not the
+    elements of its lists, so a CRC-valid record can still hold keys
+    that are strings, floats (which a cast to int would truncate), out
+    of the dtype's range, or rows of the wrong shape.  All of those
+    raise :class:`DurabilityError`; the checks run on whole arrays.
+    """
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raw = None
+    if raw is not None and raw.size == 0 and 0 in shape:
+        return np.empty(shape, dtype=dtype)
+    if raw is not None and raw.dtype.kind in "iu" and raw.shape == shape:
+        arr = raw.astype(dtype, copy=False)
+        if arr is raw or np.array_equal(arr, raw):
+            return arr
+    raise DurabilityError(
+        f"WAL record lsn={lsn}: insert {field} {values!r:.60} are not "
+        f"integers of shape {shape} fitting {np.dtype(dtype)}"
+    )
+
+
 class DurableService:
     """One durable queue: NativeBGPQ + WAL + checkpoints + dedupe cache.
 
@@ -153,10 +179,11 @@ class DurableService:
     def _replay(self, rec: WalRecord) -> None:
         q = self.queue
         if rec.kind == "insert":
-            keys = np.asarray(rec.keys, dtype=q.key_dtype)
-            pay = (np.asarray(rec.pay, dtype=q.payload_dtype).reshape(
-                keys.size, q.payload_width) if q.payload_width else None)
-            q.insert_bulk(keys, pay)
+            keys = _journaled_ints(rec.keys, q.key_dtype, (len(rec.keys),),
+                                   "keys", rec.lsn)
+            pay = _journaled_ints(rec.pay, q.payload_dtype,
+                                  (keys.size, q.payload_width), "pay", rec.lsn)
+            q.insert_bulk(keys, pay if q.payload_width else None)
             return
         got_k, got_p = q.deletemin(rec.count)
         want = rec.result or {"keys": [], "pay": []}

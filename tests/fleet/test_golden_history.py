@@ -10,9 +10,10 @@ records one NumPy scalar at a time.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from repro.fleet import ShardedBGPQ, mixed_scripts, run_fleet
+from repro.fleet import KeyBatch, ShardedBGPQ, mixed_scripts, run_fleet
 from repro.fleet.elastic import ElasticController
 
 
@@ -82,9 +83,30 @@ def test_fleet_run_matches_golden(case):
     assert taken == actions
 
 
-def test_history_records_hold_python_ints():
-    """Records stay tuples of ``int``, as the checker and digests expect."""
-    res, _ = _d_choice_skewed()
-    for rec in res.history:
-        assert type(rec.args) is tuple and type(rec.result) is tuple
-        assert all(type(x) is int for x in rec.args + rec.result)
+def test_history_key_batches_read_like_tuples():
+    """Key batches are read-only int64 arrays that act as tuples of ``int``."""
+    fleet = ShardedBGPQ(n_shards=4, node_capacity=512, policy="d-choice", seed=3)
+    scripts = mixed_scripts(6, 7, 512, seed=11, skew=1.1)
+    res = run_fleet(fleet, scripts)
+    batches = [r.args for r in res.history if r.kind == "insert"]
+    batches += [r.result for r in res.history if r.kind == "deletemin"]
+    assert batches and all(isinstance(b, KeyBatch) for b in batches)
+    for b in batches:
+        assert all(type(x) is int for x in b)
+        assert type(b[0]) is int and b[-1] == tuple(b)[-1]
+        arr = np.asarray(b)
+        assert arr.dtype == np.int64 and np.asarray(b, dtype=np.int64) is arr
+        with pytest.raises(ValueError):
+            arr[0] = 0
+        assert b == tuple(b) and tuple(b) == b
+        assert repr(b) == repr(tuple(b))
+        twin = KeyBatch(arr.copy())
+        assert twin == b and hash(twin) == hash(b) == hash(tuple(b))
+    # the insert sub-batches viewed the scripts' arrays: the history
+    # owns copies, so overwriting the scripts leaves it as recorded
+    for script in scripts:
+        for kind, arg in script:
+            if kind == "insert":
+                arg[:] = -1
+    digest = GOLDEN["d-choice-skew"][1]
+    assert hashlib.sha256(repr(res.history).encode()).hexdigest() == digest

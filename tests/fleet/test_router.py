@@ -1,5 +1,7 @@
 """Router placement and probe-set policies."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,32 @@ def test_d_choice_samples_width_candidates_and_picks_min():
         assert len(cands) == 3 and len(set(cands)) == 3
         # picked the least-loaded of the sampled candidates
         assert shard == min(cands)
+
+
+def test_sample_replays_random_sample_draw_for_draw():
+    # covers the replayed pool path (n <= 21, d <= 5) and the fallback
+    for n in range(1, 25):
+        for d in range(n + 1):
+            for seed in range(50):
+                r = Router(n, seed=0)
+                r._rng = random.Random(seed)
+                ref = random.Random(seed)
+                assert r._sample(n, d) == ref.sample(range(n), d)
+                # the stream continues identically after the draw
+                assert r._rng.random() == ref.random()
+
+
+def test_d_choice_ties_break_to_lowest_index():
+    r = Router(8, policy="d-choice", spray_width=4, seed=5)
+    keys = np.arange(4, dtype=np.int64)
+    flat = [(2.0, 7)] * 8
+    unsorted = 0
+    for _ in range(30):
+        [(shard, _sub)] = r.place(keys, loads=flat)
+        cands = r.last_candidates
+        unsorted += list(cands) != sorted(cands)
+        assert shard == min(cands)
+    assert unsorted  # sampled order is not index order
 
 
 def test_resize_reclamps_spray_width_and_keeps_rng():

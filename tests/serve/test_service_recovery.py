@@ -127,6 +127,31 @@ def test_replay_divergence_raises(tmp_path):
         DurableService.open(_queue(), tmp_path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("keys", ["x", 1]),  # not numbers
+    ("keys", [1.5, 1]),  # a float a cast to int64 would truncate to 1
+    ("keys", [2**63, 1]),  # past int64
+    ("pay", [[8, 2]]),  # one row for two keys
+])
+def test_replay_rejects_malformed_insert_record(tmp_path, field, value):
+    svc = DurableService.open(_queue(payload_width=1), tmp_path)
+    svc.apply_insert("s0", 0, [4, 1], pay=[[8], [2]])
+    svc.apply_insert("s0", 1, [7], pay=[[14]])
+    svc.close()
+    # tamper with the first insert and re-CRC it, so the WAL reader
+    # accepts the line and replay must judge its contents
+    wal_path = tmp_path / WriteAheadLog.FILENAME
+    from repro.serve.wal import _decode, _encode
+
+    lines = wal_path.read_text().splitlines()
+    body = _decode(lines[0])
+    body[field] = value
+    lines[0] = _encode(body)
+    wal_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DurabilityError, match=f"lsn=1: insert {field}"):
+        DurableService.open(_queue(payload_width=1), tmp_path)
+
+
 def test_checkpoint_bounds_replay(tmp_path):
     svc = DurableService.open(_queue(), tmp_path, checkpoint_every=4)
     for i in range(10):
