@@ -172,6 +172,50 @@ def _snapshot_ticks(sim_ns) -> int:
     return exact.numerator * (TICKS_PER_NS // den)
 
 
+# the array kinds a snapshot row may hold for each dtype kind: integers
+# fit any numeric dtype, floats only a float one
+_ROW_KINDS = {"b": "b", "i": "iu", "u": "iu", "f": "iuf"}
+_BOOLS = (bool, np.bool_)
+
+
+def _holds_bool(values) -> bool:
+    """Whether nested lists hold a bool, which ``np.asarray`` silently
+    turns into 0 or 1 when integers sit next to it."""
+    return isinstance(values, (list, tuple)) and any(
+        isinstance(v, _BOOLS) or _holds_bool(v) for v in values
+    )
+
+
+def _snapshot_array(values, dtype: np.dtype) -> np.ndarray:
+    """A snapshot row's ``keys`` or ``pay`` as an array of ``dtype``.
+
+    Every element must be a number of a kind ``dtype`` holds, and hold
+    it exactly: ragged nesting, strings, bools (bar a bool dtype),
+    objects, floats for an integer dtype and values out of its range
+    raise :class:`ConfigurationError` instead of being cast.
+    """
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raw = None
+    if raw is not None and raw.size == 0:
+        return raw.astype(dtype)
+    if (
+        raw is None
+        or raw.dtype.kind not in _ROW_KINDS.get(dtype.kind, dtype.kind)
+        or dtype.kind != "b" and _holds_bool(values)
+    ):
+        raise ConfigurationError(
+            f"snapshot row holds {values!r:.60}, not {dtype} values"
+        )
+    arr = raw.astype(dtype, copy=False)
+    if arr is not raw and not np.array_equal(arr, raw):
+        raise ConfigurationError(
+            f"snapshot row values {values!r:.60} do not fit {dtype}"
+        )
+    return arr
+
+
 class StateRows(NamedTuple):
     """A queue's logical state as :meth:`NativeBGPQ.export_rows` returns it.
 
@@ -809,6 +853,14 @@ class NativeBGPQ:
             raise ConfigurationError(
                 f"snapshot stats must be a dict, got {type(stats).__name__}"
             )
+        if stats.keys() != self.stats.keys() or not all(
+            isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
+            for v in stats.values()
+        ):
+            raise ConfigurationError(
+                f"snapshot stats {stats!r:.80} are not counts >= 0 of "
+                f"{', '.join(self.stats)}"
+            )
 
         self.clear()
         self._ensure_rows(max(1, heap_size))
@@ -846,13 +898,21 @@ class NativeBGPQ:
 
         def _row(rec) -> tuple[np.ndarray, np.ndarray]:
             try:
-                keys = np.asarray(rec["keys"], dtype=self.key_dtype).reshape(-1)
-                pay = np.asarray(rec["pay"], dtype=self.payload_dtype).reshape(
-                    keys.size, self.payload_width
+                keys, pay = rec["keys"], rec["pay"]
+            except (KeyError, TypeError, IndexError) as err:
+                raise ConfigurationError(f"malformed snapshot row: {err!r}") from err
+            keys = _snapshot_array(keys, self.key_dtype)
+            pay = _snapshot_array(pay, self.payload_dtype)
+            # an export writes [] for the payload of an empty row
+            if keys.ndim != 1 or pay.shape != (keys.size, self.payload_width) and (
+                keys.size or pay.shape != (0,)
+            ):
+                raise ConfigurationError(
+                    f"malformed snapshot row: keys of shape {keys.shape} and "
+                    f"payload of shape {pay.shape} for payload width "
+                    f"{self.payload_width}"
                 )
-            except (KeyError, TypeError, ValueError) as err:
-                raise ConfigurationError(f"malformed snapshot row: {err}") from err
-            return keys, pay
+            return keys, pay.reshape(keys.size, self.payload_width)
 
         rows = [_row(state["buffer"])] + [_row(rec) for rec in nodes]
         header = {f: v for f, v in state.items() if f not in ("buffer", "nodes")}

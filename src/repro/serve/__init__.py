@@ -10,7 +10,7 @@ byte-identical to an uninterrupted run.
 
 Layers, bottom up:
 
-* :mod:`repro.serve.wal` — CRC-guarded JSON-lines op journal.
+* :mod:`repro.serve.wal` — CRC-guarded binary-frame op journal.
 * :mod:`repro.serve.checkpoint` — binary queue snapshots + canonical digests.
 * :mod:`repro.serve.admission` — the load-shedding admission controller.
 * :mod:`repro.serve.service` — :class:`DurableService`: journal-then-

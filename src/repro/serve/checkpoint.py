@@ -45,7 +45,6 @@ import numpy as np
 from ..core.native import StateRows
 from ..errors import ConfigurationError, DurabilityError
 from ..obs.events import SERVE_CHECKPOINT
-from .wal import canonical_json
 
 __all__ = ["CheckpointStore", "decode", "encode", "state_digest"]
 
@@ -53,6 +52,11 @@ MAGIC = b"BGPQCKPT"
 VERSION = 1
 _PREFIX = struct.Struct("<8sII")  # magic, version, header length
 _SHA_LEN = 32
+
+
+def canonical_json(obj) -> str:
+    """Canonical encoding shared by checkpoint headers and state digests."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def state_digest(state: dict) -> str:

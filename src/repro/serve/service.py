@@ -44,32 +44,6 @@ from .wal import WalRecord, WriteAheadLog
 __all__ = ["DurableService"]
 
 
-def _journaled_ints(values: list, dtype, shape: tuple, field: str,
-                    lsn: int) -> np.ndarray:
-    """A journaled integer list as an array of ``dtype`` and ``shape``.
-
-    The WAL reader checks each record's CRC and field types, not the
-    elements of its lists, so a CRC-valid record can still hold keys
-    that are strings, floats (which a cast to int would truncate), out
-    of the dtype's range, or rows of the wrong shape.  All of those
-    raise :class:`DurabilityError`; the checks run on whole arrays.
-    """
-    try:
-        raw = np.asarray(values)
-    except ValueError:  # ragged nesting
-        raw = None
-    if raw is not None and raw.size == 0 and 0 in shape:
-        return np.empty(shape, dtype=dtype)
-    if raw is not None and raw.dtype.kind in "iu" and raw.shape == shape:
-        arr = raw.astype(dtype, copy=False)
-        if arr is raw or np.array_equal(arr, raw):
-            return arr
-    raise DurabilityError(
-        f"WAL record lsn={lsn}: insert {field} {values!r:.60} are not "
-        f"integers of shape {shape} fitting {np.dtype(dtype)}"
-    )
-
-
 class DurableService:
     """One durable queue: NativeBGPQ + WAL + checkpoints + dedupe cache.
 
@@ -178,22 +152,32 @@ class DurableService:
 
     def _replay(self, rec: WalRecord) -> None:
         q = self.queue
+        keys, pay = rec.keys, rec.pay
+        # a zero-width payload holds no values, so its dtype tag is moot
+        if (
+            keys.dtype != q.key_dtype
+            or pay.shape[1] != q.payload_width
+            or q.payload_width and pay.dtype != q.payload_dtype
+            or rec.count > q.k
+        ):
+            raise DurabilityError(
+                f"WAL record lsn={rec.lsn}: {rec.kind} of {keys.size} "
+                f"{keys.dtype} keys with payload {pay.shape} {pay.dtype} "
+                f"(count {rec.count}) does not fit the queue's k={q.k}, "
+                f"{q.key_dtype} keys and payload width {q.payload_width} "
+                f"{q.payload_dtype}"
+            )
         if rec.kind == "insert":
-            keys = _journaled_ints(rec.keys, q.key_dtype, (len(rec.keys),),
-                                   "keys", rec.lsn)
-            pay = _journaled_ints(rec.pay, q.payload_dtype,
-                                  (keys.size, q.payload_width), "pay", rec.lsn)
             q.insert_bulk(keys, pay if q.payload_width else None)
             return
         got_k, got_p = q.deletemin(rec.count)
-        want = rec.result or {"keys": [], "pay": []}
-        if got_k.tolist() != want["keys"] or (
-            q.payload_width and got_p.tolist() != want["pay"]
+        if not np.array_equal(got_k, keys) or (
+            q.payload_width and not np.array_equal(got_p, pay)
         ):
             raise DurabilityError(
                 f"WAL replay diverged at lsn={rec.lsn}: deletemin({rec.count}) "
-                f"returned {got_k.tolist()[:8]}... but the journal recorded "
-                f"{want['keys'][:8]}...; the on-disk history cannot "
+                f"returned {got_k[:8].tolist()}... but the journal recorded "
+                f"{keys[:8].tolist()}...; the on-disk history cannot "
                 "reproduce the state that wrote it"
             )
 
@@ -208,9 +192,9 @@ class DurableService:
         if rec.kind == "insert":
             resp["n"] = len(rec.keys)
         else:
-            result = rec.result or {"keys": [], "pay": []}
-            resp["keys"] = list(result["keys"])
-            resp["pay"] = [list(r) for r in result.get("pay", [])]
+            resp["keys"] = rec.keys.tolist()
+            # keys-only queues answer [] rather than a list of empty rows
+            resp["pay"] = rec.pay.tolist() if rec.pay.shape[1] else []
         return resp
 
     # -- the two mutating calls ------------------------------------------
@@ -222,16 +206,13 @@ class DurableService:
             return cached
         q = self.queue
         keys_arr = np.asarray(keys, dtype=q.key_dtype).ravel()
-        keys_l = keys_arr.tolist()
         pay_arr = None
-        pay_l: list = []
         if q.payload_width:
             pay_arr = np.asarray(pay, dtype=q.payload_dtype).reshape(
                 keys_arr.size, q.payload_width
             )
-            pay_l = pay_arr.tolist()
         before = q.sim_ticks
-        rec = self.wal.append(sid, op_id, "insert", keys=keys_l, pay=pay_l)
+        rec = self.wal.append(sid, op_id, "insert", keys=keys_arr, pay=pay_arr)
         q.insert_bulk(keys_arr, pay_arr)
         resp = self._response_for(rec, cost_ns=(q.sim_ticks - before) / TICKS_PER_NS)
         self._applied[dedupe] = resp
@@ -256,12 +237,8 @@ class DurableService:
         q = self.queue
         before = q.sim_ticks
         got_k, got_p = q.deletemin(count)
-        result = {
-            "keys": got_k.tolist(),
-            "pay": got_p.tolist() if q.payload_width else [],
-        }
-        rec = self.wal.append(sid, op_id, "deletemin", count=count,
-                              result=result)
+        rec = self.wal.append(sid, op_id, "deletemin", keys=got_k, pay=got_p,
+                              count=count)
         resp = self._response_for(rec, cost_ns=(q.sim_ticks - before) / TICKS_PER_NS)
         self._applied[dedupe] = resp
         if self._obs is not None:
@@ -316,17 +293,9 @@ class DurableService:
 
     def audit(self, context: str = "") -> AuditReport:
         """HeapAuditor pass with the WAL as the conservation ledger."""
-        inserted = [
-            np.asarray(r.keys, dtype=self.queue.key_dtype)
-            for r in self.wal.records()
-            if r.kind == "insert"
-        ]
-        removed = [
-            np.asarray((r.result or {}).get("keys", []),
-                       dtype=self.queue.key_dtype)
-            for r in self.wal.records()
-            if r.kind == "deletemin"
-        ]
+        records = self.wal.records()
+        inserted = [r.keys for r in records if r.kind == "insert"]
+        removed = [r.keys for r in records if r.kind == "deletemin"]
         return HeapAuditor(self.queue).audit(
             inserted=inserted, removed=removed, context=context
         )

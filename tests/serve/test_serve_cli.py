@@ -31,7 +31,7 @@ def test_serve_records_into_registry(isolated_dirs, capsys):
     art = isolated_dirs / "registry" / runs[0]["run_id"]
     assert (art / "serve_outcomes.json").exists()
     # the durable state itself is an artifact of the run
-    assert (art / "data" / "seed-0" / "wal.jsonl").exists()
+    assert (art / "data" / "seed-0" / "wal.bin").exists()
 
 
 def test_serve_with_crash_faults(isolated_dirs, capsys):

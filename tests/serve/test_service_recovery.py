@@ -17,7 +17,9 @@ from repro.core.native import NativeBGPQ
 from repro.errors import ConfigurationError, DurabilityError
 from repro.serve.checkpoint import CheckpointStore
 from repro.serve.service import DurableService
-from repro.serve.wal import WriteAheadLog
+from repro.serve.wal import WriteAheadLog, _frame
+
+from .conftest import frame_spans
 
 
 def _queue(payload_width=0):
@@ -109,47 +111,57 @@ def test_dedupe_survives_recovery(tmp_path):
     recovered.close()
 
 
+def _rewrite_frame(data_dir, index, *fields):
+    """Replace the ``index``-th WAL frame by a valid frame of ``fields``
+    (``_frame``'s arguments), so the reader accepts it and replay must
+    judge its contents."""
+    wal_path = data_dir / WriteAheadLog.FILENAME
+    raw = wal_path.read_bytes()
+    start, end = frame_spans(raw)[index]
+    wal_path.write_bytes(raw[:start] + _frame(*fields)[0] + raw[end:])
+
+
 def test_replay_divergence_raises(tmp_path):
     svc = DurableService.open(_queue(), tmp_path)
     svc.apply_insert("s0", 0, [4, 1, 9])
     svc.apply_deletemin("s0", 1, 1)
     svc.close()
     # tamper: rewrite the journaled deletemin result to a wrong key
-    wal_path = tmp_path / WriteAheadLog.FILENAME
-    from repro.serve.wal import WalRecord, _decode, _encode
-
-    lines = wal_path.read_text().splitlines()
-    body = _decode(lines[1])
-    body["result"]["keys"] = [999]
-    lines[1] = _encode(body)
-    wal_path.write_text("\n".join(lines) + "\n")
+    _rewrite_frame(tmp_path, 1, 2, "s0", 1, "deletemin", 1,
+                   np.array([999]), np.empty((1, 0), np.int64), 0)
     with pytest.raises(DurabilityError, match="replay diverged"):
         DurableService.open(_queue(), tmp_path)
 
 
 @pytest.mark.parametrize("field, value", [
-    ("keys", ["x", 1]),  # not numbers
-    ("keys", [1.5, 1]),  # a float a cast to int64 would truncate to 1
-    ("keys", [2**63, 1]),  # past int64
-    ("pay", [[8, 2]]),  # one row for two keys
+    ("keys", {"keys": np.array([4, 1], np.int32)}),  # another int width
+    ("keys", {"keys": np.array([4.0, 1.0])}),  # floats for int64 keys
+    ("keys", {"keys": np.array([4, 1], np.uint64)}),  # unsigned
+    ("pay", {"pay": np.array([[8, 0], [2, 0]])}),  # two columns, not one
 ])
 def test_replay_rejects_malformed_insert_record(tmp_path, field, value):
+    """A CRC-valid insert whose keys or payload do not have the queue's
+    dtype and width raises DurabilityError naming its LSN."""
     svc = DurableService.open(_queue(payload_width=1), tmp_path)
     svc.apply_insert("s0", 0, [4, 1], pay=[[8], [2]])
     svc.apply_insert("s0", 1, [7], pay=[[14]])
     svc.close()
-    # tamper with the first insert and re-CRC it, so the WAL reader
-    # accepts the line and replay must judge its contents
-    wal_path = tmp_path / WriteAheadLog.FILENAME
-    from repro.serve.wal import _decode, _encode
-
-    lines = wal_path.read_text().splitlines()
-    body = _decode(lines[0])
-    body[field] = value
-    lines[0] = _encode(body)
-    wal_path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(DurabilityError, match=f"lsn=1: insert {field}"):
+    arrays = {"keys": np.array([4, 1]), "pay": np.array([[8], [2]]), **value}
+    _rewrite_frame(tmp_path, 0, 1, "s0", 0, "insert", 0,
+                   arrays["keys"], arrays["pay"], 0)
+    with pytest.raises(DurabilityError, match="lsn=1: insert"):
         DurableService.open(_queue(payload_width=1), tmp_path)
+
+
+def test_replay_rejects_a_deletemin_count_past_k(tmp_path):
+    svc = DurableService.open(_queue(), tmp_path)
+    svc.apply_insert("s0", 0, [4, 1])
+    svc.apply_deletemin("s0", 1, 2)
+    svc.close()
+    _rewrite_frame(tmp_path, 1, 2, "s0", 1, "deletemin", 5,
+                   np.array([1, 4]), np.empty((2, 0), np.int64), 0)
+    with pytest.raises(DurabilityError, match="lsn=2: deletemin"):
+        DurableService.open(_queue(), tmp_path)
 
 
 def test_checkpoint_bounds_replay(tmp_path):
@@ -197,8 +209,8 @@ def test_all_checkpoints_corrupt_without_wal_head_raises(tmp_path):
     svc.close()
     _corrupt_every_checkpoint(tmp_path)
     wal_path = tmp_path / WriteAheadLog.FILENAME
-    lines = wal_path.read_text().splitlines()
-    wal_path.write_text("\n".join(lines[1:]) + "\n")  # log starts at LSN 2
+    raw = wal_path.read_bytes()
+    wal_path.write_bytes(raw[frame_spans(raw)[0][1]:])  # log starts at LSN 2
     with pytest.raises(DurabilityError, match="integrity"):
         DurableService.open(_queue(), tmp_path, checkpoint_every=4)
 
