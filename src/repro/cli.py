@@ -1,27 +1,8 @@
 """Command-line entry point: run the paper's experiments from a shell.
 
-Usage::
-
-    python -m repro table1                 # feature matrix
-    python -m repro insdel [--sizes 64M]   # Table 2 'Ins & Del'
-    python -m repro util                   # Table 2 'Util.'
-    python -m repro knapsack               # Table 2 '0-1 KS'
-    python -m repro astar                  # Table 2 'A-star'
-    python -m repro fig6                   # Figure 6 sweeps
-    python -m repro faults                 # fault-injection campaigns
-    python -m repro bench native           # NativeBGPQ wall-clock gate
-    python -m repro bench shard            # sharded-fleet throughput gate
-    python -m repro bench frontier         # quality-vs-throughput sweep gate
-    python -m repro trace                  # traced run + chrome trace JSON
-    python -m repro trace analyze          # critical path + phase attribution
-    python -m repro trace flame            # collapsed stacks + terminal flame
-    python -m repro trace diff A.json B.json   # per-phase run diff
-    python -m repro serve                  # durable service mode
-    python -m repro serve --faults         # ... with server crashes injected
-    python -m repro runs list              # the persistent run registry
-    python -m repro runs show <run-id>
-    python -m repro runs gc --keep 20
-    python -m repro all                    # everything, archived
+Every command is one row of :data:`COMMANDS` and parses only the flags
+it reads (``python -m repro <command> -h`` lists them); a flag, target
+or positional the command does not take is a usage error (exit 2).
 
 ``faults`` runs seed-swept crash/timeout/jitter campaigns (see
 :mod:`repro.campaign`) and exits non-zero when any run deadlocks,
@@ -80,8 +61,12 @@ be refreshed with ``python scripts/make_experiments_md.py``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from .bench import (
     ORDERS,
@@ -137,17 +122,54 @@ def _run(name: str, fn, title: str) -> None:
     print(f"[{wall:.1f}s host; saved {path}]\n")
 
 
+def _paper(*rows):
+    """The handler that runs ``rows`` of :data:`PAPER` in order."""
+    def run(args) -> int:
+        print(f"workload scale: 1/{scale()} of the paper's sizes (REPRO_SCALE)\n")
+        for row in rows:
+            row(args)
+        return 0
+    return run
+
+
+#: the paper's tables and figures, in the order ``repro all`` runs them
+PAPER = {
+    "table1": lambda args: print(render_table1() + "\n"),
+    "insdel": lambda args: _run("table2_insdel", partial(
+        table2_insdel, sizes=args.sizes, orders=args.orders,
+    ), "Table 2 'Ins & Del' (simulated ms)"),
+    "util": lambda args: _run(
+        "table2_util", table2_util, "Table 2 'Util.' (simulated ms)"),
+    "knapsack": lambda args: _run(
+        "table2_knapsack", table2_knapsack, "Table 2 '0-1 KS' (simulated ms)"),
+    "astar": lambda args: _run(
+        "table2_astar", table2_astar, "Table 2 'A-star' (simulated ms)"),
+    "fig6": lambda args: (
+        _run("fig6ab_capacity", fig6_capacity_sweep, "Fig 6a/6b (simulated ms)"),
+        _run("fig6c_blocks", fig6_blocks_sweep, "Fig 6c (simulated ms)"),
+    ),
+}
+
+
 def _out_dir(args):
     """Directory for trace-family outputs: --output-dir or the results dir."""
     from pathlib import Path
 
     from .bench.reporting import results_dir
 
-    if getattr(args, "output_dir", None):
+    if args.output_dir:
         path = Path(args.output_dir)
         path.mkdir(parents=True, exist_ok=True)
         return path
     return results_dir()
+
+
+def _invalid(what: str, problems: list[str]) -> int:
+    """Report an output that failed its validator; returns exit code 1."""
+    print(f"INVALID {what}:", file=sys.stderr)
+    for p in problems:
+        print(f"  {p}", file=sys.stderr)
+    return 1
 
 
 def _write_chrome_trace(events, default_name: str, args) -> int:
@@ -160,12 +182,8 @@ def _write_chrome_trace(events, default_name: str, args) -> int:
     trace = to_chrome_trace(events)
     problems = validate_chrome_trace(trace)
     if problems:
-        print("INVALID chrome trace:", file=sys.stderr)
-        for p in problems:
-            print(f"  {p}", file=sys.stderr)
-        return 1
-    trace_out = getattr(args, "trace_out", None)
-    path = Path(trace_out) if trace_out else _out_dir(args) / default_name
+        return _invalid("chrome trace", problems)
+    path = Path(args.trace_out) if args.trace_out else _out_dir(args) / default_name
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(trace) + "\n")
     print(
@@ -213,10 +231,7 @@ def _run_trace_flame(args) -> int:
     text = "\n".join(lines) + "\n"
     problems = validate_collapsed(text)
     if problems:
-        print("INVALID collapsed-stack output:", file=sys.stderr)
-        for p in problems:
-            print(f"  {p}", file=sys.stderr)
-        return 1
+        return _invalid("collapsed-stack output", problems)
     path = _out_dir(args) / "trace_flame.txt"
     path.write_text(text)
     print(render_flame(lines))
@@ -254,20 +269,6 @@ def _run_trace(args) -> int:
     import json
 
     from .obs import metrics_dict, render_summary
-
-    if args.target == "analyze":
-        return _run_trace_analyze(args)
-    if args.target == "flame":
-        return _run_trace_flame(args)
-    if args.target == "diff":
-        return _run_trace_diff(args)
-    if args.target not in (None, "run"):
-        print(
-            f"error: unknown trace target {args.target!r} "
-            "(try 'analyze', 'flame', or 'diff A B')",
-            file=sys.stderr,
-        )
-        return 2
 
     t0 = time.perf_counter()
     run = _traced_run(args)
@@ -309,7 +310,7 @@ def _run_serve(args) -> int:
         budget=args.budget,
         checkpoint_every=args.checkpoint_every,
         data_dir=args.data_dir,
-        plan=args.serve_faults,
+        plan=args.faults,
         max_backoffs=args.max_backoffs,
         admission_smoothing_ns=args.admission_smoothing_ns,
     )
@@ -384,10 +385,7 @@ def _run_serve(args) -> int:
         prom = metrics.to_prometheus()
         problems = validate_prometheus_text(prom)
         if problems:
-            print("INVALID prometheus exposition:", file=sys.stderr)
-            for p in problems:
-                print(f"  {p}", file=sys.stderr)
-            return 1
+            return _invalid("prometheus exposition", problems)
         slo_report = slo.report()
         print(render_slo(slo_report))
         out = _out_dir(args)
@@ -454,92 +452,97 @@ def _run_serve(args) -> int:
     return 0
 
 
-def _run_runs(args) -> int:
-    """`repro runs list|show|gc|trend`: inspect the persistent run registry."""
-    import json
-
+def _run_runs(target, args) -> int:
+    """`repro runs <target>`: ``target(args, reg)`` on the run registry."""
     from .registry import REGISTRY_ENV, registry_from_env
 
     reg = registry_from_env()
     if reg is None:
         print(f"run registry disabled ({REGISTRY_ENV} is empty)", file=sys.stderr)
         return 2
-    target = args.target or "list"
-    if target == "list":
-        runs = reg.list_runs()
-        if not runs:
-            print(f"no recorded runs under {reg.root}/")
-            return 0
-        rows = [
-            {
-                "Run": r["run_id"],
-                "Kind": r.get("kind", "?"),
-                "Status": r.get("status", "?"),
-                "When": r.get("created_iso", "")[:19],
-            }
-            for r in runs
-        ]
-        print(render_rows(rows, f"run registry ({reg.root}/)"))
-        return 0
-    if target == "show":
-        if not args.extra:
-            print("error: `repro runs show` needs a run id (or unique prefix)",
-                  file=sys.stderr)
-            return 2
-        record = reg.get(args.extra[0])
-        if record is None:
-            print(f"error: no run matching {args.extra[0]!r}", file=sys.stderr)
-            return 2
-        print(json.dumps(record, indent=2, sort_keys=True))
-        artifact_dir = reg.root / record["run_id"]
-        if artifact_dir.is_dir():
-            files = sorted(p.relative_to(artifact_dir).as_posix()
-                           for p in artifact_dir.rglob("*") if p.is_file())
-            if files:
-                print(f"\nartifacts under {artifact_dir}/:")
-                for f in files:
-                    print(f"  {f}")
-        return 0
-    if target == "gc":
-        dropped = reg.gc(keep=args.keep)
-        print(f"kept {args.keep} newest runs; dropped {len(dropped)}")
-        for rid in dropped:
-            print(f"  {rid}")
-        return 0
-    if target == "trend":
-        from .obs.trend import render_trend, trend_report
+    return target(args, reg)
 
-        all_runs = reg.list_runs()
-        kinds = sorted({r.get("kind", "?") for r in all_runs})
-        if args.extra:
-            unknown = [k for k in args.extra if k not in kinds]
-            if unknown:
-                print(f"error: no recorded runs of kind(s) {unknown}; "
-                      f"recorded kinds: {kinds}", file=sys.stderr)
-                return 2
-            kinds = list(args.extra)
-        if not kinds:
-            print(f"no recorded runs under {reg.root}/")
-            return 0
-        regressions = 0
-        for kind in kinds:
-            report = trend_report(
-                [r for r in all_runs if r.get("kind") == kind],
-                tolerance=args.trend_tolerance,
-                min_points=args.trend_min_points,
-            )
-            print(render_trend(kind, report))
-            print()
-            regressions += len(report["regressions"])
-        if regressions:
-            print(f"{regressions} regressed series (newest run vs "
-                  "median of its predecessors)")
-            return 1
-        print("no cross-run regressions detected")
+
+def _runs_list(args, reg) -> int:
+    runs = reg.list_runs()
+    if not runs:
+        print(f"no recorded runs under {reg.root}/")
         return 0
-    print(f"error: unknown runs target {target!r} "
-          "(try 'list', 'show', 'gc', 'trend')", file=sys.stderr)
-    return 2
+    rows = [
+        {
+            "Run": r["run_id"],
+            "Kind": r.get("kind", "?"),
+            "Status": r.get("status", "?"),
+            "When": r.get("created_iso", "")[:19],
+        }
+        for r in runs
+    ]
+    print(render_rows(rows, f"run registry ({reg.root}/)"))
+    return 0
+
+
+def _runs_show(args, reg) -> int:
+    import json
+
+    if not args.extra:
+        print("error: `repro runs show` needs a run id (or unique prefix)",
+              file=sys.stderr)
+        return 2
+    record = reg.get(args.extra[0])
+    if record is None:
+        print(f"error: no run matching {args.extra[0]!r}", file=sys.stderr)
+        return 2
+    print(json.dumps(record, indent=2, sort_keys=True))
+    artifact_dir = reg.root / record["run_id"]
+    if artifact_dir.is_dir():
+        files = sorted(p.relative_to(artifact_dir).as_posix()
+                       for p in artifact_dir.rglob("*") if p.is_file())
+        if files:
+            print(f"\nartifacts under {artifact_dir}/:")
+            for f in files:
+                print(f"  {f}")
+    return 0
+
+
+def _runs_gc(args, reg) -> int:
+    dropped = reg.gc(keep=args.keep)
+    print(f"kept {args.keep} newest runs; dropped {len(dropped)}")
+    for rid in dropped:
+        print(f"  {rid}")
+    return 0
+
+
+def _runs_trend(args, reg) -> int:
+    from .obs.trend import render_trend, trend_report
+
+    all_runs = reg.list_runs()
+    kinds = sorted({r.get("kind", "?") for r in all_runs})
+    if args.extra:
+        unknown = [k for k in args.extra if k not in kinds]
+        if unknown:
+            print(f"error: no recorded runs of kind(s) {unknown}; "
+                  f"recorded kinds: {kinds}", file=sys.stderr)
+            return 2
+        kinds = list(args.extra)
+    if not kinds:
+        print(f"no recorded runs under {reg.root}/")
+        return 0
+    regressions = 0
+    for kind in kinds:
+        report = trend_report(
+            [r for r in all_runs if r.get("kind") == kind],
+            tolerance=args.trend_tolerance,
+            min_points=args.trend_min_points,
+        )
+        print(render_trend(kind, report))
+        print()
+        regressions += len(report["regressions"])
+    if regressions:
+        print(f"{regressions} regressed series (newest run vs "
+              "median of its predecessors)")
+        return 1
+    print("no cross-run regressions detected")
+    return 0
 
 
 def _derive_slo(samples, objective_ns=None, target: float = 0.95):
@@ -569,97 +572,94 @@ def _derive_slo(samples, objective_ns=None, target: float = 0.95):
     return slo
 
 
-def _run_metrics(args) -> int:
+def _metrics_mixed(args):
+    """The trace workload, folded into metric families after the run."""
+    from .obs.events import OP_BEGIN, OP_END
+    from .obs.metrics import fold_events
+
+    run = _traced_run(args)
+    registry = fold_events(run.events)
+    samples = []
+    open_ops: dict = {}
+    for ev in run.events:
+        if ev.etype == OP_BEGIN:
+            open_ops[ev.thread] = (ev.get("op", "unknown"), ev.ts)
+        elif ev.etype == OP_END:
+            begun = open_ops.pop(ev.thread, None)
+            if begun is not None:
+                samples.append((begun[0], ev.ts - begun[1], ev.ts))
+    slo = _derive_slo(samples, objective_ns=args.slo_objective_ns)
+    config = {"target": "mixed", "threads": args.threads, "ops": args.ops,
+              "k": args.capacity, "seed": args.trace_seed}
+    headline = {"makespan_ns": run.makespan_ns, "events": len(run.events)}
+    return registry, slo, config, headline
+
+
+def _metrics_fleet(args):
+    """Live emission: the fleet carries the registry through the run."""
+    from .core.linearizability import check_k_relaxed, relaxation_budget
+    from .fleet import (
+        ElasticController,
+        ShardedBGPQ,
+        mixed_scripts,
+        run_fleet,
+    )
+    from .obs.metrics import MetricsRegistry
+
+    registry = MetricsRegistry()
+    k = args.shard_k
+    fleet = ShardedBGPQ(
+        n_shards=4, node_capacity=k, policy=args.shard_policy,
+        seed=args.trace_seed, metrics=registry,
+    )
+    elastic = ElasticController(
+        smoothing_half_life_ns=args.admission_smoothing_ns
+    )
+    scripts = mixed_scripts(args.shard_sessions, args.shard_requests, k,
+                            seed=args.trace_seed)
+    result = run_fleet(fleet, scripts, imbalance_every=32, elastic=elastic)
+    fleet.observe_gauges(at=result.makespan_ns)
+    samples = [
+        (rec.kind, rec.respond - rec.invoke, rec.respond)
+        for rec in result.history if rec.kind != "reshard"
+    ]
+    slo = _derive_slo(samples, objective_ns=args.slo_objective_ns)
+    relax = check_k_relaxed(result.history, k=k)
+    budget = relaxation_budget(k, args.shard_sessions, fleet.n_shards,
+                               migrated=result.stats["migrated"])
+    slo.set_quality(relax.minimal_k, budget)
+    registry.gauge(
+        "repro_fleet_minimal_k",
+        help="measured rank relaxation of the fleet run",
+    ).set(relax.minimal_k)
+    config = {"target": "fleet", "k": k, "shards": 4,
+              "sessions": args.shard_sessions,
+              "requests": args.shard_requests,
+              "policy": args.shard_policy, "seed": args.trace_seed}
+    headline = {"makespan_ns": result.makespan_ns,
+                "requests": result.requests,
+                "minimal_k": relax.minimal_k,
+                "relax_budget": budget}
+    return registry, slo, config, headline
+
+
+def _run_metrics(workload, args) -> int:
     """`repro metrics [mixed|fleet]`: run one workload with the live
     metrics layer attached, print + export the registry, judge SLOs."""
     import json
 
-    from .obs.metrics import (
-        MetricsRegistry,
-        fold_events,
-        validate_prometheus_text,
-    )
+    from .obs.metrics import validate_prometheus_text
     from .obs.slo import render_slo
 
-    target = args.target or "mixed"
     t0 = time.perf_counter()
-    if target == "mixed":
-        # the trace workload, folded into metric families after the run
-        from .obs.events import OP_BEGIN, OP_END
-
-        run = _traced_run(args)
-        registry = fold_events(run.events)
-        samples = []
-        open_ops: dict = {}
-        for ev in run.events:
-            if ev.etype == OP_BEGIN:
-                open_ops[ev.thread] = (ev.get("op", "unknown"), ev.ts)
-            elif ev.etype == OP_END:
-                begun = open_ops.pop(ev.thread, None)
-                if begun is not None:
-                    samples.append((begun[0], ev.ts - begun[1], ev.ts))
-        slo = _derive_slo(samples, objective_ns=args.slo_objective_ns)
-        config = {"target": "mixed", "threads": args.threads, "ops": args.ops,
-                  "k": args.capacity, "seed": args.trace_seed}
-        headline = {"makespan_ns": run.makespan_ns, "events": len(run.events)}
-    elif target == "fleet":
-        # live emission: the fleet carries the registry through the run
-        from .core.linearizability import check_k_relaxed, relaxation_budget
-        from .fleet import (
-            ElasticController,
-            ShardedBGPQ,
-            mixed_scripts,
-            run_fleet,
-        )
-
-        registry = MetricsRegistry()
-        k = args.shard_k
-        fleet = ShardedBGPQ(
-            n_shards=4, node_capacity=k, policy=args.shard_policy,
-            seed=args.trace_seed, metrics=registry,
-        )
-        elastic = ElasticController(
-            smoothing_half_life_ns=args.admission_smoothing_ns
-        )
-        scripts = mixed_scripts(args.shard_sessions, args.shard_requests, k,
-                                seed=args.trace_seed)
-        slo = None  # samples are replayed below with derived objectives
-        result = run_fleet(fleet, scripts, imbalance_every=32, elastic=elastic)
-        fleet.observe_gauges(at=result.makespan_ns)
-        samples = [
-            (rec.kind, rec.respond - rec.invoke, rec.respond)
-            for rec in result.history if rec.kind != "reshard"
-        ]
-        slo = _derive_slo(samples, objective_ns=args.slo_objective_ns)
-        relax = check_k_relaxed(result.history, k=k)
-        budget = relaxation_budget(k, args.shard_sessions, fleet.n_shards,
-                                   migrated=result.stats["migrated"])
-        slo.set_quality(relax.minimal_k, budget)
-        registry.gauge(
-            "repro_fleet_minimal_k",
-            help="measured rank relaxation of the fleet run",
-        ).set(relax.minimal_k)
-        config = {"target": "fleet", "k": k, "shards": 4,
-                  "sessions": args.shard_sessions,
-                  "requests": args.shard_requests,
-                  "policy": args.shard_policy, "seed": args.trace_seed}
-        headline = {"makespan_ns": result.makespan_ns,
-                    "requests": result.requests,
-                    "minimal_k": relax.minimal_k,
-                    "relax_budget": budget}
-    else:
-        print(f"error: unknown metrics target {target!r} "
-              "(try 'mixed' or 'fleet')", file=sys.stderr)
-        return 2
+    registry, slo, config, headline = workload(args)
     wall = time.perf_counter() - t0
+    target = config["target"]
 
     prom = registry.to_prometheus()
     problems = validate_prometheus_text(prom)
     if problems:
-        print("INVALID prometheus exposition:", file=sys.stderr)
-        for prob in problems:
-            print(f"  {prob}", file=sys.stderr)
-        return 1
+        return _invalid("prometheus exposition", problems)
     slo_report = slo.report()
     snapshot = {
         "target": target,
@@ -712,6 +712,7 @@ def _run_metrics(args) -> int:
 
 
 def _run_faults(args) -> int:
+    print(f"workload scale: 1/{scale()} of the paper's sizes (REPRO_SCALE)\n")
     queues, plans = args.queues, args.plans
     trace_on = args.trace or args.metrics
     t0 = time.perf_counter()
@@ -809,39 +810,37 @@ def _run_faults(args) -> int:
     return 0
 
 
-def _run_bench(args) -> int:
-    """`repro bench [native|shard|frontier]`: run one lane of LANES."""
-    lane = LANES.get(args.target or "native")
-    if lane is None:
-        print(f"error: unknown bench target {args.target!r} "
-              f"(try {', '.join(map(repr, LANES))})", file=sys.stderr)
-        return 2
-    return run_lane(lane, args, record=_record_registry)
+def _bench(lane):
+    """The `repro bench <lane>` target (``run_lane`` is looked up per call)."""
+    return lambda args: run_lane(lane, args, record=_record_registry)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    """Comma-separated ints, sorted and deduplicated."""
-    try:
-        return tuple(sorted({int(v) for v in text.split(",")}))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+def _checked(convert, expected: str, rule: str, ok):
+    """argparse type factory: ``convert(text)`` for which ``ok`` holds.
+    Text it cannot convert is a usage error naming ``expected``; a
+    value failing ``ok`` is one naming ``rule``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {text!r}"
+            ) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    return parse
 
 
 def _int_at_least(low: int):
     """argparse type factory: one integer, at least ``low``."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer, got {text!r}"
-            ) from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-    return parse
+    return _checked(int, "an integer", f"must be >= {low}", lambda v: v >= low)
+
+
+def _int_list(rule: str, ok):
+    """argparse type factory: comma-separated ints, sorted and deduplicated."""
+    return _checked(lambda text: tuple(sorted({int(v) for v in text.split(",")})),
+                    "comma-separated integers", rule, ok)
 
 
 def _name_list(known):
@@ -863,230 +862,122 @@ def _name_list(known):
 
 
 _positive = _int_at_least(1)
+_non_negative = _int_at_least(0)
 #: batch node capacity k: both queues reject k < 2 with a ConfigurationError
 _node_capacity = _int_at_least(2)
+#: EWMA half lives and latency objectives: the trackers reject <= 0
+_positive_ns = _checked(float, "a number", "must be finite and > 0",
+                        lambda v: math.isfinite(v) and v > 0)
 
 
-def _bench_ks(text: str) -> tuple[int, ...]:
-    """argparse type of ``--bench-ks``: NativeBGPQ node capacities."""
-    ks = _int_list(text)
-    if ks[0] < 2:
-        raise argparse.ArgumentTypeError(
-            f"node capacities must be >= 2, got {text!r}"
-        )
-    return ks
-
-
-def _shard_counts(text: str) -> tuple[int, ...]:
-    """argparse type of ``--shard-counts``: every speedup is measured
-    against the 1-shard cell, so the list must include it."""
-    counts = _int_list(text)
-    if counts[0] != 1:
-        raise argparse.ArgumentTypeError(
-            f"shard counts must be >= 1 and include 1, the single-queue "
-            f"reference every speedup is measured against (got {text!r})"
-        )
-    return counts
-
-
-class _VersionAction(argparse.Action):
-    """``--version`` plus kernel-backend provenance.
-
-    Computed inside ``__call__`` rather than at parser build: probing
-    backends may compile the C extension, which every other code path
-    should only pay for when it actually dispatches a kernel.
-    """
-
-    def __init__(self, option_strings, dest, version=None, **kwargs):
-        kwargs.setdefault("nargs", 0)
-        super().__init__(option_strings, dest, **kwargs)
-        self.version = version
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        from .primitives import kernels as kernel_registry
-
-        info = kernel_registry.provenance()
-        backends = ",".join(kernel_registry.available_backends())
-        print(f"{parser.prog} {self.version}")
-        print(f"kernel backend: {info['backend']} "
-              f"(fused={info['fused']}; "
-              f"available: {backends})")
-        parser.exit()
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="BGPQ reproduction: regenerate the paper's tables and figures.",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=[
-            "table1",
-            "insdel",
-            "util",
-            "knapsack",
-            "astar",
-            "fig6",
-            "faults",
-            "bench",
-            "trace",
-            "serve",
-            "runs",
-            "metrics",
-            "all",
-        ],
-        help="which experiment to run",
-    )
-    parser.add_argument(
-        "target",
-        nargs="?",
-        default=None,
-        help=(
-            "subcommand target: bench takes 'native' (default), 'shard', "
-            "or 'frontier'; trace takes 'analyze', 'flame', or "
-            "'diff'; runs takes 'list' (default), 'show <id>', 'gc', or "
-            "'trend [kinds...]'; metrics takes 'mixed' (default) or "
-            "'fleet'; ignored elsewhere"
-        ),
-    )
-    parser.add_argument(
-        "extra",
-        nargs="*",
-        default=[],
-        help="extra positionals (the two analysis JSONs for `trace diff A B`)",
-    )
-    from ._version import __version__
-
-    parser.add_argument(
-        "--version",
-        action=_VersionAction,
-        version=__version__,
-        help="show version and kernel-backend provenance",
-    )
-    parser.add_argument(
-        "--sizes",
+#: every flag, defined once; each row of :data:`COMMANDS` lists the ones
+#: its handlers read, and every command takes ``--kernels``
+FLAGS = {
+    "--sizes": dict(
         type=_name_list(PAPER_SIZES),
         default="1M,8M,64M",
         help="comma-separated paper sizes for insdel (default: 1M,8M,64M)",
-    )
-    parser.add_argument(
-        "--orders",
+    ),
+    "--orders": dict(
         type=_name_list(ORDERS),
         default="random,ascend,descend",
         help="key orders for insdel (default: random,ascend,descend)",
-    )
-    faults = parser.add_argument_group("faults campaign")
-    faults.add_argument(
-        "--seeds", type=_positive, default=20, help="seeds per (queue, plan) cell"
-    )
-    faults.add_argument(
-        "--seed-base", type=int, default=0, help="first seed of the sweep"
-    )
-    faults.add_argument(
-        "--plans",
+    ),
+    "--seeds": dict(
+        type=_positive, default=20, help="seeds per (queue, plan) cell"
+    ),
+    "--seed-base": dict(
+        type=_non_negative, default=0, help="first seed of the sweep"
+    ),
+    "--plans": dict(
         type=_name_list(FaultPlan.PRESETS),
         default="crash,timeout,jitter",
         help="comma-separated fault plans (crash,timeout,jitter,mixed,none)",
-    )
-    faults.add_argument(
-        "--queues",
+    ),
+    "--queues": dict(
         type=_name_list(QUEUE_FACTORIES),
         default="bgpq,bgpq-bu,tbb",
         help=(
             "comma-separated queues "
             "(bgpq,bgpq-unbounded,bgpq-bu,tbb,hunt,ljsl)"
         ),
-    )
-    faults.add_argument(
-        "--threads", type=_positive, default=4, help="simulated workers per run"
-    )
-    faults.add_argument(
-        "--ops", type=_positive, default=6, help="insert/delete pairs per worker"
-    )
-    faults.add_argument(
-        "--capacity", type=_node_capacity, default=8, help="batch node capacity k"
-    )
-    bench = parser.add_argument_group("bench native/shard/frontier")
-    bench.add_argument(
-        "--quick",
+    ),
+    "--threads": dict(
+        type=_positive, default=4, help="simulated workers per run"
+    ),
+    "--ops": dict(
+        type=_positive, default=6, help="insert/delete pairs per worker"
+    ),
+    "--capacity": dict(
+        type=_node_capacity, default=8, help="batch node capacity k"
+    ),
+    "--quick": dict(
         action="store_true",
         help="reduced iteration counts (CI smoke jobs)",
-    )
-    bench.add_argument(
-        "--update-baseline",
+    ),
+    "--update-baseline": dict(
         action="store_true",
         help="rewrite the bench baseline (BENCH_wall.json + "
              "BENCH_analysis.json / BENCH_shard.json / BENCH_frontier.json)",
-    )
-    bench.add_argument(
-        "--bench-ks",
-        type=_bench_ks,
+    ),
+    "--bench-ks": dict(
+        type=_int_list("node capacities must be >= 2", lambda ks: ks[0] >= 2),
         default=wall.WALL_KS,
-        help="comma-separated node capacities (default: 32,128,512)",
-    )
-    bench.add_argument(
-        "--kernels",
+        help="bench native: comma-separated node capacities (default: 32,128,512)",
+    ),
+    "--kernels": dict(
         choices=("auto", "numpy", "cext"),
         default=None,
         help="force the process-wide kernel backend "
              "(default: auto; env REPRO_KERNELS)",
-    )
-    bench.add_argument(
-        "--shard-counts",
-        type=_shard_counts,
+    ),
+    "--shard-counts": dict(
+        type=_int_list("shard counts must be >= 1 and include 1, the single-"
+                       "queue reference every speedup is measured against",
+                       lambda counts: counts[0] == 1),
         default=shard.SHARD_COUNTS,
         help="bench shard: comma-separated fleet widths (default: 1,2,4,8)",
-    )
-    bench.add_argument(
-        "--shard-policy",
+    ),
+    "--shard-policy": dict(
         choices=("hash", "spray", "shortest", "d-choice"),
         default="spray",
-        help="bench shard: insert placement policy for the main table "
-             "(default: spray; the placement section always compares all 4)",
-    )
-    bench.add_argument(
-        "--shard-k",
+        help="fleet insert placement policy (default: spray; the bench shard "
+             "placement section always compares all 4)",
+    ),
+    "--shard-k": dict(
         type=_node_capacity,
         default=512,
-        help="bench shard: batch node capacity k (default: 512)",
-    )
-    bench.add_argument(
-        "--shard-sessions",
+        help="fleet batch node capacity k (default: 512)",
+    ),
+    "--shard-sessions": dict(
         type=_positive,
         default=64,
-        help="bench shard: concurrent client sessions (default: 64)",
-    )
-    bench.add_argument(
-        "--shard-requests",
+        help="fleet concurrent client sessions (default: 64)",
+    ),
+    "--shard-requests": dict(
         type=_positive,
         default=16,
-        help="bench shard: requests per session (default: 16)",
-    )
-    serve = parser.add_argument_group("durable service (serve)")
-    serve.add_argument(
-        "--sessions", type=_positive, default=4, help="concurrent client sessions"
-    )
-    serve.add_argument(
-        "--window", type=_positive, default=4, help="per-session inflight window"
-    )
-    serve.add_argument(
-        "--budget", type=_positive, default=16, help="global pending-op budget"
-    )
-    serve.add_argument(
-        "--checkpoint-every",
+        help="fleet requests per session (default: 16)",
+    ),
+    "--sessions": dict(
+        type=_positive, default=4, help="concurrent client sessions"
+    ),
+    "--window": dict(
+        type=_positive, default=4, help="per-session inflight window"
+    ),
+    "--budget": dict(
+        type=_positive, default=16, help="global pending-op budget"
+    ),
+    "--checkpoint-every": dict(
         type=_positive,
         default=16,
         help="checkpoint after this many journaled ops",
-    )
-    serve.add_argument(
-        "--data-dir",
+    ),
+    "--data-dir": dict(
         default=None,
         help="durable state directory (default: the run's registry artifact dir)",
-    )
-    serve.add_argument(
-        "--faults",
-        dest="serve_faults",
+    ),
+    "--faults": dict(
         nargs="?",
         const="crash",
         default="none",
@@ -1095,85 +986,201 @@ def main(argv: list[str] | None = None) -> int:
             "inject faults into the serve run; bare --faults means the "
             "crash preset (also: timeout, jitter, mixed, none)"
         ),
-    )
-    serve.add_argument(
-        "--max-backoffs",
-        type=int,
+    ),
+    "--max-backoffs": dict(
+        type=_non_negative,
         default=None,
         help="sessions drop an op after this many sheds (default: retry forever)",
-    )
-    serve.add_argument(
-        "--admission-smoothing-ns",
-        type=float,
+    ),
+    "--admission-smoothing-ns": dict(
+        type=_positive_ns,
         default=None,
         help=(
             "EWMA half life (simulated ns) for the admission controller's "
             "global-budget load signal (default: raw instantaneous reads)"
         ),
-    )
-    runs = parser.add_argument_group("run registry (runs)")
-    runs.add_argument(
-        "--keep", type=_int_at_least(0), default=20, help="`runs gc`: newest runs to keep"
-    )
-    runs.add_argument(
-        "--trend-tolerance",
-        type=float,
+    ),
+    "--keep": dict(
+        type=_non_negative, default=20, help="`runs gc`: newest runs to keep"
+    ),
+    "--trend-tolerance": dict(
+        # at 1 or above a higher-is-better series can never regress
+        type=_checked(float, "a number", "must be in [0, 1)",
+                      lambda v: 0 <= v < 1),
         default=0.25,
         help="`runs trend`: regression threshold as a fraction (default: 0.25)",
-    )
-    runs.add_argument(
-        "--trend-min-points",
-        type=int,
+    ),
+    "--trend-min-points": dict(
+        # the newest point is judged against the median of the others
+        type=_int_at_least(2),
         default=3,
         help="`runs trend`: min runs in a series before judging (default: 3)",
-    )
-    metrics_grp = parser.add_argument_group("live metrics (metrics)")
-    metrics_grp.add_argument(
-        "--slo-objective-ns",
-        type=float,
+    ),
+    "--slo-objective-ns": dict(
+        type=_positive_ns,
         default=None,
         help=(
-            "`repro metrics`: latency objective applied to every op class "
+            "latency objective applied to every op class "
             "(default: auto-derive 2x the observed p95 per class)"
         ),
-    )
-    obs = parser.add_argument_group("observability (trace; faults/serve flags)")
-    obs.add_argument(
-        "--trace",
+    ),
+    "--trace": dict(
         action="store_true",
-        help="faults/serve: also write a Chrome trace of a representative run",
-    )
-    obs.add_argument(
-        "--metrics",
+        help="also write a Chrome trace of a representative run",
+    ),
+    "--metrics": dict(
         action="store_true",
-        help="trace/faults/serve: print + archive flat obs counters",
-    )
-    obs.add_argument(
-        "--trace-out",
+        help="print + archive flat obs counters",
+    ),
+    "--trace-out": dict(
         default=None,
         help="path for the Chrome trace JSON (default: bench_results/trace_*.json)",
-    )
-    obs.add_argument(
-        "--output-dir",
+    ),
+    "--output-dir": dict(
         default=None,
         help=(
             "directory for trace-family outputs — chrome trace, "
             "trace_analysis.json, trace_flame.txt (default: the results dir)"
         ),
-    )
-    obs.add_argument(
-        "--trace-seed",
-        type=int,
+    ),
+    "--trace-seed": dict(
+        type=_non_negative,
         default=1,
-        help="engine/workload seed for `repro trace` (default: 1)",
-    )
-    obs.add_argument(
-        "--buckets",
+        help="engine/workload seed of the traced run (default: 1)",
+    ),
+    "--buckets": dict(
         type=_positive,
         default=20,
-        help="utilization timeline buckets for `repro trace` (default: 20)",
+        help="utilization timeline buckets (default: 20)",
+    ),
+}
+
+_PAPER_FLAGS = ("--sizes", "--orders")
+_TRACED_RUN = ("--threads", "--ops", "--capacity", "--trace-seed")
+_TRACE_OUT = ("--trace", "--metrics", "--trace-out", "--output-dir")
+_FLEET = ("--shard-k", "--shard-policy", "--shard-sessions", "--shard-requests")
+
+
+@dataclass(frozen=True)
+class Command:
+    """One ``repro <command>``: the flags it parses and its targets."""
+
+    name: str
+    help: str
+    #: the :data:`FLAGS` its handlers read
+    flags: tuple[str, ...]
+    #: target -> ``handler(args)`` returning the exit code; the first is
+    #: the default, and a single target takes no target positional
+    targets: dict[str, Callable]
+    #: target -> usage of the extra positionals it takes
+    extra: dict[str, str] = field(default_factory=dict)
+
+
+#: every ``repro`` command
+COMMANDS = {cmd.name: cmd for cmd in (
+    Command("table1", "Table 1 feature matrix", (),
+            {"run": _paper(PAPER["table1"])}),
+    Command("insdel", "Table 2 'Ins & Del'", _PAPER_FLAGS,
+            {"run": _paper(PAPER["insdel"])}),
+    Command("util", "Table 2 'Util.'", (), {"run": _paper(PAPER["util"])}),
+    Command("knapsack", "Table 2 '0-1 KS'", (),
+            {"run": _paper(PAPER["knapsack"])}),
+    Command("astar", "Table 2 'A-star'", (), {"run": _paper(PAPER["astar"])}),
+    Command("fig6", "Figure 6 sweeps", (), {"run": _paper(PAPER["fig6"])}),
+    Command(
+        "faults", "seed-swept crash/timeout/jitter fault campaigns",
+        ("--seeds", "--seed-base", "--plans", "--queues", "--threads",
+         "--ops", "--capacity", *_TRACE_OUT),
+        {"run": _run_faults},
+    ),
+    Command(
+        "bench", "gated NativeBGPQ wall-clock and sharded-fleet benches",
+        ("--quick", "--update-baseline", "--bench-ks", "--shard-counts",
+         *_FLEET),
+        {name: _bench(lane) for name, lane in LANES.items()},
+    ),
+    Command(
+        "trace", "traced mixed run, causal analysis, flame graph, run diff",
+        (*_TRACED_RUN, "--buckets", "--metrics", "--trace-out", "--output-dir"),
+        {"run": _run_trace, "analyze": _run_trace_analyze,
+         "flame": _run_trace_flame, "diff": _run_trace_diff},
+        extra={"diff": "A.json B.json"},
+    ),
+    Command(
+        "serve", "durable service mode (admission + WAL + checkpoints)",
+        ("--seeds", "--seed-base", "--sessions", "--ops", "--capacity",
+         "--window", "--budget", "--checkpoint-every", "--data-dir",
+         "--faults", "--max-backoffs", "--admission-smoothing-ns",
+         *_TRACE_OUT),
+        {"run": _run_serve},
+    ),
+    Command(
+        "runs", "inspect the persistent run registry",
+        ("--keep", "--trend-tolerance", "--trend-min-points"),
+        {name: partial(_run_runs, fn) for name, fn in (
+            ("list", _runs_list), ("show", _runs_show), ("gc", _runs_gc),
+            ("trend", _runs_trend))},
+        extra={"show": "<run-id>", "trend": "[kind ...]"},
+    ),
+    Command(
+        "metrics", "live metrics: Prometheus text, JSON snapshot, SLO report",
+        (*_TRACED_RUN, *_FLEET, "--slo-objective-ns",
+         "--admission-smoothing-ns", "--output-dir"),
+        {"mixed": partial(_run_metrics, _metrics_mixed),
+         "fleet": partial(_run_metrics, _metrics_fleet)},
+    ),
+    Command("all", "every paper table and figure, archived", _PAPER_FLAGS,
+            {"run": _paper(*PAPER.values())}),
+)}
+
+
+def main(argv: list[str] | None = None) -> int:
+    from ._version import __version__
+
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="BGPQ reproduction: regenerate the paper's tables and figures.",
     )
+    parser.add_argument(
+        "--version",
+        action="store_true",
+        help="show version and kernel-backend provenance",
+    )
+    commands = parser.add_subparsers(dest="command", metavar="<command>")
+    for cmd in COMMANDS.values():
+        sub = commands.add_parser(cmd.name, help=cmd.help, description=cmd.help)
+        for flag in ("--kernels", *cmd.flags):
+            sub.add_argument(flag, **FLAGS[flag])
+        default = next(iter(cmd.targets))
+        if len(cmd.targets) > 1:
+            sub.add_argument("target", nargs="?",
+                             help=f"{' | '.join(cmd.targets)} (default: {default})")
+        if cmd.extra:
+            sub.add_argument("extra", nargs="*", help="; ".join(
+                f"{target} {usage}" for target, usage in cmd.extra.items()))
+        sub.set_defaults(target=default, extra=[])
     args = parser.parse_args(argv)
+    if args.version:
+        # probing backends may compile the C extension: only on request
+        from .primitives import kernels as kernel_registry
+
+        info = kernel_registry.provenance()
+        backends = ",".join(kernel_registry.available_backends())
+        print(f"{parser.prog} {__version__}")
+        print(f"kernel backend: {info['backend']} "
+              f"(fused={info['fused']}; "
+              f"available: {backends})")
+        parser.exit()
+    if args.command is None:
+        parser.error("the following arguments are required: <command>")
+    cmd = COMMANDS[args.command]
+    handler = cmd.targets.get(args.target)
+    if handler is None:
+        print(f"error: unknown {cmd.name} target {args.target!r} "
+              f"(try {', '.join(map(repr, cmd.targets))})", file=sys.stderr)
+        return 2
+    if args.extra and args.target not in cmd.extra:
+        parser.error(f"unrecognized arguments: {' '.join(args.extra)}")
 
     if args.kernels:
         from .primitives import kernels as kernel_registry
@@ -1182,43 +1189,7 @@ def main(argv: list[str] | None = None) -> int:
         if kern.name != args.kernels and args.kernels != "auto":
             print(f"note: kernel backend {args.kernels!r} unavailable, "
                   f"using {kern.name!r}", file=sys.stderr)
-
-    want = args.experiment
-    if want == "bench":
-        return _run_bench(args)
-    if want == "trace":
-        return _run_trace(args)
-    if want == "serve":
-        return _run_serve(args)
-    if want == "runs":
-        return _run_runs(args)
-    if want == "metrics":
-        return _run_metrics(args)
-
-    print(f"workload scale: 1/{scale()} of the paper's sizes (REPRO_SCALE)\n")
-
-    if want == "faults":
-        return _run_faults(args)
-
-    if want in ("table1", "all"):
-        print(render_table1())
-        print()
-    if want in ("insdel", "all"):
-        _run(
-            "table2_insdel",
-            lambda: table2_insdel(sizes=args.sizes, orders=args.orders),
-            "Table 2 'Ins & Del' (simulated ms)",
-        )
-    if want in ("util", "all"):
-        _run("table2_util", table2_util, "Table 2 'Util.' (simulated ms)")
-    if want in ("knapsack", "all"):
-        _run("table2_knapsack", table2_knapsack, "Table 2 '0-1 KS' (simulated ms)")
-    if want in ("astar", "all"):
-        _run("table2_astar", table2_astar, "Table 2 'A-star' (simulated ms)")
-    if want in ("fig6", "all"):
-        _run("fig6ab_capacity", fig6_capacity_sweep, "Fig 6a/6b (simulated ms)")
-        _run("fig6c_blocks", fig6_blocks_sweep, "Fig 6c (simulated ms)")
-    return 0
+    return handler(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -78,6 +78,22 @@ BAD_VALUES = [
     (["metrics", "fleet", "--shard-k", "1"], "--shard-k"),
     (["insdel", "--sizes", "3Q"], "--sizes"),
     (["insdel", "--orders", "sideways"], "--orders"),
+    (["faults", "--seed-base", "-5"], "--seed-base"),
+    (["serve", "--seed-base", "-5"], "--seed-base"),
+    (["trace", "--trace-seed", "-1"], "--trace-seed"),
+    (["metrics", "--trace-seed", "-1"], "--trace-seed"),
+    (["serve", "--admission-smoothing-ns", "-5"], "--admission-smoothing-ns"),
+    (["serve", "--admission-smoothing-ns", "nan"], "--admission-smoothing-ns"),
+    (["metrics", "fleet", "--admission-smoothing-ns", "inf"],
+     "--admission-smoothing-ns"),
+    (["metrics", "--slo-objective-ns", "-1"], "--slo-objective-ns"),
+    (["metrics", "--slo-objective-ns", "nan"], "--slo-objective-ns"),
+    (["runs", "trend", "--trend-min-points", "-1"], "--trend-min-points"),
+    (["runs", "trend", "--trend-min-points", "1"], "--trend-min-points"),
+    (["serve", "--max-backoffs", "-1"], "--max-backoffs"),
+    (["runs", "trend", "--trend-tolerance", "nan"], "--trend-tolerance"),
+    (["runs", "trend", "--trend-tolerance", "-1"], "--trend-tolerance"),
+    (["runs", "trend", "--trend-tolerance", "1"], "--trend-tolerance"),
 ]
 
 
