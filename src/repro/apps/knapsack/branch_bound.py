@@ -33,6 +33,7 @@ import numpy as np
 from ...core.native import NativeBGPQ
 from ...device.kernels import GpuContext
 from ...errors import ConfigurationError
+from ...primitives import kernels
 from ...sim import Atomic, Compute, Engine
 from ..resilience import OverflowList, deletemin_with_retries, insert_with_retries
 from .bounds import dantzig_upper_bound, fractional_bound
@@ -145,6 +146,16 @@ class _Expansion:
     per-item take-child delta (one level down, item ``i``'s profit and
     weight added, so a take-child is ``node + take[level]`` and a
     skip-child ``node + 1``) and a children buffer for a full batch.
+
+    The backend is resolved once, from the active kernel backend, the
+    way :class:`~repro.core.native.NativeBGPQ` resolves its own: on the
+    compiled backend each call is one GIL-released ``expand`` of the C
+    core, otherwise the NumPy body of :meth:`reference` runs.  Both
+    return the same keys, nodes, order, incumbent and prune count
+    (``tests/apps/test_knapsack_expand_parity.py``).  The compiled path
+    returns views into this solve's ``2 * batch`` key and node buffers,
+    which the next call overwrites; callers copy them
+    (``NativeBGPQ.insert_bulk`` does).
     """
 
     def __init__(self, inst: KnapsackInstance, lb: int, wb: int, batch: int):
@@ -153,12 +164,31 @@ class _Expansion:
         self.lmask, self.wmask = (1 << lb) - 1, (1 << wb) - 1
         self.take = pack_nodes(1, inst.profits, inst.weights, lb, wb)
         self.children = np.empty(2 * batch, np.int64)
+        kern = kernels.active()
+        self._mod = kern.mod if kern.fused else None
+        if self._mod is not None:
+            self.keys = np.empty(2 * batch, np.int64)
+            self._args = (
+                *(np.ascontiguousarray(a, np.int64) for a in (
+                    inst.wsum, inst.psum, inst.profits, inst.weights)),
+                self.take, self.keys, self.children,
+                lb, wb, int(inst.capacity), inst.n_items,
+            )
 
     def __call__(self, nodes: np.ndarray, incumbent: int):
         """Returns (keys, nodes, new_incumbent, n_pruned) of the surviving
         children: take-children first, then skip-children, each in
         ``nodes`` order.  This is the data-parallel kernel a thread block
         runs after retrieving a node batch."""
+        if self._mod is None:
+            return self.reference(nodes, incumbent)
+        n, incumbent, pruned = self._mod.expand(
+            np.ascontiguousarray(nodes, np.int64), *self._args, incumbent
+        )
+        return self.keys[:n], self.children[:n], incumbent, pruned
+
+    def reference(self, nodes: np.ndarray, incumbent: int):
+        """The NumPy body of :meth:`__call__`."""
         inst, lb = self.inst, self.lb
         levels = nodes & self.lmask
         live = levels < inst.n_items

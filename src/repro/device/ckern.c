@@ -1,14 +1,20 @@
-/* Compiled host kernels for NativeBGPQ's wall-clock fast path.
+/* Compiled host kernels for NativeBGPQ's and the knapsack solver's
+ * wall-clock fast path.
  *
- * Four entry points, exactly the ones the queue calls: sort_split_into
- * (the paper's SORT_SPLIT between two nodes), sort_records (the stable
- * presort of an incoming batch), and the fused whole-op arena kernels
- * insert_sorted and deletemin (one GIL round-trip per queue op).
+ * Five entry points.  Four are exactly the ones the queue calls:
+ * sort_split_into (the paper's SORT_SPLIT between two nodes),
+ * sort_records (the stable presort of an incoming batch), and the
+ * fused whole-op arena kernels insert_sorted and deletemin (one GIL
+ * round-trip per queue op).  The fifth, expand, is the knapsack
+ * branch-and-bound expansion of one node batch (§6.5's per-block
+ * expand-and-bound kernel).
  *
- * The NumPy reference kernels in repro/primitives are the semantic
- * source of truth; everything here is required to be *bit-identical*
- * to them (enforced by the hypothesis parity suite in
- * tests/primitives/test_kernel_parity.py).  The contract mirrors the
+ * The NumPy reference kernels in repro/primitives and the NumPy body
+ * of the knapsack _Expansion are the semantic source of truth;
+ * everything here is required to be *bit-identical* to them (enforced
+ * by the hypothesis parity suites in
+ * tests/primitives/test_kernel_parity.py and
+ * tests/apps/test_knapsack_expand_parity.py).  The contract mirrors the
  * CUDA discipline the reproduction simulates: keys are int64, payload
  * rows are opaque byte strips that travel with their keys, ties
  * between two sorted runs resolve in favour of the first (`a`) run,
@@ -20,7 +26,10 @@
  * ValueError: key, count, scratch and log buffers must be C-contiguous
  * 8-byte signed integers, payload buffers must hold every row their
  * shape implies, and sizes must be in range.  A bad call raises; it
- * never reaches the unchecked compute loops below.
+ * never reaches the unchecked compute loops below.  The one check that
+ * depends on buffer contents, expand's node fields (level at most
+ * n_items, weight at most capacity), runs in its GIL-free loop, which
+ * stops at the first bad node and raises once the GIL is back.
  *
  * Every compute loop runs with the GIL released
  * (Py_BEGIN_ALLOW_THREADS), so other Python threads of the process
@@ -71,8 +80,17 @@ get_buf(PyObject *obj, Buf *b, int flags)
     b->view.len = 0;
     if (obj == Py_None && !(flags & I64))
         return 0;
-    if (PyObject_GetBuffer(obj, &b->view, PyBUF_C_CONTIGUOUS | flags) != 0)
+    if (PyObject_GetBuffer(obj, &b->view, PyBUF_C_CONTIGUOUS | flags) != 0) {
+        /* a strided or read-only view is a bad shape like any other */
+        if (PyErr_ExceptionMatches(PyExc_BufferError)) {
+            PyErr_Clear();
+            PyErr_SetString(PyExc_ValueError,
+                            (flags & RW) ? "expected a C-contiguous writable "
+                                           "buffer"
+                                         : "expected a C-contiguous buffer");
+        }
         return -1;
+    }
     b->held = 1;
     if ((flags & I64) && !is_i64(&b->view)) {
         PyErr_Format(PyExc_ValueError,
@@ -730,6 +748,185 @@ py_deletemin(PyObject *self, PyObject *args)
     return Py_BuildValue("nnn", total, heap_size, nlog);
 }
 
+/* ------------------------------------------------------------------ */
+/* knapsack branch-and-bound expansion                                 */
+/* ------------------------------------------------------------------ */
+
+/* Largest j in [lo, hi) with wsum[j] <= t, given wsum[lo] <= t and
+ * (hi == n + 1 or wsum[hi] > t): searchsorted(wsum, t, "right") - 1.
+ * Reads only wsum[lo + 1 .. hi - 1], whatever the data.  The probe
+ * feeds a conditional move, not a branch: a branch here mispredicts
+ * every other step. */
+static inline Py_ssize_t
+last_le(const int64_t *wsum, Py_ssize_t lo, Py_ssize_t hi, int64_t t)
+{
+    Py_ssize_t len = hi - lo;
+    while (len > 1) {
+        Py_ssize_t half = len / 2;
+        lo = wsum[lo + half] <= t ? lo + half : lo;
+        len -= half;
+    }
+    return lo;
+}
+
+/* last_le over [lo, n] by galloping up from lo: a skip-child's answer
+ * lies a few items past its take-sibling's. */
+static inline Py_ssize_t
+gallop_le(const int64_t *wsum, Py_ssize_t lo, Py_ssize_t n, int64_t t)
+{
+    Py_ssize_t step = 1;
+    while (lo + step <= n && wsum[lo + step] <= t) {
+        lo += step;
+        step <<= 1;
+    }
+    return last_le(wsum, lo, lo + step <= n ? lo + step : n + 1, t);
+}
+
+/* The float64 bound must be bit-identical to fractional_bound's NumPy
+ * arithmetic, so no a*b + c may be fused into an FMA (the default
+ * under -march=native on FMA hosts). */
+#if defined(__clang__)
+#pragma STDC FP_CONTRACT OFF
+#define NO_FMA
+#elif defined(__GNUC__)
+#define NO_FMA __attribute__((optimize("fp-contract=off")))
+#else
+#define NO_FMA
+#endif
+
+/* Dantzig bound of a child at level l with profit p, whose whole items
+ * [l, j) fit under the target t = wsum[l] + room: fractional_bound,
+ * term for term. */
+NO_FMA static inline double
+dantzig(const int64_t *wsum, const int64_t *psum, const int64_t *prof,
+        const int64_t *wt, Py_ssize_t n, Py_ssize_t l, Py_ssize_t j,
+        int64_t p, int64_t t)
+{
+    double ub = (double)p + (double)(psum[j] - psum[l]);
+    if (j < n) {
+        double q = (double)(t - wsum[j]) / (double)wt[j];
+        double frac = (double)prof[j] * q;
+        ub = ub + frac;
+    }
+    return ub;
+}
+
+/* Children of a packed node batch (see _Expansion in
+ * repro/apps/knapsack/branch_bound.py): a take-child is
+ * x + take[level] when the item fits, a skip-child x + 1; leaves
+ * (level == n) have none.  The incumbent first rises to the best
+ * take-child profit, then each child whose bound beats it is kept,
+ * take-children first, then skip-children, each in batch order; skip
+ * survivors are staged in the upper half of the 2n output.  Returns
+ * -1 on a node with level > n or weight > cap. */
+NO_FMA static int
+expand_core(const int64_t *nodes, Py_ssize_t nn, const int64_t *wsum,
+            const int64_t *psum, const int64_t *prof, const int64_t *wt,
+            const int64_t *take, int64_t *ok, int64_t *on, int lb, int wb,
+            int64_t cap, Py_ssize_t n, int64_t *inc_io, Py_ssize_t *nout,
+            Py_ssize_t *npruned)
+{
+    const int64_t lmask = ((int64_t)1 << lb) - 1;
+    const int64_t wmask = ((int64_t)1 << wb) - 1;
+    const int pshift = lb + wb;
+    int64_t inc = *inc_io;
+    for (Py_ssize_t i = 0; i < nn; i++) {
+        int64_t x = nodes[i], l = x & lmask;
+        int64_t room = cap - ((x >> lb) & wmask);
+        if (l > n || room < 0)
+            return -1;
+        if (l < n && wt[l] <= room && (x >> pshift) + prof[l] > inc)
+            inc = (x >> pshift) + prof[l];
+    }
+    const double dinc = (double)inc;
+    int64_t *sk = ok + nn, *sn = on + nn;
+    Py_ssize_t nt = 0, ns = 0, born = 0;
+    for (Py_ssize_t i = 0; i < nn; i++) {
+        int64_t x = nodes[i], l = x & lmask;
+        if (l == n)
+            continue;
+        int64_t room = cap - ((x >> lb) & wmask), p = x >> pshift;
+        /* the take-child's target is its parent's, wsum[l] + room */
+        int64_t t = wsum[l] + room, ts = wsum[l + 1] + room;
+        Py_ssize_t j;
+        double ub;
+        born++;
+        if (wt[l] <= room) {
+            born++;
+            j = last_le(wsum, l + 1, n + 1, t);
+            ub = dantzig(wsum, psum, prof, wt, n, l + 1, j, p + prof[l], t);
+            if (ub > dinc) {
+                ok[nt] = -(int64_t)(ub * 64.0);
+                on[nt++] = x + take[l];
+            }
+            j = gallop_le(wsum, j, n, ts);
+        } else {
+            j = last_le(wsum, l + 1, n + 1, ts);
+        }
+        ub = dantzig(wsum, psum, prof, wt, n, l + 1, j, p, ts);
+        if (ub > dinc) {
+            sk[ns] = -(int64_t)(ub * 64.0);
+            sn[ns++] = x + 1;
+        }
+    }
+    memmove(ok + nt, sk, (size_t)ns * 8);
+    memmove(on + nt, sn, (size_t)ns * 8);
+    *inc_io = inc;
+    *nout = nt + ns;
+    *npruned = born - nt - ns;
+    return 0;
+}
+
+/* expand(nodes, wsum, psum, profits, weights, take, out_k, out_n, lb,
+ *        wb, capacity, n_items, incumbent)
+ *   -> (n_out, new_incumbent, n_pruned)
+ * The whole knapsack expansion of one node batch; the surviving
+ * children's keys (-(int64)(ub * 64)) and nodes land in out_k/out_n,
+ * which must hold 2 * len(nodes). */
+static PyObject *
+py_expand(PyObject *self, PyObject *args)
+{
+    PyObject *o[8];
+    Py_ssize_t lb, wb, n;
+    long long cap, inc;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOnnLnL", &o[0], &o[1], &o[2], &o[3],
+                          &o[4], &o[5], &o[6], &o[7], &lb, &wb, &cap, &n,
+                          &inc))
+        return NULL;
+    static const int flags[8] = {RO | I64, RO | I64, RO | I64, RO | I64,
+                                 RO | I64, RO | I64, RW | I64, RW | I64};
+    Buf bufs[8];
+    if (get_bufs(o, bufs, flags, 8))
+        return NULL;
+    Py_ssize_t nn = bufs[0].view.len / 8;
+    if (lb < 1 || wb < 1 || lb > 62 - wb || cap < 0 || n < 0 ||
+        bufs[1].view.len / 8 <= n || bufs[2].view.len / 8 <= n ||
+        bufs[3].view.len / 8 < n || bufs[4].view.len / 8 < n ||
+        bufs[5].view.len / 8 < n || bufs[6].view.len / 8 < 2 * nn ||
+        bufs[7].view.len / 8 < 2 * nn) {
+        release_bufs(bufs, 8);
+        PyErr_SetString(PyExc_ValueError, "expand: bad shape");
+        return NULL;
+    }
+    int64_t incumbent = inc;
+    Py_ssize_t nout = 0, npruned = 0;
+    int rc;
+    Py_BEGIN_ALLOW_THREADS
+    rc = expand_core(KEYS(bufs[0]), nn, KEYS(bufs[1]), KEYS(bufs[2]),
+                     KEYS(bufs[3]), KEYS(bufs[4]), KEYS(bufs[5]),
+                     KEYS(bufs[6]), KEYS(bufs[7]), (int)lb, (int)wb, cap, n,
+                     &incumbent, &nout, &npruned);
+    Py_END_ALLOW_THREADS
+    release_bufs(bufs, 8);
+    if (rc != 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "expand: node level above n_items or weight above "
+                        "capacity");
+        return NULL;
+    }
+    return Py_BuildValue("nLn", nout, (long long)incumbent, npruned);
+}
+
 static PyMethodDef CkernMethods[] = {
     {"sort_split_into", py_sort_split_into, METH_VARARGS,
      "fused SORT_SPLIT through caller scratch"},
@@ -739,6 +936,8 @@ static PyMethodDef CkernMethods[] = {
      "fused whole-batch arena insert (split, fold/detach, heapify)"},
     {"deletemin", py_deletemin, METH_VARARGS,
      "fused whole-batch arena deletemin (general path)"},
+    {"expand", py_expand, METH_VARARGS,
+     "knapsack branch-and-bound expansion of one node batch"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -15,6 +15,12 @@ implementations:
     with whatever C compiler the host has, exposing the same two
     primitives plus the *fused* whole-heapify entry points.
 
+One caller outside the queue uses the compiled module directly: the
+knapsack solver's ``_Expansion`` (``repro/apps/knapsack``) runs the C
+core's ``mod.expand``, one node batch's children and bounds per call,
+when the active backend is fused, and its own NumPy body otherwise,
+the same selection ``NativeBGPQ`` makes.
+
 The contract for every compiled kernel is **bit-identical output** to
 the reference — same values, same tie resolution, same payload
 permutation — enforced by the hypothesis differential suite in

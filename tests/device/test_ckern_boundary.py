@@ -81,7 +81,27 @@ def deletemin(**kw):
     return mod.deletemin(*a.values())
 
 
+def expand(**kw):
+    # items (profit, weight) (6, 2), (4, 4), (3, 6), capacity 11, so
+    # lb = 2, wb = 4; nodes (level, profit, weight): the root, (1, 0, 0)
+    # and the leaf (3, 10, 6)
+    a = dict(nodes=array.array("q", [0, 1, 667]),
+             wsum=array.array("q", [0, 2, 6, 12]),
+             psum=array.array("q", [0, 6, 10, 13]),
+             profits=array.array("q", [6, 4, 3]),
+             weights=array.array("q", [2, 4, 6]),
+             take=array.array("q", [393, 273, 217]), out_k=zeros(6),
+             out_n=zeros(6), lb=2, wb=4, capacity=11, n_items=3, incumbent=0)
+    a.update(kw)
+    got = mod.expand(*a.values())
+    return got, a["out_k"][:got[0]].tolist(), a["out_n"][:got[0]].tolist()
+
+
 sort_split_into(); sort_records(); insert_sorted(); deletemin()
+# the incumbent rises to 6; the root's take-child (bound 12.5) and its
+# skip-child and the take-child of (1, 0, 0) (every item left fits:
+# bound 7) survive, the skip-child of (1, 0, 0) (bound 3) is pruned
+assert expand() == ((3, 6, 1), [-800, -448, -448], [393, 274, 1]), expand()
 try:
     {call}
 except ValueError as exc:
@@ -136,6 +156,40 @@ def test_bad_shape_rejected(call):
 @pytest.mark.parametrize(
     "call",
     [
+        pytest.param("expand(wsum=array.array('d', [0, 2, 6, 12]))",
+                     id="float64_wsum"),
+        pytest.param("expand(take=array.array('i', [393, 273, 217]))",
+                     id="int32_take"),
+        pytest.param("expand(nodes=memoryview(i64(6))[::2])",
+                     id="strided_nodes"),
+        pytest.param("expand(out_n=memoryview(zeros(12))[::2])",
+                     id="strided_out_nodes"),
+        pytest.param("expand(out_k=bytes(48))", id="read_only_out_keys"),
+        pytest.param("expand(out_k=zeros(5))", id="short_out_keys"),
+        pytest.param("expand(out_n=zeros(5))", id="short_out_nodes"),
+        pytest.param("expand(wsum=i64(3))", id="short_wsum"),
+        pytest.param("expand(psum=i64(3))", id="short_psum"),
+        pytest.param("expand(profits=i64(2))", id="short_profits"),
+        pytest.param("expand(weights=i64(2))", id="short_weights"),
+        pytest.param("expand(take=i64(2))", id="short_take"),
+        pytest.param("expand(lb=0)", id="lb0"),
+        pytest.param("expand(wb=0)", id="wb0"),
+        pytest.param("expand(lb=31, wb=32)", id="fields_over_62_bits"),
+        pytest.param("expand(capacity=-1)", id="negative_capacity"),
+        pytest.param("expand(n_items=2)", id="level_above_n_items"),
+        pytest.param("expand(capacity=5)", id="weight_above_capacity"),
+        pytest.param("expand(nodes=array.array('q', [0, 6 << 2]), "
+                     "capacity=5)", id="inner_weight_above_capacity"),
+    ],
+)
+def test_expand_bad_call_rejected(call):
+    _assert_rejected(call)
+
+
+@needs_c
+@pytest.mark.parametrize(
+    "call",
+    [
         pytest.param(
             "sort_split_into(a=array.array('d', [0.5, 1.5]), "
             "b=array.array('d', [1.0, 2.0]), x_k=zeros(2, 'd'), "
@@ -157,7 +211,8 @@ def test_non_int64_buffer_rejected(call):
 @needs_c
 def test_compiled_surface_is_what_the_queue_calls():
     public = {n for n in dir(MOD) if not n.startswith("_")}
-    assert public == {"deletemin", "insert_sorted", "sort_records", "sort_split_into"}
+    assert public == {"deletemin", "expand", "insert_sorted", "sort_records",
+                      "sort_split_into"}
 
 
 def test_kernel_set_has_no_unused_kernels():
