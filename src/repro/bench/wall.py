@@ -139,9 +139,11 @@ def _traced_window_gc(op, iters: int) -> tuple[int, int]:
 
     Collecting first distinguishes genuinely retained memory (fresh
     node arrays kept per op) from cycle debris the op merely hasn't had
-    collected yet.
+    collected yet.  Objects alive before the window are frozen, so the
+    collects inside it walk only what the window made.
     """
     gc.collect()
+    gc.freeze()
     tracemalloc.start()
     try:
         op(0)  # warm caches outside the window
@@ -154,6 +156,7 @@ def _traced_window_gc(op, iters: int) -> tuple[int, int]:
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        gc.unfreeze()
     return current - base, max(0, peak - base)
 
 

@@ -193,6 +193,8 @@ class CExtKernels(KernelSet):
         pay = np.ascontiguousarray(pay)
         out_k = keys.copy()
         out_p = pay.copy()
+        # a natural-run mergesort: r ascending runs (a knapsack
+        # expansion batch holds a few) take ceil(log2 r) merge passes
         self.mod.sort_records(out_k, out_p, rb)
         return out_k, out_p
 
