@@ -1159,7 +1159,12 @@ def main(argv: list[str] | None = None) -> int:
             sub.add_argument("extra", nargs="*", help="; ".join(
                 f"{target} {usage}" for target, usage in cmd.extra.items()))
         sub.set_defaults(target=default, extra=[])
-    args = parser.parse_args(argv)
+    # argparse fills a command's target and extra positionals from their
+    # first run only, so positionals after a flag come back unparsed;
+    # they are extras (`runs show --keep 3 <id>`), unknown flags are not
+    args, stray = parser.parse_known_args(argv)
+    if any(arg.startswith("-") for arg in stray):
+        parser.error(f"unrecognized arguments: {' '.join(stray)}")
     if args.version:
         # probing backends may compile the C extension: only on request
         from .primitives import kernels as kernel_registry
@@ -1174,6 +1179,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command is None:
         parser.error("the following arguments are required: <command>")
     cmd = COMMANDS[args.command]
+    args.extra = [*args.extra, *stray]
     handler = cmd.targets.get(args.target)
     if handler is None:
         print(f"error: unknown {cmd.name} target {args.target!r} "

@@ -757,7 +757,12 @@ class NativeBGPQ:
             "sim_ns": str(self.sim_time_ns_exact),
             "stats": dict(self.stats),
         }
-        return StateRows(header, counts, a.keys[:rows][live], a.pay[:rows][live])
+        keys = a.keys[:rows][live]
+        if self.payload_width:
+            pay = a.pay[:rows][live]
+        else:  # the same (n, 0) array without a masked gather over no columns
+            pay = np.empty((keys.size, 0), a.pay.dtype)
+        return StateRows(header, counts, keys, pay)
 
     def export_state(self) -> dict:
         """Canonical snapshot: the :meth:`StateRows.as_state` dict view of

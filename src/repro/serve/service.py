@@ -47,6 +47,13 @@ __all__ = ["DurableService"]
 class DurableService:
     """One durable queue: NativeBGPQ + WAL + checkpoints + dedupe cache.
 
+    The dedupe cache maps ``(sid, op_id)`` to the op's journal record
+    and its ``cost_ns``, not to a response: the record's arrays are
+    read-only views of its WAL frame, which the WAL already keeps, so an
+    entry costs a tuple and a float.  A re-sent op gets a fresh response
+    built from that record, equal to the first one but never the same
+    object.
+
     Build with :meth:`open` (which performs recovery); the positional
     constructor wires pre-opened parts and is mostly for tests.
     """
@@ -63,7 +70,7 @@ class DurableService:
         self.checkpoint_every = checkpoint_every
         self._obs = obs
         self.metrics = metrics
-        self._applied: dict[tuple[str, int], dict] = {}
+        self._applied: dict[tuple[str, int], tuple[WalRecord, float]] = {}
         self._last_ckpt_lsn = 0
         self.recovery_info: dict = {"fresh": True, "ckpt_lsn": 0, "replayed": 0}
 
@@ -113,13 +120,11 @@ class DurableService:
         for rec in self.wal.records(from_lsn=ckpt_lsn + 1):
             self._replay(rec)
             replayed += 1
-        # ops at or before the checkpoint are applied by definition;
-        # rebuild their dedupe entries without responses (a client that
-        # re-sends one gets a terse already-applied acknowledgement)
+        # every journaled op is applied, at or before the checkpoint or by
+        # the replay above; a client that re-sends one gets its full
+        # response rebuilt from the record, with cost_ns 0.0
         for rec in self.wal.records():
-            key = (rec.sid, rec.op_id)
-            if key not in self._applied:
-                self._applied[key] = self._response_for(rec, cost_ns=0.0)
+            self._applied.setdefault((rec.sid, rec.op_id), (rec, 0.0))
         self._last_ckpt_lsn = ckpt_lsn
         self.recovery_info = {
             "fresh": not had_state,
@@ -203,7 +208,7 @@ class DurableService:
         dedupe = (sid, op_id)
         cached = self._applied.get(dedupe)
         if cached is not None:
-            return cached
+            return self._response_for(*cached)
         q = self.queue
         keys_arr = np.asarray(keys, dtype=q.key_dtype).ravel()
         pay_arr = None
@@ -214,8 +219,8 @@ class DurableService:
         before = q.sim_ticks
         rec = self.wal.append(sid, op_id, "insert", keys=keys_arr, pay=pay_arr)
         q.insert_bulk(keys_arr, pay_arr)
-        resp = self._response_for(rec, cost_ns=(q.sim_ticks - before) / TICKS_PER_NS)
-        self._applied[dedupe] = resp
+        cost_ns = (q.sim_ticks - before) / TICKS_PER_NS
+        self._applied[dedupe] = (rec, cost_ns)
         if self._obs is not None:
             self._obs.emit_here(SERVE_APPLY, kind="insert", session=sid,
                                 lsn=rec.lsn)
@@ -226,21 +231,21 @@ class DurableService:
                 kind="insert",
             ).inc()
         self.maybe_checkpoint()
-        return resp
+        return self._response_for(rec, cost_ns)
 
     def apply_deletemin(self, sid: str, op_id: int, count: int) -> dict:
         """Apply one deletemin and journal it with its recorded result."""
         dedupe = (sid, op_id)
         cached = self._applied.get(dedupe)
         if cached is not None:
-            return cached
+            return self._response_for(*cached)
         q = self.queue
         before = q.sim_ticks
         got_k, got_p = q.deletemin(count)
         rec = self.wal.append(sid, op_id, "deletemin", keys=got_k, pay=got_p,
                               count=count)
-        resp = self._response_for(rec, cost_ns=(q.sim_ticks - before) / TICKS_PER_NS)
-        self._applied[dedupe] = resp
+        cost_ns = (q.sim_ticks - before) / TICKS_PER_NS
+        self._applied[dedupe] = (rec, cost_ns)
         if self._obs is not None:
             self._obs.emit_here(SERVE_APPLY, kind="deletemin", session=sid,
                                 lsn=rec.lsn)
@@ -251,7 +256,7 @@ class DurableService:
                 kind="deletemin",
             ).inc()
         self.maybe_checkpoint()
-        return resp
+        return self._response_for(rec, cost_ns)
 
     def apply(self, request: dict) -> dict:
         """Dispatch one request dict (the serve driver's wire format)."""

@@ -91,10 +91,25 @@ def test_dedupe_makes_apply_idempotent(tmp_path):
     svc = DurableService.open(_queue(), tmp_path)
     first = svc.apply_insert("s0", 0, [4, 1])
     again = svc.apply_insert("s0", 0, [4, 1])
-    assert again is first
+    assert again == first
     assert len(svc.wal) == 1  # the retransmit was not re-journaled
     got = svc.apply_deletemin("s0", 1, 2)
-    assert svc.apply_deletemin("s0", 1, 2) is got
+    assert svc.apply_deletemin("s0", 1, 2) == got
+    svc.close()
+
+
+def test_dedupe_hit_is_a_fresh_response(tmp_path):
+    # the cache keeps the journal record, not the dict it answered with,
+    # so a caller mutating its response cannot change a re-send's answer
+    svc = DurableService.open(_queue(), tmp_path)
+    svc.apply_insert("s0", 0, [4, 1, 9])
+    resp = svc.apply_deletemin("s0", 1, 2)
+    resp["keys"].clear()
+    resp["cost_ns"] = -1.0
+    again = svc.apply_deletemin("s0", 1, 2)
+    assert again["keys"] == [1, 4]
+    assert again["cost_ns"] >= 0.0
+    assert again is not svc.apply_deletemin("s0", 1, 2)
     svc.close()
 
 

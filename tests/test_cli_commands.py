@@ -72,6 +72,42 @@ def test_target_may_follow_a_flag(dispatched):
     assert (command, target, args.shard_k) == ("metrics", "fleet", 64)
 
 
+@pytest.mark.parametrize("argv, positionals_first", [
+    (["runs", "trend", "--trend-tolerance", "0.1", "serve"],
+     ["runs", "trend", "serve", "--trend-tolerance", "0.1"]),
+    (["runs", "show", "--keep", "3", "abc"],
+     ["runs", "show", "abc", "--keep", "3"]),
+    (["runs", "trend", "serve", "--trend-min-points", "2", "fleet"],
+     ["runs", "trend", "serve", "fleet", "--trend-min-points", "2"]),
+    (["trace", "diff", "A.json", "--buckets", "4", "B.json"],
+     ["trace", "diff", "A.json", "B.json", "--buckets", "4"]),
+], ids=" ".join)
+def test_flags_may_split_a_commands_positionals(argv, positionals_first,
+                                                dispatched):
+    assert cli.main(argv) == 0
+    assert cli.main(positionals_first) == 0
+    (cmd, target, split), (cmd0, target0, first) = dispatched
+    assert (cmd, target, vars(split)) == (cmd0, target0, vars(first))
+
+
+@pytest.mark.parametrize("argv", [
+    ["runs", "trend", "--trend-tolerance", "0.1", "serve", "--bogus"],
+    ["runs", "show", "--keep", "3", "abc", "--bogus", "1"],
+    ["runs", "list", "--keep", "3", "stray"],
+    ["trace", "analyze", "--buckets", "4", "stray"],
+    ["serve", "--seeds", "1", "stray"],
+], ids=" ".join)
+def test_split_positionals_still_fail_closed(argv, dispatched, capsys):
+    test_unread_flags_and_positionals_exit_2(argv, dispatched, capsys)
+
+
+def test_unknown_target_after_a_flag_exits_2(dispatched, capsys):
+    argv = ["runs", "--keep", "3", "bogus", "--trend-min-points", "2", "abc"]
+    assert cli.main(argv) == 2
+    assert "unknown runs target 'bogus'" in capsys.readouterr().err
+    assert dispatched == []
+
+
 def test_every_flag_is_taken_by_some_command():
     listed = {flag for cmd in cli.COMMANDS.values() for flag in cmd.flags}
     assert listed | {"--kernels"} == set(cli.FLAGS)
