@@ -26,10 +26,29 @@ from ..primitives.inplace import ScratchLedger
 from ..primitives.kernels import KernelSet
 from .node import EMPTY
 
-__all__ = ["NodeArena"]
+__all__ = ["NodeArena", "growth_target"]
 
 #: the NumPy reference kernels, for arenas whose owner passes none
 _REFERENCE = KernelSet()
+
+#: largest keys + payload an 8x growth step may reserve; past it the
+#: arena doubles, so a huge heap does not ask for 8x its size at once
+GROW_8X_MAX_BYTES = 64 << 20
+
+
+def growth_target(rows: int, need: int, row_bytes: int) -> int:
+    """Row count an arena of ``rows`` rows grows to so that row ``need``
+    exists: ``rows`` times 8 per step until it exceeds ``need``, or
+    times 2 for a step that would take the rows' keys + payload
+    (``row_bytes`` each) past :data:`GROW_8X_MAX_BYTES`.
+
+    Reserving ahead is cheap: rows no operation touches are never
+    faulted in, so they cost address space, not resident memory, and
+    fewer steps copy fewer rows.
+    """
+    while rows <= need:
+        rows *= 8 if 8 * rows * row_bytes <= GROW_8X_MAX_BYTES else 2
+    return rows
 
 
 class NodeArena:
@@ -92,10 +111,11 @@ class NodeArena:
 
         Row contents (keys, payload columns, counts, states), the
         scratch ledger and the kernel set carry over unchanged; new rows
-        start EMPTY.  Growth reallocates — callers
-        that need an allocation-free steady state size the arena up
-        front (or, like :class:`~repro.core.native.NativeBGPQ`, grow by
-        doubling so reallocation amortises away before measurement).
+        start EMPTY.  Growth reallocates — callers that need an
+        allocation-free steady state size the arena up front (or, like
+        :class:`~repro.core.native.NativeBGPQ`, grow 8x per step, see
+        :func:`growth_target`, so reallocation amortises away before
+        measurement).
         """
         if rows <= self.rows:
             return self

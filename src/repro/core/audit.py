@@ -201,12 +201,12 @@ class HeapAuditor:
         if arena is None:
             return
         report.checks_run.append("arena")
-        for i in range(size + 1, arena.rows):
-            if arena.counts[i]:
-                report.problems.append(
-                    f"arena row {i} beyond heap_size={size} holds "
-                    f"{int(arena.counts[i])} keys"
-                )
+        # one vector check over the reserved rows, which can be 8x the heap
+        for i in (np.flatnonzero(arena.counts[size + 1:]) + size + 1).tolist():
+            report.problems.append(
+                f"arena row {i} beyond heap_size={size} holds "
+                f"{int(arena.counts[i])} keys"
+            )
         nbuf = int(arena.counts[0])
         if nbuf >= arena.k:
             report.problems.append(f"row-0 pBuffer holds {nbuf} >= k={arena.k} keys")

@@ -56,7 +56,7 @@ from ..device.costmodel import GpuCostModel
 from ..device.kernels import GpuContext
 from ..errors import ConfigurationError
 from ..primitives import kernels as kernel_registry
-from .arena import NodeArena
+from .arena import NodeArena, growth_target
 from .heap import left, parent, path_next, right
 
 __all__ = ["NativeBGPQ", "StateRows", "TICKS_PER_NS"]
@@ -77,8 +77,12 @@ _HEADER_FIELDS = (
     "heap_size", "sim_ns", "stats",
 )
 
-# bound on each queue's charge memo (distinct (tag, p1, p2) shapes)
+# bound on each of a queue's charge memos: distinct (tag, p1, p2)
+# shapes, and distinct whole charge logs
 _CHARGE_MEMO_MAX = 4096
+# longest charge log (in triples) the whole-log memo keeps, so its keys
+# stay small; a longer one (a big bulk insert) is summed triple by triple
+_LOG_MEMO_MAX_TRIPLES = 64
 # _ChargeTicks tags beyond the charge log's 0-3
 _BATCH_ENTRY = 4
 _ROOT_LOCK = 5
@@ -105,17 +109,23 @@ class _ChargeTicks(dict):
     batch: coalesced read, in-block sort, root lock; tag 5
     (:data:`_ROOT_LOCK`) a deletemin's root lock pair.
 
-    The memo lives and dies with its queue: a process-wide cache would
+    ``logs`` memoizes whole charge logs on top: the bytes of a fused
+    kernel's log -> the tick sum of its triples.  An op's log repeats
+    whenever the heap shape along its path does, and the sum is exact
+    integer addition, so one lookup stands for the whole log.
+
+    The memos live and die with their queue: a process-wide cache would
     keep its big-int entries, allocated all through a run, pinning
     allocator arenas and raising peak RSS.
     """
 
-    __slots__ = ("model", "k")
+    __slots__ = ("model", "k", "logs")
 
     def __init__(self, model: GpuCostModel | None, k: int):
         super().__init__()
         self.model = model
         self.k = k
+        self.logs: dict[bytes, int] = {}
 
     def charge_ns(self, entry: tuple[int, int, int]) -> float:
         """The float device charge ``entry`` stands for."""
@@ -137,6 +147,21 @@ class _ChargeTicks(dict):
             + m.lock_acquire_ns()
             + m.lock_release_ns()
         )
+
+    def log_ticks(self, log: np.ndarray) -> int:
+        """Tick sum of a charge log of (tag, p1, p2) triples, memoized
+        whole in ``logs`` unless it is over :data:`_LOG_MEMO_MAX_TRIPLES`
+        long."""
+        key = log.tobytes() if log.size <= 3 * _LOG_MEMO_MAX_TRIPLES else None
+        t = self.logs.get(key)
+        if t is None:
+            it = iter(log.tolist())
+            t = sum(map(self.__getitem__, zip(it, it, it)))
+            if key is not None:
+                if len(self.logs) >= _CHARGE_MEMO_MAX:
+                    self.logs.clear()
+                self.logs[key] = t
+        return t
 
     def __missing__(self, entry: tuple[int, int, int]) -> int:
         if len(self) >= _CHARGE_MEMO_MAX:
@@ -307,14 +332,15 @@ class NativeBGPQ:
         )
         if self._fused:
             # combined scratch: [2k int64 keys][2k payload rows], int64-
-            # backed so the key half stays aligned; charge logs sized for
-            # any heap depth reachable with 64-bit node indices
+            # backed so the key half stays aligned; the deletemin log is
+            # sized for any heap depth reachable with 64-bit node indices,
+            # the insert log grows with the runs _insert_run feeds it
             pad = (2 * node_capacity * self._row_bytes + 7) // 8
             self._fscratch = np.empty(2 * node_capacity + pad, dtype=np.int64)
             self._ins_log = np.empty(256, dtype=np.int64)
             self._del_log = np.empty(1024, dtype=np.int64)
-        # row 0 is the partial buffer, row i is node i; rows double
-        # on demand so steady-state operation never reallocates
+        # row 0 is the partial buffer, row i is node i; rows grow 8x on
+        # demand so steady-state operation never reallocates
         self._arena = NodeArena(
             8,
             node_capacity,
@@ -357,8 +383,7 @@ class NativeBGPQ:
 
     def _replay_log(self, log: np.ndarray, nlog: int) -> None:
         """Replay a fused kernel's charge log of (tag, p1, p2) triples."""
-        it = iter(log[: 3 * nlog].tolist())
-        self._ticks += sum(map(self._charges.__getitem__, zip(it, it, it)))
+        self._ticks += self._charges.log_ticks(log[: 3 * nlog])
 
     def _charge_batch_entry(self, n: int) -> None:
         """Per-batch entry cost: coalesced read, in-block sort, root lock."""
@@ -399,7 +424,8 @@ class NativeBGPQ:
         The records are sorted once (stable, so equal keys keep their
         payload order) and the sorted run is fed to the heap k at a
         time: each slice is already sorted, so the per-batch host sort
-        disappears and each full batch costs exactly one heapify.
+        disappears and each full batch costs exactly one heapify.  On
+        the C core one fused call feeds the whole run.
         Device charges are identical to inserting the same slices one
         ``insert`` call at a time — the bitonic network's cost is
         data-independent — so simulated times stay comparable.
@@ -408,10 +434,12 @@ class NativeBGPQ:
         if keys.size == 0:
             return
         skeys, spay = self._kern.sort_records(keys, pay)
-        for i in range(0, skeys.size, self.k):
-            part = skeys[i : i + self.k]
-            self._insert_sorted(part, spay[i : i + self.k])
-            self._size += part.size
+        if self._fused:
+            self._insert_run(skeys, spay)
+        else:
+            for i in range(0, skeys.size, self.k):
+                self._insert_sorted(skeys[i : i + self.k], spay[i : i + self.k])
+        self._size += skeys.size
 
     def build(self, keys, payload=None) -> None:
         """Load an initial frontier into an *empty* queue in O(n) node ops.
@@ -509,17 +537,39 @@ class NativeBGPQ:
         self._size = 0
 
     # -- dispatch ---------------------------------------------------------
-    def _insert_sorted(self, skeys: np.ndarray, spay: np.ndarray) -> None:
-        """Insert one already-sorted batch of at most k records."""
-        self._charge_batch_entry(skeys.size)
-        self.stats["ops"] += 1
-        self._insert_sorted_rows(skeys, spay)
+    def _insert_run(self, skeys: np.ndarray, spay: np.ndarray) -> None:
+        """Insert a sorted run with one fused C call, k records per batch.
+
+        The kernel charges each batch exactly as :meth:`_insert_sorted`
+        does (a batch-entry triple, then the insert's own steps), so the
+        one replay of its log equals the per-batch charges.
+        """
+        k = self.k
+        batches = -(-skeys.size // k)
+        last = self._heap_size + batches
+        self._ensure_rows(last)
+        need = 3 * batches * (last.bit_length() + 3)
+        if self._ins_log.size < need:
+            self._ins_log = np.empty(max(need, 2 * self._ins_log.size), np.int64)
+        a = self._arena
+        self._heap_size, nlog, heapifies = self._kern.mod.insert_sorted(
+            a.keys, a.pay, a.counts, self._items_k, self._items_p,
+            self._fscratch, self._ins_log, skeys, spay, k, self._row_bytes,
+            self._heap_size,
+        )
+        self.stats["ops"] += batches
+        self.stats["insert_heapify"] += heapifies
+        if self.model is not None:
+            self._replay_log(self._ins_log, nlog)
 
     # -- arena rows, fused in-place SORT_SPLIT -------------------------------
     def _ensure_rows(self, i: int) -> None:
+        """Make row ``i`` exist, growing the arena 8x per step
+        (:func:`~repro.core.arena.growth_target`)."""
         a = self._arena
         if i >= a.rows:
-            self._arena = a.grown(max(2 * a.rows, i + 1))
+            row_bytes = self.k * (self.key_dtype.itemsize + self._row_bytes)
+            self._arena = a.grown(growth_target(a.rows, i, row_bytes))
 
     def _shift_row_left(self, i: int, take: int) -> None:
         """Drop row ``i``'s first ``take`` records, staged through scratch
@@ -537,7 +587,10 @@ class NativeBGPQ:
                 a.pay[i, :m] = s.pay[:m]
         a.counts[i] = m
 
-    def _insert_sorted_rows(self, skeys: np.ndarray, spay: np.ndarray) -> None:
+    def _insert_sorted(self, skeys: np.ndarray, spay: np.ndarray) -> None:
+        """Insert one already-sorted batch of at most k records."""
+        self._charge_batch_entry(skeys.size)
+        self.stats["ops"] += 1
         a = self._arena
         n = skeys.size
         if self._heap_size == 0:
@@ -551,22 +604,6 @@ class NativeBGPQ:
         ik[:n] = skeys
         if self.payload_width:
             ip[:n] = spay
-        if self._fused:
-            # one C call runs the whole insert (root split, buffer
-            # fold/detach, heapify); the charge log replays the exact
-            # per-step device costs afterwards
-            self._ensure_rows(self._heap_size + 1)
-            a = self._arena
-            new_hs, nlog = self._kern.mod.insert_sorted(
-                a.keys, a.pay, a.counts, ik, ip, self._fscratch,
-                self.k, self._row_bytes, n, self._heap_size, self._ins_log,
-            )
-            if new_hs != self._heap_size:
-                self.stats["insert_heapify"] += 1
-                self._heap_size = new_hs
-            if self.model is not None:
-                self._replay_log(self._ins_log, nlog)
-            return
         nroot = int(a.counts[1])
         if nroot:
             # root keeps its nroot smallest of root ∪ items
@@ -965,7 +1002,12 @@ class NativeBGPQ:
         return self.sim_time_ns / 1e6
 
     def memory_bytes(self) -> int:
-        """Backing storage for nodes + buffer (k + O(1) per record)."""
+        """Backing storage for nodes + buffer (k + O(1) per record).
+
+        This is reserved capacity: after a growth step the arena holds
+        up to 8x the rows the heap uses.  Rows never touched are never
+        faulted in, so it can read well above the resident memory.
+        """
         return int(
             self._arena.nbytes()
             + self._items_k.nbytes

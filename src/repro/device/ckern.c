@@ -4,10 +4,11 @@
  * Five entry points.  Four are exactly the ones the queue calls:
  * sort_split_into (the paper's SORT_SPLIT between two nodes),
  * sort_records (the stable presort of an incoming batch), and the
- * fused whole-op arena kernels insert_sorted and deletemin (one GIL
- * round-trip per queue op).  The fifth, expand, is the knapsack
- * branch-and-bound expansion of one node batch (§6.5's per-block
- * expand-and-bound kernel).
+ * fused whole-op arena kernels: insert_sorted feeds a whole presorted
+ * bulk insert to the heap k records at a time, deletemin runs one
+ * deletemin; each is one GIL round-trip.  The fifth, expand, is the
+ * knapsack branch-and-bound expansion of one node batch (§6.5's
+ * per-block expand-and-bound kernel).
  *
  * The NumPy reference kernels in repro/primitives and the NumPy body
  * of the knapsack _Expansion are the semantic source of truth;
@@ -541,7 +542,7 @@ path_next_c(Py_ssize_t cur, Py_ssize_t tar)
 }
 
 /* split row i (merged first) against row j: row `small` keeps the ma
- * smallest, row `large` the rest.  Mirrors NativeBGPQ._split_rows,
+ * smallest, row `large` the rest.  Mirrors NodeArena.split_rows,
  * including the identity fast paths (state untouched when the rows
  * already hold the requested split). */
 static void
@@ -568,7 +569,7 @@ split_rows_c(int64_t *keys, char *pay, int64_t *counts, Py_ssize_t k,
 
 /* split row i against the travelling items batch (n live items): the
  * row keeps the ma smallest, items get the rest.  Mirrors
- * NativeBGPQ._split_row_items. */
+ * NodeArena.split_row_items. */
 static void
 split_row_items_c(int64_t *keys, char *pay, int64_t *counts, Py_ssize_t k,
                   Py_ssize_t rb, int64_t *sk, char *sp, int64_t *ik,
@@ -582,6 +583,16 @@ split_row_items_c(int64_t *keys, char *pay, int64_t *counts, Py_ssize_t k,
                     rb ? pay + i * k * rb : NULL, ip,
                     rb ? pay + i * k * rb : NULL, ip, sp, rb);
     counts[i] = ma;
+}
+
+/* append the charge-log triple (tag, p1, p2) */
+static inline void
+log_put(int64_t *log, Py_ssize_t *nlog, int64_t tag, int64_t p1, int64_t p2)
+{
+    int64_t *t = log + 3 * (*nlog)++;
+    t[0] = tag;
+    t[1] = p1;
+    t[2] = p2;
 }
 
 /* Extract up to `remained` records from the root row into out/out_p,
@@ -601,47 +612,104 @@ extract_root_c(int64_t *keys, char *pay, int64_t *counts, Py_ssize_t k,
     if (rb)
         memmove(pay + k * rb, pay + (k + take) * rb, (size_t)(m * rb));
     counts[1] = m;
-    log[3 * *nlog] = 1;
-    log[3 * *nlog + 1] = take;
-    log[3 * *nlog + 2] = 0;
-    (*nlog)++;
+    log_put(log, nlog, 1, take, 0);
     return take;
 }
 
 /* buffers of both fused kernels: keys, pay, counts, batch keys, batch
- * pay, scratch, log (the batch is the incoming items or the output) */
-static const int ARENA_FLAGS[7] = {RW | I64, RW, RW | I64, RW | I64, RW,
-                                   RW | I64, RW | I64};
+ * pay, scratch, log (the batch is the travelling items or the output),
+ * then insert_sorted's sorted run: keys, pay */
+static const int ARENA_FLAGS[9] = {RW | I64, RW, RW | I64, RW | I64, RW,
+                                   RW | I64, RW | I64, RO | I64, RO};
 
-/* insert_sorted(keys, pay, counts, items_k, items_p, sk, k, rb, n,
- *               heap_size, log) -> (new_heap_size, nlog)
- * The whole arena insert of one sorted batch of n <= k records staged
- * in items_k/items_p: root split, partial-buffer fold or detach, and
- * (on detach) the full bottom-up heapify — one GIL round-trip total.
- * Mirrors NativeBGPQ._insert_sorted_arena for heap_size >= 1; callers
- * handle the empty heap and pre-grow the arena to heap_size + 2 rows.
- * log rows are (tag, p1, p2): tag 0 = node sort-split (na, nb), tag 2
- * = buffer fold (nbuf, n) charged at host sort_split rate. */
+/* Insert one sorted batch of n <= k records staged in ik/ip into a heap
+ * of heap_size >= 1 nodes: root split, partial-buffer fold or detach,
+ * and (on detach) the full bottom-up heapify.  Mirrors the NumPy path of
+ * NativeBGPQ._insert_sorted; the arena must hold row heap_size + 1.
+ * Appends (tag, p1, p2) log triples at log[3 * *nlog]: tag 0 = node
+ * sort-split (na, nb), tag 2 = buffer fold (nbuf, n) charged at host
+ * sort_split rate.  Returns the new heap size. */
+static Py_ssize_t
+insert_sorted_core(int64_t *keys, char *pay, int64_t *counts, Py_ssize_t k,
+                   Py_ssize_t rb, int64_t *sk, char *sp, int64_t *ik,
+                   char *ip, Py_ssize_t n, Py_ssize_t heap_size,
+                   int64_t *log, Py_ssize_t *nlog)
+{
+    Py_ssize_t nroot = counts[1];
+    if (nroot) {
+        /* root keeps its nroot smallest of root ∪ items */
+        log_put(log, nlog, 0, nroot, n);
+        split_row_items_c(keys, pay, counts, k, rb, sk, sp, ik, ip, 1, n,
+                          nroot);
+    }
+    Py_ssize_t nbuf = counts[0];
+    if (nbuf + n < k) {
+        /* fold the batch into the partial buffer (buffer keys first) */
+        log_put(log, nlog, 2, nbuf, n);
+        sort_split_core(keys, nbuf, ik, n, nbuf + n, keys, ik, sk,
+                        rb ? pay : NULL, ip, rb ? pay : NULL, ip, sp, rb);
+        counts[0] = nbuf + n;
+        return heap_size;
+    }
+    /* detach a full batch (items keys first on ties), leave the rest in
+     * the buffer, heapify the batch down to a new slot */
+    log_put(log, nlog, 0, n, nbuf);
+    sort_split_core(ik, n, keys, nbuf, k, ik, keys, sk, ip,
+                    rb ? pay : NULL, ip, rb ? pay : NULL, sp, rb);
+    counts[0] = n + nbuf - k;
+    Py_ssize_t tar = heap_size + 1;
+    Py_ssize_t cur = (tar != 1) ? path_next_c(1, tar) : 1;
+    while (cur != tar) {
+        Py_ssize_t ni = counts[cur];
+        log_put(log, nlog, 0, ni, k);
+        split_row_items_c(keys, pay, counts, k, rb, sk, sp, ik, ip, cur, k,
+                          ni);
+        cur = path_next_c(cur, tar);
+    }
+    memcpy(keys + tar * k, ik, (size_t)k * 8);
+    if (rb)
+        memcpy(pay + tar * k * rb, ip, (size_t)(k * rb));
+    counts[tar] = k;
+    return tar;
+}
+
+/* insert_sorted(keys, pay, counts, items_k, items_p, sk, log, run_k,
+ *               run_p, k, rb, heap_size) -> (new_heap_size, nlog,
+ *               heapifies)
+ * The whole arena insert of a sorted run of n >= 1 records, fed to the
+ * heap k at a time through the travelling batch items_k/items_p — one
+ * GIL round-trip per bulk insert.  Each batch logs a tag-4 (m, 0) batch
+ * entry, then lands in row 1 if the heap is empty (as
+ * NativeBGPQ._insert_sorted does) or runs insert_sorted_core.
+ * heapifies counts the batches that detached a node.  The caller grows
+ * the arena to more than heap_size + ceil(n / k) rows and the log to
+ * ceil(n / k) * (levels + 4) triples, levels being the depth of node
+ * heap_size + ceil(n / k). */
 static PyObject *
 py_insert_sorted(PyObject *self, PyObject *args)
 {
-    PyObject *o[7];
-    Py_ssize_t k, rb, n, heap_size;
-    if (!PyArg_ParseTuple(args, "OOOOOOnnnnO", &o[0], &o[1], &o[2], &o[3],
-                          &o[4], &o[5], &k, &rb, &n, &heap_size, &o[6]))
+    PyObject *o[9];
+    Py_ssize_t k, rb, heap_size;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOnnn", &o[0], &o[1], &o[2], &o[3],
+                          &o[4], &o[5], &o[6], &o[7], &o[8], &k, &rb,
+                          &heap_size))
         return NULL;
-    Buf bufs[7];
-    if (get_bufs(o, bufs, ARENA_FLAGS, 7))
+    Buf bufs[9];
+    if (get_bufs(o, bufs, ARENA_FLAGS, 9))
         return NULL;
     Py_ssize_t rows = k >= 1 ? bufs[0].view.len / 8 / k : 0;
+    Py_ssize_t n = bufs[7].view.len / 8;
+    Py_ssize_t batches = k >= 1 ? n / k + (n % k != 0) : 0;
     Py_ssize_t max_log = bufs[6].view.len / 24;
-    if (k < 1 || rb < 0 || n < 1 || n > k || heap_size < 1 ||
-        heap_size >= rows - 1 || lacks(bufs[1].view.len, rows * k, rb) ||
+    if (k < 1 || rb < 0 || n < 1 || heap_size < 0 ||
+        heap_size >= rows - batches || lacks(bufs[1].view.len, rows * k, rb) ||
         bufs[2].view.len / 8 < rows || bufs[3].view.len / 8 < k ||
         lacks(bufs[4].view.len, k, rb) ||
         bufs[5].view.len < 2 * k * (8 + rb) ||
-        max_log < (Py_ssize_t)level_of(heap_size + 1) + 3) {
-        release_bufs(bufs, 7);
+        lacks(bufs[8].view.len, n, rb) ||
+        max_log / batches <
+            (Py_ssize_t)level_of(heap_size + batches) + 4) {
+        release_bufs(bufs, 9);
         PyErr_SetString(PyExc_ValueError, "insert_sorted: bad shape");
         return NULL;
     }
@@ -653,60 +721,32 @@ py_insert_sorted(PyObject *self, PyObject *args)
     int64_t *sk = KEYS(bufs[5]);
     char *sp = (char *)(sk + 2 * k); /* scratch: [2k keys][2k pay rows] */
     int64_t *log = KEYS(bufs[6]);
-    Py_ssize_t nlog = 0, new_hs = heap_size;
+    const int64_t *run_k = KEYS(bufs[7]);
+    const char *run_p = BYTES(bufs[8]);
+    Py_ssize_t nlog = 0, heapifies = 0;
     Py_BEGIN_ALLOW_THREADS
-    {
-        Py_ssize_t nroot = counts[1];
-        if (nroot) {
-            /* root keeps its nroot smallest of root ∪ items */
-            log[0] = 0; log[1] = nroot; log[2] = n;
-            nlog = 1;
-            split_row_items_c(keys, pay, counts, k, rb, sk, sp, ik, ip, 1,
-                              n, nroot);
+    for (Py_ssize_t at = 0; at < n; at += k) {
+        Py_ssize_t m = n - at < k ? n - at : k;
+        log_put(log, &nlog, 4, m, 0);
+        int64_t *dk = heap_size ? ik : keys + k;
+        char *dp = heap_size ? ip : pay + k * rb;
+        memcpy(dk, run_k + at, (size_t)m * 8);
+        if (rb)
+            memcpy(dp, run_p + at * rb, (size_t)(m * rb));
+        if (heap_size == 0) {
+            /* the first batch of an empty heap is the root */
+            counts[1] = m;
+            heap_size = 1;
+            continue;
         }
-        Py_ssize_t nbuf = counts[0];
-        if (nbuf + n < k) {
-            /* fold the batch into the partial buffer (buffer keys first) */
-            log[3 * nlog] = 2;
-            log[3 * nlog + 1] = nbuf;
-            log[3 * nlog + 2] = n;
-            nlog++;
-            sort_split_core(keys, nbuf, ik, n, nbuf + n, keys, ik, sk,
-                            rb ? pay : NULL, ip, rb ? pay : NULL, ip, sp,
-                            rb);
-            counts[0] = nbuf + n;
-        } else {
-            /* detach a full batch (items keys first on ties), leave the
-             * rest in the buffer, heapify the batch down to a new slot */
-            log[3 * nlog] = 0;
-            log[3 * nlog + 1] = n;
-            log[3 * nlog + 2] = nbuf;
-            nlog++;
-            sort_split_core(ik, n, keys, nbuf, k, ik, keys, sk, ip,
-                            rb ? pay : NULL, ip, rb ? pay : NULL, sp, rb);
-            counts[0] = n + nbuf - k;
-            Py_ssize_t tar = heap_size + 1;
-            Py_ssize_t cur = (tar != 1) ? path_next_c(1, tar) : 1;
-            while (cur != tar) {
-                Py_ssize_t ni = counts[cur];
-                log[3 * nlog] = 0;
-                log[3 * nlog + 1] = ni;
-                log[3 * nlog + 2] = k;
-                nlog++;
-                split_row_items_c(keys, pay, counts, k, rb, sk, sp, ik, ip,
-                                  cur, k, ni);
-                cur = path_next_c(cur, tar);
-            }
-            memcpy(keys + tar * k, ik, (size_t)k * 8);
-            if (rb)
-                memcpy(pay + tar * k * rb, ip, (size_t)(k * rb));
-            counts[tar] = k;
-            new_hs = tar;
-        }
+        Py_ssize_t hs = insert_sorted_core(keys, pay, counts, k, rb, sk, sp,
+                                           ik, ip, m, heap_size, log, &nlog);
+        heapifies += hs != heap_size;
+        heap_size = hs;
     }
     Py_END_ALLOW_THREADS
-    release_bufs(bufs, 7);
-    return Py_BuildValue("nn", new_hs, nlog);
+    release_bufs(bufs, 9);
+    return Py_BuildValue("nnn", heap_size, nlog, heapifies);
 }
 
 /* deletemin(keys, pay, counts, heap_size, k, rb, count, out_k, out_p,
@@ -715,7 +755,7 @@ py_insert_sorted(PyObject *self, PyObject *args)
  * count >= counts[1]; callers keep the cheap early-outs in Python):
  * root copy-out, last-node promotion, partial-buffer fold, and the
  * full top-down heapify with residual extraction — one GIL round-trip.
- * Mirrors NativeBGPQ._deletemin_arena.  log rows are (tag, p1, p2):
+ * Mirrors NativeBGPQ._deletemin.  log rows are (tag, p1, p2):
  * tag 0 = node sort-split (na, nb), tag 1 = root extraction read
  * (take, 0), tag 3 = last-node move read+write (k, k). */
 static PyObject *
@@ -769,11 +809,9 @@ py_deletemin(PyObject *self, PyObject *args)
         counts[1] = nlast;
         counts[last] = 0;
         heap_size--;
-        log[0] = 3; log[1] = k; log[2] = k;
-        nlog = 1;
+        log_put(log, &nlog, 3, k, k);
         if (counts[0]) {
-            log[3] = 0; log[4] = nlast; log[5] = counts[0];
-            nlog = 2;
+            log_put(log, &nlog, 0, nlast, counts[0]);
             split_rows_c(keys, pay, counts, k, rb, sk, sp, 1, 0, 1, 0,
                          nlast);
         }
@@ -812,19 +850,13 @@ py_deletemin(PyObject *self, PyObject *args)
                     x = r; y = l;
                 }
                 Py_ssize_t ma = nl + nr < k ? nl + nr : k;
-                log[3 * nlog] = 0;
-                log[3 * nlog + 1] = nl;
-                log[3 * nlog + 2] = nr;
-                nlog++;
+                log_put(log, &nlog, 0, nl, nr);
                 split_rows_c(keys, pay, counts, k, rb, sk, sp, l, r, y, x,
                              ma);
             } else {
                 y = has_l ? l : r;
             }
-            log[3 * nlog] = 0;
-            log[3 * nlog + 1] = ncur;
-            log[3 * nlog + 2] = counts[y];
-            nlog++;
+            log_put(log, &nlog, 0, ncur, counts[y]);
             split_rows_c(keys, pay, counts, k, rb, sk, sp, cur, y, cur, y,
                          ncur);
             if (cur == 1 && taken < 0)
@@ -1024,7 +1056,7 @@ static PyMethodDef CkernMethods[] = {
     {"sort_records", py_sort_records, METH_VARARGS,
      "in-place stable record sort"},
     {"insert_sorted", py_insert_sorted, METH_VARARGS,
-     "fused whole-batch arena insert (split, fold/detach, heapify)"},
+     "fused arena insert of a sorted run, k records per batch"},
     {"deletemin", py_deletemin, METH_VARARGS,
      "fused whole-batch arena deletemin (general path)"},
     {"expand", py_expand, METH_VARARGS,

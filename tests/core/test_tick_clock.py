@@ -47,14 +47,23 @@ PATHS = [
 ]
 
 
+class _NeverStores(dict):
+    """A memo dict that forgets every entry it is given."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class _RecordingCharges(native._ChargeTicks):
-    """Charge table that never memoizes: every lookup logs its float."""
+    """Charge table that never memoizes: every lookup logs its float,
+    and the whole-log memo never stores, so each log is summed here."""
 
     __slots__ = ("log",)
 
     def __init__(self, model, k, log):
         super().__init__(model, k)
         self.log = log
+        self.logs = _NeverStores()
 
     def __getitem__(self, entry):
         ns = self.charge_ns(entry)

@@ -65,9 +65,9 @@ def sort_records(**kw):
 
 def insert_sorted(**kw):
     keys, pay, counts = arena(8, 1)
-    a = dict(keys=keys, pay=pay, counts=counts, ik=i64(K),
-             ip=bytearray(K * RB), scratch=scratch(), k=K, rb=RB, n=K,
-             heap_size=1, log=zeros(256))
+    a = dict(keys=keys, pay=pay, counts=counts, ik=zeros(K),
+             ip=bytearray(K * RB), scratch=scratch(), log=zeros(256),
+             run_k=i64(K), run_p=bytearray(K * RB), k=K, rb=RB, heap_size=1)
     a.update(kw)
     return mod.insert_sorted(*a.values())
 
@@ -111,7 +111,7 @@ else:
 """
 
 
-def _assert_rejected(call: str) -> None:
+def _run_child(call: str) -> str:
     script = _CHILD.format(ext_dir=str(Path(MOD.__file__).parent), call=call)
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -121,7 +121,12 @@ def _assert_rejected(call: str) -> None:
         f"{call} killed or failed the child (exit {proc.returncode}): "
         f"{proc.stderr.strip()[-400:]}"
     )
-    assert proc.stdout.startswith("rejected:"), f"{call}: {proc.stdout.strip()}"
+    return proc.stdout.strip()
+
+
+def _assert_rejected(call: str) -> None:
+    out = _run_child(call)
+    assert out.startswith("rejected:"), f"{call}: {out}"
 
 
 @needs_c
@@ -134,6 +139,17 @@ def _assert_rejected(call: str) -> None:
                      id="insert_sorted-short_arena_payload"),
         pytest.param("insert_sorted(ip=bytearray(8))",
                      id="insert_sorted-short_items_payload"),
+        pytest.param("insert_sorted(run_p=bytearray(8))",
+                     id="insert_sorted-short_run_payload"),
+        # 8 rows hold heap_size 1 + 6 batches, not + 7
+        pytest.param("insert_sorted(run_k=i64(7 * K), "
+                     "run_p=bytearray(7 * K * RB))",
+                     id="insert_sorted-rows_short_of_batches"),
+        # one batch onto node 2 needs 1 * (level 1 + 4) triples
+        pytest.param("insert_sorted(log=zeros(14))",
+                     id="insert_sorted-short_log"),
+        pytest.param("insert_sorted(heap_size=-1)",
+                     id="insert_sorted-heap_size_negative"),
         pytest.param("deletemin(k=0)", id="deletemin-k0"),
         pytest.param("deletemin(rb=-1)", id="deletemin-rb_negative"),
         pytest.param("deletemin(pay=bytearray(8))",
@@ -213,6 +229,16 @@ def test_compiled_surface_is_what_the_queue_calls():
     public = {n for n in dir(MOD) if not n.startswith("_")}
     assert public == {"deletemin", "expand", "insert_sorted", "sort_records",
                       "sort_split_into"}
+
+
+@needs_c
+def test_run_into_empty_heap_accepted():
+    # 2k + 3 records into an empty heap: the first batch becomes the root,
+    # the second detaches node 2, the last 3 fold into the buffer
+    call = ("assert insert_sorted(counts=zeros(8), heap_size=0, "
+            "run_k=i64(2 * K + 3), run_p=bytearray((2 * K + 3) * RB)) "
+            "== (2, 7, 1)")
+    assert _run_child(call) == "accepted"
 
 
 def test_kernel_set_has_no_unused_kernels():
