@@ -53,9 +53,6 @@ class KnapsackInstance:
     def n_items(self) -> int:
         return int(self.profits.size)
 
-    def total_weight(self) -> int:
-        return int(self.weights.sum())
-
     def greedy_value(self) -> int:
         """Profit of greedily packing by density (a lower bound)."""
         take = self.wsum[1:] <= self.capacity

@@ -11,6 +11,10 @@ Both queues use one layout: the tree is 1-indexed, so row ``i`` is node
 ``i`` and row 0 is the partial buffer, which shares the root's lock
 (§4).  A heap of ``max_nodes`` nodes owns ``max_nodes + 1`` rows.
 
+The layout's rules (§3.1) are stated once, by :func:`layout_problems`
+over the rows :meth:`NodeArena.live_rows` reads; both queues' invariant
+checks and ``NativeBGPQ.restore_rows`` apply it.
+
 The in-place row SORT_SPLIT lives here too: :meth:`NodeArena.split_rows`
 rebalances two rows and :meth:`NodeArena.split_row_items` a row against
 a travelling batch, both staged through the arena's own
@@ -26,7 +30,7 @@ from ..primitives.inplace import ScratchLedger
 from ..primitives.kernels import KernelSet
 from .node import EMPTY
 
-__all__ = ["NodeArena", "growth_target"]
+__all__ = ["NodeArena", "growth_target", "layout_problems"]
 
 #: the NumPy reference kernels, for arenas whose owner passes none
 _REFERENCE = KernelSet()
@@ -49,6 +53,57 @@ def growth_target(rows: int, need: int, row_bytes: int) -> int:
     while rows <= need:
         rows *= 8 if 8 * rows * row_bytes <= GROW_8X_MAX_BYTES else 2
     return rows
+
+
+def layout_problems(counts: np.ndarray, keys: np.ndarray, k: int) -> list[str]:
+    """Every way rows ``0..heap_size`` break the batched-heap layout.
+
+    ``counts`` holds the live size of each row (row 0 the partial
+    buffer, row ``i`` node ``i``, so ``heap_size = counts.size - 1``)
+    and ``keys`` their live keys, flat and row after row: the shape
+    :meth:`NodeArena.live_rows` returns.  Counts must be >= 0 and sum to
+    ``keys.size``.  The rules, which every op sequence keeps:
+
+    * every node holds at most k keys, every non-root node exactly k,
+      and the buffer fewer than k;
+    * every row is sorted, and a node's min is >= its parent's max;
+    * the buffer's min is >= the root's max;
+    * an empty heap has an empty buffer, and a non-empty heap a
+      non-empty root.
+
+    An empty list means the rows hold a reachable layout.
+    """
+    heap_size = counts.size - 1
+    nbuf = int(counts[0])
+    problems = [f"node {i} over capacity ({counts[i]}/{k})"
+                for i in (np.flatnonzero(counts[1:] > k) + 1).tolist()]
+    if nbuf >= k:
+        problems.append(f"pBuffer holds {nbuf} >= k={k} keys")
+    if (counts > k).any():
+        return problems  # a row past k leaves no row boundary to trust
+    problems += [f"interior node {i} not full ({counts[i]}/{k})"
+                 for i in (np.flatnonzero(counts[2:] != k) + 2).tolist()]
+    if heap_size == 0 and nbuf:
+        problems.append(f"pBuffer holds {nbuf} keys in an empty heap")
+    if heap_size and not counts[1]:
+        problems.append(f"root empty at heap_size={heap_size}")
+
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # one descent mask over the flat keys; a descent across a row
+    # boundary is no violation
+    down = keys[:-1] > keys[1:]
+    down[ends[(ends > 0) & (ends < keys.size)] - 1] = False
+    for r in np.unique(np.searchsorted(ends, np.flatnonzero(down), "right")).tolist():
+        problems.append(f"node {r} unsorted" if r else "pBuffer unsorted")
+
+    child = np.arange(2, heap_size + 1)
+    child = child[(counts[child] > 0) & (counts[child >> 1] > 0)]
+    bad = keys[starts[child]] < keys[ends[child >> 1] - 1]
+    problems += [f"node {i} min < parent {i >> 1} max" for i in child[bad].tolist()]
+    if heap_size and nbuf and counts[1] and keys[0] < keys[ends[1] - 1]:
+        problems.append("pBuffer min < root max")
+    return problems
 
 
 class NodeArena:
@@ -105,6 +160,21 @@ class NodeArena:
             + self.counts.nbytes + self.states.nbytes
             + self.scratch.keys.nbytes + self.scratch.pay.nbytes
         )
+
+    def live_rows(self, heap_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(counts, keys, pay)`` of rows ``0..heap_size``: a copy of
+        their counts and their live records, flat and row after row,
+        gathered with one mask — the rows a snapshot exports and
+        :func:`layout_problems` checks."""
+        rows = heap_size + 1
+        counts = self.counts[:rows].copy()
+        live = np.arange(self.k) < counts[:, None]
+        keys = self.keys[:rows][live]
+        if self.payload_width:
+            pay = self.pay[:rows][live]
+        else:  # the same (n, 0) array without a masked gather over no columns
+            pay = np.empty((keys.size, 0), self.pay.dtype)
+        return counts, keys, pay
 
     def grown(self, rows: int) -> "NodeArena":
         """A copy of this arena with at least ``rows`` rows.

@@ -5,13 +5,17 @@ leaves behind is *provably intact*.  :class:`HeapAuditor` performs the
 quiescent checks:
 
 structure
-    the batched heap property, per-node sortedness, and the partial
-    buffer's bound and ordering (delegated to the queue's own
-    ``check_invariants``);
+    the batched-heap layout rules over rows ``0..heap_size`` (the
+    queue's own ``check_invariants``, which applies
+    :func:`~repro.core.arena.layout_problems`): full sorted nodes above
+    their parents, a sorted partial buffer of fewer than k keys above
+    the root, and no buffer without a root nor an empty root;
 node states
-    every live node AVAIL, every non-root live node full, every slot
-    beyond the heap EMPTY — a TARGET or MARKED node at quiescence means
-    an operation died mid-protocol without rolling back;
+    every live node AVAIL and every slot beyond the heap EMPTY — a
+    TARGET or MARKED node at quiescence means an operation died
+    mid-protocol without rolling back;
+dead rows
+    no arena row beyond ``heap_size`` holds keys;
 lock quiescence
     no lock owned, no waiter queued, no lock with more grants than
     releases implied by a zero-owner end state;
@@ -146,47 +150,30 @@ class HeapAuditor:
 
     def _check_node_states(self, report: AuditReport) -> None:
         store = getattr(self.pq, "store", None)
-        if store is None or not hasattr(store, "nodes"):
+        if store is None or not hasattr(store, "arena"):
             return
         from .node import AVAIL, EMPTY, STATE_NAMES
 
         report.checks_run.append("node-states")
-        size = store.heap_size
-        for i in range(1, len(store.nodes)):
-            node = store.nodes[i]
-            if i <= size:
-                if node.state != AVAIL:
-                    report.problems.append(
-                        f"live node {i} in state "
-                        f"{STATE_NAMES.get(node.state, node.state)} at quiescence"
-                    )
-                elif node.empty:
-                    report.problems.append(f"live node {i} is AVAIL but empty")
-                elif i > 1 and not node.full:
-                    report.problems.append(
-                        f"non-root node {i} holds {node.count}/{node.capacity} keys"
-                    )
-            else:
-                if node.state != EMPTY:
-                    report.problems.append(
-                        f"slot {i} beyond heap_size={size} in state "
-                        f"{STATE_NAMES.get(node.state, node.state)}"
-                    )
-                if node.count:
-                    report.problems.append(
-                        f"slot {i} beyond heap_size={size} holds {node.count} keys"
-                    )
+        states, size = store.arena.states, store.heap_size
+        for i in (np.flatnonzero(states[1:size + 1] != AVAIL) + 1).tolist():
+            report.problems.append(
+                f"live node {i} in state "
+                f"{STATE_NAMES.get(states[i], states[i])} at quiescence"
+            )
+        for i in (np.flatnonzero(states[size + 1:] != EMPTY) + size + 1).tolist():
+            report.problems.append(
+                f"slot {i} beyond heap_size={size} in state "
+                f"{STATE_NAMES.get(states[i], states[i])}"
+            )
 
     def _check_arena(self, report: AuditReport) -> None:
-        """Arena-storage-aware pass: dead rows and the row-0 pBuffer.
+        """Arena-storage-aware pass: dead rows.
 
-        The shared :class:`~repro.core.arena.NodeArena` makes two bugs
-        representable that the per-node views never see — a retired row
-        whose count was not zeroed (its stale keys would resurface the
-        moment the heap grows back over it), and a broken row 0, which
-        both :class:`~repro.core.bgpq.BGPQ` and
-        :class:`~repro.core.native.NativeBGPQ` use as the partial
-        buffer, so it must hold a *sorted* run of fewer than k keys.
+        A retired row of the shared :class:`~repro.core.arena.NodeArena`
+        whose count was not zeroed is invisible to the layout rules,
+        which read rows ``0..heap_size`` only, yet its stale keys would
+        resurface the moment the heap grows back over it.
 
         Scratch storage (the arena's ``ScratchLedger`` and NativeBGPQ's
         travelling batch) is deliberately *not* audited: it is
@@ -207,12 +194,6 @@ class HeapAuditor:
                 f"arena row {i} beyond heap_size={size} holds "
                 f"{int(arena.counts[i])} keys"
             )
-        nbuf = int(arena.counts[0])
-        if nbuf >= arena.k:
-            report.problems.append(f"row-0 pBuffer holds {nbuf} >= k={arena.k} keys")
-        buf = arena.keys[0, :nbuf]
-        if buf.size > 1 and np.any(buf[:-1] > buf[1:]):
-            report.problems.append("row-0 pBuffer unsorted")
 
     def _check_locks(self, report: AuditReport) -> None:
         store = getattr(self.pq, "store", None)

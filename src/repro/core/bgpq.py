@@ -41,10 +41,10 @@ from ..baselines.interface import ConcurrentPQ, PQFeatures
 from ..device.kernels import GpuContext
 from ..errors import ConfigurationError
 from ..sim import Condition
+from .arena import layout_problems
 from .deletion import DeleteMixin
 from .heap import HeapStorage
 from .insertion import InsertMixin
-from .node import AVAIL
 
 __all__ = ["BGPQ"]
 
@@ -250,20 +250,10 @@ class BGPQ(InsertMixin, DeleteMixin, ConcurrentPQ):
         return self._total_keys
 
     def check_invariants(self) -> list[str]:
-        """Structural invariant check for tests (quiescent only).
-
-        Verifies the batched heap property, per-node sortedness, and
-        that the buffer's keys do not undercut the root (§3.1).
-        """
-        problems = self.store.check_heap_property()
-        root, buf = self.store.root, self.pbuffer
-        if buf.size and root.state == AVAIL and root.count and buf[0] < root.max_key():
-            problems.append(f"buffer min {buf[0]} < root max {root.max_key()}")
-        if buf.size > 1 and np.any(buf[:-1] > buf[1:]):
-            problems.append("buffer not sorted")
-        if buf.size >= self.k:
-            problems.append(f"buffer holds {buf.size} >= k={self.k} keys")
-        return problems
+        """The batched-heap layout rules of §3.1 over the arena rows
+        (:func:`~repro.core.arena.layout_problems`); quiescent only."""
+        counts, keys, _ = self.store.arena.live_rows(self.store.heap_size)
+        return layout_problems(counts, keys, self.k)
 
     def memory_bytes(self) -> int:
         """Live batch nodes + the partial buffer + one state/lock word

@@ -151,26 +151,3 @@ class HeapStorage:
         if not parts:
             return np.empty(0, dtype=self.dtype)
         return np.concatenate(parts)
-
-    def check_heap_property(self) -> list[str]:
-        """Return a list of violations (empty = invariant holds).
-
-        For every AVAIL non-root node with an AVAIL parent: the node's
-        min must be >= the parent's max (the paper's batched heap
-        property).  Quiescent use only.
-        """
-        from .node import AVAIL
-
-        problems: list[str] = []
-        for i in range(2, self.heap_size + 1):
-            n, p = self.nodes[i], self.nodes[parent(i)]
-            if n.state != AVAIL or p.state != AVAIL or n.empty or p.empty:
-                continue
-            if n.min_key() < p.max_key():
-                problems.append(
-                    f"node {i} min {n.min_key()} < parent {parent(i)} max {p.max_key()}"
-                )
-        for i in range(1, self.heap_size + 1):
-            if not self.nodes[i].check_sorted():
-                problems.append(f"node {i} keys not sorted")
-        return problems

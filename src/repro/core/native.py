@@ -56,8 +56,8 @@ from ..device.costmodel import GpuCostModel
 from ..device.kernels import GpuContext
 from ..errors import ConfigurationError
 from ..primitives import kernels as kernel_registry
-from .arena import NodeArena, growth_target
-from .heap import left, parent, path_next, right
+from .arena import NodeArena, growth_target, layout_problems
+from .heap import left, path_next, right
 
 __all__ = ["NativeBGPQ", "StateRows", "TICKS_PER_NS"]
 
@@ -397,11 +397,6 @@ class NativeBGPQ:
         return keys, self._payload_for(keys, payload)
 
     # -- kernel backend ----------------------------------------------------
-    @property
-    def kernel_backend(self) -> str:
-        """Name of the kernel backend this queue dispatches to."""
-        return getattr(self._kern, "name", "numpy")
-
     def kernel_provenance(self) -> dict:
         """Provenance record (backend, capabilities, fused dispatch)."""
         info = kernel_registry.provenance(self._kern)
@@ -781,10 +776,6 @@ class NativeBGPQ:
         which is what lets the durable service compare a recovered
         queue to an uninterrupted oracle.
         """
-        a = self._arena
-        rows = self._heap_size + 1
-        counts = a.counts[:rows].copy()
-        live = np.arange(self.k) < counts[:, None]
         header = {
             "k": self.k,
             "key_dtype": self.key_dtype.name,
@@ -794,12 +785,7 @@ class NativeBGPQ:
             "sim_ns": str(self.sim_time_ns_exact),
             "stats": dict(self.stats),
         }
-        keys = a.keys[:rows][live]
-        if self.payload_width:
-            pay = a.pay[:rows][live]
-        else:  # the same (n, 0) array without a masked gather over no columns
-            pay = np.empty((keys.size, 0), a.pay.dtype)
-        return StateRows(header, counts, keys, pay)
+        return StateRows(header, *self._arena.live_rows(self._heap_size))
 
     def export_state(self) -> dict:
         """Canonical snapshot: the :meth:`StateRows.as_state` dict view of
@@ -815,7 +801,8 @@ class NativeBGPQ:
         ``heap_size`` an int >= 0; k, dtypes and payload width must
         match this queue's construction parameters; ``counts`` must
         give ``heap_size + 1`` non-negative row sizes that ``keys`` and
-        ``pay`` hold exactly; the rows must form a valid batched heap;
+        ``pay`` hold exactly; the rows must pass
+        :func:`~repro.core.arena.layout_problems`;
         ``sim_ns`` must be a clock an export could have written and
         ``stats`` a dict.  Anything else raises
         :class:`ConfigurationError` with the queue untouched.  The rows
@@ -882,8 +869,7 @@ class NativeBGPQ:
 
         # validate the whole layout before writing a single row: the
         # fused kernels trust row counts and sortedness unchecked
-        row_keys = np.split(keys, np.cumsum(counts[:-1]))
-        problems = self._layout_problems(row_keys[1:], row_keys[0])
+        problems = layout_problems(counts, keys, self.k)
         if problems:
             raise ConfigurationError(
                 "snapshot breaks the heap layout: " + "; ".join(problems)
@@ -1015,56 +1001,13 @@ class NativeBGPQ:
         )
 
     def snapshot_keys(self) -> np.ndarray:
-        a = self._arena
-        parts = [a.keys[i, : int(a.counts[i])] for i in range(self._heap_size + 1)]
-        return np.concatenate(parts)
-
-    # -- invariants (tests only) -------------------------------------------
-    def _node_keys(self, i: int) -> np.ndarray | None:
-        """Keys of node ``i`` (None for a dead slot); quiescent use only."""
-        a = self._arena
-        if i >= a.rows:
-            return None
-        return a.keys[i, : int(a.counts[i])]
-
-    def _buffer_keys(self) -> np.ndarray:
-        a = self._arena
-        return a.keys[0, : int(a.counts[0])]
-
-    def _layout_problems(self, node_keys: list, buf: np.ndarray) -> list[str]:
-        """Batched-heap layout violations; ``node_keys[i - 1]`` holds node
-        ``i``'s keys (``None`` for a dead slot), ``buf`` the partial buffer."""
-        k = self.k
-        problems = []
-        for i, n in enumerate(node_keys, start=1):
-            if n is None:
-                continue
-            if n.size > k:
-                problems.append(f"node {i} over capacity ({n.size}/{k})")
-            elif i > 1 and n.size != k:
-                problems.append(f"interior node {i} not full ({n.size}/{k})")
-            if n.size > 1 and (n[:-1] > n[1:]).any():
-                problems.append(f"node {i} unsorted")
-            p = node_keys[parent(i) - 1] if i > 1 else None
-            if p is not None and n.size and p.size and n[0] < p[-1]:
-                problems.append(f"node {i} min < parent max")
-        if buf.size >= k:
-            problems.append("buffer overflow")
-        if buf.size > 1 and (buf[:-1] > buf[1:]).any():
-            problems.append("buffer unsorted")
-        root = node_keys[0] if node_keys else None
-        if root is not None and root.size and buf.size and buf[0] < root[-1]:
-            problems.append("buffer min < root max")
-        return problems
+        return self._arena.live_rows(self._heap_size)[1]
 
     def check_invariants(self) -> list[str]:
         """Batched-heap invariants, plus the O(1) length counter (tests only)."""
-        problems = self._layout_problems(
-            [self._node_keys(i) for i in range(1, self._heap_size + 1)],
-            self._buffer_keys(),
-        )
-        a = self._arena
-        held = int(a.counts[0] + a.counts[1 : self._heap_size + 1].sum())
+        counts, keys, _ = self._arena.live_rows(self._heap_size)
+        problems = layout_problems(counts, keys, self.k)
+        held = int(counts.sum())
         if self._size != held:
             problems.append(f"len() counter {self._size} != arena holds {held}")
         return problems

@@ -35,11 +35,6 @@ class SequentialPQ:
         out = [heapq.heappop(self._heap) for _ in range(n)]
         return np.array(out, dtype=self.dtype)
 
-    def peek_min(self):
-        if not self._heap:
-            raise IndexError("empty priority queue")
-        return self._heap[0]
-
     def snapshot_keys(self) -> np.ndarray:
         return np.array(sorted(self._heap), dtype=self.dtype)
 

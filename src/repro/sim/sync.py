@@ -144,14 +144,6 @@ class AtomicCell:
         self.value = old + delta
         return old
 
-    def compare_exchange(self, expected, desired) -> bool:
-        """CAS: returns True and installs ``desired`` iff value == expected."""
-        self.rmw_count += 1
-        if self.value == expected:
-            self.value = desired
-            return True
-        return False
-
     def exchange(self, desired) -> Any:
         self.rmw_count += 1
         old = self.value

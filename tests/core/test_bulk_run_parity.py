@@ -45,14 +45,23 @@ def _queue(kern, width):
     )
 
 
-def _assert_same(pq: NativeBGPQ, ref: NativeBGPQ) -> None:
-    got, want = pq.export_rows(), ref.export_rows()
+def _assert_same_rows(got, want) -> None:
     assert got.header == want.header
     for name in ("counts", "keys", "pay"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _assert_same(pq: NativeBGPQ, ref: NativeBGPQ) -> None:
+    got = pq.export_rows()
+    _assert_same_rows(got, ref.export_rows())
     assert pq.stats == ref.stats
     assert pq.sim_ticks == ref.sim_ticks
     assert len(pq) == len(ref)
+    # a reachable state passes the restore check and round-trips exactly
+    for kern in ("cext", "numpy"):
+        fresh = _queue(kern, pq.payload_width)
+        fresh.restore_rows(got)
+        _assert_same_rows(fresh.export_rows(), got)
 
 
 @needs_c

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.native import NativeBGPQ
 from repro.device import GpuContext
 from repro.errors import ConfigurationError, DurabilityError
+from repro.primitives import kernels
 from repro.serve.checkpoint import CheckpointStore, decode, encode, state_digest
 
 
@@ -142,23 +143,37 @@ def _malformed_row(state):
     state["nodes"][1]["keys"] = [4, 5, 6, "x"]
 
 
+def _buffer_without_root(state):
+    # the next insert would become a root above the buffer's smaller keys
+    state.update(heap_size=0, nodes=[], buffer={"keys": [1, 2, 3], "pay": [[]] * 3})
+
+
+def _empty_root(state):
+    state.update(heap_size=1, nodes=[{"keys": [], "pay": []}],
+                 buffer={"keys": [], "pay": []})
+
+
 @pytest.mark.parametrize(
-    "doctor", [_full_buffer, _unsorted_root, _oversized_row, _malformed_row],
-    ids=["buffer-holds-k", "unsorted-root", "row-of-k-plus-1", "malformed-row"],
+    "doctor", [_full_buffer, _unsorted_root, _oversized_row, _malformed_row,
+               _buffer_without_root, _empty_root],
+    ids=["buffer-holds-k", "unsorted-root", "row-of-k-plus-1", "malformed-row",
+         "buffer-without-root", "empty-root"],
 )
 def test_restore_rejects_broken_heap_layout(doctor):
     """The fused kernels trust restored counts and order unchecked, so
-    a snapshot that breaks the layout must fail closed, untouched."""
+    a snapshot that breaks the layout must fail closed, untouched, on
+    every kernel backend."""
     src = _mk()
     src.insert_bulk(np.arange(10, dtype=np.int64))
     state = src.export_state()
     doctor(state)
-    dst = _mk()
-    dst.insert_bulk(np.array([7, 5], dtype=np.int64))
-    before = dst.export_state()
-    with pytest.raises(ConfigurationError, match="snapshot"):
-        dst.restore_state(state)
-    assert dst.export_state() == before
+    for kern in kernels.available_backends():
+        dst = NativeBGPQ(node_capacity=4, kernels=kern)
+        dst.insert_bulk(np.array([7, 5], dtype=np.int64))
+        before = dst.export_state()
+        with pytest.raises(ConfigurationError, match="snapshot"):
+            dst.restore_state(state)
+        assert dst.export_state() == before
 
 
 _MISSING = object()

@@ -126,8 +126,24 @@ def _wrong_dtype(data, draw):
     return _pack(header, *_blocks(counts, keys, pay))
 
 
+def _buffer_without_root(data, draw):
+    header, counts, keys, pay = _parse(data)
+    n = draw(st.integers(1, K - 1))
+    header["heap_size"] = 0
+    order = np.argsort(keys, kind="stable")[:n]
+    return _pack(header, *_blocks(np.array([n]), keys[order], pay[order]))
+
+
+def _empty_root(data, draw):
+    header, counts, keys, pay = _parse(data)
+    n = draw(st.integers(0, K - 1))
+    header["heap_size"] = 1
+    order = np.argsort(keys, kind="stable")[:n]
+    return _pack(header, *_blocks(np.array([n, 0]), keys[order], pay[order]))
+
+
 DOCTORS = [_counts_over_k, _unsorted_row, _heap_size_off, _short_rows,
-           _wrong_dtype]
+           _wrong_dtype, _buffer_without_root, _empty_root]
 
 
 # -- the harness ---------------------------------------------------------------
