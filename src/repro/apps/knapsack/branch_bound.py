@@ -139,6 +139,13 @@ def unpack_nodes(nodes: np.ndarray, lb: int, wb: int):
     )
 
 
+def _fresh_prefix(keys: np.ndarray, incumbent: int) -> int:
+    """The stale-bound cut of a popped batch: keys are -ub * KEY_SCALE in
+    ascending order, so the nodes whose bound still beats the incumbent
+    are the prefix of keys below ``-KEY_SCALE * incumbent``."""
+    return int(np.searchsorted(keys, -KEY_SCALE * incumbent, "left"))
+
+
 class _Expansion:
     """The expansion kernel of one solve: children of a node batch.
 
@@ -154,8 +161,15 @@ class _Expansion:
     return the same keys, nodes, order, incumbent and prune count
     (``tests/apps/test_knapsack_expand_parity.py``).  The compiled path
     returns views into this solve's ``2 * batch`` key and node buffers,
-    which the next call overwrites; callers copy them
-    (``NativeBGPQ.insert_bulk`` does).
+    which the next call overwrites; the caller consumes them before
+    that (``NativeBGPQ.insert_bulk`` sorts a copy).
+
+    On the compiled backend ``step_args`` holds the tail of the C core's
+    ``knapsack_step`` arguments, which :meth:`NativeBGPQ.knapsack_step`
+    passes through: a ``2 * batch + 1`` buffer for the popped batch (and
+    then the children's run bounds), and ``expand``'s own arguments.
+    That call runs this kernel in place, between the deletemin and the
+    insert, as the thread block does.
     """
 
     def __init__(self, inst: KnapsackInstance, lb: int, wb: int, batch: int):
@@ -174,6 +188,7 @@ class _Expansion:
                 self.take, self.keys, self.children,
                 lb, wb, int(inst.capacity), inst.n_items,
             )
+            self.step_args = (np.empty(2 * batch + 1, np.int64), *self._args)
 
     def __call__(self, nodes: np.ndarray, incumbent: int):
         """Returns (keys, nodes, new_incumbent, n_pruned) of the surviving
@@ -229,10 +244,22 @@ def solve_batched(
     so a record is 16 bytes; an instance too large to pack raises
     :class:`ConfigurationError` before any queue is built.
 
+    One iteration pops a batch, cuts its stale-bound prefix, expands the
+    fresh nodes and inserts the children.  When the solve builds its own
+    queue on the compiled backend, each iteration on a heap of two or
+    more nodes is one :meth:`NativeBGPQ.knapsack_step` call, the thread
+    block's retrieve-expand-insert with no trip back to the host.
+    Otherwise, and on smaller heaps, it runs op by op: ``deletemin``,
+    the cut, the expansion kernel and ``insert_bulk``.  Both loops give
+    the same result, ``sim_time_ns``, queue stats and clock
+    (``tests/apps/test_knapsack_step_parity.py``).
+
     ``pq_factory(node_capacity, ctx, payload_width, storage)``, when
     given, supplies the queue instead of NativeBGPQ — the shard bench
     injects a recording subclass here to capture the app's exact PQ
-    op trace for fleet replay.  ``storage`` is always ``"arena"``.
+    op trace for fleet replay.  ``storage`` is always ``"arena"``.  Such
+    a queue always runs the op-by-op loop, so every op it sees is a
+    ``deletemin`` or an ``insert_bulk``.
     """
     lb, wb = node_widths(inst)
     ctx = ctx if ctx is not None else GpuContext.default()
@@ -242,8 +269,16 @@ def solve_batched(
         pq = pq_factory(batch, ctx, 1, "arena")
     model = ctx.model
     expand = _Expansion(inst, lb, wb, batch)
+    fused = pq_factory is None and expand._mod is not None
     depth = max(1, int(np.log2(max(2, inst.n_items))))
     expansion_ns = 0.0
+
+    def op_by_op(incumbent: int):
+        keys, payload = pq.deletemin(batch)
+        fresh = _fresh_prefix(keys, incumbent)
+        ckeys, cnodes, incumbent, pr = expand(payload[:fresh, 0], incumbent)
+        pq.insert_bulk(ckeys, payload=cnodes)
+        return fresh, cnodes.size, incumbent, keys.size - fresh + pr
 
     incumbent = inst.greedy_value()
     root_ub = dantzig_upper_bound(inst, 0, 0, 0)
@@ -252,22 +287,21 @@ def solve_batched(
     expanded = pruned = 0
     max_queue = len(pq)
     while pq:
-        keys, payload = pq.deletemin(batch)
-        # stale-bound prune: keys are -ub * KEY_SCALE in ascending order,
-        # so the nodes whose bound still beats the incumbent are a prefix
-        fresh = int(np.searchsorted(keys, -KEY_SCALE * incumbent, "left"))
-        pruned += keys.size - fresh
+        if fused and pq.heap_size >= 2:
+            fresh, kept, incumbent, pr = pq.knapsack_step(
+                batch, incumbent, expand.step_args
+            )
+        else:
+            fresh, kept, incumbent, pr = op_by_op(incumbent)
         expanded += fresh
-        ckeys, cnodes, incumbent, pr = expand(payload[:fresh, 0], incumbent)
         pruned += pr
         # expansion kernel cost: bound binary searches + compaction over
         # the children, cooperative across the block
         expansion_ns += (
             model.shared_pass_ns(2 * fresh) * depth
             + model.global_read_ns(4 * fresh)
-            + model.global_write_ns(4 * max(1, cnodes.size))
+            + model.global_write_ns(4 * max(1, kept))
         )
-        pq.insert_bulk(ckeys, payload=cnodes)
         max_queue = max(max_queue, len(pq))
     return KnapsackResult(
         incumbent, expanded, pruned, max_queue, pq.sim_time_ns + expansion_ns

@@ -131,9 +131,14 @@ def sssp_batched(
         # vectorised edge expansion over the whole settled batch
         starts, ends = graph.indptr[vs], graph.indptr[vs + 1]
         counts = ends - starts
-        if counts.sum() == 0:
+        total = int(counts.sum())
+        if total == 0:
             continue
-        edge_idx = np.concatenate([np.arange(s, e) for s, e in zip(starts, ends)])
+        # one CSR gather: output slot i of vertex j's run reads edge
+        # starts[j] + (i - where j's run begins in the output)
+        edge_idx = np.arange(total) + np.repeat(
+            starts - (np.cumsum(counts) - counts), counts
+        )
         parents = np.repeat(np.arange(vs.size), counts)
         nd = ds[parents] + graph.weights[edge_idx]
         targets = graph.indices[edge_idx]

@@ -511,6 +511,53 @@ class NativeBGPQ:
         self._size -= out[0].size
         return out
 
+    def knapsack_step(self, count: int, incumbent: int, expansion: tuple):
+        """One knapsack branch-and-bound iteration in one compiled call.
+
+        Runs ``deletemin(count)``, the stale-bound cut, the expansion of
+        the fresh nodes, the sort of their children and the insert of
+        them, as :func:`~repro.apps.knapsack.solve_batched`'s op-by-op
+        loop does through four C calls; ``expansion`` is that solve's
+        ``_Expansion.step_args``.  Needs the compiled backend, a heap of
+        at least two nodes (:attr:`heap_size`) and one int64 node per
+        payload row.  Stats and charges are those of the ``deletemin``
+        and ``insert_bulk`` it stands for: the root lock, then each
+        op's charge log replayed whole through the same memo.
+
+        Returns ``(fresh, n_children, new_incumbent, pruned)``, pruned
+        counting the stale nodes and the pruned children.  A popped node
+        whose level or weight is out of range raises ``ValueError`` after
+        the deletemin has run, leaving this queue's counters behind its
+        arena; the solve that owns the queue is over by then.
+        """
+        k = self.k
+        hs = self._heap_size
+        # the deletemin frees one row, the <= 2k children take two
+        self._ensure_rows(hs + 1)
+        need = 6 * ((hs + 1).bit_length() + 3)
+        if self._ins_log.size < need:
+            self._ins_log = np.empty(max(need, 2 * self._ins_log.size), np.int64)
+        a = self._arena
+        (removed, fresh, n, incumbent, pruned, self._heap_size, heapifies,
+         ndel, nins) = self._kern.mod.knapsack_step(
+            a.keys, a.pay, a.counts, self._items_k, self._items_p,
+            self._fscratch, self._del_log, self._ins_log, hs, k,
+            self._row_bytes, count, *expansion, incumbent,
+        )
+        self._size += n - removed
+        stats = self.stats
+        stats["ops"] += 1 + -(-n // k)  # the deletemin, then each batch
+        stats["deletemin_heapify"] += 1
+        stats["insert_heapify"] += heapifies
+        if self.model is not None:
+            charges = self._charges
+            self._ticks += charges[_ROOT_LOCK, 0, 0] + charges.log_ticks(
+                self._del_log[: 3 * ndel]
+            )
+            if n:
+                self._ticks += charges.log_ticks(self._ins_log[: 3 * nins])
+        return fresh, n, incumbent, pruned
+
     def peek(self):
         """Smallest key without removing it (``None`` when empty).
 
@@ -957,6 +1004,12 @@ class NativeBGPQ:
 
     def __bool__(self) -> bool:
         return self._size > 0
+
+    @property
+    def heap_size(self) -> int:
+        """Nodes in the heap, the root included (the partial buffer is
+        row 0, not a node)."""
+        return self._heap_size
 
     @property
     def sim_ticks(self) -> int:

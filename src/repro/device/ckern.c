@@ -1,14 +1,18 @@
 /* Compiled host kernels for NativeBGPQ's and the knapsack solver's
  * wall-clock fast path.
  *
- * Five entry points.  Four are exactly the ones the queue calls:
+ * Six entry points.  Four are exactly the ones the queue calls:
  * sort_split_into (the paper's SORT_SPLIT between two nodes),
  * sort_records (the stable presort of an incoming batch), and the
  * fused whole-op arena kernels: insert_sorted feeds a whole presorted
  * bulk insert to the heap k records at a time, deletemin runs one
  * deletemin; each is one GIL round-trip.  The fifth, expand, is the
  * knapsack branch-and-bound expansion of one node batch (§6.5's
- * per-block expand-and-bound kernel).
+ * per-block expand-and-bound kernel).  The sixth, knapsack_step, runs
+ * one whole solver iteration on the arena — deletemin, stale-bound
+ * cut, expand, sort and insert — the way one thread block retrieves a
+ * batch, expands it and inserts the children without a trip back to
+ * the host.
  *
  * The NumPy reference kernels in repro/primitives and the NumPy body
  * of the knapsack _Expansion are the semantic source of truth;
@@ -20,8 +24,8 @@
  * rows are opaque byte strips that travel with their keys, ties
  * between two sorted runs resolve in favour of the first (`a`) run,
  * and nothing here allocates on the steady-state path (scratch buffers
- * are caller-supplied; only the bulk record sort mallocs a transient
- * C-heap temp, invisible to tracemalloc by design).
+ * are caller-supplied; only the sort_records entry point mallocs a
+ * transient C-heap temp, invisible to tracemalloc by design).
  *
  * Merges that carry payload rows adapt to runs: once one side's next 8
  * records all precede the other side's head, merge_core gallops to the
@@ -38,7 +42,8 @@
  * never reaches the unchecked compute loops below.  The one check that
  * depends on buffer contents, expand's node fields (level at most
  * n_items, weight at most capacity), runs in its GIL-free loop, which
- * stops at the first bad node and raises once the GIL is back.
+ * stops at the first bad node and raises once the GIL is back (in
+ * knapsack_step, after its deletemin has run).
  *
  * Every compute loop runs with the GIL released
  * (Py_BEGIN_ALLOW_THREADS), so other Python threads of the process
@@ -397,31 +402,32 @@ sort_split_core(const int64_t *a, Py_ssize_t na, const int64_t *b,
 /* stable natural-run mergesort of (key, payload-row) records          */
 /* ------------------------------------------------------------------ */
 
-/* One scan counts the maximal non-descending runs (a sorted input stops
- * here, with no allocation) and a second records where they start.
- * Each pass then merges adjacent pairs of runs, left run first on ties,
- * ping-ponging between the records and one temp; merging only
- * neighbours keeps the result the stable permutation
- * argsort(kind="stable") gives.  r runs cost ceil(log2 r) passes.  The
- * run starts are kept rather than found again each pass: on random
- * keys (runs of ~2) a rescan's mispredicted run ends cost more than
- * the saved passes win. */
-static int
-sort_records_core(int64_t *keys, char *pay, Py_ssize_t n, Py_ssize_t rb)
+/* Number of maximal non-descending runs of keys[0..n) (1 when sorted). */
+static Py_ssize_t
+count_runs(const int64_t *keys, Py_ssize_t n)
 {
     Py_ssize_t r = 1;
     for (Py_ssize_t i = 1; i < n; i++)
         r += keys[i - 1] > keys[i];
-    if (r == 1)
-        return 0;
-    /* one block: r + 1 run bounds, then n temp keys, then n temp rows */
-    Py_ssize_t *bd = (Py_ssize_t *)malloc(
-        (size_t)(r + 1) * sizeof(Py_ssize_t) + (size_t)(n * (8 + rb)));
-    if (bd == NULL)
-        return -1;
-    int64_t *src_k = keys, *dst_k = (int64_t *)(bd + r + 1);
-    char *src_p = pay, *dst_p = (char *)(dst_k + n);
-    r = 1;
+    return r;
+}
+
+/* Stable sort of n records holding r > 1 runs, through a caller
+ * workspace: bd holds r + 1 run bounds, tk n keys, tp n rows.  A scan
+ * records where the runs start; each pass then merges adjacent pairs of
+ * runs, left run first on ties, ping-ponging between the records and
+ * the workspace; merging only neighbours keeps the result the stable
+ * permutation argsort(kind="stable") gives.  r runs cost ceil(log2 r)
+ * passes.  The run starts are kept rather than found again each pass:
+ * on random keys (runs of ~2) a rescan's mispredicted run ends cost
+ * more than the saved passes win. */
+static void
+merge_runs(int64_t *keys, char *pay, Py_ssize_t n, Py_ssize_t rb,
+           int64_t *bd, int64_t *tk, char *tp)
+{
+    int64_t *src_k = keys, *dst_k = tk;
+    char *src_p = pay, *dst_p = tp;
+    Py_ssize_t r = 1;
     bd[0] = 0;
     for (Py_ssize_t i = 1; i < n; i++) {
         bd[r] = i;
@@ -431,8 +437,8 @@ sort_records_core(int64_t *keys, char *pay, Py_ssize_t n, Py_ssize_t rb)
     while (r > 1) {
         Py_ssize_t m = 0; /* merged runs; bd[m] is overwritten behind q */
         for (Py_ssize_t q = 0; q < r; q += 2) {
-            Py_ssize_t lo = bd[q], mid = bd[q + 1];
-            Py_ssize_t hi = q + 2 <= r ? bd[q + 2] : mid;
+            Py_ssize_t lo = (Py_ssize_t)bd[q], mid = (Py_ssize_t)bd[q + 1];
+            Py_ssize_t hi = q + 2 <= r ? (Py_ssize_t)bd[q + 2] : mid;
             merge_core(src_k + lo, mid - lo, src_k + mid, hi - mid,
                        dst_k + lo,
                        rb ? src_p + lo * rb : NULL,
@@ -450,6 +456,23 @@ sort_records_core(int64_t *keys, char *pay, Py_ssize_t n, Py_ssize_t rb)
         if (rb)
             memcpy(pay, src_p, (size_t)(n * rb));
     }
+}
+
+/* Natural-run mergesort of (key, payload-row) records: a sorted batch
+ * stops after one scan, with no allocation; otherwise merge_runs works
+ * in one transient malloc'd block. */
+static int
+sort_records_core(int64_t *keys, char *pay, Py_ssize_t n, Py_ssize_t rb)
+{
+    Py_ssize_t r = count_runs(keys, n);
+    if (r == 1)
+        return 0;
+    /* one block: r + 1 run bounds, then n temp keys, then n temp rows */
+    int64_t *bd = (int64_t *)malloc((size_t)(r + 1 + n) * 8 +
+                                    (size_t)(n * rb));
+    if (bd == NULL)
+        return -1;
+    merge_runs(keys, pay, n, rb, bd, bd + r + 1, (char *)(bd + r + 1 + n));
     free(bd);
     return 0;
 }
@@ -673,15 +696,47 @@ insert_sorted_core(int64_t *keys, char *pay, int64_t *counts, Py_ssize_t k,
     return tar;
 }
 
+/* Feed a sorted run of n >= 1 records to the heap k at a time through
+ * the travelling batch ik/ip.  Each batch logs a tag-4 (m, 0) batch
+ * entry, then lands in row 1 if the heap is empty (as
+ * NativeBGPQ._insert_sorted does) or runs insert_sorted_core.  Updates
+ * *heap_size; returns the count of batches that detached a node. */
+static Py_ssize_t
+insert_run_core(int64_t *keys, char *pay, int64_t *counts, Py_ssize_t k,
+                Py_ssize_t rb, int64_t *sk, char *sp, int64_t *ik, char *ip,
+                const int64_t *run_k, const char *run_p, Py_ssize_t n,
+                Py_ssize_t *heap_size, int64_t *log, Py_ssize_t *nlog)
+{
+    Py_ssize_t hs = *heap_size, heapifies = 0;
+    for (Py_ssize_t at = 0; at < n; at += k) {
+        Py_ssize_t m = n - at < k ? n - at : k;
+        log_put(log, nlog, 4, m, 0);
+        int64_t *dk = hs ? ik : keys + k;
+        char *dp = hs ? ip : pay + k * rb;
+        memcpy(dk, run_k + at, (size_t)m * 8);
+        if (rb)
+            memcpy(dp, run_p + at * rb, (size_t)(m * rb));
+        if (hs == 0) {
+            /* the first batch of an empty heap is the root */
+            counts[1] = m;
+            hs = 1;
+            continue;
+        }
+        Py_ssize_t next = insert_sorted_core(keys, pay, counts, k, rb, sk, sp,
+                                             ik, ip, m, hs, log, nlog);
+        heapifies += next != hs;
+        hs = next;
+    }
+    *heap_size = hs;
+    return heapifies;
+}
+
 /* insert_sorted(keys, pay, counts, items_k, items_p, sk, log, run_k,
  *               run_p, k, rb, heap_size) -> (new_heap_size, nlog,
  *               heapifies)
- * The whole arena insert of a sorted run of n >= 1 records, fed to the
- * heap k at a time through the travelling batch items_k/items_p — one
- * GIL round-trip per bulk insert.  Each batch logs a tag-4 (m, 0) batch
- * entry, then lands in row 1 if the heap is empty (as
- * NativeBGPQ._insert_sorted does) or runs insert_sorted_core.
- * heapifies counts the batches that detached a node.  The caller grows
+ * The whole arena insert of a sorted run of n >= 1 records
+ * (insert_run_core) — one GIL round-trip per bulk insert.  heapifies
+ * counts the batches that detached a node.  The caller grows
  * the arena to more than heap_size + ceil(n / k) rows and the log to
  * ceil(n / k) * (levels + 4) triples, levels being the depth of node
  * heap_size + ceil(n / k). */
@@ -713,51 +768,105 @@ py_insert_sorted(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "insert_sorted: bad shape");
         return NULL;
     }
-    int64_t *keys = KEYS(bufs[0]);
-    char *pay = BYTES(bufs[1]);
-    int64_t *counts = KEYS(bufs[2]);
-    int64_t *ik = KEYS(bufs[3]);
-    char *ip = BYTES(bufs[4]);
     int64_t *sk = KEYS(bufs[5]);
     char *sp = (char *)(sk + 2 * k); /* scratch: [2k keys][2k pay rows] */
-    int64_t *log = KEYS(bufs[6]);
-    const int64_t *run_k = KEYS(bufs[7]);
-    const char *run_p = BYTES(bufs[8]);
-    Py_ssize_t nlog = 0, heapifies = 0;
+    Py_ssize_t nlog = 0, heapifies;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t at = 0; at < n; at += k) {
-        Py_ssize_t m = n - at < k ? n - at : k;
-        log_put(log, &nlog, 4, m, 0);
-        int64_t *dk = heap_size ? ik : keys + k;
-        char *dp = heap_size ? ip : pay + k * rb;
-        memcpy(dk, run_k + at, (size_t)m * 8);
-        if (rb)
-            memcpy(dp, run_p + at * rb, (size_t)(m * rb));
-        if (heap_size == 0) {
-            /* the first batch of an empty heap is the root */
-            counts[1] = m;
-            heap_size = 1;
-            continue;
-        }
-        Py_ssize_t hs = insert_sorted_core(keys, pay, counts, k, rb, sk, sp,
-                                           ik, ip, m, heap_size, log, &nlog);
-        heapifies += hs != heap_size;
-        heap_size = hs;
-    }
+    heapifies = insert_run_core(KEYS(bufs[0]), BYTES(bufs[1]), KEYS(bufs[2]),
+                                k, rb, sk, sp, KEYS(bufs[3]), BYTES(bufs[4]),
+                                KEYS(bufs[7]), BYTES(bufs[8]), n, &heap_size,
+                                KEYS(bufs[6]), &nlog);
     Py_END_ALLOW_THREADS
     release_bufs(bufs, 9);
     return Py_BuildValue("nnn", heap_size, nlog, heapifies);
 }
 
+/* The arena deletemin general path (heap_size >= 2 and count >=
+ * counts[1]): root copy-out, last-node promotion, partial-buffer fold,
+ * and the full top-down heapify with residual extraction into
+ * out_k/out_p.  Mirrors NativeBGPQ._deletemin.  Appends log triples
+ * (tag, p1, p2): tag 0 = node sort-split (na, nb), tag 1 = root
+ * extraction read (take, 0), tag 3 = last-node move read+write (k, k);
+ * at most 3 * (level_of(heap_size) + 2) of them.  Decrements
+ * *heap_size; returns the records taken. */
+static Py_ssize_t
+deletemin_core(int64_t *keys, char *pay, int64_t *counts, Py_ssize_t k,
+               Py_ssize_t rb, int64_t *sk, char *sp, Py_ssize_t *heap_size,
+               Py_ssize_t count, int64_t *out_k, char *out_p, int64_t *log,
+               Py_ssize_t *nlog)
+{
+    Py_ssize_t nroot = counts[1];
+    Py_ssize_t remained = count - nroot;
+    memcpy(out_k, keys + k, (size_t)nroot * 8);
+    if (rb)
+        memcpy(out_p, pay + k * rb, (size_t)(nroot * rb));
+    /* move the last node into the root, fold the buffer in */
+    Py_ssize_t last = *heap_size;
+    Py_ssize_t hs = last - 1;
+    Py_ssize_t nlast = counts[last];
+    memcpy(keys + k, keys + last * k, (size_t)nlast * 8);
+    if (rb)
+        memcpy(pay + k * rb, pay + last * k * rb, (size_t)(nlast * rb));
+    counts[1] = nlast;
+    counts[last] = 0;
+    *heap_size = hs;
+    log_put(log, nlog, 3, k, k);
+    if (counts[0]) {
+        log_put(log, nlog, 0, nlast, counts[0]);
+        split_rows_c(keys, pay, counts, k, rb, sk, sp, 1, 0, 1, 0, nlast);
+    }
+    int64_t *ex_k = out_k + nroot;
+    char *ex_p = out_p + nroot * rb;
+    Py_ssize_t taken = -1;
+    Py_ssize_t cur = 1;
+    for (;;) {
+        Py_ssize_t ncur = counts[cur];
+        Py_ssize_t l = 2 * cur, r = 2 * cur + 1;
+        int has_l = l <= hs && counts[l];
+        int has_r = r <= hs && counts[r];
+        int64_t cmin = 0;
+        if (has_l && has_r)
+            cmin = keys[l * k] <= keys[r * k] ? keys[l * k] : keys[r * k];
+        else if (has_l)
+            cmin = keys[l * k];
+        else if (has_r)
+            cmin = keys[r * k];
+        if ((!has_l && !has_r) || ncur == 0 ||
+            keys[cur * k + ncur - 1] <= cmin) {
+            if (taken < 0)
+                taken = extract_root_c(keys, pay, counts, k, rb, remained,
+                                       ex_k, ex_p, log, nlog);
+            break;
+        }
+        Py_ssize_t y;
+        if (has_l && has_r) {
+            Py_ssize_t nl = counts[l], nr = counts[r];
+            Py_ssize_t x;
+            if (keys[l * k + nl - 1] > keys[r * k + nr - 1]) {
+                x = l; y = r;
+            } else {
+                x = r; y = l;
+            }
+            Py_ssize_t ma = nl + nr < k ? nl + nr : k;
+            log_put(log, nlog, 0, nl, nr);
+            split_rows_c(keys, pay, counts, k, rb, sk, sp, l, r, y, x, ma);
+        } else {
+            y = has_l ? l : r;
+        }
+        log_put(log, nlog, 0, ncur, counts[y]);
+        split_rows_c(keys, pay, counts, k, rb, sk, sp, cur, y, cur, y, ncur);
+        if (cur == 1 && taken < 0)
+            taken = extract_root_c(keys, pay, counts, k, rb, remained, ex_k,
+                                   ex_p, log, nlog);
+        cur = y;
+    }
+    return nroot + taken;
+}
+
 /* deletemin(keys, pay, counts, heap_size, k, rb, count, out_k, out_p,
  *           scratch, log) -> (total, new_heap_size, nlog)
- * The whole arena deletemin general path (heap_size >= 2 and
- * count >= counts[1]; callers keep the cheap early-outs in Python):
- * root copy-out, last-node promotion, partial-buffer fold, and the
- * full top-down heapify with residual extraction — one GIL round-trip.
- * Mirrors NativeBGPQ._deletemin.  log rows are (tag, p1, p2):
- * tag 0 = node sort-split (na, nb), tag 1 = root extraction read
- * (take, 0), tag 3 = last-node move read+write (k, k). */
+ * deletemin_core in one GIL round-trip; callers keep the cheap
+ * early-outs (count < counts[1], heap_size < 2) in Python. */
 static PyObject *
 py_deletemin(PyObject *self, PyObject *args)
 {
@@ -784,88 +893,13 @@ py_deletemin(PyObject *self, PyObject *args)
         PyErr_SetString(PyExc_ValueError, "deletemin: bad shape");
         return NULL;
     }
-    int64_t *keys = KEYS(bufs[0]);
-    char *pay = BYTES(bufs[1]);
-    int64_t *counts = KEYS(bufs[2]);
-    int64_t *out_k = KEYS(bufs[3]);
-    char *out_p = BYTES(bufs[4]);
     int64_t *sk = KEYS(bufs[5]);
     char *sp = (char *)(sk + 2 * k); /* scratch: [2k keys][2k pay rows] */
-    int64_t *log = KEYS(bufs[6]);
-    Py_ssize_t nlog = 0, total = 0;
+    Py_ssize_t nlog = 0, total;
     Py_BEGIN_ALLOW_THREADS
-    {
-        Py_ssize_t nroot = counts[1];
-        Py_ssize_t remained = count - nroot;
-        memcpy(out_k, keys + k, (size_t)nroot * 8);
-        if (rb)
-            memcpy(out_p, pay + k * rb, (size_t)(nroot * rb));
-        /* move the last node into the root, fold the buffer in */
-        Py_ssize_t last = heap_size;
-        Py_ssize_t nlast = counts[last];
-        memcpy(keys + k, keys + last * k, (size_t)nlast * 8);
-        if (rb)
-            memcpy(pay + k * rb, pay + last * k * rb, (size_t)(nlast * rb));
-        counts[1] = nlast;
-        counts[last] = 0;
-        heap_size--;
-        log_put(log, &nlog, 3, k, k);
-        if (counts[0]) {
-            log_put(log, &nlog, 0, nlast, counts[0]);
-            split_rows_c(keys, pay, counts, k, rb, sk, sp, 1, 0, 1, 0,
-                         nlast);
-        }
-        int64_t *ex_k = out_k + nroot;
-        char *ex_p = out_p + nroot * rb;
-        Py_ssize_t taken = -1;
-        Py_ssize_t cur = 1;
-        for (;;) {
-            Py_ssize_t ncur = counts[cur];
-            Py_ssize_t l = 2 * cur, r = 2 * cur + 1;
-            int has_l = l <= heap_size && counts[l];
-            int has_r = r <= heap_size && counts[r];
-            int64_t cmin = 0;
-            if (has_l && has_r)
-                cmin = keys[l * k] <= keys[r * k] ? keys[l * k]
-                                                  : keys[r * k];
-            else if (has_l)
-                cmin = keys[l * k];
-            else if (has_r)
-                cmin = keys[r * k];
-            if ((!has_l && !has_r) || ncur == 0 ||
-                keys[cur * k + ncur - 1] <= cmin) {
-                if (taken < 0)
-                    taken = extract_root_c(keys, pay, counts, k, rb,
-                                           remained, ex_k, ex_p, log,
-                                           &nlog);
-                break;
-            }
-            Py_ssize_t y;
-            if (has_l && has_r) {
-                Py_ssize_t nl = counts[l], nr = counts[r];
-                Py_ssize_t x;
-                if (keys[l * k + nl - 1] > keys[r * k + nr - 1]) {
-                    x = l; y = r;
-                } else {
-                    x = r; y = l;
-                }
-                Py_ssize_t ma = nl + nr < k ? nl + nr : k;
-                log_put(log, &nlog, 0, nl, nr);
-                split_rows_c(keys, pay, counts, k, rb, sk, sp, l, r, y, x,
-                             ma);
-            } else {
-                y = has_l ? l : r;
-            }
-            log_put(log, &nlog, 0, ncur, counts[y]);
-            split_rows_c(keys, pay, counts, k, rb, sk, sp, cur, y, cur, y,
-                         ncur);
-            if (cur == 1 && taken < 0)
-                taken = extract_root_c(keys, pay, counts, k, rb, remained,
-                                       ex_k, ex_p, log, &nlog);
-            cur = y;
-        }
-        total = nroot + taken;
-    }
+    total = deletemin_core(KEYS(bufs[0]), BYTES(bufs[1]), KEYS(bufs[2]), k,
+                           rb, sk, sp, &heap_size, count, KEYS(bufs[3]),
+                           BYTES(bufs[4]), KEYS(bufs[6]), &nlog);
     Py_END_ALLOW_THREADS
     release_bufs(bufs, 7);
     return Py_BuildValue("nnn", total, heap_size, nlog);
@@ -934,6 +968,9 @@ dantzig(const int64_t *wsum, const int64_t *psum, const int64_t *prof,
     return ub;
 }
 
+/* branch_bound.KEY_SCALE: a child's key is -(int64)(bound * KEY_SCALE) */
+#define KEY_SCALE 64
+
 /* Children of a packed node batch (see _Expansion in
  * repro/apps/knapsack/branch_bound.py): a take-child is
  * x + take[level] when the item fits, a skip-child x + 1; leaves
@@ -979,7 +1016,7 @@ expand_core(const int64_t *nodes, Py_ssize_t nn, const int64_t *wsum,
             j = last_le(wsum, l + 1, n + 1, t);
             ub = dantzig(wsum, psum, prof, wt, n, l + 1, j, p + prof[l], t);
             if (ub > dinc) {
-                ok[nt] = -(int64_t)(ub * 64.0);
+                ok[nt] = -(int64_t)(ub * KEY_SCALE);
                 on[nt++] = x + take[l];
             }
             j = gallop_le(wsum, j, n, ts);
@@ -988,7 +1025,7 @@ expand_core(const int64_t *nodes, Py_ssize_t nn, const int64_t *wsum,
         }
         ub = dantzig(wsum, psum, prof, wt, n, l + 1, j, p, ts);
         if (ub > dinc) {
-            sk[ns] = -(int64_t)(ub * 64.0);
+            sk[ns] = -(int64_t)(ub * KEY_SCALE);
             sn[ns++] = x + 1;
         }
     }
@@ -1000,12 +1037,28 @@ expand_core(const int64_t *nodes, Py_ssize_t nn, const int64_t *wsum,
     return 0;
 }
 
+/* 1 when expand's instance arguments are out of range: the field widths
+ * must leave a profit field in 63 bits, the capacity and n_items must be
+ * >= 0, and inst[0..5) (wsum, psum, profits, weights, take) must hold
+ * n + 1, n + 1, n, n and n int64s. */
+static int
+bad_instance(const Buf *inst, Py_ssize_t lb, Py_ssize_t wb, long long cap,
+             Py_ssize_t n)
+{
+    return lb < 1 || wb < 1 || lb > 62 - wb || cap < 0 || n < 0 ||
+           inst[0].view.len / 8 <= n || inst[1].view.len / 8 <= n ||
+           inst[2].view.len / 8 < n || inst[3].view.len / 8 < n ||
+           inst[4].view.len / 8 < n;
+}
+
+#define NODE_ERROR "node level above n_items or weight above capacity"
+
 /* expand(nodes, wsum, psum, profits, weights, take, out_k, out_n, lb,
  *        wb, capacity, n_items, incumbent)
  *   -> (n_out, new_incumbent, n_pruned)
  * The whole knapsack expansion of one node batch; the surviving
- * children's keys (-(int64)(ub * 64)) and nodes land in out_k/out_n,
- * which must hold 2 * len(nodes). */
+ * children's keys (-(int64)(ub * KEY_SCALE)) and nodes land in
+ * out_k/out_n, which must hold 2 * len(nodes). */
 static PyObject *
 py_expand(PyObject *self, PyObject *args)
 {
@@ -1022,11 +1075,8 @@ py_expand(PyObject *self, PyObject *args)
     if (get_bufs(o, bufs, flags, 8))
         return NULL;
     Py_ssize_t nn = bufs[0].view.len / 8;
-    if (lb < 1 || wb < 1 || lb > 62 - wb || cap < 0 || n < 0 ||
-        bufs[1].view.len / 8 <= n || bufs[2].view.len / 8 <= n ||
-        bufs[3].view.len / 8 < n || bufs[4].view.len / 8 < n ||
-        bufs[5].view.len / 8 < n || bufs[6].view.len / 8 < 2 * nn ||
-        bufs[7].view.len / 8 < 2 * nn) {
+    if (bad_instance(bufs + 1, lb, wb, cap, n) ||
+        bufs[6].view.len / 8 < 2 * nn || bufs[7].view.len / 8 < 2 * nn) {
         release_bufs(bufs, 8);
         PyErr_SetString(PyExc_ValueError, "expand: bad shape");
         return NULL;
@@ -1042,12 +1092,116 @@ py_expand(PyObject *self, PyObject *args)
     Py_END_ALLOW_THREADS
     release_bufs(bufs, 8);
     if (rc != 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "expand: node level above n_items or weight above "
-                        "capacity");
+        PyErr_SetString(PyExc_ValueError, "expand: " NODE_ERROR);
         return NULL;
     }
     return Py_BuildValue("nLn", nout, (long long)incumbent, npruned);
+}
+
+/* ------------------------------------------------------------------ */
+/* one whole branch-and-bound iteration                                */
+/* ------------------------------------------------------------------ */
+
+/* knapsack_step(keys, pay, counts, items_k, items_p, scratch, del_log,
+ *               ins_log, heap_size, k, rb, count, step, wsum, psum,
+ *               profits, weights, take, out_k, out_n, lb, wb, capacity,
+ *               n_items, incumbent)
+ *   -> (removed, fresh, n_children, new_incumbent, pruned,
+ *       new_heap_size, heapifies, del_nlog, ins_nlog)
+ * One iteration of the batched knapsack solver on the arena, in one GIL
+ * round-trip, as the op-by-op loop runs it through four entry points:
+ *   1. deletemin_core of count <= k records (heap_size >= 2) into step:
+ *      count keys, then count nodes (a payload row is one int64 node,
+ *      rb == 8);
+ *   2. the stale-bound cut: the fresh prefix is the keys below
+ *      -KEY_SCALE * incumbent;
+ *   3. expand_core of the fresh nodes into out_k/out_n;
+ *   4. the natural-run sort of the children in place, run bounds in
+ *      step (dead after 3), temp records in scratch;
+ *   5. insert_run_core of the sorted children.
+ * Nothing is allocated.  The deletemin log lands in del_log and the
+ * insert log in ins_log, each as its own call writes it.  pruned counts
+ * the stale records plus the pruned children.  The caller grows the
+ * arena past row heap_size + 1 (the deletemin frees one row, at most
+ * 2 * count <= 2k children add two), del_log to deletemin's and ins_log
+ * to 2 * (levels + 4) triples, levels being the depth of node
+ * heap_size + 1; step holds 2 * count + 1 int64s, out_k and out_n
+ * 2 * count.  A popped node with level > n_items or weight > capacity
+ * raises ValueError after the deletemin has run, so the queue's own
+ * bookkeeping is then behind its arena. */
+static PyObject *
+py_knapsack_step(PyObject *self, PyObject *args)
+{
+    PyObject *o[16];
+    Py_ssize_t heap_size, k, rb, count, lb, wb, n;
+    long long cap, inc;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOnnnnOOOOOOOOnnLnL", &o[0], &o[1],
+                          &o[2], &o[3], &o[4], &o[5], &o[6], &o[7],
+                          &heap_size, &k, &rb, &count, &o[8], &o[9], &o[10],
+                          &o[11], &o[12], &o[13], &o[14], &o[15], &lb, &wb,
+                          &cap, &n, &inc))
+        return NULL;
+    static const int flags[16] = {
+        RW | I64, RW, RW | I64, RW | I64, RW, RW | I64, RW | I64, RW | I64,
+        RW | I64, RO | I64, RO | I64, RO | I64, RO | I64, RO | I64,
+        RW | I64, RW | I64};
+    Buf bufs[16];
+    if (get_bufs(o, bufs, flags, 16))
+        return NULL;
+    Py_ssize_t rows = k >= 1 ? bufs[0].view.len / 8 / k : 0;
+    if (k < 1 || rb != 8 || heap_size < 2 || heap_size >= rows - 1 ||
+        count < 1 || count > k || lacks(bufs[1].view.len, rows * k, rb) ||
+        bufs[2].view.len / 8 < rows || count < KEYS(bufs[2])[1] ||
+        bufs[3].view.len / 8 < k || lacks(bufs[4].view.len, k, rb) ||
+        bufs[5].view.len < 2 * k * (8 + rb) ||
+        bufs[6].view.len / 24 < 3 * ((Py_ssize_t)level_of(heap_size) + 2) ||
+        bufs[7].view.len / 24 <
+            2 * ((Py_ssize_t)level_of(heap_size + 1) + 4) ||
+        bufs[8].view.len / 8 < 2 * count + 1 ||
+        bad_instance(bufs + 9, lb, wb, cap, n) ||
+        bufs[14].view.len / 8 < 2 * count ||
+        bufs[15].view.len / 8 < 2 * count ||
+        inc < -(INT64_MAX / KEY_SCALE) || inc > INT64_MAX / KEY_SCALE) {
+        release_bufs(bufs, 16);
+        PyErr_SetString(PyExc_ValueError, "knapsack_step: bad shape");
+        return NULL;
+    }
+    int64_t *keys = KEYS(bufs[0]);
+    char *pay = BYTES(bufs[1]);
+    int64_t *counts = KEYS(bufs[2]);
+    int64_t *sk = KEYS(bufs[5]);
+    char *sp = (char *)(sk + 2 * k); /* scratch: [2k keys][2k pay rows] */
+    int64_t *step = KEYS(bufs[8]);
+    int64_t *ck = KEYS(bufs[14]), *cn = KEYS(bufs[15]);
+    int64_t incumbent = inc;
+    Py_ssize_t removed, fresh, nch = 0, pruned = 0, heapifies = 0;
+    Py_ssize_t ndel = 0, nins = 0;
+    int rc;
+    Py_BEGIN_ALLOW_THREADS
+    removed = deletemin_core(keys, pay, counts, k, rb, sk, sp, &heap_size,
+                             count, step, (char *)(step + count),
+                             KEYS(bufs[6]), &ndel);
+    fresh = gallop(step, removed, -KEY_SCALE * incumbent, 1);
+    rc = expand_core(step + count, fresh, KEYS(bufs[9]), KEYS(bufs[10]),
+                     KEYS(bufs[11]), KEYS(bufs[12]), KEYS(bufs[13]), ck, cn,
+                     (int)lb, (int)wb, cap, n, &incumbent, &nch, &pruned);
+    if (rc == 0 && nch) {
+        if (count_runs(ck, nch) > 1)
+            merge_runs(ck, (char *)cn, nch, rb, step, sk, sp);
+        heapifies = insert_run_core(keys, pay, counts, k, rb, sk, sp,
+                                    KEYS(bufs[3]), BYTES(bufs[4]), ck,
+                                    (const char *)cn, nch, &heap_size,
+                                    KEYS(bufs[7]), &nins);
+    }
+    Py_END_ALLOW_THREADS
+    release_bufs(bufs, 16);
+    if (rc != 0) {
+        PyErr_SetString(PyExc_ValueError, "knapsack_step: " NODE_ERROR);
+        return NULL;
+    }
+    return Py_BuildValue("nnnLnnnnn", removed, fresh, nch,
+                         (long long)incumbent, removed - fresh + pruned,
+                         heap_size, heapifies, ndel, nins);
 }
 
 static PyMethodDef CkernMethods[] = {
@@ -1061,6 +1215,9 @@ static PyMethodDef CkernMethods[] = {
      "fused whole-batch arena deletemin (general path)"},
     {"expand", py_expand, METH_VARARGS,
      "knapsack branch-and-bound expansion of one node batch"},
+    {"knapsack_step", py_knapsack_step, METH_VARARGS,
+     "one knapsack branch-and-bound iteration: deletemin, cut, expand, "
+     "sort, insert"},
     {NULL, NULL, 0, NULL},
 };
 

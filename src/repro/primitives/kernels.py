@@ -19,7 +19,9 @@ One caller outside the queue uses the compiled module directly: the
 knapsack solver's ``_Expansion`` (``repro/apps/knapsack``) runs the C
 core's ``mod.expand``, one node batch's children and bounds per call,
 when the active backend is fused, and its own NumPy body otherwise,
-the same selection ``NativeBGPQ`` makes.
+the same selection ``NativeBGPQ`` makes.  On the same backend
+``NativeBGPQ.knapsack_step`` runs ``mod.knapsack_step``, one whole
+branch-and-bound iteration (deletemin, expand, insert) per call.
 
 The contract for every compiled kernel is **bit-identical output** to
 the reference — same values, same tie resolution, same payload

@@ -115,7 +115,14 @@ class DurableService:
         ckpt_lsn = 0
         if loaded is not None:
             rows, ckpt_lsn = loaded
-            self.queue.restore_rows(rows)
+            try:
+                self.queue.restore_rows(rows)
+            except ConfigurationError as err:
+                # CRC-valid but not a state this queue can hold (one no
+                # op sequence reaches, say): fail closed, never serve it
+                raise DurabilityError(
+                    f"checkpoint lsn={ckpt_lsn} does not restore: {err}"
+                ) from err
         replayed = 0
         for rec in self.wal.records(from_lsn=ckpt_lsn + 1):
             self._replay(rec)

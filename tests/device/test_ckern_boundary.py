@@ -38,10 +38,15 @@ def i64(n, start=0):
     return array.array("q", range(start, start + n))
 
 
-def arena(rows, heap):
+def arena(rows, heap, start=0):
     counts = zeros(rows)
     counts[1:heap + 1] = array.array("q", [K] * heap)
-    return i64(rows * K), bytearray(rows * K * RB), counts
+    return i64(rows * K, start), bytearray(rows * K * RB), counts
+
+
+def nodes(node, n):
+    # payload rows: n copies of one packed knapsack node
+    return bytearray(array.array("q", [node] * n).tobytes())
 
 
 def scratch():
@@ -97,11 +102,35 @@ def expand(**kw):
     return got, a["out_k"][:got[0]].tolist(), a["out_n"][:got[0]].tolist()
 
 
+def knapsack_step(rows=8, **kw):
+    # expand's instance above, on a heap of three full nodes whose keys
+    # are all below 0 (every popped node is fresh at incumbent 0) and
+    # whose payload rows all hold the root node (level, profit and
+    # weight 0)
+    keys, pay, counts = arena(rows, 3, start=-100)
+    a = dict(keys=keys, pay=pay, counts=counts, ik=zeros(K),
+             ip=bytearray(K * RB), scratch=scratch(), del_log=zeros(1024),
+             ins_log=zeros(256), heap_size=3, k=K, rb=RB, count=K,
+             step=zeros(2 * K + 1), wsum=array.array("q", [0, 2, 6, 12]),
+             psum=array.array("q", [0, 6, 10, 13]),
+             profits=array.array("q", [6, 4, 3]),
+             weights=array.array("q", [2, 4, 6]),
+             take=array.array("q", [393, 273, 217]), out_k=zeros(2 * K),
+             out_n=zeros(2 * K), lb=2, wb=4, capacity=11, n_items=3,
+             incumbent=0)
+    a.update(kw)
+    return mod.knapsack_step(*a.values())
+
+
 sort_split_into(); sort_records(); insert_sorted(); deletemin()
 # the incumbent rises to 6; the root's take-child (bound 12.5) and its
 # skip-child and the take-child of (1, 0, 0) (every item left fits:
 # bound 7) survive, the skip-child of (1, 0, 0) (bound 3) is pruned
 assert expand() == ((3, 6, 1), [-800, -448, -448], [393, 274, 1]), expand()
+# the step pops the root's four nodes, all fresh; each has both children
+# (bounds 12.5 and 7 beat the new incumbent 6), and the eight children
+# detach two nodes: the heap goes from 3 nodes to 2 and then 4
+assert knapsack_step() == (4, 4, 8, 6, 0, 4, 2, 3, 7), knapsack_step()
 try:
     {call}
 except ValueError as exc:
@@ -225,10 +254,58 @@ def test_non_int64_buffer_rejected(call):
 
 
 @needs_c
+@pytest.mark.parametrize(
+    "call",
+    [
+        # heap_size 3: the two new rows need rows 0..4
+        pytest.param("knapsack_step(rows=4)", id="rows_short_of_children"),
+        # a depth-1 heap's deletemin needs 3 * (1 + 2) triples
+        pytest.param("knapsack_step(del_log=zeros(26))",
+                     id="short_deletemin_log"),
+        # two batches onto node 4 need 2 * (level 2 + 4) triples
+        pytest.param("knapsack_step(ins_log=zeros(35))",
+                     id="short_insert_log"),
+        pytest.param("knapsack_step(out_k=zeros(2 * K - 1))",
+                     id="short_child_keys"),
+        pytest.param("knapsack_step(out_n=zeros(2 * K - 1))",
+                     id="short_child_nodes"),
+        pytest.param("knapsack_step(step=zeros(2 * K))", id="short_step"),
+        pytest.param("knapsack_step(ik=zeros(K - 1))", id="short_items"),
+        pytest.param("knapsack_step(scratch=zeros(2 * K))",
+                     id="short_scratch"),
+        pytest.param("knapsack_step(wsum=i64(3))", id="short_wsum"),
+        pytest.param("knapsack_step(count=K + 1, step=zeros(2 * K + 3), "
+                     "out_k=zeros(2 * K + 2), out_n=zeros(2 * K + 2))",
+                     id="count_above_k"),
+        pytest.param("knapsack_step(heap_size=1)", id="heap_size_1"),
+        pytest.param("knapsack_step(rb=16)", id="rb_not_one_node"),
+        pytest.param("knapsack_step(incumbent=2 ** 62)",
+                     id="incumbent_key_overflow"),
+        pytest.param("knapsack_step(counts=zeros(8, 'd'))",
+                     id="float64_counts"),
+        pytest.param("knapsack_step(step=zeros(4 * K + 2, 'i'))",
+                     id="int32_step"),
+        pytest.param("knapsack_step(wsum=array.array('d', [0, 2, 6, 12]))",
+                     id="float64_wsum"),
+        pytest.param("knapsack_step(out_n=zeros(2 * K, 'Q'))",
+                     id="uint64_child_nodes"),
+        pytest.param("knapsack_step(out_k=memoryview(zeros(4 * K))[::2])",
+                     id="strided_child_keys"),
+        pytest.param("knapsack_step(pay=nodes(3, 8 * K), n_items=2)",
+                     id="level_above_n_items"),
+        pytest.param("knapsack_step(pay=nodes(12 << 2, 8 * K))",
+                     id="weight_above_capacity"),
+    ],
+)
+def test_knapsack_step_bad_call_rejected(call):
+    _assert_rejected(call)
+
+
+@needs_c
 def test_compiled_surface_is_what_the_queue_calls():
     public = {n for n in dir(MOD) if not n.startswith("_")}
-    assert public == {"deletemin", "expand", "insert_sorted", "sort_records",
-                      "sort_split_into"}
+    assert public == {"deletemin", "expand", "insert_sorted", "knapsack_step",
+                      "sort_records", "sort_split_into"}
 
 
 @needs_c

@@ -13,7 +13,7 @@ import stat
 import numpy as np
 import pytest
 
-from repro.core.native import NativeBGPQ
+from repro.core.native import NativeBGPQ, StateRows
 from repro.errors import ConfigurationError, DurabilityError
 from repro.serve.checkpoint import CheckpointStore
 from repro.serve.service import DurableService
@@ -228,6 +228,18 @@ def test_all_checkpoints_corrupt_without_wal_head_raises(tmp_path):
     wal_path.write_bytes(raw[frame_spans(raw)[0][1]:])  # log starts at LSN 2
     with pytest.raises(DurabilityError, match="integrity"):
         DurableService.open(_queue(), tmp_path, checkpoint_every=4)
+
+
+def test_unreachable_checkpoint_state_fails_closed(tmp_path):
+    """A CRC-valid checkpoint holding a layout no op sequence reaches (a
+    non-empty partial buffer with no root) stops recovery with a
+    DurabilityError naming it; the queue is never served from it."""
+    header = {**_queue().export_rows().header, "heap_size": 0}
+    rows = StateRows(header, np.array([3]), np.array([1, 2, 3]),
+                     np.empty((3, 0), np.int64))
+    CheckpointStore(tmp_path).save(rows, 3)
+    with pytest.raises(DurabilityError, match="checkpoint lsn=3"):
+        DurableService.open(_queue(), tmp_path)
 
 
 @pytest.mark.parametrize("every, keep", [(0, 2), (-3, 2), (4, 0), (4, -1)])
