@@ -354,12 +354,6 @@ class NativeBGPQ:
         self._items_p = np.empty((node_capacity, payload_width), dtype=payload_dtype)
 
     # -- internals ---------------------------------------------------------
-    def _empty_out(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.empty(0, dtype=self.key_dtype),
-            np.empty((0, self.payload_width), dtype=self.payload_dtype),
-        )
-
     def _payload_for(self, keys: np.ndarray, payload) -> np.ndarray:
         if payload is None:
             return np.zeros((keys.size, self.payload_width), dtype=self.payload_dtype)
@@ -380,15 +374,6 @@ class NativeBGPQ:
         """One node-level SORT_SPLIT charge."""
         if self.model is not None:
             self._ticks += self._charges[0, na, nb]
-
-    def _replay_log(self, log: np.ndarray, nlog: int) -> None:
-        """Replay a fused kernel's charge log of (tag, p1, p2) triples."""
-        self._ticks += self._charges.log_ticks(log[: 3 * nlog])
-
-    def _charge_batch_entry(self, n: int) -> None:
-        """Per-batch entry cost: coalesced read, in-block sort, root lock."""
-        if self.model is not None:
-            self._ticks += self._charges[_BATCH_ENTRY, n, 0]
 
     def _normalize(self, keys, payload) -> tuple[np.ndarray, np.ndarray]:
         keys = np.asarray(keys, dtype=self.key_dtype)
@@ -425,6 +410,17 @@ class NativeBGPQ:
         ``insert`` call at a time — the bitonic network's cost is
         data-independent — so simulated times stay comparable.
         """
+        if payload is None and not self.payload_width and self._fused:
+            # keys-only on the C core: a value sort of a copy, and the
+            # queue's own zero-width payload rows stand in for the run's
+            skeys = np.array(keys, dtype=_I64)
+            if skeys.ndim != 1:
+                raise ValueError("keys must be 1-D")
+            skeys.sort()
+            if skeys.size:
+                self._insert_run(skeys, self._items_p)
+                self._size += skeys.size
+            return
         keys, pay = self._normalize(keys, payload)
         if keys.size == 0:
             return
@@ -568,9 +564,9 @@ class NativeBGPQ:
         fleet-level caller models its own probe cost explicitly.
         """
         a = self._arena
-        if self._heap_size and a.counts[1]:
-            return a.keys[1, 0].item()
-        return a.keys[0, 0].item() if a.counts[0] else None
+        if self._heap_size and a.counts.item(1):
+            return a.keys.item(1, 0)
+        return a.keys.item(0, 0) if a.counts.item(0) else None
 
     def clear(self) -> None:
         """Reset to empty; storage, stats and the sim clock are retained."""
@@ -602,7 +598,7 @@ class NativeBGPQ:
         self.stats["ops"] += batches
         self.stats["insert_heapify"] += heapifies
         if self.model is not None:
-            self._replay_log(self._ins_log, nlog)
+            self._ticks += self._charges.log_ticks(self._ins_log[: 3 * nlog])
 
     # -- arena rows, fused in-place SORT_SPLIT -------------------------------
     def _ensure_rows(self, i: int) -> None:
@@ -631,7 +627,9 @@ class NativeBGPQ:
 
     def _insert_sorted(self, skeys: np.ndarray, spay: np.ndarray) -> None:
         """Insert one already-sorted batch of at most k records."""
-        self._charge_batch_entry(skeys.size)
+        if self.model is not None:
+            # batch entry: coalesced read, in-block sort, root lock
+            self._ticks += self._charges[_BATCH_ENTRY, skeys.size, 0]
         self.stats["ops"] += 1
         a = self._arena
         n = skeys.size
@@ -646,7 +644,7 @@ class NativeBGPQ:
         ik[:n] = skeys
         if self.payload_width:
             ip[:n] = spay
-        nroot = int(a.counts[1])
+        nroot = a.counts.item(1)
         if nroot:
             # root keeps its nroot smallest of root ∪ items
             self._charge_split(nroot, n)
@@ -692,8 +690,11 @@ class NativeBGPQ:
         a = self._arena
         k = self.k
         if self._heap_size == 0:
-            return self._empty_out()
-        nroot = int(a.counts[1])
+            return (
+                np.empty(0, dtype=self.key_dtype),
+                np.empty((0, self.payload_width), dtype=self.payload_dtype),
+            )
+        nroot = a.counts.item(1)
         if count < nroot:
             out_k = a.keys[1, :count].copy()
             out_p = a.pay[1, :count].copy()
@@ -703,26 +704,18 @@ class NativeBGPQ:
             return out_k, out_p
         if self._heap_size == 1:
             # refill from the buffer
-            nbuf = int(a.counts[0])
+            nbuf = a.counts.item(0)
             take = min(count - nroot, nbuf)
-            total = nroot + take
-            out_k = np.empty(total, dtype=self.key_dtype)
-            out_p = np.empty((total, self.payload_width), dtype=self.payload_dtype)
-            out_k[:nroot] = a.keys[1, :nroot]
-            out_k[nroot:] = a.keys[0, :take]
-            if self.payload_width:
-                out_p[:nroot] = a.pay[1, :nroot]
-                out_p[nroot:] = a.pay[0, :take]
+            out_k = np.concatenate((a.keys[1, :nroot], a.keys[0, :take]))
+            out_p = np.concatenate((a.pay[1, :nroot], a.pay[0, :take]))
             rest = nbuf - take
+            a.counts[0] = 0
+            a.counts[1] = rest
             if rest:
                 a.keys[1, :rest] = a.keys[0, take:nbuf]
                 if self.payload_width:
                     a.pay[1, :rest] = a.pay[0, take:nbuf]
-                a.counts[1] = rest
-                a.counts[0] = 0
             else:
-                a.counts[0] = 0
-                a.counts[1] = 0
                 self._heap_size = 0
             return out_k, out_p
 
@@ -740,7 +733,7 @@ class NativeBGPQ:
             )
             self._heap_size = new_hs
             if self.model is not None:
-                self._replay_log(self._del_log, nlog)
+                self._ticks += self._charges.log_ticks(self._del_log[: 3 * nlog])
             return out_k[:total], out_p[:total]
         remained = count - nroot
         out_root_k = a.keys[1, :nroot].copy()

@@ -42,11 +42,16 @@ against the relaxation budget.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..obs.events import (
     LOCK_ACQUIRE,
     LOCK_CONTEND,
@@ -119,8 +124,7 @@ class KeyBatch:
         return repr(tuple(self))
 
 
-@dataclass(frozen=True)
-class FleetOpRecord:
+class FleetOpRecord(NamedTuple):
     """One serviced fleet sub-operation, checker-compatible.
 
     ``kind``/``args``/``result`` follow the ``OpRecord`` convention so
@@ -204,16 +208,20 @@ def mixed_scripts(
     return scripts
 
 
-@dataclass
 class _SubOp:
-    """One shard-local unit of work sitting in a shard FIFO."""
+    """One shard-local unit of work sitting in a shard FIFO: an insert's
+    ``keys``, or a deletemin's ``count`` and the ``(primary, probe_set)``
+    ``plan`` fixed at dispatch."""
 
-    session: int
-    kind: str
-    arrival: float
-    keys: np.ndarray | None = None  # insert payload
-    count: int = 0  # deletemin ask
-    plan: tuple | None = None  # (primary, probe_set) fixed at dispatch
+    __slots__ = ("session", "kind", "arrival", "keys", "count", "plan")
+
+    def __init__(self, session, kind, arrival, keys=None, count=0, plan=None):
+        self.session = session
+        self.kind = kind
+        self.arrival = arrival
+        self.keys = keys
+        self.count = count
+        self.plan = plan
 
 
 class _Session:
@@ -239,6 +247,9 @@ def run_fleet(
     """Drive ``fleet`` with one script per client session to completion.
 
     Script entries are ``("insert", keys)`` or ``("deletemin", count)``.
+    Every argument and entry is checked before the first request runs:
+    a bad one raises :class:`~repro.errors.ConfigurationError` naming its
+    session and request, with the fleet untouched.
     Returns the execution-ordered history plus throughput accounting;
     the fleet is left at its final occupancy (callers drain or audit it
     as they like).  ``elastic`` (an
@@ -256,18 +267,26 @@ def run_fleet(
     touch only host state — the history and makespan are byte-identical
     either way.
     """
+    checked = _checked_scripts(scripts, fleet.k, think_ns, imbalance_every)
+    sessions = [_Session(i, s) for i, s in enumerate(checked)]
     obs = fleet.obs
     metrics = getattr(fleet, "metrics", None)
     queues: list[deque[_SubOp]] = [deque() for _ in range(fleet.n_shards)]
-    sessions = [_Session(i, s) for i, s in enumerate(scripts)]
     history: list[FleetOpRecord] = []
+    record = history.append
     keys_in = keys_out = requests = executed = 0
     last_holder: list[str] = ["" for _ in range(fleet.n_shards)]
+    # the fleet's request path, looked up once: wrappers a caller set on
+    # the instance beforehand (perfbench's probes) still see every call
+    route_insert = fleet.route_insert
+    plan_delete = fleet.plan_delete
+    exec_insert = fleet.exec_insert
+    exec_deletemin = fleet.exec_deletemin
 
     def apply_reshard(tickets, now: float) -> None:
         """Record elastic tickets and remap queues to the new topology."""
         for t in tickets:
-            history.append(
+            record(
                 FleetOpRecord(
                     len(history), -1, "reshard", (t.action, t.moved), (),
                     now, t.t_start, t.t_end, t.src,
@@ -292,15 +311,12 @@ def run_fleet(
                     if sub.kind == "insert":
                         if s == v:
                             loads = fleet.shard_loads()
-                            tgt = min(
-                                range(fleet.n_shards),
-                                key=lambda i: (loads[i], i),
-                            )
+                            tgt = loads.index(min(loads))
                         else:
                             tgt = s if s < v else s - 1
                         new_queues[tgt].append(sub)
                     else:
-                        sub.plan = fleet.plan_delete()
+                        sub.plan = plan_delete()
                         new_queues[sub.plan[0]].append(sub)
                 queues[:] = new_queues
                 fleet.reset_pending(
@@ -316,33 +332,28 @@ def run_fleet(
         kind, arg = sess.script[sess.next_req]
         sess.next_req += 1
         requests += 1
+        sess.req_end = now
         if kind == "insert":
-            keys = np.asarray(arg, dtype=np.int64).ravel()
-            parts = fleet.route_insert(keys, at=now)
+            parts = route_insert(arg, at=now)
             if obs is not None:
                 obs.emit(OP_BEGIN, now, f"client{sess.idx}", op="insert",
-                         n=int(keys.size))
+                         n=int(arg.size))
             if not parts:
                 # empty insert: completes immediately, no shard touched
-                sess.req_end = now
                 finish_request(sess, now)
                 return
             sess.outstanding = len(parts)
-            sess.req_end = now
             for shard, sub in parts:
-                queues[shard].append(_SubOp(sess.idx, "insert", now, keys=sub))
-        elif kind == "deletemin":
-            plan = fleet.plan_delete()
+                queues[shard].append(_SubOp(sess.idx, "insert", now, sub))
+        else:
+            plan = plan_delete()
             sess.outstanding = 1
-            sess.req_end = now
             if obs is not None:
                 obs.emit(OP_BEGIN, now, f"client{sess.idx}", op="deletemin",
-                         want=int(arg))
+                         want=arg)
             queues[plan[0]].append(
-                _SubOp(sess.idx, "deletemin", now, count=int(arg), plan=plan)
+                _SubOp(sess.idx, "deletemin", now, None, arg, plan)
             )
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown script op {kind!r}")
 
     def finish_request(sess: _Session, end: float) -> None:
         if obs is not None:
@@ -363,80 +374,88 @@ def run_fleet(
         elif obs is not None:
             obs.emit(THREAD_FINISH, 0.0, f"client{sess.idx}")
 
+    clocks = fleet.clocks
     while True:
-        # next sub-op to service: earliest tentative start across heads
+        # next sub-op to service: earliest tentative start
+        # max(arrival, shard clock) across heads, ties to the lower shard
         best_shard = -1
-        best_start = None
+        best_start = 0.0
         for s, q in enumerate(queues):
-            if not q:
-                continue
-            start = max(q[0].arrival, fleet.clocks[s])
-            if best_start is None or start < best_start:
-                best_shard, best_start = s, start
+            if q:
+                start = q[0].arrival
+                clock = clocks[s]
+                if clock > start:
+                    start = clock
+                if best_shard < 0 or start < best_start:
+                    best_shard, best_start = s, start
         if best_shard < 0:
             break
         sub = queues[best_shard].popleft()
         sess = sessions[sub.session]
+        arrival = sub.arrival
         if sub.kind == "insert":
-            ticket = fleet.exec_insert(best_shard, sub.keys, at=sub.arrival)
-            keys_in += sub.keys.size
-            history.append(
+            keys = sub.keys
+            ticket = exec_insert(best_shard, keys, at=arrival)
+            keys_in += keys.size
+            record(
                 FleetOpRecord(
                     len(history), sub.session, "insert",
                     # a copy: the sub-batch may view the caller's script
-                    KeyBatch(sub.keys.copy()), (),
-                    sub.arrival, ticket.t_start, ticket.t_end, best_shard,
+                    KeyBatch(keys.copy()), (),
+                    arrival, ticket.t_start, ticket.t_end, best_shard,
                 )
             )
         else:
-            ticket = fleet.exec_deletemin(sub.count, at=sub.arrival, plan=sub.plan)
+            ticket = exec_deletemin(sub.count, at=arrival, plan=sub.plan)
             keys_out += ticket.keys.size
-            history.append(
+            record(
                 FleetOpRecord(
                     len(history), sub.session, "deletemin",
                     # the fleet hands back a fresh array: frozen in place
                     (sub.count,), KeyBatch(ticket.keys),
-                    sub.arrival, ticket.t_start, ticket.t_end, best_shard,
+                    arrival, ticket.t_start, ticket.t_end, best_shard,
                 )
             )
         executed += 1
+        end = ticket.t_end
         if metrics is not None:
             metrics.histogram(
                 "repro_fleet_op_latency_ns",
                 help="dispatch-to-respond latency of fleet sub-ops",
                 op=sub.kind,
-            ).observe(ticket.t_end - sub.arrival)
+            ).observe(end - arrival)
         if slo is not None:
-            slo.observe(sub.kind, ticket.t_end - sub.arrival,
-                        ts=ticket.t_end)
+            slo.observe(sub.kind, end - arrival, ts=end)
         if obs is not None:
             name = f"client{sub.session}"
             lock = f"fleet.s{best_shard}.n1"
-            if ticket.t_start > sub.arrival:
-                obs.emit(LOCK_CONTEND, sub.arrival, name, lock=lock)
+            if ticket.t_start > arrival:
+                obs.emit(LOCK_CONTEND, arrival, name, lock=lock)
                 obs.emit(
                     LOCK_GRANT, ticket.t_start, name, lock=lock,
-                    waited=ticket.t_start - sub.arrival,
+                    waited=ticket.t_start - arrival,
                     by=last_holder[best_shard] or "router",
                 )
             else:
                 obs.emit(LOCK_ACQUIRE, ticket.t_start, name, lock=lock)
-            obs.emit(LOCK_RELEASE, ticket.t_end, name, lock=lock)
+            obs.emit(LOCK_RELEASE, end, name, lock=lock)
             last_holder[best_shard] = name
         if executed % imbalance_every == 0:
             if obs is not None:
                 obs.emit(
-                    SHARD_IMBALANCE, ticket.t_end, "router",
+                    SHARD_IMBALANCE, end, "router",
                     gauge=fleet.imbalance(), sizes=fleet.shard_sizes(),
                 )
             if metrics is not None:
-                fleet.observe_gauges(at=ticket.t_end)
+                fleet.observe_gauges(at=end)
             if elastic is not None:
-                tickets = elastic.maybe_act(fleet, now=ticket.t_end)
+                tickets = elastic.maybe_act(fleet, now=end)
                 if tickets:
-                    apply_reshard(tickets, ticket.t_end)
+                    apply_reshard(tickets, end)
+                    clocks = fleet.clocks
         sess.outstanding -= 1
-        sess.req_end = max(sess.req_end, ticket.t_end)
+        if end > sess.req_end:
+            sess.req_end = end
         if sess.outstanding == 0:
             finish_request(sess, sess.req_end)
 
@@ -449,3 +468,44 @@ def run_fleet(
         stats=dict(fleet.stats),
         shard_sizes=fleet.shard_sizes(),
     )
+
+
+def _checked_scripts(
+    scripts: list[list[tuple]], k: int, think_ns, imbalance_every
+) -> list[list[tuple]]:
+    """``run_fleet``'s arguments checked whole before any request runs.
+
+    Returns the scripts with each insert's keys as a 1-D int64 array and
+    each deletemin count as an ``int``.  A negative or non-finite
+    ``think_ns``, an ``imbalance_every`` below 1, or an entry that is not
+    ``("insert", keys)`` / ``("deletemin", count)`` with ``count`` in
+    ``[1, k]`` raises :class:`ConfigurationError` naming the session and
+    request, with the fleet untouched.
+    """
+    if not isinstance(think_ns, numbers.Real) or not 0 <= think_ns < math.inf:
+        raise ConfigurationError(
+            f"think_ns must be a finite number >= 0, got {think_ns!r}"
+        )
+    if not isinstance(imbalance_every, numbers.Integral) or imbalance_every < 1:
+        raise ConfigurationError(
+            f"imbalance_every must be an int >= 1, got {imbalance_every!r}"
+        )
+    index, asarray, i64 = operator.index, np.asarray, np.int64
+    checked = []
+    s = r = 0
+    try:
+        for s, script in enumerate(scripts):
+            r = 0
+            ops = []
+            for r, (kind, arg) in enumerate(script):
+                if kind == "insert":
+                    arg = asarray(arg, dtype=i64).ravel()
+                elif kind != "deletemin":
+                    raise ValueError(f"unknown request kind {kind!r}")
+                elif not 1 <= (arg := index(arg)) <= k:
+                    raise ValueError(f"deletemin count {arg} is outside [1, {k}]")
+                ops.append((kind, arg))
+            checked.append(ops)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigurationError(f"session {s} request {r}: {err}") from None
+    return checked

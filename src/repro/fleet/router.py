@@ -195,17 +195,19 @@ class Router:
 
         ``random.sample`` spends most of a small call on its
         ``Sequence`` check.  For a population of at most 21 and at most
-        5 draws it takes its pool path, replayed here with the same
-        ``_randbelow`` calls, so the RNG stream is unchanged; larger
-        calls go to ``sample`` itself.
+        5 draws it takes its pool path, replayed here with
+        ``_randbelow``'s ``getrandbits`` rejection loop inlined, so the
+        RNG stream is unchanged; larger calls go to ``sample`` itself.
         """
         if n > 21 or d > 5:
             return self._rng.sample(range(n), d)
-        randbelow = self._rng._randbelow
+        getrandbits = self._rng.getrandbits
         pool = list(range(n))
         out = []
-        for i in range(d):
-            j = randbelow(n - i)
+        for m in range(n, n - d, -1):
+            j = getrandbits(m.bit_length())
+            while j >= m:
+                j = getrandbits(m.bit_length())
             out.append(pool[j])
-            pool[j] = pool[n - i - 1]
+            pool[j] = pool[m - 1]
         return out

@@ -50,7 +50,7 @@ service-style mixed workloads where the key *is* the message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +67,7 @@ from ..obs.events import (
     SHARD_SHRINK,
     SHARD_STEAL,
 )
-from .router import LOAD_AWARE_POLICIES, Router
+from .router import Router
 
 __all__ = ["ShardedBGPQ", "OpTicket", "ReshardTicket"]
 
@@ -80,25 +80,22 @@ class _NativeShard:
 
     def __init__(self, node_capacity: int, ctx: GpuContext):
         self.pq = NativeBGPQ(node_capacity=node_capacity, ctx=ctx)
-        self._mark = self.pq.sim_ticks
         m = self.pq.model
         #: simulated cost of one optimistic root-minimum read; the
         #: model is fixed for the shard's life, so it is priced once
         self.probe_ns = float(m.global_read_ns(1)) if m is not None else 1.0
 
-    def _delta_ns(self) -> float:
-        now = self.pq.sim_ticks
-        d = (now - self._mark) / TICKS_PER_NS
-        self._mark = now
-        return d
-
     def insert(self, keys: np.ndarray) -> float:
-        self.pq.insert(keys)
-        return self._delta_ns()
+        pq = self.pq
+        before = pq.sim_ticks
+        pq.insert_bulk(keys)
+        return (pq.sim_ticks - before) / TICKS_PER_NS
 
     def deletemin(self, count: int) -> tuple[np.ndarray, float]:
-        keys, _pay = self.pq.deletemin(count)
-        return keys, self._delta_ns()
+        pq = self.pq
+        before = pq.sim_ticks
+        keys, _pay = pq.deletemin(count)
+        return keys, (pq.sim_ticks - before) / TICKS_PER_NS
 
     def peek(self):
         return self.pq.peek()
@@ -106,16 +103,24 @@ class _NativeShard:
     def __len__(self) -> int:
         return len(self.pq)
 
-    def snapshot_keys(self) -> np.ndarray:
-        return self.pq.snapshot_keys()
 
-    def check_invariants(self) -> list[str]:
-        return self.pq.check_invariants()
+class _Loads:
+    """A fleet's per-shard ``(clock, backlog)`` loads, each built on
+    read: d-choice placement reads only its d sampled shards.  It holds
+    the fleet's own lists, which the fleet only ever mutates in place
+    (no reference back to the fleet, so no cycle delays its freeing)."""
+
+    __slots__ = ("clocks", "pending", "shards")
+
+    def __init__(self, clocks: list, pending: list, shards: list):
+        self.clocks, self.pending, self.shards = clocks, pending, shards
+
+    def __getitem__(self, i: int) -> tuple[float, int]:
+        return self.clocks[i], self.pending[i] + len(self.shards[i].pq)
 
 
 # ---------------------------------------------------------------------------
-@dataclass
-class OpTicket:
+class OpTicket(NamedTuple):
     """Receipt for one serviced fleet operation (driver bookkeeping).
 
     ``t_arrive`` is when the request reached the fleet, ``t_start``
@@ -134,8 +139,7 @@ class OpTicket:
     stole: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class ReshardTicket:
+class ReshardTicket(NamedTuple):
     """Receipt for one elastic action (grow / shrink / rebalance).
 
     ``src`` is the retired/stolen-from shard (``-1`` for a grow),
@@ -198,7 +202,7 @@ class ShardedBGPQ:
         )
         ctx = ctx if ctx is not None else GpuContext.default()
         self.ctx = ctx
-        self.shards = [self._make_shard() for _ in range(n_shards)]
+        self.shards = [_NativeShard(self.k, self.ctx) for _ in range(n_shards)]
         #: per-shard simulated clocks; the fleet makespan is their max
         self.clocks = [0.0] * n_shards
         #: per-shard routed-but-not-yet-serviced key counts — the
@@ -211,6 +215,7 @@ class ShardedBGPQ:
         self.metrics = metrics
         #: delete-plan rounds (denominator of the probe hit ratio gauge)
         self._plan_rounds = 0
+        self._loads = _Loads(self.clocks, self._pending, self.shards)
         self.stats = {
             "inserts": 0,
             "deletes": 0,
@@ -222,10 +227,6 @@ class ShardedBGPQ:
             "rebalances": 0,
             "migrated": 0,
         }
-
-    def _make_shard(self) -> _NativeShard:
-        """One fresh empty shard with the fleet's capacity and context."""
-        return _NativeShard(self.k, self.ctx)
 
     # -- properties ---------------------------------------------------------
     @property
@@ -243,7 +244,7 @@ class ShardedBGPQ:
         return self._size > 0
 
     def shard_sizes(self) -> list[int]:
-        return [len(s) for s in self.shards]
+        return [len(s.pq) for s in self.shards]
 
     def shard_loads(self) -> list[tuple[float, int]]:
         """Per-shard ``(clock, backlog)`` load snapshot.
@@ -254,17 +255,11 @@ class ShardedBGPQ:
         plus stored occupancy — breaks cold-start ties so simultaneous
         dispatches at clock 0 don't herd onto one shard.
         """
-        return [
-            (self.clocks[i], self._pending[i] + len(s))
-            for i, s in enumerate(self.shards)
-        ]
+        return [self._loads[i] for i in range(self.n_shards)]
 
     def reset_pending(self, counts: list[int] | None = None) -> None:
         """Overwrite the backlog hint (driver calls this after a reshard)."""
-        if counts is None:
-            self._pending = [0] * self.n_shards
-        else:
-            self._pending = list(counts)
+        self._pending[:] = [0] * self.n_shards if counts is None else counts
 
     def imbalance(self) -> float:
         """Max/mean shard occupancy (1.0 == perfectly balanced)."""
@@ -275,7 +270,7 @@ class ShardedBGPQ:
         return max(sizes) * self.n_shards / total
 
     def snapshot_keys(self) -> np.ndarray:
-        parts = [s.snapshot_keys() for s in self.shards]
+        parts = [s.pq.snapshot_keys() for s in self.shards]
         return (
             np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         )
@@ -283,7 +278,7 @@ class ShardedBGPQ:
     def check_invariants(self) -> list[str]:
         problems = []
         for i, shard in enumerate(self.shards):
-            problems.extend(f"shard {i}: {p}" for p in shard.check_invariants())
+            problems.extend(f"shard {i}: {p}" for p in shard.pq.check_invariants())
         return problems
 
     # -- routed execution (ticket API, used by the request driver) ----------
@@ -295,12 +290,8 @@ class ShardedBGPQ:
         emits one ``shard.place`` event per placed sub-batch.
         """
         keys = np.asarray(keys, dtype=np.int64).ravel()
-        loads = (
-            self.shard_loads()
-            if self.router.policy in LOAD_AWARE_POLICIES
-            else None
-        )
-        parts = self.router.place(keys, loads=loads)
+        # the blind policies ignore the loads; d-choice reads only its d
+        parts = self.router.place(keys, loads=self._loads)
         if self.metrics is not None:
             self.metrics.counter(
                 "repro_fleet_place_total",
@@ -319,11 +310,13 @@ class ShardedBGPQ:
 
     def exec_insert(self, shard: int, keys: np.ndarray, at: float = 0.0) -> OpTicket:
         """Service one placed sub-batch on its shard at arrival ``at``."""
-        s = self.shards[shard]
-        start = max(at, self.clocks[shard])
-        cost = s.insert(keys)
-        end = start + cost
-        self.clocks[shard] = end
+        pq = self.shards[shard].pq
+        clocks = self.clocks
+        start = max(at, clocks[shard])
+        before = pq.sim_ticks
+        pq.insert_bulk(keys)
+        end = start + (pq.sim_ticks - before) / TICKS_PER_NS
+        clocks[shard] = end
         self._size += keys.size
         self._pending[shard] = max(0, self._pending[shard] - keys.size)
         self.stats["inserts"] += 1
@@ -354,8 +347,9 @@ class ShardedBGPQ:
             ).inc(len(probe))
         best = None
         best_key = None
+        shards = self.shards
         for p in probe:
-            m = self.shards[p].peek()
+            m = shards[p].pq.peek()
             if m is not None and (best_key is None or m < best_key):
                 best, best_key = p, m
         if best is None:
@@ -366,8 +360,8 @@ class ShardedBGPQ:
                     help="probe rounds where every probed shard was empty",
                 ).inc()
             sizes = self.shard_sizes()
-            fullest = max(range(len(sizes)), key=lambda i: (sizes[i], -i))
-            best = fullest if sizes[fullest] else probe[0]
+            most = max(sizes)
+            best = sizes.index(most) if most else probe[0]
         return best, probe
 
     def exec_deletemin(
@@ -388,16 +382,18 @@ class ShardedBGPQ:
                 f"delete_min count must be in [1, {self.k}], got {count}"
             )
         primary, probe = plan if plan is not None else self.plan_delete()
-        probe_cost = sum(self.shards[p].probe_ns for p in probe)
-        s = self.shards[primary]
+        shards = self.shards
+        probe_cost = sum(shards[p].probe_ns for p in probe)
+        pq = shards[primary].pq
         start = max(at + probe_cost, self.clocks[primary])
         if self.obs is not None:
             self.obs.emit(SHARD_PROBE, at, "router",
                           shards=list(probe), primary=primary)
             self.obs.emit(SHARD_OP_BEGIN, start, f"shard{primary}",
                           shard=primary, op="deletemin", want=count)
-        keys, cost = s.deletemin(count)
-        end = start + cost
+        before = pq.sim_ticks
+        keys, _pay = pq.deletemin(count)
+        end = start + (pq.sim_ticks - before) / TICKS_PER_NS
         self.clocks[primary] = end
         parts = [keys]
         got = keys.size
@@ -407,15 +403,13 @@ class ShardedBGPQ:
         # delete is never artificially short (exact-drain guarantee)
         while got < count:
             sizes = self.shard_sizes()
-            victim = max(range(len(sizes)), key=lambda i: (sizes[i], -i))
-            if not sizes[victim]:
+            most = max(sizes)
+            if not most:
                 break
-            v = self.shards[victim]
+            victim = sizes.index(most)  # the fullest, ties to the lowest
             vstart = max(end, self.clocks[victim])
-            vkeys, vcost = v.deletemin(min(count - got, self.k))
-            vend = vstart + vcost
-            self.clocks[victim] = vend
-            end = vend
+            vkeys, vcost = shards[victim].deletemin(min(count - got, self.k))
+            end = self.clocks[victim] = vstart + vcost
             parts.append(vkeys)
             got += vkeys.size
             stole.append(victim)
@@ -429,14 +423,16 @@ class ShardedBGPQ:
                 self.obs.emit(SHARD_STEAL, vstart, f"shard{victim}",
                               shard=victim, want=count - got + vkeys.size,
                               got=int(vkeys.size))
-        out = np.sort(np.concatenate(parts)) if len(parts) > 1 else keys
-        self._size -= out.size
+        if len(parts) > 1:
+            keys = np.concatenate(parts)
+            keys.sort()
+        self._size -= keys.size
         self.stats["deletes"] += 1
         if self.obs is not None:
             self.obs.emit(SHARD_OP_END, end, f"shard{primary}",
-                          shard=primary, op="deletemin", got=int(out.size))
+                          shard=primary, op="deletemin", got=int(keys.size))
         return OpTicket(
-            "deletemin", primary, out, at, start, end,
+            "deletemin", primary, keys, at, start, end,
             probed=probe, stole=tuple(stole),
         )
 
@@ -454,7 +450,7 @@ class ShardedBGPQ:
             raise ConfigurationError("grow count must be >= 1")
         before = self.n_shards
         for _ in range(count):
-            self.shards.append(self._make_shard())
+            self.shards.append(_NativeShard(self.k, self.ctx))
             self.clocks.append(float(at))
             self._pending.append(0)
         after = before + count
@@ -509,12 +505,7 @@ class ShardedBGPQ:
         drain_end = end
         for i in range(0, moved.size, self.k):
             chunk = moved[i : i + self.k]
-            loads = (
-                self.shard_loads()
-                if self.router.policy in LOAD_AWARE_POLICIES
-                else None
-            )
-            for dst, part in self.router.place(chunk, loads=loads):
+            for dst, part in self.router.place(chunk, loads=self._loads):
                 start = max(drain_end, self.clocks[dst])
                 self.clocks[dst] = start + self.shards[dst].insert(part)
                 end = max(end, self.clocks[dst])

@@ -1,8 +1,13 @@
 """The async session driver: scheduling, history, and observability."""
 
+import hashlib
+from collections import Counter
+
 import numpy as np
+import pytest
 
 from repro.core import HeapAuditor, check_k_relaxed
+from repro.errors import ConfigurationError
 from repro.fleet import ShardedBGPQ, mixed_scripts, run_fleet
 from repro.obs.events import (
     LOCK_CONTEND,
@@ -129,3 +134,96 @@ def test_trace_analyze_attributes_fleet_waits():
                    if e["resource"].startswith("fleet.s")]
     assert fleet_edges
     assert all(e["wait_ns"] > 0 and e["blocker"] != "?" for e in fleet_edges)
+
+
+def _bad_last_entry(entry):
+    """Good scripts whose last session's last request is ``entry``."""
+    scripts = mixed_scripts(3, 6, 16, seed=1)
+    scripts[2][5] = entry
+    return scripts
+
+
+_GOOD = mixed_scripts(3, 6, 16, seed=1)
+
+
+@pytest.mark.parametrize("scripts, kwargs, match", [
+    pytest.param(_GOOD, {"imbalance_every": 0}, "imbalance_every",
+                 id="imbalance-every-0"),
+    pytest.param(_GOOD, {"imbalance_every": 2.5}, "imbalance_every",
+                 id="imbalance-every-float"),
+    pytest.param(_GOOD, {"think_ns": -1e9}, "think_ns", id="think-negative"),
+    pytest.param(_GOOD, {"think_ns": float("nan")}, "think_ns", id="think-nan"),
+    pytest.param(_GOOD, {"think_ns": float("inf")}, "think_ns", id="think-inf"),
+    pytest.param(_bad_last_entry(("peek", 1)), {},
+                 "session 2 request 5: unknown", id="unknown-kind"),
+    pytest.param(_bad_last_entry(("deletemin", 0)), {},
+                 "session 2 request 5: .*outside", id="count-0"),
+    pytest.param(_bad_last_entry(("deletemin", 17)), {},
+                 "session 2 request 5: .*outside", id="count-over-k"),
+    pytest.param(_bad_last_entry(("deletemin", 2.0)), {},
+                 "session 2 request 5", id="count-float"),
+    pytest.param(_bad_last_entry(("insert",)), {}, "session 2 request 5",
+                 id="entry-without-arg"),
+    pytest.param(_bad_last_entry(("insert", ["x"])), {}, "session 2 request 5",
+                 id="keys-not-ints"),
+])
+def test_bad_run_fails_closed_before_touching_the_fleet(scripts, kwargs, match):
+    bus = EventBus()
+    fleet = ShardedBGPQ(n_shards=4, node_capacity=16, seed=9, obs=bus)
+    with pytest.raises(ConfigurationError, match=match):
+        run_fleet(fleet, scripts, **kwargs)
+    assert len(fleet) == 0 and fleet.shard_sizes() == [0] * 4
+    assert fleet.makespan_ns == 0.0
+    assert not any(fleet.stats.values())
+    assert not list(bus)
+
+
+def test_scripts_accept_any_int_like_request():
+    """Lists, numpy scalars and 2-D batches normalise as dispatch did."""
+    plain = [[("insert", np.arange(16, dtype=np.int64)), ("deletemin", 16)]]
+    loose = [[("insert", np.arange(16).reshape(4, 4).tolist()),
+              ("deletemin", np.int32(16))]]
+    runs = [run_fleet(ShardedBGPQ(n_shards=2, node_capacity=16, seed=1), s)
+            for s in (plain, loose)]
+    assert repr(runs[0].history) == repr(runs[1].history)
+
+
+def test_wrapped_request_path_sees_every_call():
+    """Wrappers set on the fleet and on each ``shard.pq`` (perfbench's
+    ``Tracer.wrap``) see every routed, planned and executed sub-op, and
+    change nothing the run outputs."""
+    def run(wrapped: bool):
+        fleet = ShardedBGPQ(n_shards=4, node_capacity=16, policy="d-choice",
+                            seed=9)
+        calls = Counter()
+
+        def wrap(obj, attr, name):
+            inner = getattr(obj, attr)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            setattr(obj, attr, counted)
+
+        if wrapped:
+            for shard in fleet.shards:
+                wrap(shard.pq, "insert_bulk", "native.insert")
+                wrap(shard.pq, "deletemin", "native.deletemin")
+            for attr in ("route_insert", "plan_delete", "exec_insert",
+                         "exec_deletemin"):
+                wrap(fleet, attr, attr)
+        return run_fleet(fleet, mixed_scripts(8, 10, 16, seed=4, skew=1.1)), calls
+
+    res, calls = run(wrapped=True)
+    stats = res.stats
+    assert stats["steals"] > 0
+    assert calls["route_insert"] == calls["plan_delete"] == res.requests // 2
+    assert calls["exec_insert"] == calls["native.insert"] == stats["inserts"]
+    assert calls["exec_deletemin"] == stats["deletes"] == calls["plan_delete"]
+    assert calls["native.deletemin"] == stats["deletes"] + stats["steals"]
+    bare, _ = run(wrapped=False)
+    assert bare.stats == stats and bare.makespan_ns == res.makespan_ns
+    digest = [hashlib.sha256(repr(r.history).encode()).hexdigest()
+              for r in (res, bare)]
+    assert digest[0] == digest[1]

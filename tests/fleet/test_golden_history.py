@@ -27,6 +27,16 @@ def _hash():
     return run_fleet(fleet, mixed_scripts(8, 9, 16, seed=4)), None
 
 
+def _shortest_skewed():
+    fleet = ShardedBGPQ(n_shards=4, node_capacity=16, policy="shortest", seed=5)
+    return run_fleet(fleet, mixed_scripts(8, 9, 16, seed=6, skew=1.1)), None
+
+
+def _spray_think():
+    fleet = ShardedBGPQ(n_shards=3, node_capacity=16, policy="spray", seed=7)
+    return run_fleet(fleet, mixed_scripts(7, 10, 16, seed=8), think_ns=50.0), None
+
+
 def _elastic_grow_shrink():
     fleet = ShardedBGPQ(n_shards=2, node_capacity=16, policy="d-choice", seed=9)
     ctl = ElasticController(min_shards=1, max_shards=4, grow_above=32,
@@ -58,6 +68,23 @@ GOLDEN = {
         132921.65297577038,
         {**_STATS, "inserts": 159, "deletes": 32, "probes": 64, "steals": 10},
         [41, 43, 13, 31],
+        None,
+    ),
+    "shortest-skew": (
+        _shortest_skewed,
+        "b392a4369f3b2b3e07921d5ce4a75a5a9065a58fedd50c3fadeabc79876f87b0",
+        68650.80362267702,
+        {**_STATS, "inserts": 40, "deletes": 32, "probes": 64, "steals": 10},
+        [64, 16, 48, 0],
+        None,
+    ),
+    "spray-think": (
+        _spray_think,
+        "14ce5391fe3cdc7793feb6ef23d8efe89cbbe577b2afde4fb1bf0fcfb908eef2",
+        95324.42333568567,
+        {**_STATS, "inserts": 35, "deletes": 35, "probes": 70,
+         "empty_probes": 2, "steals": 8},
+        [0, 0, 0],
         None,
     ),
     "elastic": (
