@@ -352,6 +352,9 @@ def instrumented_mixed_pass(
     Runs a short steady-state loop for each requested backend with
     :func:`repro.primitives.kernels.instrument` wrapped around it, so
     ``repro_kernel_wall_ns{kernel,backend}`` lands in ``registry``.
+    The queue runs the path it runs uninstrumented: the fused
+    ``insert_sorted``/``deletemin`` calls on the C core, the node-level
+    ``sort_split_into`` and the ``sort_records`` presort on numpy.
     Separate from the gate loops by design: instrumentation adds a
     timer call per kernel, which must never touch the gated numbers.
     Returns {backend: ops} for the pass.

@@ -24,19 +24,18 @@ is how the applications store search-tree nodes.
 
 The whole heap lives in one :class:`~repro.core.arena.NodeArena` (row 0
 is the partial buffer, row ``i`` is node ``i`` — the DES queue's layout
-too), every SORT_SPLIT runs through the arena's fused in-place
-:meth:`~repro.core.arena.NodeArena.split_rows` path on this queue's
-kernel set, and the steady-state heapify loop performs zero traced
-allocations — the application engines' hot path mirrors the paper's
-preallocated device layout (§3.3).
+too).  On the compiled backend each op's whole heapify is one fused C
+call over the arena's buffers; on the NumPy reference every SORT_SPLIT
+runs through the arena's in-place
+:meth:`~repro.core.arena.NodeArena.split_rows` path, and the
+steady-state heapify loop performs zero traced allocations — the
+application engines' hot path mirrors the paper's preallocated device
+layout (§3.3).
 
 Bulk operations amortise per-batch overhead the way the paper's
 batching amortises per-key overhead: :meth:`insert_bulk` accepts
 arbitrarily many records, sorts once, and feeds presorted full batches
-to the heap (one heapify per batch); :meth:`build` loads an initial
-frontier in O(n) node operations by laying the globally sorted keys
-out level by level (every BFS-ordered row then satisfies the batched
-heap property, the array-heap analogue of Floyd's bottom-up build).
+to the heap (one heapify per batch).
 
 Because its per-operation behaviour is identical to the sequential
 semantics of BGPQ, it doubles as a second differential-testing
@@ -431,67 +430,6 @@ class NativeBGPQ:
             for i in range(0, skeys.size, self.k):
                 self._insert_sorted(skeys[i : i + self.k], spay[i : i + self.k])
         self._size += skeys.size
-
-    def build(self, keys, payload=None) -> None:
-        """Load an initial frontier into an *empty* queue in O(n) node ops.
-
-        Sorts the records once and lays them out level by level: node 1
-        gets the k smallest, node 2 the next k, and so on, with the
-        trailing partial batch in the partial buffer.  Because rows are
-        filled in globally ascending order, every node's minimum is >=
-        its parent's maximum by construction — the batched-heap
-        analogue of Floyd's bottom-up heap construction, with no
-        per-node heapify at all.
-
-        Device charge: one coalesced read+write of the n records plus a
-        per-batch in-block sort and a merge tree over the batches (the
-        device would produce the global order with a batch merge sort).
-        """
-        if self._size:
-            raise ValueError("build requires an empty queue; use insert_bulk")
-        keys, pay = self._normalize(keys, payload)
-        n = keys.size
-        if n == 0:
-            return
-        skeys, spay = self._kern.sort_records(keys, pay)
-        k = self.k
-        chunks = -(-n // k)
-        if self.model is not None:
-            m = self.model
-            self._charge(
-                m.global_read_ns(n)
-                + m.global_write_ns(n)
-                + chunks * m.bitonic_sort_ns(min(n, k))
-                + chunks * max(0, chunks.bit_length() - 1) * m.sort_split_ns(k, k)
-                + m.lock_acquire_ns()
-                + m.lock_release_ns()
-            )
-        self.stats["ops"] += 1
-        full = n // k
-        rest = n - full * k
-        # fewer than k keys: everything is the root, buffer stays empty
-        nodes = max(1, full)
-        body = nodes * k if full else n
-        self._ensure_rows(nodes)
-        a = self._arena
-        if full:
-            a.keys[1 : full + 1] = skeys[:body].reshape(full, k)
-            if self.payload_width:
-                a.pay[1 : full + 1] = spay[:body].reshape(
-                    full, k, self.payload_width
-                )
-            a.counts[1 : full + 1] = k
-            a.keys[0, :rest] = skeys[body:]
-            if self.payload_width:
-                a.pay[0, :rest] = spay[body:]
-            a.counts[0] = rest
-        else:
-            a.keys[1, :n] = skeys
-            if self.payload_width:
-                a.pay[1, :n] = spay
-            a.counts[1] = n
-        self._heap_size = nodes
-        self._size = n
 
     def deletemin(self, count: int):
         """Remove up to ``count`` smallest records.

@@ -1,14 +1,14 @@
 /* Compiled host kernels for NativeBGPQ's and the knapsack solver's
  * wall-clock fast path.
  *
- * Six entry points.  Four are exactly the ones the queue calls:
- * sort_split_into (the paper's SORT_SPLIT between two nodes),
- * sort_records (the stable presort of an incoming batch), and the
- * fused whole-op arena kernels: insert_sorted feeds a whole presorted
- * bulk insert to the heap k records at a time, deletemin runs one
- * deletemin; each is one GIL round-trip.  The fifth, expand, is the
- * knapsack branch-and-bound expansion of one node batch (§6.5's
- * per-block expand-and-bound kernel).  The sixth, knapsack_step, runs
+ * Five entry points.  Three are the ones the queue calls:
+ * sort_records (the stable presort of an incoming batch) and the fused
+ * whole-op arena kernels: insert_sorted feeds a whole presorted bulk
+ * insert to the heap k records at a time, deletemin runs one
+ * deletemin; each is one GIL round-trip, and every SORT_SPLIT between
+ * two nodes runs inside them (sort_split_core).  The fourth, expand,
+ * is the knapsack branch-and-bound expansion of one node batch (§6.5's
+ * per-block expand-and-bound kernel).  The fifth, knapsack_step, runs
  * one whole solver iteration on the arena — deletemin, stale-bound
  * cut, expand, sort and insert — the way one thread block retrieves a
  * batch, expands it and inserts the children without a trip back to
@@ -18,8 +18,8 @@
  * of the knapsack _Expansion are the semantic source of truth;
  * everything here is required to be *bit-identical* to them (enforced
  * by the hypothesis parity suites in
- * tests/primitives/test_kernel_parity.py and
- * tests/apps/test_knapsack_expand_parity.py).  The contract mirrors the
+ * tests/primitives/test_kernel_parity.py, tests/core/test_native_backends.py
+ * and tests/apps/test_knapsack_expand_parity.py).  The contract mirrors the
  * CUDA discipline the reproduction simulates: keys are int64, payload
  * rows are opaque byte strips that travel with their keys, ties
  * between two sorted runs resolve in favour of the first (`a`) run,
@@ -480,43 +480,6 @@ sort_records_core(int64_t *keys, char *pay, Py_ssize_t n, Py_ssize_t rb)
 /* ------------------------------------------------------------------ */
 /* python-visible kernels                                              */
 /* ------------------------------------------------------------------ */
-
-/* sort_split_into(a, b, ma, x_k, y_k, sk, pa, pb, x_p, y_p, sp, rb) */
-static PyObject *
-py_sort_split_into(PyObject *self, PyObject *args)
-{
-    PyObject *o[10];
-    Py_ssize_t ma, rb;
-    if (!PyArg_ParseTuple(args, "OOnOOOOOOOOn", &o[0], &o[1], &ma, &o[2],
-                          &o[3], &o[4], &o[5], &o[6], &o[7], &o[8], &o[9],
-                          &rb))
-        return NULL;
-    static const int flags[10] = {RO | I64, RO | I64, RW | I64, RW | I64,
-                                  RW | I64, RO, RO, RW, RW, RW};
-    Buf bufs[10];
-    if (get_bufs(o, bufs, flags, 10))
-        return NULL;
-    Py_ssize_t na = bufs[0].view.len / 8, nb = bufs[1].view.len / 8;
-    Py_ssize_t total = na + nb;
-    Py_ssize_t mb = total - ma;
-    if (rb < 0 || ma < 0 || ma > total || bufs[4].view.len < total * 8 ||
-        bufs[2].view.len < ma * 8 || bufs[3].view.len < mb * 8 ||
-        lacks(bufs[5].view.len, na, rb) || lacks(bufs[6].view.len, nb, rb) ||
-        lacks(bufs[7].view.len, ma, rb) || lacks(bufs[8].view.len, mb, rb) ||
-        lacks(bufs[9].view.len, total, rb)) {
-        release_bufs(bufs, 10);
-        PyErr_SetString(PyExc_ValueError, "sort_split_into: bad split/scratch");
-        return NULL;
-    }
-    Py_BEGIN_ALLOW_THREADS
-    sort_split_core(KEYS(bufs[0]), na, KEYS(bufs[1]), nb, ma, KEYS(bufs[2]),
-                    KEYS(bufs[3]), KEYS(bufs[4]), BYTES(bufs[5]),
-                    BYTES(bufs[6]), BYTES(bufs[7]), BYTES(bufs[8]),
-                    BYTES(bufs[9]), rb);
-    Py_END_ALLOW_THREADS
-    release_bufs(bufs, 10);
-    Py_RETURN_NONE;
-}
 
 /* sort_records(keys, pay, rb) — in-place stable sort */
 static PyObject *
@@ -1205,8 +1168,6 @@ py_knapsack_step(PyObject *self, PyObject *args)
 }
 
 static PyMethodDef CkernMethods[] = {
-    {"sort_split_into", py_sort_split_into, METH_VARARGS,
-     "fused SORT_SPLIT through caller scratch"},
     {"sort_records", py_sort_records, METH_VARARGS,
      "in-place stable record sort"},
     {"insert_sorted", py_insert_sorted, METH_VARARGS,

@@ -329,42 +329,51 @@ def run_fleet(
 
     def dispatch(sess: _Session, now: float) -> None:
         nonlocal requests
-        kind, arg = sess.script[sess.next_req]
-        sess.next_req += 1
-        requests += 1
-        sess.req_end = now
-        if kind == "insert":
-            parts = route_insert(arg, at=now)
-            if obs is not None:
-                obs.emit(OP_BEGIN, now, f"client{sess.idx}", op="insert",
-                         n=int(arg.size))
-            if not parts:
-                # empty insert: completes immediately, no shard touched
-                finish_request(sess, now)
-                return
-            sess.outstanding = len(parts)
-            for shard, sub in parts:
-                queues[shard].append(_SubOp(sess.idx, "insert", now, sub))
-        else:
-            plan = plan_delete()
-            sess.outstanding = 1
-            if obs is not None:
-                obs.emit(OP_BEGIN, now, f"client{sess.idx}", op="deletemin",
-                         want=arg)
-            queues[plan[0]].append(
-                _SubOp(sess.idx, "deletemin", now, None, arg, plan)
-            )
+        while True:
+            kind, arg = sess.script[sess.next_req]
+            sess.next_req += 1
+            requests += 1
+            sess.req_end = now
+            if kind == "insert":
+                parts = route_insert(arg, at=now)
+                if obs is not None:
+                    obs.emit(OP_BEGIN, now, f"client{sess.idx}", op="insert",
+                             n=int(arg.size))
+                if not parts:
+                    # empty insert: completes immediately, no shard
+                    # touched, and the session's next request follows
+                    if finish_request(sess, now):
+                        now += think_ns
+                        continue
+                    return
+                sess.outstanding = len(parts)
+                for shard, sub in parts:
+                    queues[shard].append(_SubOp(sess.idx, "insert", now, sub))
+            else:
+                plan = plan_delete()
+                sess.outstanding = 1
+                if obs is not None:
+                    obs.emit(OP_BEGIN, now, f"client{sess.idx}",
+                             op="deletemin", want=arg)
+                queues[plan[0]].append(
+                    _SubOp(sess.idx, "deletemin", now, None, arg, plan)
+                )
+            return
 
-    def finish_request(sess: _Session, end: float) -> None:
+    def finish_request(sess: _Session, end: float) -> bool:
+        """Close ``sess``'s current request; True when another follows,
+        which the caller dispatches ``think_ns`` after ``end`` (the two
+        closures must not call each other: that cycle would keep the
+        fleet alive past the run until the cyclic collector ran)."""
         if obs is not None:
             kind = sess.script[sess.next_req - 1][0]
             obs.emit(OP_END, end, f"client{sess.idx}", op=kind)
         if sess.next_req < len(sess.script):
-            dispatch(sess, end + think_ns)
-        else:
-            sess.done = True
-            if obs is not None:
-                obs.emit(THREAD_FINISH, end, f"client{sess.idx}")
+            return True
+        sess.done = True
+        if obs is not None:
+            obs.emit(THREAD_FINISH, end, f"client{sess.idx}")
+        return False
 
     for sess in sessions:
         if obs is not None:
@@ -456,8 +465,8 @@ def run_fleet(
         sess.outstanding -= 1
         if end > sess.req_end:
             sess.req_end = end
-        if sess.outstanding == 0:
-            finish_request(sess, sess.req_end)
+        if sess.outstanding == 0 and finish_request(sess, sess.req_end):
+            dispatch(sess, sess.req_end + think_ns)
 
     return FleetRunResult(
         history=history,

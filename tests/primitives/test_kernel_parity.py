@@ -1,16 +1,20 @@
-"""Differential suite: compiled kernels are bit-identical to the reference.
+"""Differential suite: the compiled record presort is bit-identical to
+the reference.
 
 The dispatch contract (`repro.primitives.kernels`) is that switching
 backend can never change a result — same key values, same tie
 resolution, same payload permutation, byte for byte.  These tests pin
-that contract with hypothesis against every compiled backend the host
-can build; on a host with none, they reduce to reference-vs-reference
-and pass trivially.
+that contract for ``sort_records``, the one batch primitive the
+compiled backend serves on its own, with hypothesis against every
+compiled backend the host can build; on a host with none they are
+skipped.  The AVX-512 keys-only merge network is reached only inside
+the fused whole-op kernels, so its tie storm drives whole queues; the
+rest of the fused kernels' contract is held to the reference queue by
+``tests/core/test_native_backends.py``.
 
-Shapes deliberately cover the compiled paths' edges: empty runs,
-single elements, heavy ties (including ties straddling the C core's
-8-wide SIMD merge boundary), payload widths 0..3, and split points at
-0 and at the full length.
+Shapes deliberately cover the compiled path's edges: empty batches,
+single elements, heavy ties, payload widths 0..3, and non-contiguous
+views.
 """
 
 import numpy as np
@@ -18,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.native import NativeBGPQ
+from repro.device import GpuContext
 from repro.primitives import kernels
-from repro.primitives.inplace import ScratchLedger
 
 COMPILED = [n for n in kernels.available_backends() if n != "numpy"]
 REF = kernels.select("numpy")
@@ -28,14 +33,11 @@ pytestmark = pytest.mark.skipif(
     not COMPILED, reason="no compiled kernel backend on this host"
 )
 
-# small alphabet forces ties; widths to and past the 8-element SIMD lane
-sorted_runs = st.lists(
-    st.integers(min_value=-4, max_value=4), min_size=0, max_size=40
-).map(sorted)
+# widths 0 (keys only), 1 (one 8-byte column) and 3 (the general row)
 widths = st.sampled_from([0, 1, 3])
 
 
-def _records(rng_draw, keys, w):
+def _records(keys, w):
     pay = np.arange(len(keys) * max(w, 1), dtype=np.int64)
     pay = pay.reshape(len(keys), max(w, 1))[:, :w].copy()
     return np.array(keys, dtype=np.int64), pay
@@ -47,47 +49,12 @@ def compiled(request):
 
 
 @given(
-    a=sorted_runs,
-    b=sorted_runs,
-    w=widths,
-    cut=st.floats(min_value=0.0, max_value=1.0),
-)
-@settings(max_examples=120, deadline=None)
-def test_sort_split_into_parity(a, b, w, cut):
-    total = len(a) + len(b)
-    ma = round(cut * total)
-    ka, pa = _records(None, a, w)
-    kb, pb = _records(None, b, w)
-    pb = pb + 1000
-    k = max(total, 1)
-    for name in COMPILED:
-        kern = kernels.select(name)
-        outs = {}
-        for tag, impl in (("ref", REF), ("got", kern)):
-            scratch = ScratchLedger(k, payload_width=w)
-            x_k = np.empty(ma, dtype=np.int64)
-            y_k = np.empty(total - ma, dtype=np.int64)
-            if w:
-                x_p = np.empty((ma, w), dtype=np.int64)
-                y_p = np.empty((total - ma, w), dtype=np.int64)
-                impl.sort_split_into(
-                    ka, kb, ma, x_k, y_k, scratch, pa, pb, x_p, y_p
-                )
-                outs[tag] = (x_k.copy(), y_k.copy(), x_p.copy(), y_p.copy())
-            else:
-                impl.sort_split_into(ka, kb, ma, x_k, y_k, scratch)
-                outs[tag] = (x_k.copy(), y_k.copy())
-        for r, g in zip(outs["ref"], outs["got"]):
-            assert np.array_equal(r, g), name
-
-
-@given(
     keys=st.lists(st.integers(min_value=-6, max_value=6), max_size=64),
     w=widths,
 )
 @settings(max_examples=100, deadline=None)
 def test_sort_records_parity(keys, w):
-    ka, pa = _records(None, keys, w)
+    ka, pa = _records(keys, w)
     ref_k, ref_p = REF.sort_records(ka.copy(), pa.copy())
     for name in COMPILED:
         got_k, got_p = kernels.select(name).sort_records(ka.copy(), pa.copy())
@@ -96,44 +63,40 @@ def test_sort_records_parity(keys, w):
 
 
 def test_simd_boundary_tie_storm():
-    """Ties straddling every 8-element lane boundary of the AVX merge.
+    """Keys-only queues over a 4-key alphabet, compiled against numpy.
 
-    Keys-only SORT_SPLIT is the path that reaches the SIMD merge network
-    (``merge_core`` via ``sort_split_core``); split points sweep the
-    whole range so lane boundaries land on both sides of the cut.
+    Every node merge is then a tie storm straddling the 8-element lanes
+    of the C core's AVX-512 keys-only merge network (where the host has
+    AVX-512), which only the fused whole-op kernels reach.  After every
+    op the compiled queue must hold the reference queue's rows, stats
+    and exact clock.
     """
-    rng = np.random.default_rng(7)
-    for trial in range(50):
-        na, nb = (int(n) for n in rng.integers(8, 64, size=2))
-        a = np.sort(rng.integers(0, 4, size=na).astype(np.int64))
-        b = np.sort(rng.integers(0, 4, size=nb).astype(np.int64))
-        ma = int(rng.integers(0, na + nb + 1))
-        outs = {}
-        for name in ["numpy", *COMPILED]:
-            x_k = np.empty(ma, dtype=np.int64)
-            y_k = np.empty(na + nb - ma, dtype=np.int64)
-            kernels.select(name).sort_split_into(
-                a, b, ma, x_k, y_k, ScratchLedger(na + nb)
-            )
-            outs[name] = np.concatenate([x_k, y_k])
-        assert np.array_equal(outs["numpy"], np.sort(np.concatenate([a, b])))
-        for name in COMPILED:
-            assert np.array_equal(outs["numpy"], outs[name]), name
+    ctx = GpuContext.default()
+    for name in COMPILED:
+        for k in (32, 64):
+            rng = np.random.default_rng(7 + k)
+            ref = NativeBGPQ(k, ctx=ctx, kernels="numpy")
+            pq = NativeBGPQ(k, ctx=ctx, kernels=name)
+            assert pq.kernel_provenance()["fused_active"]
+            for _ in range(120):
+                if rng.random() < 0.55:
+                    keys = rng.integers(0, 4, size=int(rng.integers(1, 3 * k)))
+                    ref.insert(keys)
+                    pq.insert(keys)
+                else:
+                    count = int(rng.integers(1, k + 1))
+                    want, _ = ref.deletemin(count)
+                    got, _ = pq.deletemin(count)
+                    assert np.array_equal(got, want), (name, k)
+                rows, ref_rows = pq.export_rows(), ref.export_rows()
+                assert rows.header == ref_rows.header, (name, k)
+                for got_col, want_col in zip(rows[1:], ref_rows[1:]):
+                    assert np.array_equal(got_col, want_col), (name, k)
+                assert pq.stats == ref.stats
+                assert pq.sim_ticks == ref.sim_ticks
 
 
 def test_noncontiguous_input_falls_back_identically(compiled):
-    a = np.arange(0, 20, 2, dtype=np.int64)[::2]  # non-contiguous view
-    b = np.arange(1, 11, 2, dtype=np.int64)
-    assert not a.flags.c_contiguous
-    total = len(a) + len(b)
-    splits = {}
-    for tag, impl in (("ref", REF), ("got", compiled)):
-        x_k = np.empty(4, dtype=np.int64)
-        y_k = np.empty(total - 4, dtype=np.int64)
-        impl.sort_split_into(a, b, 4, x_k, y_k, ScratchLedger(total))
-        splits[tag] = np.concatenate([x_k, y_k])
-    assert np.array_equal(splits["ref"], splits["got"])
-
     keys = np.array([5, 1, 5, 3, 1, 2, 5, 0], dtype=np.int64)[::2]
     pay = np.arange(8, dtype=np.int64).reshape(4, 2)[:, ::-1]
     assert not keys.flags.c_contiguous and not pay.flags.c_contiguous

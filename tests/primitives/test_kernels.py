@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.device import cbuild
+from repro.core.native import NativeBGPQ
+from repro.device import GpuContext, cbuild
 from repro.obs.metrics import MetricsRegistry
 from repro.primitives import kernels
 from repro.primitives.inplace import ScratchLedger
@@ -108,7 +109,7 @@ def test_instrumented_kernels_record_and_match(monkeypatch):
     registry = MetricsRegistry()
     kern = kernels.instrument(kernels.select("numpy"), registry)
     assert kern.provenance()["instrumented"] is True
-    assert kern.fused is False  # forces per-kernel (unfused) dispatch
+    assert kern.fused is False  # the reference's own path: node-level splits
 
     keys = np.array([3, 1, 2, 1], dtype=np.int64)
     pay = np.array([[30], [10], [20], [11]], dtype=np.int64)
@@ -129,6 +130,54 @@ def test_instrumented_kernels_record_and_match(monkeypatch):
     assert 'kernel="sort_records"' in text
     assert 'kernel="sort_split_into"' in text
     assert 'backend="numpy"' in text
+
+
+def _run_queue(kern, payload_width):
+    """A mixed insert/deletemin script; returns the queue and every
+    output."""
+    rng = np.random.default_rng(11)
+    pq = NativeBGPQ(8, ctx=GpuContext.default(), kernels=kern,
+                    payload_width=payload_width)
+    outs = []
+    for _ in range(40):
+        keys = rng.integers(0, 50, size=int(rng.integers(1, 20)))
+        pq.insert_bulk(keys, payload=keys if payload_width else None)
+        got = pq.deletemin(int(rng.integers(1, 9)))
+        outs.append((got[0].tolist(), got[1].tolist()))
+    return pq, outs
+
+
+@pytest.mark.parametrize("payload_width", [0, 1])
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_instrumented_queue_keeps_its_path(backend, payload_width):
+    """An instrumented queue runs its backend's own path — the fused
+    whole-op calls on the C core, node-level splits on numpy — times
+    the kernel calls that path makes, and returns the outputs of an
+    uninstrumented queue."""
+    registry = MetricsRegistry()
+    kern = kernels.instrument(kernels.select(backend), registry)
+    fused = backend == "cext"
+    assert kern.fused is fused
+    pq, outs = _run_queue(kern, payload_width)
+    assert pq.kernel_provenance()["fused_active"] is fused
+    assert pq.kernel_provenance()["instrumented"] is True
+    bare, bare_outs = _run_queue(backend, payload_width)
+    assert outs == bare_outs
+    assert pq.export_state() == bare.export_state()
+
+    def count(op):
+        return registry.histogram("repro_kernel_wall_ns", kernel=op,
+                                  backend=backend).count
+
+    # payload inserts each make one presort call; on the C core a
+    # keys-only insert sorts its own copy instead
+    assert count("sort_records") == (40 if payload_width or not fused else 0)
+    if fused:
+        assert count("insert_sorted") == 40 and count("deletemin") > 0
+        assert 'kernel="sort_split_into"' not in registry.to_prometheus()
+    else:
+        assert count("sort_split_into") > 0
+        assert 'kernel="insert_sorted"' not in registry.to_prometheus()
 
 
 @pytest.mark.parametrize("name", ["cext"])

@@ -10,7 +10,8 @@ with block lengths at the gallop thresholds (7, 8, 9, 15, 16, 17) and
 equal keys across block boundaries, so every gallop start, stop and
 tie-break is reached; payload rows carry their origin, so a tie sent
 to the wrong side shows.  Width 1 is the one-column (8-byte row) path,
-width 3 the general one.
+width 3 the general one.  Both suites go through ``sort_records``; the
+fused heap kernels run the same merge for every node SORT_SPLIT.
 """
 
 import numpy as np
@@ -19,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.primitives import kernels
-from repro.primitives.inplace import ScratchLedger
 
 COMPILED = [n for n in kernels.available_backends() if n != "numpy"]
 REF = kernels.select("numpy")
@@ -67,35 +67,21 @@ def _runs(spec):
     )
 
 
-def _split(impl, a, pa, b, pb, ma, w):
-    total = len(a) + len(b)
-    x_k = np.empty(ma, dtype=np.int64)
-    y_k = np.empty(total - ma, dtype=np.int64)
-    x_p = np.empty((ma, w), dtype=np.int64)
-    y_p = np.empty((total - ma, w), dtype=np.int64)
-    impl.sort_split_into(
-        a, b, ma, x_k, y_k, ScratchLedger(max(total, 1), payload_width=w),
-        pa, pb, x_p, y_p,
-    )
-    return x_k, y_k, x_p, y_p
-
-
-@given(
-    spec=blocks,
-    w=widths,
-    cut=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-)
+@given(spec=blocks, w=widths)
 @settings(max_examples=80, deadline=None)
-def test_sort_split_into_gallops_like_reference(spec, w, cut):
+def test_sort_records_gallops_like_reference(spec, w):
+    """Two sorted runs back to back: the presort's one merge of them
+    gallops through the clustered blocks."""
     a, b = _runs(spec)
-    pa = _rows(np.arange(len(a)), w)
-    pb = _rows(np.arange(len(b)) + 100_000, w)
-    ma = round(cut * (len(a) + len(b)))
-    want = _split(REF, a, pa, b, pb, ma, w)
+    keys = np.concatenate([a, b])
+    pay = np.concatenate(
+        [_rows(np.arange(len(a)), w), _rows(np.arange(len(b)) + 100_000, w)]
+    )
+    ref_k, ref_p = REF.sort_records(keys.copy(), pay.copy())
     for name in COMPILED:
-        got = _split(kernels.select(name), a, pa, b, pb, ma, w)
-        for r, g in zip(want, got):
-            assert np.array_equal(r, g), name
+        got_k, got_p = kernels.select(name).sort_records(keys.copy(), pay.copy())
+        assert np.array_equal(ref_k, got_k), name
+        assert np.array_equal(ref_p, got_p), name
 
 
 def _run(kind, n, base):
