@@ -27,13 +27,14 @@
  * are caller-supplied; only the sort_records entry point mallocs a
  * transient C-heap temp, invisible to tracemalloc by design).
  *
- * Merges that carry payload rows adapt to runs: once one side's next 8
- * records all precede the other side's head, merge_core gallops to the
- * end of that run and moves it as one block, and sort_records is a
- * natural-run mergesort (a sorted batch costs one scan).  The 8-record
- * single-step loops are pinned rolled with `GCC unroll 1`, because the
- * unrolled form gcc 12 -O3 picks is 2.2x slower on random keys (see
- * merge_core).  Keys-only merges keep their AVX-512 network.
+ * Merges that carry payload rows run one loop, merge_range, which adapts
+ * to runs: once one side's next 8 records all precede the other side's
+ * head, it gallops to the end of that run and moves it as one block.  A
+ * payload SORT_SPLIT writes each record once, straight into its row (see
+ * sort_split_core), and sort_records is a natural-run mergesort (a
+ * sorted batch costs one scan).  The 8-record single-step loops are
+ * pinned rolled with `GCC unroll 1` (see merge_range).  Keys-only merges
+ * keep their AVX-512 network and merge through scratch.
  *
  * Every call is validated once at the boundary and fails closed with a
  * ValueError: key, count, scratch and log buffers must be C-contiguous
@@ -261,65 +262,56 @@ gallop(const int64_t *x, Py_ssize_t n, int64_t v, int strict)
     return lo;
 }
 
-/* Stable two-way merge, ties to `a`.  Keys-only merges (rb == 0) take
- * the AVX-512 network or a branchless scalar loop.  Payload merges are
- * run-adaptive: while both sides hold 8 or more records, a side whose
- * next 8 records all precede the other side's head gallops to the end
- * of that run and moves it with one memcpy for keys and one for rows
- * (a's run ends at its first key > b[j]; b's at its first key >= a[i],
- * since ties go to `a`); otherwise 8 single steps follow.
- * Heap SORT_SPLITs and the presort of an expansion batch merge a few
- * long runs, which this moves in blocks; randomly interleaved input
- * pays one extra compare per 8 records.  The 8-step loops carry
- * `GCC unroll 1`.  Kept rolled, gcc 12 -O3 compiles the rb == 8 step
- * to a cmov for the key and a predicted branch for the row, with i or
- * j bumped inside each arm, so the next step's loads need not wait for
- * this step's compare.  Fully unrolled (its default here), the bumps
- * become setcc/add data dependences and every step waits on the last:
- * 2.2x slower on random 1024+1024 records, as slow as a branch-free
- * mask select of the row. */
-static void
-merge_core(const int64_t *a, Py_ssize_t na, const int64_t *b, Py_ssize_t nb,
-           int64_t *out, const char *pa, const char *pb, char *op,
-           Py_ssize_t rb)
+/* Move n records (keys, then rb-byte rows) from s/sp to d/dp.  The
+ * ranges may overlap with d at or before s (a merge writing into the
+ * storage of the input it reads); a run already in place is not moved. */
+static inline void
+move_run(int64_t *d, char *dp, const int64_t *s, const char *sp,
+         Py_ssize_t n, Py_ssize_t rb)
 {
-    Py_ssize_t i = 0, j = 0, o = 0, n;
-    if (rb == 0) {
-#if defined(__AVX512F__)
-        if (na >= 8 && nb >= 8) {
-            merge_keys_avx512(a, na, b, nb, out);
-            return;
-        }
-#endif
-        /* branchless two-finger merge: the comparison becomes a cmov-
-         * style select, sidestepping the ~50% mispredict rate random
-         * keys would otherwise pay per element */
-        while (i < na && j < nb) {
-            int64_t va = a[i], vb = b[j];
-            int take_a = va <= vb;
-            out[o++] = take_a ? va : vb;
-            i += take_a;
-            j += !take_a;
-        }
-        if (i < na)
-            memcpy(out + o, a + i, (size_t)(na - i) * 8);
-        else if (j < nb)
-            memcpy(out + o, b + j, (size_t)(nb - j) * 8);
-        return;
+    if (d != s) {
+        memmove(d, s, (size_t)n * 8);
+        memmove(dp, sp, (size_t)(n * rb));
     }
+}
+
+/* Emit the next m records of the stable merge of a[0..na) and b[0..nb)
+ * (ties to `a`, rb > 0 payload bytes a row) from read positions *pi,
+ * *pj into out/op, advancing both.  out may be the storage of a or b,
+ * provided no write lands past that input's read position.  Run-
+ * adaptive: while both sides hold 8 or more records, a side whose next
+ * 8 records all precede the other side's head gallops to the end of
+ * that run and moves it as one block (a's run ends at its first key >
+ * b[j]; b's at its first key >= a[i], since ties go to `a`); otherwise
+ * 8 single steps follow.  Heap SORT_SPLITs and the presort of an
+ * expansion batch merge a few long runs, which this moves in blocks;
+ * randomly interleaved input pays one extra compare per 8 records.
+ * The 8-step loops carry `GCC unroll 1`.  Kept rolled, gcc 12 -O3
+ * compiles the rb == 8 step to a cmov for the key and a predicted
+ * branch for the row, with i or j bumped inside each arm, so the next
+ * step's loads need not wait for this step's compare.  Fully unrolled
+ * (its default here), the bumps become setcc/add data dependences and
+ * every step waits on the last: 2.2x slower on random 1024+1024
+ * records, as slow as a branch-free mask select of the row. */
+static void
+merge_range(const int64_t *a, Py_ssize_t na, const int64_t *b, Py_ssize_t nb,
+            const char *pa, const char *pb, Py_ssize_t rb, Py_ssize_t *pi,
+            Py_ssize_t *pj, Py_ssize_t m, int64_t *out, char *op)
+{
+    Py_ssize_t i = *pi, j = *pj, o = 0, n;
     const int64_t *qa = (const int64_t *)pa, *qb = (const int64_t *)pb;
     int64_t *qo = (int64_t *)op; /* rows as int64 when rb == 8 */
-    while (na - i >= 8 && nb - j >= 8) {
+    while (m - o >= 8 && na - i >= 8 && nb - j >= 8) {
         if (a[i + 7] <= b[j]) {
             n = 8 + gallop(a + i + 8, na - i - 8, b[j], 0);
-            memcpy(out + o, a + i, (size_t)n * 8);
-            memcpy(op + o * rb, pa + i * rb, (size_t)(n * rb));
+            n = n < m - o ? n : m - o;
+            move_run(out + o, op + o * rb, a + i, pa + i * rb, n, rb);
             i += n;
             o += n;
         } else if (b[j + 7] < a[i]) {
             n = 8 + gallop(b + j + 8, nb - j - 8, a[i], 1);
-            memcpy(out + o, b + j, (size_t)n * 8);
-            memcpy(op + o * rb, pb + j * rb, (size_t)(n * rb));
+            n = n < m - o ? n : m - o;
+            move_run(out + o, op + o * rb, b + j, pb + j * rb, n, rb);
             j += n;
             o += n;
         } else if (rb == 8) { /* common case: one int64/float64 column */
@@ -338,8 +330,8 @@ merge_core(const int64_t *a, Py_ssize_t na, const int64_t *b, Py_ssize_t nb,
             for (int s = 0; s < 8; s++) {
                 int take_a = a[i] <= b[j];
                 out[o] = take_a ? a[i] : b[j];
-                memcpy(op + o * rb, take_a ? pa + i * rb : pb + j * rb,
-                       (size_t)rb);
+                memmove(op + o * rb, take_a ? pa + i * rb : pb + j * rb,
+                        (size_t)rb);
                 i += take_a;
                 j += !take_a;
                 o++;
@@ -347,55 +339,101 @@ merge_core(const int64_t *a, Py_ssize_t na, const int64_t *b, Py_ssize_t nb,
         }
     }
     if (rb == 8) {
-        while (i < na && j < nb) {
+        for (; o < m && i < na && j < nb; o++) {
             int64_t va = a[i], vb = b[j];
             int take_a = va <= vb;
             out[o] = take_a ? va : vb;
             qo[o] = take_a ? qa[i] : qb[j];
             i += take_a;
             j += !take_a;
-            o++;
         }
     }
-    while (i < na && j < nb) {
-        if (a[i] <= b[j]) {
-            out[o] = a[i];
-            memcpy(op + o * rb, pa + i * rb, (size_t)rb);
-            i++;
-        } else {
-            out[o] = b[j];
-            memcpy(op + o * rb, pb + j * rb, (size_t)rb);
-            j++;
-        }
-        o++;
+    for (; o < m && i < na && j < nb; o++) {
+        int take_a = a[i] <= b[j];
+        out[o] = take_a ? a[i] : b[j];
+        memmove(op + o * rb, take_a ? pa + i * rb : pb + j * rb, (size_t)rb);
+        i += take_a;
+        j += !take_a;
     }
+    /* one side is spent: the rest of the m come from the other */
+    n = m - o;
     if (i < na) {
-        memcpy(out + o, a + i, (size_t)(na - i) * 8);
-        memcpy(op + o * rb, pa + i * rb, (size_t)((na - i) * rb));
-    } else if (j < nb) {
-        memcpy(out + o, b + j, (size_t)(nb - j) * 8);
-        memcpy(op + o * rb, pb + j * rb, (size_t)((nb - j) * rb));
+        move_run(out + o, op + o * rb, a + i, pa + i * rb, n, rb);
+        i += n;
+    } else {
+        move_run(out + o, op + o * rb, b + j, pb + j * rb, n, rb);
+        j += n;
     }
+    *pi = i;
+    *pj = j;
 }
 
-/* merge a,b through scratch, then split: ma smallest -> x, rest -> y.
- * Staging through scratch is what makes destination/input aliasing
- * safe, exactly like primitives.inplace.sort_split_into. */
+/* Stable two-way merge of a and b into out, ties to `a`.  Keys-only
+ * merges (rb == 0) take the AVX-512 network or a branchless scalar
+ * loop; payload merges are merge_range over all na + nb records. */
+static void
+merge_core(const int64_t *a, Py_ssize_t na, const int64_t *b, Py_ssize_t nb,
+           int64_t *out, const char *pa, const char *pb, char *op,
+           Py_ssize_t rb)
+{
+    Py_ssize_t i = 0, j = 0, o = 0;
+    if (rb) {
+        merge_range(a, na, b, nb, pa, pb, rb, &i, &j, na + nb, out, op);
+        return;
+    }
+#if defined(__AVX512F__)
+    if (na >= 8 && nb >= 8) {
+        merge_keys_avx512(a, na, b, nb, out);
+        return;
+    }
+#endif
+    /* branchless two-finger merge: the comparison becomes a cmov-
+     * style select, sidestepping the ~50% mispredict rate random
+     * keys would otherwise pay per element */
+    while (i < na && j < nb) {
+        int64_t va = a[i], vb = b[j];
+        int take_a = va <= vb;
+        out[o++] = take_a ? va : vb;
+        i += take_a;
+        j += !take_a;
+    }
+    if (i < na)
+        memcpy(out + o, a + i, (size_t)(na - i) * 8);
+    else if (j < nb)
+        memcpy(out + o, b + j, (size_t)(nb - j) * 8);
+}
+
+/* SORT_SPLIT of sorted a and b: the ma smallest of their merge -> x,
+ * the rest -> y, as primitives.inplace.sort_split_into.  Keys only, it
+ * merges into scratch and copies both parts out.  With payload every
+ * caller passes x == a, y == b, ma >= na or x == b, y == a, ma >= nb:
+ * the input whose row takes the small part is copied to scratch, and
+ * merge_range writes each record once, straight into its row.  The
+ * other input is merged in place: a write to y lands at o - ma, at or
+ * before its read position (o - ma <= j when y == b, as i <= na <= ma),
+ * so a tail already in place stays put. */
 static void
 sort_split_core(const int64_t *a, Py_ssize_t na, const int64_t *b,
                 Py_ssize_t nb, Py_ssize_t ma, int64_t *x, int64_t *y,
                 int64_t *sk, const char *pa, const char *pb, char *xp,
                 char *yp, char *sp, Py_ssize_t rb)
 {
-    Py_ssize_t total = na + nb;
-    Py_ssize_t mb = total - ma;
-    merge_core(a, na, b, nb, sk, pa, pb, sp, rb);
-    memcpy(x, sk, (size_t)ma * 8);
-    memcpy(y, sk + ma, (size_t)mb * 8);
-    if (rb) {
-        memcpy(xp, sp, (size_t)(ma * rb));
-        memcpy(yp, sp + ma * rb, (size_t)(mb * rb));
+    Py_ssize_t i = 0, j = 0;
+    if (rb == 0) {
+        merge_core(a, na, b, nb, sk, NULL, NULL, NULL, 0);
+        memcpy(x, sk, (size_t)ma * 8);
+        memcpy(y, sk + ma, (size_t)(na + nb - ma) * 8);
+        return;
     }
+    if (x == a) {
+        move_run(sk, sp, a, pa, na, rb);
+        a = sk, pa = sp;
+    } else {
+        move_run(sk, sp, b, pb, nb, rb);
+        b = sk, pb = sp;
+    }
+    merge_range(a, na, b, nb, pa, pb, rb, &i, &j, ma, x, xp);
+    merge_range(a, na, b, nb, pa, pb, rb, &i, &j, na + nb - ma, y, yp);
 }
 
 /* ------------------------------------------------------------------ */
@@ -872,36 +910,6 @@ py_deletemin(PyObject *self, PyObject *args)
 /* knapsack branch-and-bound expansion                                 */
 /* ------------------------------------------------------------------ */
 
-/* Largest j in [lo, hi) with wsum[j] <= t, given wsum[lo] <= t and
- * (hi == n + 1 or wsum[hi] > t): searchsorted(wsum, t, "right") - 1.
- * Reads only wsum[lo + 1 .. hi - 1], whatever the data.  The probe
- * feeds a conditional move, not a branch: a branch here mispredicts
- * every other step. */
-static inline Py_ssize_t
-last_le(const int64_t *wsum, Py_ssize_t lo, Py_ssize_t hi, int64_t t)
-{
-    Py_ssize_t len = hi - lo;
-    while (len > 1) {
-        Py_ssize_t half = len / 2;
-        lo = wsum[lo + half] <= t ? lo + half : lo;
-        len -= half;
-    }
-    return lo;
-}
-
-/* last_le over [lo, n] by galloping up from lo: a skip-child's answer
- * lies a few items past its take-sibling's. */
-static inline Py_ssize_t
-gallop_le(const int64_t *wsum, Py_ssize_t lo, Py_ssize_t n, int64_t t)
-{
-    Py_ssize_t step = 1;
-    while (lo + step <= n && wsum[lo + step] <= t) {
-        lo += step;
-        step <<= 1;
-    }
-    return last_le(wsum, lo, lo + step <= n ? lo + step : n + 1, t);
-}
-
 /* The float64 bound must be bit-identical to fractional_bound's NumPy
  * arithmetic, so no a*b + c may be fused into an FMA (the default
  * under -march=native on FMA hosts). */
@@ -933,6 +941,8 @@ dantzig(const int64_t *wsum, const int64_t *psum, const int64_t *prof,
 
 /* branch_bound.KEY_SCALE: a child's key is -(int64)(bound * KEY_SCALE) */
 #define KEY_SCALE 64
+/* nodes whose bound searches expand_core runs in lockstep */
+#define LANE 8
 
 /* Children of a packed node batch (see _Expansion in
  * repro/apps/knapsack/branch_bound.py): a take-child is
@@ -940,8 +950,14 @@ dantzig(const int64_t *wsum, const int64_t *psum, const int64_t *prof,
  * (level == n) have none.  The incumbent first rises to the best
  * take-child profit, then each child whose bound beats it is kept,
  * take-children first, then skip-children, each in batch order; skip
- * survivors are staged in the upper half of the 2n output.  Returns
- * -1 on a node with level > n or weight > cap. */
+ * survivors are staged in the upper half of the 2n output.  Nodes go
+ * LANE at a time: both children's bound searches of a lane run in
+ * lockstep over the whole of wsum[0..n], the same step count each, so
+ * their probes are independent loads.  Weights are positive, so wsum
+ * rises strictly and each search lands where fractional_bound's
+ * searchsorted(wsum, t, "right") - 1 does; probes stay inside wsum[0..n]
+ * whatever the data.  Returns -1 on a node with level > n or weight >
+ * cap, before any output is written. */
 NO_FMA static int
 expand_core(const int64_t *nodes, Py_ssize_t nn, const int64_t *wsum,
             const int64_t *psum, const int64_t *prof, const int64_t *wt,
@@ -964,32 +980,48 @@ expand_core(const int64_t *nodes, Py_ssize_t nn, const int64_t *wsum,
     const double dinc = (double)inc;
     int64_t *sk = ok + nn, *sn = on + nn;
     Py_ssize_t nt = 0, ns = 0, born = 0;
-    for (Py_ssize_t i = 0; i < nn; i++) {
-        int64_t x = nodes[i], l = x & lmask;
-        if (l == n)
-            continue;
-        int64_t room = cap - ((x >> lb) & wmask), p = x >> pshift;
-        /* the take-child's target is its parent's, wsum[l] + room */
-        int64_t t = wsum[l] + room, ts = wsum[l + 1] + room;
-        Py_ssize_t j;
-        double ub;
-        born++;
-        if (wt[l] <= room) {
-            born++;
-            j = last_le(wsum, l + 1, n + 1, t);
-            ub = dantzig(wsum, psum, prof, wt, n, l + 1, j, p + prof[l], t);
-            if (ub > dinc) {
-                ok[nt] = -(int64_t)(ub * KEY_SCALE);
-                on[nt++] = x + take[l];
+    for (Py_ssize_t i0 = 0; i0 < nn; i0 += LANE) {
+        Py_ssize_t m = nn - i0 < LANE ? nn - i0 : LANE;
+        /* targets: take-child 2q (its parent's, wsum[l] + room), skip-
+         * child 2q + 1; a leaf's and an idle lane's stay 0 */
+        int64_t t[2 * LANE] = {0};
+        Py_ssize_t j[2 * LANE] = {0};
+        for (Py_ssize_t q = 0; q < m; q++) {
+            int64_t x = nodes[i0 + q], l = x & lmask;
+            int64_t room = cap - ((x >> lb) & wmask);
+            if (l < n) {
+                t[2 * q] = wsum[l] + room;
+                t[2 * q + 1] = wsum[l + 1] + room;
             }
-            j = gallop_le(wsum, j, n, ts);
-        } else {
-            j = last_le(wsum, l + 1, n + 1, ts);
         }
-        ub = dantzig(wsum, psum, prof, wt, n, l + 1, j, p, ts);
-        if (ub > dinc) {
-            sk[ns] = -(int64_t)(ub * KEY_SCALE);
-            sn[ns++] = x + 1;
+        /* j = last index with wsum[j] <= t, each probe a cmov */
+        for (Py_ssize_t len = n + 1; len > 1; len -= len / 2) {
+            Py_ssize_t half = len / 2;
+            for (int q = 0; q < 2 * LANE; q++)
+                j[q] = wsum[j[q] + half] <= t[q] ? j[q] + half : j[q];
+        }
+        for (Py_ssize_t q = 0; q < m; q++) {
+            int64_t x = nodes[i0 + q], l = x & lmask;
+            if (l == n)
+                continue;
+            int64_t room = cap - ((x >> lb) & wmask), p = x >> pshift;
+            double ub;
+            born++;
+            if (wt[l] <= room) {
+                born++;
+                ub = dantzig(wsum, psum, prof, wt, n, l + 1, j[2 * q],
+                             p + prof[l], t[2 * q]);
+                if (ub > dinc) {
+                    ok[nt] = -(int64_t)(ub * KEY_SCALE);
+                    on[nt++] = x + take[l];
+                }
+            }
+            ub = dantzig(wsum, psum, prof, wt, n, l + 1, j[2 * q + 1], p,
+                         t[2 * q + 1]);
+            if (ub > dinc) {
+                sk[ns] = -(int64_t)(ub * KEY_SCALE);
+                sn[ns++] = x + 1;
+            }
         }
     }
     memmove(ok + nt, sk, (size_t)ns * 8);

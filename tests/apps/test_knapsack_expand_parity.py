@@ -135,6 +135,39 @@ def test_empty_and_all_leaf_batches(family):
             assert (got[0].size, got[2], got[3]) == (0, incumbent, 0)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_lane_tails(family):
+    """Batches of every size 0..17 (two lanes of eight and a tail), with
+    a leaf, a take-infeasible node and a node at ``weight == capacity``
+    put at each position in turn, so every lane slot, full lane and
+    partial last lane of the compiled lockstep search meets each."""
+    inst = generate(30, family, R=50, seed=7)
+    ref, fast, lb, wb = _expansions(inst)
+    n, cap = inst.n_items, inst.capacity
+    rng = np.random.default_rng(5)
+    levels = rng.integers(0, n, size=17)
+    weights = rng.integers(0, cap // 2, size=17)
+    # profit 0 leaves the incumbent low, so most children survive and
+    # show their bound in the key; a special node's large profit keeps
+    # its one child, the skip-child, above the incumbent
+    profits = np.zeros(17, np.int64)
+    top = int(inst.psum[n])
+    level = int(rng.integers(0, n))
+    special = [(n, 0), (level, cap - int(inst.weights[level]) + 1),
+               (level, cap)]
+    batches = [np.empty(0, np.int64)]
+    for size in range(1, 18):
+        for at in range(size):
+            for lv, w in special:
+                lvs, ws = levels[:size].copy(), weights[:size].copy()
+                ps = profits[:size].copy()
+                lvs[at], ws[at], ps[at] = lv, w, top
+                batches.append(pack_nodes(lvs, ps, ws, lb, wb))
+    for nodes in batches:
+        for incumbent in (-1, int(inst.psum[n]) // 2):
+            _assert_same(ref, fast, nodes, incumbent)
+
+
 def test_every_call_of_a_solve_matches_reference(monkeypatch):
     """Each expansion of a full solve, fed the nodes the queue popped."""
     inst = generate(60, "weakly_correlated", seed=5)

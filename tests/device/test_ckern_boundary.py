@@ -93,6 +93,19 @@ def expand(**kw):
     return got, a["out_k"][:got[0]].tolist(), a["out_n"][:got[0]].tolist()
 
 
+def expand_last_lane(last):
+    # ten good nodes, then `last`: the third of a partial last lane of
+    # eight.  A rejected batch leaves the outputs as they were.
+    out_k, out_n = array.array("q", [7] * 22), array.array("q", [7] * 22)
+    try:
+        return expand(nodes=array.array("q", [0, 1, 667] * 3 + [1, last]),
+                      out_k=out_k, out_n=out_n)
+    except ValueError as exc:
+        assert str(exc).startswith("expand: node level above"), exc
+        assert out_k == out_n == array.array("q", [7] * 22)
+        raise
+
+
 def knapsack_step(rows=8, **kw):
     # expand's instance above, on a heap of three full nodes whose keys
     # are all below 0 (every popped node is fresh at incumbent 0) and
@@ -113,7 +126,7 @@ def knapsack_step(rows=8, **kw):
     return mod.knapsack_step(*a.values())
 
 
-sort_records(); insert_sorted(); deletemin()
+sort_records(); insert_sorted(); deletemin(); expand_last_lane(0)
 # the incumbent rises to 6; the root's take-child (bound 12.5) and its
 # skip-child and the take-child of (1, 0, 0) (every item left fits:
 # bound 7) survive, the skip-child of (1, 0, 0) (bound 3) is pruned
@@ -213,6 +226,8 @@ def test_bad_shape_rejected(call):
         pytest.param("expand(capacity=5)", id="weight_above_capacity"),
         pytest.param("expand(nodes=array.array('q', [0, 6 << 2]), "
                      "capacity=5)", id="inner_weight_above_capacity"),
+        pytest.param("expand_last_lane(12 << 2)",
+                     id="weight_above_capacity_in_last_partial_lane"),
     ],
 )
 def test_expand_bad_call_rejected(call):

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.native import NativeBGPQ
+from repro.core.native import NativeBGPQ, StateRows
 from repro.device import GpuContext
 from repro.primitives import kernels
 
@@ -94,6 +94,72 @@ def test_simd_boundary_tie_storm():
                     assert np.array_equal(got_col, want_col), (name, k)
                 assert pq.stats == ref.stats
                 assert pq.sim_ticks == ref.sim_ticks
+
+
+def _child_pair_orientation(rows: StateRows, count: int):
+    """Which child keeps the small part when ``deletemin(count)`` splits
+    nodes 2 and 3 at the root, or None when it will not split them.
+
+    The general deletemin moves the last node into the root and folds
+    the buffer in; the descent then splits the root's children when the
+    root's last key exceeds their smaller head.  The child whose last
+    key is not larger keeps the small part (left on a tie).
+    """
+    hs = rows.header["heap_size"]
+    at = np.concatenate([[0], np.cumsum(rows.counts)])
+    row = [rows.keys[at[i]:at[i + 1]] for i in range(hs + 1)]
+    if hs < 4 or count < len(row[1]) or not (len(row[2]) and len(row[3])):
+        return None
+    root = np.sort(np.concatenate([row[hs], row[0]]))[: len(row[hs])]
+    if not len(root) or root[-1] <= min(row[2][0], row[3][0]):
+        return None
+    return "right" if row[2][-1] > row[3][-1] else "left"
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_payload_tie_storm(w):
+    """Payload queues over a 4-key alphabet, compiled against numpy.
+
+    Every payload SORT_SPLIT of the C core merges straight into its
+    destination rows, one input through scratch and the other in place;
+    with four keys nearly every merge step is a tie, so a wrong tie rule
+    or a stale scratch copy moves a row.  Each payload row names its
+    insertion index (width 1 is the 8-byte row branch, width 2 the
+    general one).  After every op the compiled queue must hold the
+    reference queue's rows, stats and exact clock, and the run must split
+    the root's children with the small part kept on either side.
+    """
+    ctx = GpuContext.default()
+    for name in COMPILED:
+        for k in (8, 32):
+            rng = np.random.default_rng(11 + k + w)
+            ref = NativeBGPQ(k, ctx=ctx, kernels="numpy", payload_width=w)
+            pq = NativeBGPQ(k, ctx=ctx, kernels=name, payload_width=w)
+            assert pq.kernel_provenance()["fused_active"]
+            seen, made = set(), 0
+            for _ in range(150):
+                if rng.random() < 0.55:
+                    n = int(rng.integers(1, 3 * k))
+                    keys = rng.integers(0, 4, size=n)
+                    idx = np.arange(made, made + n)
+                    pay = np.stack([idx, -idx], axis=1)[:, :w]
+                    made += n
+                    ref.insert(keys, pay)
+                    pq.insert(keys, pay)
+                else:
+                    count = int(rng.integers(1, k + 1))
+                    seen.add(_child_pair_orientation(ref.export_rows(), count))
+                    want = ref.deletemin(count)
+                    got = pq.deletemin(count)
+                    assert np.array_equal(got[0], want[0]), (name, k)
+                    assert np.array_equal(got[1], want[1]), (name, k)
+                rows, ref_rows = pq.export_rows(), ref.export_rows()
+                assert rows.header == ref_rows.header, (name, k)
+                for got_col, want_col in zip(rows[1:], ref_rows[1:]):
+                    assert np.array_equal(got_col, want_col), (name, k)
+                assert pq.stats == ref.stats
+                assert pq.sim_ticks == ref.sim_ticks
+            assert {"left", "right"} <= seen, (name, k, seen)
 
 
 def test_noncontiguous_input_falls_back_identically(compiled):
