@@ -67,6 +67,7 @@ import numpy as np
 from ..core.native import NativeBGPQ
 from ..device import cbuild
 from ..primitives import kernels as kernel_registry
+from ..primitives.kernels import InstrumentedKernels
 from .reporting import BenchLane, refresh_analysis_baseline, results_dir
 
 __all__ = [
@@ -350,11 +351,12 @@ def instrumented_mixed_pass(
     """Untimed mixed-lane pass with per-kernel wall histograms.
 
     Runs a short steady-state loop for each requested backend with
-    :func:`repro.primitives.kernels.instrument` wrapped around it, so
-    ``repro_kernel_wall_ns{kernel,backend}`` lands in ``registry``.
-    The queue runs the path it runs uninstrumented: the fused
-    ``insert_sorted``/``deletemin`` calls on the C core, the node-level
-    ``sort_split_into`` and the ``sort_records`` presort on numpy.
+    :class:`repro.primitives.kernels.InstrumentedKernels` wrapped
+    around it, so ``repro_kernel_wall_ns{kernel,backend}`` lands in
+    ``registry``.  The queue runs the path it runs uninstrumented, and
+    the timed calls are its backend's: the fused ``insert_sorted``/
+    ``deletemin`` on the C core, the ``sort_records`` presort on numpy
+    (whose reference node splits are direct calls, not timed).
     Separate from the gate loops by design: instrumentation adds a
     timer call per kernel, which must never touch the gated numbers.
     Returns {backend: ops} for the pass.
@@ -363,7 +365,7 @@ def instrumented_mixed_pass(
         backends = kernel_registry.available_backends()
     done: dict[str, int] = {}
     for name in backends:
-        kern = kernel_registry.instrument(kernel_registry.select(name), registry)
+        kern = InstrumentedKernels(kernel_registry.select(name), registry)
         rng = np.random.default_rng(97 + k)
         q = NativeBGPQ(k, kernels=kern)
         batches = _batches(rng, 32, k)

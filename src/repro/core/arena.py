@@ -19,21 +19,18 @@ The in-place row SORT_SPLIT lives here too: :meth:`NodeArena.split_rows`
 rebalances two rows and :meth:`NodeArena.split_row_items` a row against
 a travelling batch, both staged through the arena's own
 :class:`~repro.primitives.inplace.ScratchLedger` (the block's shared
-memory) and dispatched to the owner's kernel set.
+memory) and run by the reference
+:func:`~repro.primitives.inplace.sort_split_into`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..primitives.inplace import ScratchLedger
-from ..primitives.kernels import KernelSet
+from ..primitives.inplace import ScratchLedger, sort_split_into
 from .node import EMPTY
 
 __all__ = ["NodeArena", "growth_target", "layout_problems"]
-
-#: the NumPy reference kernels, for arenas whose owner passes none
-_REFERENCE = KernelSet()
 
 #: largest keys + payload an 8x growth step may reserve; past it the
 #: arena doubles, so a huge heap does not ask for 8x its size at once
@@ -123,17 +120,13 @@ class NodeArena:
         Per-row state word (AVAIL/EMPTY/TARGET/MARKED of §4).
     scratch:
         The 2k-wide staging ledger every row SORT_SPLIT merges through.
-    kernels:
-        The kernel set the splits dispatch to (the NumPy reference
-        unless the owner passes its own).
     """
 
     __slots__ = ("rows", "k", "dtype", "payload_width", "payload_dtype",
-                 "keys", "pay", "counts", "states", "scratch", "kernels")
+                 "keys", "pay", "counts", "states", "scratch")
 
     def __init__(self, rows: int, node_capacity: int, dtype=np.int64,
-                 payload_width: int = 0, payload_dtype=np.int64,
-                 kernels: KernelSet | None = None):
+                 payload_width: int = 0, payload_dtype=np.int64):
         if rows < 1:
             raise ValueError("arena needs at least one row")
         if node_capacity < 1:
@@ -151,7 +144,6 @@ class NodeArena:
             node_capacity, dtype=dtype,
             payload_width=payload_width, payload_dtype=payload_dtype,
         )
-        self.kernels = kernels if kernels is not None else _REFERENCE
 
     def nbytes(self) -> int:
         """Total backing storage, for memory accounting."""
@@ -179,10 +171,10 @@ class NodeArena:
     def grown(self, rows: int) -> "NodeArena":
         """A copy of this arena with at least ``rows`` rows.
 
-        Row contents (keys, payload columns, counts, states), the
-        scratch ledger and the kernel set carry over unchanged; new rows
-        start EMPTY.  Growth reallocates — callers that need an
-        allocation-free steady state size the arena up front (or, like
+        Row contents (keys, payload columns, counts, states) and the
+        scratch ledger carry over unchanged; new rows start EMPTY.
+        Growth reallocates — callers that need an allocation-free
+        steady state size the arena up front (or, like
         :class:`~repro.core.native.NativeBGPQ`, grow 8x per step, see
         :func:`growth_target`, so reallocation amortises away before
         measurement).
@@ -195,7 +187,6 @@ class NodeArena:
             dtype=self.dtype,
             payload_width=self.payload_width,
             payload_dtype=self.payload_dtype,
-            kernels=self.kernels,
         )
         new.scratch = self.scratch
         r = self.rows
@@ -228,7 +219,7 @@ class NodeArena:
                 return True
             if small == j and ma == nj and self.keys[j, nj - 1] < self.keys[i, 0]:
                 return True
-        self.kernels.sort_split_into(
+        sort_split_into(
             self.keys[i, :ni], self.keys[j, :nj], ma,
             self.keys[small], self.keys[large], self.scratch,
             pa=self.pay[i, :ni], pb=self.pay[j, :nj],
@@ -253,7 +244,7 @@ class NodeArena:
         ni = int(self.counts[i])
         if ni and ma == ni and items_k.shape[0] and self.keys[i, ni - 1] <= items_k[0]:
             return True  # row already holds the ma smallest; batch unchanged
-        self.kernels.sort_split_into(
+        sort_split_into(
             self.keys[i, :ni], items_k, ma,
             self.keys[i], items_k, self.scratch,
             pa=self.pay[i, :ni], pb=items_p,

@@ -29,6 +29,7 @@ from ..obs.events import (
     ROOT_REFILL,
     SORT_SPLIT,
 )
+from ..primitives.inplace import sort_split_into
 from ..sim import Acquire, Atomic, Compute, Release, Signal, crashpoint
 from .heap import parent, path_next
 from .node import AVAIL, EMPTY, MARKED, TARGET
@@ -227,7 +228,7 @@ class InsertMixin:
         # arrays rather than shared scratch.
         fk = np.empty(self.k, dtype=store.dtype)
         fp = np.empty((self.k, store.payload_width), dtype=store.payload_dtype)
-        a.kernels.sort_split_into(
+        sort_split_into(
             items_k, a.keys[0, :nbuf], self.k, fk, a.keys[0], a.scratch,
             pa=items_p, pb=a.pay[0, :nbuf], x_p=fp, y_p=a.pay[0],
         )

@@ -55,6 +55,7 @@ from ..device.costmodel import GpuCostModel
 from ..device.kernels import GpuContext
 from ..errors import ConfigurationError
 from ..primitives import kernels as kernel_registry
+from ..primitives.inplace import sort_split_into
 from .arena import NodeArena, growth_target, layout_problems
 from .heap import left, path_next, right
 
@@ -283,6 +284,10 @@ class NativeBGPQ:
     storage:
         Always ``"arena"``, the one storage layout; accepted (and kept
         as an attribute) so callers that pass it through keep working.
+    kernels:
+        ``None`` (the process-wide backend), a backend name, or a
+        ``KernelSet`` bare or instrumented; anything else raises
+        :class:`ConfigurationError`.
     """
 
     def __init__(
@@ -314,21 +319,26 @@ class NativeBGPQ:
         self._ticks = 0
         self._charges = _ChargeTicks(self.model, node_capacity)
         self.stats = {"insert_heapify": 0, "deletemin_heapify": 0, "ops": 0}
-        # kernel backend: None -> process-wide active selection; a name
-        # ("numpy"/"cext"/"auto") -> explicit; or a KernelSet.
-        # Every backend is bit-identical, so this only moves wall-clock.
-        if isinstance(kernels, str):
-            self._kern = kernel_registry.select(kernels)
-        elif kernels is not None:
-            self._kern = kernels
-        else:
-            self._kern = kernel_registry.active()
+        # kernel backend (see ``kernels`` above); every backend is
+        # bit-identical, so the choice only moves wall-clock
+        if kernels is None:
+            kernels = kernel_registry.active()
+        elif isinstance(kernels, str):
+            try:
+                kernels = kernel_registry.select(kernels)
+            except ValueError as err:
+                raise ConfigurationError(str(err)) from err
+        elif not isinstance(kernels, (kernel_registry.KernelSet,
+                                      kernel_registry.InstrumentedKernels)):
+            raise ConfigurationError(
+                "kernels must be None, a backend name or a KernelSet, "
+                f"not {type(kernels).__name__}"
+            )
+        self._kern = kernels
         # fused C heapify needs int64 keys (payload rows move as raw
         # bytes, so any payload dtype is fine)
         self._row_bytes = self.payload_width * self.payload_dtype.itemsize
-        self._fused = (
-            bool(getattr(self._kern, "fused", False)) and self.key_dtype == _I64
-        )
+        self._fused = kernels.fused and self.key_dtype == _I64
         if self._fused:
             # combined scratch: [2k int64 keys][2k payload rows], int64-
             # backed so the key half stays aligned; the deletemin log is
@@ -346,7 +356,6 @@ class NativeBGPQ:
             dtype=key_dtype,
             payload_width=payload_width,
             payload_dtype=payload_dtype,
-            kernels=self._kern,
         )
         # the travelling batch of both heapify loops (Alg. 1's `items`)
         self._items_k = np.empty(node_capacity, dtype=key_dtype)
@@ -383,9 +392,7 @@ class NativeBGPQ:
     # -- kernel backend ----------------------------------------------------
     def kernel_provenance(self) -> dict:
         """Provenance record (backend, capabilities, fused dispatch)."""
-        info = kernel_registry.provenance(self._kern)
-        info["fused_active"] = self._fused
-        return info
+        return {**self._kern.provenance(), "fused_active": self._fused}
 
     # -- public API --------------------------------------------------------
     def insert(self, keys, payload=None) -> None:
@@ -597,7 +604,7 @@ class NativeBGPQ:
         # buffer overflow: detach a full batch (items keys first on ties),
         # leave the rest in the buffer, heapify the full batch down
         self._charge_split(n, nbuf)
-        a.kernels.sort_split_into(
+        sort_split_into(
             ik[:n], a.keys[0, :nbuf], self.k, ik, a.keys[0], a.scratch,
             pa=ip[:n], pb=a.pay[0, :nbuf], x_p=ip, y_p=a.pay[0],
         )
@@ -879,7 +886,7 @@ class NativeBGPQ:
         self._heap_size = heap_size
         self._size = total
         self._ticks = ticks
-        self.stats = dict(stats)
+        self.stats = {name: int(v) for name, v in stats.items()}
 
     def restore_state(self, state: dict) -> None:
         """Overwrite this queue with an :meth:`export_state` snapshot.

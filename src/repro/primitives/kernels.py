@@ -1,15 +1,14 @@
 """Kernel dispatch: NumPy reference vs the compiled C backend.
 
-``NativeBGPQ`` reaches the kernel layer through one path per backend:
+A ``KernelSet`` is the backend handle ``NativeBGPQ`` resolves once:
+``sort_records`` (the stable presort of an incoming batch), plus the
+compiled module ``mod`` on cext.  SORT_SPLIT between two nodes is not
+dispatched: every node-level split outside the C core calls
+:func:`repro.primitives.inplace.sort_split_into` directly.
 
 ``numpy``
-    The reference implementations in this package, always present and
-    always the semantic source of truth: ``sort_records`` (the stable
-    presort of an incoming batch) and ``sort_split_into`` (the paper's
-    SORT_SPLIT between two nodes, :mod:`repro.primitives.inplace`),
-    which the queue's heapify loops call node by node.  The DES
-    ``BGPQ`` and every ``NodeArena`` without a kernel set of its own
-    use them too.
+    The reference, always present and the semantic source of truth;
+    the queue's heapify loops run the reference split node by node.
 ``cext``
     A small C core (``repro/device/ckern.c``) compiled on first use
     with whatever C compiler the host has.  It runs each queue op as
@@ -52,14 +51,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import inplace as _inplace
-
 __all__ = [
     "BACKENDS",
+    "InstrumentedKernels",
     "KernelSet",
     "active",
     "available_backends",
-    "instrument",
     "provenance",
     "select",
     "set_active",
@@ -98,13 +95,6 @@ class KernelSet:
     #: offers fused whole-heapify entry points over a NodeArena
     fused = False
 
-    # -- per-node primitives (signatures match repro.primitives) -------
-    def sort_split_into(self, a, b, ma, x_k, y_k, scratch,
-                        pa=None, pb=None, x_p=None, y_p=None):
-        return _inplace.sort_split_into(
-            a, b, ma, x_k, y_k, scratch, pa, pb, x_p, y_p
-        )
-
     def sort_records(self, keys, pay):
         """Stable sort records by key; returns new (keys, payload) arrays.
 
@@ -131,11 +121,11 @@ class KernelSet:
 class CExtKernels(KernelSet):
     """C-extension backend: int64 keys, raw-byte payload rows.
 
-    ``mod`` is the compiled module ``NativeBGPQ`` runs its fused ops on.
-    The node-level ``sort_split_into`` is the inherited reference, for
-    the queues that cannot fuse (non-int64 keys); a ``sort_records``
-    call outside the compiled contract takes the reference path too —
-    bit-identical either way, so the dispatch is invisible to callers.
+    ``mod`` is the compiled module ``NativeBGPQ`` runs its fused ops on;
+    a queue that cannot fuse (non-int64 keys) splits on the reference.
+    A ``sort_records`` call outside the compiled contract takes the
+    reference path too — bit-identical either way, so the dispatch is
+    invisible to callers.
     """
 
     name = "cext"
@@ -165,10 +155,6 @@ class CExtKernels(KernelSet):
 # backend construction & selection
 # ---------------------------------------------------------------------
 
-def _make_numpy() -> KernelSet:
-    return KernelSet()
-
-
 def _make_cext() -> KernelSet | None:
     from ..device import cbuild
 
@@ -183,7 +169,7 @@ def _make_cext() -> KernelSet | None:
     return CExtKernels(mod)
 
 
-_FACTORIES = {"numpy": _make_numpy, "cext": _make_cext}
+_FACTORIES = {"numpy": KernelSet, "cext": _make_cext}
 
 
 def select(name: str) -> KernelSet:
@@ -199,7 +185,7 @@ def select(name: str) -> KernelSet:
     if kern is None:
         if name != "auto":
             _notice_once(f"kernel backend {name!r} unavailable; using numpy")
-        return _make_numpy()
+        return KernelSet()
     return kern
 
 
@@ -273,13 +259,12 @@ class InstrumentedKernels(_TimedView):
     One histogram per kernel, labelled with the backend — the metrics
     feed of the ``bench native`` wall-clock lane.  The wrapper keeps
     its base's ``fused``, so a queue runs the same path instrumented or
-    not, and the timed calls are the ones that path makes:
-    ``sort_records`` on both backends, the fused ``insert_sorted`` and
-    ``deletemin`` (through a timed view of ``mod``) on the compiled one,
-    and the node-level ``sort_split_into`` on the reference.  Wall
-    timing is real time, so this wrapper is only used in
-    explicitly-instrumented passes, never in the deterministic DES
-    paths.
+    not, and the timed calls are the backend's: ``sort_records`` on
+    both, plus the fused ``insert_sorted`` and ``deletemin`` (through a
+    timed view of ``mod``) on the compiled one.  The reference split is
+    a direct call, not a kernel, so it is not timed here.  Wall timing
+    is real time, so this wrapper is only used in explicitly-
+    instrumented passes, never in the deterministic DES paths.
     """
 
     def __init__(self, base: KernelSet, registry):
@@ -294,18 +279,11 @@ class InstrumentedKernels(_TimedView):
                 for op in ops
             }
 
+        super().__init__(base, hists("sort_records"))
         if base.fused:
-            super().__init__(base, hists("sort_records"))
             self.mod = _TimedView(base.mod, hists("insert_sorted", "deletemin"))
-        else:
-            super().__init__(base, hists("sort_split_into", "sort_records"))
 
     def provenance(self) -> dict:
         info = self._base.provenance()
         info["instrumented"] = True
         return info
-
-
-def instrument(base: KernelSet, registry) -> InstrumentedKernels:
-    """Instrumented view of ``base`` reporting into ``registry``."""
-    return InstrumentedKernels(base, registry)

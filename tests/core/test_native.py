@@ -48,6 +48,13 @@ def test_validation():
         pq.insert(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("kernels", ["bogus", "", 3, object(), ["numpy"]],
+                         ids=["bogus", "empty", "int", "object", "list"])
+def test_bad_kernels_fail_closed_at_construction(kernels):
+    with pytest.raises(ConfigurationError, match="kernel"):
+        NativeBGPQ(node_capacity=4, kernels=kernels)
+
+
 def test_oversize_insert_chunks_internally():
     # >k batches used to raise; now they chunk via the bulk path
     pq = NativeBGPQ(node_capacity=4)

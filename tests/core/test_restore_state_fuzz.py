@@ -152,3 +152,16 @@ def test_restore_rejects_stats_an_export_cannot_write(stats):
     state["stats"] = stats
     with pytest.raises(ConfigurationError, match="snapshot stats"):
         _queue(0, None).restore_state(state)
+
+
+def test_restore_takes_numpy_int_stats_as_python_ints():
+    """A NumPy integer count is accepted, and the queue keeps it as a
+    Python int so its next export still serialises."""
+    src = _queue(0, None)
+    src.insert_bulk(np.arange(6, dtype=np.int64))
+    state = src.export_state()
+    state["stats"]["insert_heapify"] = np.int64(3)
+    dst = _queue(0, None)
+    dst.restore_state(state)
+    assert type(dst.export_state()["stats"]["insert_heapify"]) is int
+    state_digest(dst.export_state())

@@ -10,12 +10,14 @@ call of each entry point, so a rejection can only come from the one
 argument the case changes.
 """
 
+import inspect
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.core.arena import NodeArena
 from repro.device import cbuild
 from repro.primitives import kernels
 
@@ -317,7 +319,11 @@ def test_run_into_empty_heap_accepted():
 
 def test_kernel_set_has_no_unused_kernels():
     for cls in (kernels.KernelSet, kernels.CExtKernels):
-        for name in ("merge_into", "bitonic_sort", "exclusive_scan", "compact"):
+        for name in ("merge_into", "bitonic_sort", "exclusive_scan", "compact",
+                     "sort_split_into"):
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
-    # unfused queues split node by node on the inherited reference
-    assert "sort_split_into" not in vars(kernels.CExtKernels)
+    # node splits call the reference directly: no kernel set rides the
+    # arena, and the instrumented wrapper is built by its class alone
+    assert "kernels" not in NodeArena.__slots__
+    assert "kernels" not in inspect.signature(NodeArena).parameters
+    assert not hasattr(kernels, "instrument")
